@@ -14,9 +14,11 @@ one complete ``derandomize_phase_group`` twice:
   unique-column compressed sweep, and one
   :class:`~repro.core.potential.SeedSweepWorkspace` reused across chunks.
 
-Both kernels are exact integer arithmetic until the final weighting, so
-the val1 matrices and every :class:`SeedChoice` (seed bits, conditional
-traces, final potentials) are asserted **bit-identical** before timing.
+Both paths count in exact integers and share the exact integer weighting
+(sums per estimator and list size, which do not depend on column
+deduplication), so the val1 matrices and every :class:`SeedChoice` (seed
+bits, conditional traces, final potentials) are asserted
+**bit-identical** before timing.
 Exits non-zero if the sweep speedup falls below ``--min-speedup``
 (default 5×), so CI catches regressions that reintroduce per-edge work
 into the derandomization hot path.

@@ -8,11 +8,11 @@ serving layer or an incremental recoloring loop would — and measures
   per run: every phase's 2^m integer enumeration runs and its count
   matrix is stored;
 * **warm** — the populated cache: every sweep is served by fingerprint
-  and only the float ``weight_rows`` step runs.
+  and only the ``weight_rows`` step runs.
 
 The workload uses an r = 2 phase schedule, where the integer half (four
 interval-DP ``count_xor_below`` evaluations per bucket) dominates the
-float half by a wide margin — exactly the regime the cache amortizes.
+weighting by a wide margin — exactly the regime the cache amortizes.
 
 Unlike the instance/seed parallel axes, the warm-vs-cold ratio needs no
 second core, so the speedup guard **never self-skips**: byte-identity

@@ -52,9 +52,11 @@ __all__ = [
 #: object with ``sweep_val1(sweep, order, chunk_size, out) -> bool`` that
 #: either fills ``out`` with the full ``val1`` matrix (returning True) or
 #: declines (returning False, e.g. sweep too small) and lets the serial
-#: loop run.  Whatever the executor does with the integer kernel, the float
-#: weighting must go through ``sweep.weight_rows`` in seed order — that is
-#: the byte-identity contract.
+#: loop run.  Whatever the executor does with the integer kernel, the
+#: weighting must go through ``sweep.weight_rows`` — that is the
+#: byte-identity contract: it turns each seed row into exact integer sums
+#: per (estimator, list size) and then floats, so its output does not
+#: depend on how the seed range was chunked or which process counted it.
 _sweep_dispatcher_var: contextvars.ContextVar = contextvars.ContextVar(
     "repro_sweep_dispatcher", default=None
 )
@@ -87,9 +89,9 @@ def sweep_dispatch_scope(dispatcher):
 #: surface — ``load(kernel, order)``, ``store(kernel, counts)``, and
 #: ``admits(nbytes)`` — keyed by the kernel fingerprint and holding pure
 #: int64 count matrices.  Only the integer half of a sweep is ever cached;
-#: the float ``weight_rows`` step re-runs on every hit, which is what makes
-#: warm results byte-identical to cold ones (the weights are not a function
-#: of the fingerprint).
+#: the ``weight_rows`` step re-runs on every hit, which is what makes warm
+#: results byte-identical to cold ones (the list sizes it weights by are
+#: not a function of the fingerprint).
 _sweep_cache_var: contextvars.ContextVar = contextvars.ContextVar(
     "repro_sweep_cache", default=None
 )
@@ -231,8 +233,9 @@ def derandomize_phase_group(
     ``sweep_dispatcher`` (default: the ambient one from
     :func:`sweep_dispatch_scope`) may run the 2^m enumeration across the
     seed axis; its output is bit-identical to the serial loop because the
-    integer kernel is elementwise per seed row and the float weighting
-    stays single-threaded (see :meth:`SeedSweepWorkspace.weight_rows`).
+    integer kernel is elementwise per seed row and the weighting turns each
+    row into exact integer sums before its fixed float step (see
+    :meth:`SeedSweepWorkspace.weight_rows`).
     ``sweep_cache`` (default: the ambient one from
     :func:`sweep_cache_scope`) memoizes the integer count matrix by kernel
     fingerprint: a hit skips the 2^m integer enumeration entirely — only
@@ -240,7 +243,7 @@ def derandomize_phase_group(
     dispatcher's seed-axis ``sweep_counts`` fan-out when one is installed,
     else serially), weights them, and stores them for the next sweep with
     the same fingerprint.  Warm results are byte-identical because the
-    float step always re-runs over the same integers in the same order.
+    weighting always re-runs over the same integers.
     """
     estimators = list(estimators)
     if not estimators:
@@ -273,8 +276,8 @@ def derandomize_phase_group(
                     )
             sweep_cache.store(kernel, counts)
     if counts is not None:
-        # Hit (or freshly stored): the float step over the cached integers,
-        # in the serial chunk order — byte-identical to the cache-off path.
+        # Hit (or freshly stored): the weighting over the cached integers —
+        # byte-identical to the cache-off path.
         for start in range(0, order, chunk_size):
             stop = min(order, start + chunk_size)
             sweep.weight_rows(counts[start:stop], out=val1[:, start:stop])

@@ -29,14 +29,18 @@ the E[·|s1] sweep) and per-node keys ``(s1, ψ_v, thresholds(v))`` (for the
 σ sweep): everything a column of the candidate matrix contributes is a
 function of that key, and real instances collapse to a handful of distinct
 keys.  :class:`SeedSweepWorkspace` and the σ-side kernels therefore
-deduplicate columns with one encoded-key ``np.unique``, run the GF(2^m)
-multiply and the counting DP on unique columns only, and scatter the
-*integer* counts (or bucket indices) back through the inverse index before
-any float enters.  Because every float operation then sees the exact same
-operands in the exact same order as the uncompressed evaluation, the
-compressed sweeps are bit-for-bit identical — compression, like the
-GF(2^m) log tables it composes with, is a speed knob that can never change
-a seed choice, ledger, or coloring.
+deduplicate columns with one encoded-key ``np.unique`` and run the GF(2^m)
+multiply and the counting DP on unique columns only.  The E[·|s1] sweep
+never scatters back: it weights the unique count columns through exact
+int64 sums per (estimator, list size k) and divides by k only at the end,
+so each ``val1`` entry is a fixed function of exact integers that do not
+depend on how the columns were deduplicated.  The σ sweep scatters its
+*integer* bucket indices back through the inverse index before any float
+enters, so every float operation sees the same operands in the same order
+as the uncompressed evaluation.  Either way the compressed sweeps are
+bit-for-bit identical — compression, like the GF(2^m) log tables it
+composes with, is a speed knob that can never change a seed choice,
+ledger, or coloring.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ from repro.hashing.pairwise import PairwiseFamily
 #: sub-batch, and change the two budgets together.
 _SIGMA_CHUNK_ENTRIES = 1 << 22
 _SIGMA_FUSE_BUDGET_ENTRIES = 2 * _SIGMA_CHUNK_ENTRIES
+
+#: Every integer sum the seed-sweep weighting forms must stay below this:
+#: int64 then cannot wrap and the conversion to float64 is exact.
+_EXACT_INT_LIMIT = 1 << 53
 
 __all__ = [
     "PhaseEstimator",
@@ -142,7 +150,7 @@ class SweepCountKernel:
     (:mod:`repro.core.sweep_cache`) as well as the label worker-side
     caches and telemetry use.  Same fingerprint ⇒ same inputs ⇒ the same
     integer count matrix, which is why cached counts can be reused
-    verbatim while the float weighting is always re-applied fresh.
+    verbatim while the weighting is always re-applied fresh.
     """
 
     def __init__(
@@ -281,26 +289,38 @@ class SeedSweepWorkspace:
     conflict graphs and input colorings ψ.  The dominant
     (candidates × edges) work — the GF(2^m) multiply of ``g_values_many``
     and the counting DP — runs ONCE over the concatenated edge arrays of
-    all estimators; per-estimator expectations are recovered by summing
-    each estimator's contiguous column segment.  Every per-edge operation
-    is elementwise and each segment sum reduces the same contiguous values,
-    so the result is numerically identical to calling
-    :meth:`PhaseEstimator.expected_by_s1` per estimator.
+    all estimators, and the weighting recovers every estimator's
+    expectation from exact per-(estimator, list size) integer sums.
 
     Constructing the workspace once per phase hoists everything that does
     not depend on the s1 candidates out of the chunked 2^m enumeration:
 
     * the concatenated per-edge arrays (ψ-differences, endpoint threshold
-      rows, the (edges × buckets) weight matrix) are built once instead of
-      once per chunk;
+      rows) are built once instead of once per chunk;
     * with ``compress=True`` (the default), edge columns are deduplicated
       by the key ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))`` via one
-      ``np.unique``; each chunk runs the GF multiply and counting DP on
-      unique columns only and scatters the *integer* counts back through
-      the inverse index before the float weighting, so float summation
-      order — and therefore every seed choice downstream — is unchanged;
-    * the per-chunk work matrices (counts, contribution totals) live in a
-      small buffer cache reused across chunks.
+      ``np.unique``, and the GF multiply and counting DP run on unique
+      columns only;
+    * the weighting plan: every edge endpoint x of estimator j contributes
+      ``n_w / k_w(x)`` for each bucket w, where ``n_w`` is the number of σ
+      putting both endpoints in bucket w.  Grouping endpoints by
+      ``(j, k = k_w(x))`` gives
+
+          2^b · E[Σ_e X_e | s1] = Σ_k S[s1, j, k] / k,
+          S[s1, j, k] = Σ_c counts[s1, c] · mult[c, j, k] (+ const[j, k]),
+
+      an int64 sum over the count columns.  The multiplicities are kept as
+      a sparse (column, group, multiplicity) list sorted by group, so fused
+      groups of hundreds of estimators never materialize a dense
+      (columns × groups) matrix.  For r = 1 the bucket-1 count follows by
+      inclusion-exclusion, ``n_both1 = 2^b − t_u − t_v + n_both0``, so
+      bucket-1 endpoints add multiplicity to the ``n_both0`` column and
+      their ``2^b − t_u − t_v`` to ``const``.
+
+    The exactness guard checks once, from 2^b and the multiplicities, that
+    no ``S`` can reach 2^53: below that int64 cannot wrap and every ``S``
+    converts to float64 exactly, so each ``val1`` entry is a fixed
+    function of exact integers of its own seed row.
     """
 
     def __init__(self, estimators, compress: bool = True):
@@ -321,23 +341,12 @@ class SeedSweepWorkspace:
         self.b = first.b
         self.scale = first.scale
         self.num_buckets = first.num_buckets
-        bounds = np.zeros(len(live) + 1, dtype=np.int64)
-        np.cumsum([est.num_edges for est in live], out=bounds[1:])
-        self.bounds = bounds
         self.psi_diff = np.concatenate([est.psi_diff for est in live])
-        # Endpoint threshold rows and the (edges × buckets) weight matrix
-        # (1/k_w(u) + 1/k_w(v)); column w reproduces edge_weight(w) exactly.
         self.thr_u = np.concatenate(
             [est.thresholds[est.edges_u] for est in live]
         )
         self.thr_v = np.concatenate(
             [est.thresholds[est.edges_v] for est in live]
-        )
-        self.weights = np.concatenate(
-            [
-                est._inv_counts[est.edges_u] + est._inv_counts[est.edges_v]
-                for est in live
-            ]
         )
         if self.compress:
             key = np.concatenate(
@@ -358,6 +367,7 @@ class SeedSweepWorkspace:
                 self.uniq_thr_v,
             )
         else:
+            self.inverse = None
             self.kernel = SweepCountKernel(
                 self.family.a,
                 self.b,
@@ -366,32 +376,104 @@ class SeedSweepWorkspace:
                 self.thr_u,
                 self.thr_v,
             )
-        if self.num_buckets != 2:
-            self._float_plans = [
-                self._plan_bucket_floats(w) for w in range(self.num_buckets)
-            ]
+        self._plan_weighting()
 
-    def _plan_bucket_floats(self, w: int):
-        """Float-side state of interval-loop bucket ``w`` (the integer side
-        — alive masks and DP bounds — lives in the kernel's plans).
+    def _plan_weighting(self) -> None:
+        """Build the sparse (column, group, multiplicity) weighting plan.
 
-        The inverse-gather indices and the weight slice depend only on
-        workspace state, so they are built once here instead of once per
-        chunk.  Returns ``None`` for buckets empty at every edge endpoint.
+        Each incidence is one (edge endpoint, bucket) pair with a nonempty
+        bucket (empty buckets carry weight 0); it adds multiplicity 1 to
+        the count column holding that edge's bucket count, in the group
+        ``(estimator, k)``.  Groups are numbered in (estimator, ascending
+        k) order; entries are sorted by group, then column.
         """
-        plan = self.kernel._plans[w]
-        if plan is None:
-            return None
-        alive = plan[0]
-        if not self.compress:
-            return alive, None, self.weights[alive, w][None, :]
-        position = np.cumsum(alive) - 1
-        alive_full = alive[self.inverse]
-        gather = position[self.inverse[alive_full]]
-        return (
-            alive,
-            (alive_full, gather),
-            self.weights[alive_full, w][None, :],
+        live = self.live
+        scale = int(self.scale)
+        est_id = np.repeat(
+            np.arange(len(live), dtype=np.int64),
+            [est.num_edges for est in live],
+        )
+        k_u = np.concatenate([est.counts[est.edges_u] for est in live])
+        k_v = np.concatenate([est.counts[est.edges_v] for est in live])
+        column = (
+            self.inverse
+            if self.inverse is not None
+            else np.arange(len(est_id), dtype=np.int64)
+        )
+        cols, ests, ks = [], [], []
+        if self.num_buckets == 2:
+            # Both buckets weight the n_both0 column; bucket 1 also adds
+            # its inclusion-exclusion constant 2^b - t_u - t_v.
+            const = scale - self.thr_u[:, 1] - self.thr_v[:, 1]
+            zero = np.zeros_like(const)
+            consts = [zero, zero, const, const]
+            for w in (0, 1):
+                for k in (k_u[:, w], k_v[:, w]):
+                    cols.append(column)
+                    ests.append(est_id)
+                    ks.append(k)
+        else:
+            consts = None
+            for w, (plan, block) in enumerate(
+                zip(self.kernel._plans, self.kernel._blocks)
+            ):
+                if plan is None:
+                    continue
+                alive = plan[0]
+                position = block[0] + np.cumsum(alive) - 1
+                alive_edge = alive[column]
+                for k in (k_u[alive_edge, w], k_v[alive_edge, w]):
+                    cols.append(position[column[alive_edge]])
+                    ests.append(est_id[alive_edge])
+                    ks.append(k)
+        inc_col = np.concatenate(cols)
+        inc_est = np.concatenate(ests)
+        inc_k = np.concatenate(ks)
+        keep = inc_k > 0
+        span = int(inc_k.max(initial=0)) + 1
+        groups, inc_group = np.unique(
+            (inc_est * span + inc_k)[keep], return_inverse=True
+        )
+        num_groups = len(groups)
+        width = max(1, self.kernel.count_width)
+        entries, mult = np.unique(
+            inc_group * width + inc_col[keep], return_counts=True
+        )
+        entry_group = entries // width
+        self._entry_col = entries % width
+        self._entry_mult = mult.astype(np.int64)
+        self._group_start = np.searchsorted(
+            entry_group, np.arange(num_groups)
+        )
+        group_est = groups // span
+        self._group_k = (groups % span).astype(np.float64)
+        self._group_const = None
+        if consts is not None:
+            self._group_const = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(
+                self._group_const, inc_group, np.concatenate(consts)[keep]
+            )
+        # Exactness guard: every incidence's count lies in [0, 2^b] and
+        # each r = 1 constant term in [-2^b, 2^b], so |S| and every partial
+        # sum are at most 2^b times the group's number of incidences.
+        per_group = np.bincount(inc_group, minlength=num_groups)
+        self.sum_bound = scale * int(per_group.max(initial=0))
+        if self.sum_bound >= _EXACT_INT_LIMIT:
+            raise ValueError(
+                f"seed-sweep sums may reach {self.sum_bound} >= 2^53: "
+                "the integer weighting would not be exact"
+            )
+        # Sequential ascending-k summation order: slot p of estimator j
+        # holds its p-th smallest k; missing slots point at a zero column.
+        first_group = np.searchsorted(group_est, np.arange(len(live)))
+        slot = np.arange(num_groups) - first_group[group_est]
+        self._slots = np.full(
+            (len(live), int(slot.max(initial=0)) + 1), num_groups, dtype=np.int64
+        )
+        self._slots[group_est, slot] = np.arange(num_groups)
+        self._live_rows = np.array(
+            [i for i, est in enumerate(self.estimators) if est.num_edges],
+            dtype=np.int64,
         )
 
     # ------------------------------------------------------------------
@@ -401,59 +483,6 @@ class SeedSweepWorkspace:
             buf = np.empty(shape, dtype=dtype)
             self._buffers[name] = buf
         return buf
-
-    def _weight_r1(self, counts: np.ndarray) -> np.ndarray:
-        """r = 1 float step over one block of integer count rows.
-
-        Bucket 0 occupies [0, t) and bucket 1 occupies [t, 2^b); by
-        inclusion-exclusion, #{both in bucket 1} = 2^b - t_u - t_v +
-        #{both in bucket 0}.
-        """
-        num = counts.shape[0]
-        edges = len(self.psi_diff)
-        t_u = self.thr_u[:, 1][None, :]
-        t_v = self.thr_v[:, 1][None, :]
-        w0 = self.weights[:, 0][None, :]
-        w1 = self.weights[:, 1][None, :]
-        if self.compress:
-            # Integer scatter through the inverse index, THEN the floats.
-            n_both0 = np.take(
-                counts,
-                self.inverse,
-                axis=1,
-                out=self._buf("n_both0", (num, edges), np.int64),
-            )
-        else:
-            n_both0 = counts
-        n_both1 = self.scale - t_u - t_v + n_both0
-        total = np.multiply(
-            n_both0, w0, out=self._buf("total", (num, edges), np.float64)
-        )
-        part1 = np.multiply(
-            n_both1, w1, out=self._buf("part1", (num, edges), np.float64)
-        )
-        return np.add(total, part1, out=total)
-
-    def _weight_general(self, counts: np.ndarray) -> np.ndarray:
-        """r > 1 float step: accumulate the per-bucket count blocks."""
-        num = counts.shape[0]
-        edges = len(self.psi_diff)
-        total = self._buf("total", (num, edges), np.float64)
-        total[...] = 0.0
-        for block, fplan in zip(self.kernel._blocks, self._float_plans):
-            if fplan is None:
-                continue
-            lo, hi = block
-            cnt = counts[:, lo:hi]
-            alive, scatter, weight = fplan
-            if scatter is not None:
-                # Scatter the integer counts back to full edge columns
-                # before any float multiply touches them.
-                alive_full, gather = scatter
-                total[:, alive_full] += cnt[:, gather].astype(np.float64) * weight
-            else:
-                total[:, alive] += cnt.astype(np.float64) * weight
-        return total
 
     def count_rows(
         self, s1_candidates: np.ndarray, out: np.ndarray | None = None
@@ -473,15 +502,17 @@ class SeedSweepWorkspace:
     def weight_rows(
         self, counts: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """The single-threaded float step: count rows → expectation columns.
+        """The weighting step: count rows → expectation columns.
 
         ``counts`` is any contiguous block of seed rows as produced by
         :meth:`count_rows` (equivalently, by the kernel in a worker
         process); returns the (num estimators, num rows) expectation
-        matrix for that block.  Because every float operation here sees
-        exactly the operands of the serial sweep in the serial order, the
-        result is bit-identical no matter how the seed range was chunked
-        to produce ``counts``.
+        matrix for that block.  Per row it forms the exact int64 sums
+        ``S[j, k]``, then ``(Σ_k S[j, k] / k) / 2^b`` with k ascending, so
+        every entry is a fixed function of exact integers of its own seed
+        row: the result is bit-identical for any chunking of the seed
+        range, any worker count, any cache state, and with compression on
+        or off (the sums do not depend on how columns were deduplicated).
         """
         counts = np.asarray(counts)
         shape = (len(self.estimators), counts.shape[0])
@@ -500,18 +531,24 @@ class SeedSweepWorkspace:
                 f"counts must be int64 with {self.kernel.count_width} "
                 f"columns, got {counts.dtype} {counts.shape}"
             )
-        if self.num_buckets == 2:
-            total = self._weight_r1(counts)
-        else:
-            total = self._weight_general(counts)
-        j = 0
-        for i, est in enumerate(self.estimators):
-            if est.num_edges == 0:
-                out[i, :] = 0.0
-            else:
-                lo, hi = int(self.bounds[j]), int(self.bounds[j + 1])
-                out[i, :] = total[:, lo:hi].sum(axis=1) / float(self.scale)
-                j += 1
+        out[...] = 0.0
+        num_groups = len(self._group_k)
+        if not num_groups or not len(counts):
+            return out
+        terms = np.take(counts, self._entry_col, axis=1)
+        terms *= self._entry_mult
+        sums = np.add.reduceat(terms, self._group_start, axis=1)
+        if self._group_const is not None:
+            sums += self._group_const
+        # One float per (row, group): S / k, plus a zero column that the
+        # padding slots of estimators with fewer distinct k point at.
+        quotients = np.zeros((len(counts), num_groups + 1), dtype=np.float64)
+        np.divide(sums, self._group_k, out=quotients[:, :num_groups])
+        total = quotients[:, self._slots[:, 0]]
+        for p in range(1, self._slots.shape[1]):
+            total += quotients[:, self._slots[:, p]]
+        total /= float(self.scale)
+        out[self._live_rows, :] = total.T
         return out
 
     def expected_rows(
@@ -521,9 +558,10 @@ class SeedSweepWorkspace:
 
         Row j is exactly ``estimators[j].expected_by_s1(s1_candidates)``;
         ``out``, when given, is filled in place (float64, matching shape).
-        Composition of the integer :meth:`count_rows` kernel and the float
-        :meth:`weight_rows` step — the seam the seed-axis parallel backend
-        splits across processes.
+        Composition of the integer :meth:`count_rows` kernel and the
+        :meth:`weight_rows` step (exact integer sums, then one division per
+        list size) — the seam the seed-axis parallel backend splits across
+        processes.
         """
         s1_candidates = np.asarray(s1_candidates, dtype=np.int64)
         shape = (len(self.estimators), len(s1_candidates))
@@ -584,7 +622,9 @@ def _bucket_sigma_matrix(
     alone, so with ``compress`` the GF multiply and the 2^r threshold
     comparisons run on the distinct keys only and the *integer* bucket
     indices are scattered back through the inverse index — bit-identical
-    because no float is involved yet.
+    because no float is involved yet.  The matrix uses the narrowest
+    unsigned dtype holding ``num_buckets - 1`` (uint8 up to 256 buckets),
+    which keeps the per-edge gathers and comparisons of the σ sweep small.
     """
     if compress and len(psi) > 1:
         key = np.concatenate(
@@ -598,10 +638,11 @@ def _bucket_sigma_matrix(
         inverse = None
     g = first.family.field.mul_vec(s1_node, psi) >> (first.family.m - first.b)
     y = g[:, None] ^ sigmas[None, :]
-    buckets = np.zeros((len(psi), len(sigmas)), dtype=np.int64)
+    dtype = np.uint8 if first.num_buckets <= 256 else np.uint16
+    buckets = np.zeros((len(psi), len(sigmas)), dtype=dtype)
+    # At most num_buckets - 1 interior thresholds can lie at or below y.
     for w in range(1, first.num_buckets):
         buckets += thresholds[:, w, None] <= y
-    np.clip(buckets, 0, first.num_buckets - 1, out=buckets)
     if inverse is not None:
         buckets = buckets[inverse.reshape(-1)]
     return buckets
@@ -859,7 +900,9 @@ class PhaseEstimator:
         T[:, 2^r] = 2^b never does since y < 2^b).  The loop is over the
         2^r bucket columns — a constant — not over nodes; with ``compress``
         it runs on nodes deduplicated by ``(ψ_v, thresholds(v))`` and the
-        integer rows are scattered back (bit-identical either way).
+        integer rows are scattered back (bit-identical either way).  The
+        dtype is the narrowest unsigned one holding ``num_buckets - 1``:
+        uint8 up to 256 buckets, uint16 above.
         """
         self.family.field._check(int(s1))
         s1_node = np.full(len(self.psi), int(s1), dtype=np.int64)

@@ -2,7 +2,7 @@
 
 The 2^m seed sweep splits into a pure-integer half (the
 :class:`~repro.core.potential.SweepCountKernel` — GF(2^m) multiply plus
-counting DP) and a single-threaded float half
+counting DP) and the weighting step
 (:meth:`~repro.core.potential.SeedSweepWorkspace.weight_rows`).  The
 kernel's :attr:`~repro.core.potential.SweepCountKernel.fingerprint` is a
 sha256 over everything the integer half depends on — family parameters
@@ -17,10 +17,10 @@ matrices** and nothing float: the per-edge weights ``1/k_w(u) +
 1/k_w(v)`` come from bucket *counts* that are not recoverable from the
 threshold rows the fingerprint covers, so two sweeps may share a
 fingerprint yet weight differently.  The coordinator re-applies
-``weight_rows`` fresh on every hit; because the float step is
-row-independent and sees exactly the serial operands in the serial
-order, a warm solve is byte-identical to a cold one and to the
-cache-off path.
+``weight_rows`` fresh on every hit; because the weighting makes each
+``val1`` entry a fixed function of exact integer sums over its own seed
+row, a warm solve is byte-identical to a cold one and to the cache-off
+path.
 
 Two tiers:
 

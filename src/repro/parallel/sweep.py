@@ -12,11 +12,10 @@ overlap, no serialization of the count matrix back through pickles.
 
 Byte-identity is structural, not incidental: the kernel is elementwise per
 (seed row, count column), so *any* partition of the seed range produces
-the same integer matrix; the coordinator then applies the float weighting
-(:meth:`~repro.core.potential.SeedSweepWorkspace.weight_rows`) alone, in
-the serial chunk order.  Every float ever computed sees exactly the
-operands of the serial sweep in the serial order — seed choices, ledgers
-and colorings follow bit-for-bit.
+the same integer matrix; the coordinator then applies the weighting
+(:meth:`~repro.core.potential.SeedSweepWorkspace.weight_rows`) alone.  Each
+``val1`` entry is a fixed function of exact integer sums over its own seed
+row, so seed choices, ledgers and colorings follow bit-for-bit.
 
 The :class:`SweepCostModel` decides how (and whether) to chunk, calibrated
 online from worker-reported kernel timings, and feeds measured per-node
@@ -433,10 +432,9 @@ class SeedChunkDispatcher:
             return False
 
         def weight(counts: np.ndarray) -> float:
-            # The float step: single-threaded, serial chunk order — the
-            # byte-identity anchor.  Row blocks are independent, so the
-            # serial chunk_size granularity is kept purely to bound the
-            # workspace buffers.
+            # The weighting step, in the coordinator.  Row blocks are
+            # independent, so the serial chunk_size granularity is kept
+            # purely to bound the work arrays.
             weight_start = time.perf_counter()
             for start in range(0, order, chunk_size):
                 stop = min(order, start + chunk_size)
@@ -454,7 +452,7 @@ class SeedChunkDispatcher:
     def sweep_counts(self, sweep, order: int, out: np.ndarray) -> bool:
         """Counts-only fan-out (the sweep-cache miss path): fill ``out``
         with the full int64 count matrix and return True, or decline
-        exactly as :meth:`sweep_val1` would.  No float weighting happens
+        exactly as :meth:`sweep_val1` would.  No weighting happens
         here — the coordinator re-applies ``weight_rows`` itself (and the
         cache stores the pure integers), recorded as ``weight_seconds:
         None`` in telemetry."""

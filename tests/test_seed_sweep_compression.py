@@ -1,14 +1,20 @@
 """Unique-column sweep compression: bit-for-bit against the reference path.
 
 The table/compression kernels (GF(2^m) log tables, unique-column seed
-sweeps, the reusable sweep workspace) are pure speedups: every float
-operation must see the same operands in the same order as the uncompressed
-per-edge evaluation, so all results — expectations, σ arrays, seed
-choices, conditional traces — are asserted *exactly* equal, not approx.
+sweeps, the reusable sweep workspace) are pure speedups.  The E[·|s1]
+weighting forms exact integer sums per (estimator, list size) that do not
+depend on how columns were deduplicated or how the seed range was chunked,
+and the σ sweep sees the same float operands in the same order either
+way, so all results — expectations, σ arrays, seed choices, conditional
+traces — are asserted *exactly* equal across those knobs, not approx.
+The integer weighting itself is checked against the original full-width
+float weighting (:func:`float_weight_reference`) within ``REFERENCE_RTOL``.
 """
 
 import numpy as np
 import pytest
+
+import repro.core.potential as potential
 
 from equivalence import assert_seed_choices_equal
 from repro.core.derandomize import (
@@ -54,8 +60,130 @@ def random_group(
     return members
 
 
-class TestExpectedSweepCompression:
+#: Relative tolerance of the integer weighting against the float reference,
+#: fixed before measuring (the observed deviation is below 1e-15).
+REFERENCE_RTOL = 1e-12
+
+
+def float_weight_reference(workspace, counts):
+    """The full-width float weighting the integer sums replaced.
+
+    Scatters the integer counts out to every edge column, multiplies by
+    the per-edge weights ``1/k_w(u) + 1/k_w(v)`` and sums each
+    estimator's edge segment — the original ``val1`` evaluation, kept as
+    an independent reference for :meth:`SeedSweepWorkspace.weight_rows`.
+    """
+    live = workspace.live
+    rows = counts.shape[0]
+    out = np.zeros((len(workspace.estimators), rows))
+    if not live:
+        return out
+    weights = np.concatenate(
+        [est._inv_counts[est.edges_u] + est._inv_counts[est.edges_v] for est in live]
+    )
+    column = (
+        workspace.inverse
+        if workspace.inverse is not None
+        else np.arange(len(weights))
+    )
+    if workspace.num_buckets == 2:
+        n_both0 = counts[:, column]
+        n_both1 = (
+            workspace.scale - workspace.thr_u[:, 1] - workspace.thr_v[:, 1]
+            + n_both0
+        )
+        total = n_both0 * weights[:, 0] + n_both1 * weights[:, 1]
+    else:
+        kernel = workspace.kernel
+        total = np.zeros((rows, len(weights)))
+        for w, (plan, block) in enumerate(zip(kernel._plans, kernel._blocks)):
+            if plan is None:
+                continue
+            alive = plan[0]
+            position = block[0] + np.cumsum(alive) - 1
+            alive_edge = alive[column]
+            total[:, alive_edge] += (
+                counts[:, position[column[alive_edge]]] * weights[alive_edge, w]
+            )
+    bounds = np.cumsum([0] + [est.num_edges for est in live])
+    live_rows = [i for i, est in enumerate(workspace.estimators) if est.num_edges]
+    for j, i in enumerate(live_rows):
+        segment = total[:, bounds[j]:bounds[j + 1]]
+        out[i] = segment.sum(axis=1) / float(workspace.scale)
+    return out
+
+
+class TestIntegerWeighting:
+    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("edgeless", [(), (0, 2)])
+    @pytest.mark.parametrize("buckets", [2, 4, 8])
+    @pytest.mark.parametrize("duplicate_heavy", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_float_reference(
+        self, compress, edgeless, buckets, duplicate_heavy, seed
+    ):
+        group = random_group(
+            4,
+            buckets=buckets,
+            seed=seed,
+            duplicate_heavy=duplicate_heavy,
+            edgeless=edgeless,
+        )
+        # Empty buckets (k_w = 0) must be in play for the check to bite.
+        assert any((est.counts == 0).any() for est in group)
+        workspace = SeedSweepWorkspace(group, compress=compress)
+        counts = workspace.count_rows(
+            np.arange(1 << group[0].family.m, dtype=np.int64)
+        )
+        got = workspace.weight_rows(counts)
+        want = float_weight_reference(workspace, counts)
+        np.testing.assert_allclose(got, want, rtol=REFERENCE_RTOL, atol=0.0)
+        for j in edgeless:
+            assert not got[j].any()
+
     @pytest.mark.parametrize("buckets", [2, 4])
+    @pytest.mark.parametrize("chunk", [1, 5, 16, 64])
+    def test_bitwise_across_chunks_and_compression(self, buckets, chunk):
+        group = random_group(3, buckets=buckets, seed=11, edgeless=(1,))
+        order = 1 << group[0].family.m
+        whole = SeedSweepWorkspace(group, compress=False).expected_rows(
+            np.arange(order, dtype=np.int64)
+        )
+        workspace = SeedSweepWorkspace(group, compress=True)
+        counts = workspace.count_rows(np.arange(order, dtype=np.int64)).copy()
+        chunked = np.empty_like(whole)
+        for start in range(0, order, chunk):
+            stop = min(order, start + chunk)
+            workspace.weight_rows(counts[start:stop], out=chunked[:, start:stop])
+        assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("buckets", [2, 4])
+    def test_exactness_guard(self, monkeypatch, buckets):
+        group = random_group(2, buckets=buckets, seed=12)
+        bound = SeedSweepWorkspace(group).sum_bound
+        # The bound is 2^b times the largest (estimator, k) incidence
+        # count: every (edge endpoint, bucket) pair with that k > 0.
+        incidences = 0
+        for est in group:
+            ends = np.concatenate([est.counts[est.edges_u], est.counts[est.edges_v]])
+            if buckets > 2:
+                # The interval DP only counts buckets whose threshold
+                # interval is nonempty at both endpoints.
+                width = np.diff(est.thresholds, axis=1) > 0
+                alive = width[est.edges_u] & width[est.edges_v]
+                ends = np.where(np.concatenate([alive, alive]), ends, 0)
+            _, multiplicity = np.unique(ends[ends > 0], return_counts=True)
+            incidences = max(incidences, int(multiplicity.max()))
+        assert bound == int(group[0].scale) * incidences
+        monkeypatch.setattr(potential, "_EXACT_INT_LIMIT", bound + 1)
+        SeedSweepWorkspace(group)
+        monkeypatch.setattr(potential, "_EXACT_INT_LIMIT", bound)
+        with pytest.raises(ValueError, match="2\\^53"):
+            SeedSweepWorkspace(group)
+
+
+class TestExpectedSweepCompression:
+    @pytest.mark.parametrize("buckets", [2, 4, 8])
     @pytest.mark.parametrize("duplicate_heavy", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_compressed_matches_uncompressed_bitwise(
