@@ -8,7 +8,7 @@ one complete ``derandomize_phase_group`` twice:
 
 * **reference** — the pre-table / pre-compression path: GF(2^m) multiplies
   via the shift-and-add peasant kernel (``use_tables = False``), the
-  counting DP over every edge column (``compress=False``), and one
+  count gather over every edge column (``compress=False``), and one
   workspace rebuild per chunk (the old per-chunk concatenation cost);
 * **optimized** — the default path: log/antilog table multiplies, the
   unique-column compressed sweep, and one
@@ -151,7 +151,7 @@ def main() -> int:
         f"instances={args.instances} edges={edges} unique-columns={unique} "
         f"seeds=2^{estimators[0].family.m} (byte-identical outputs)"
     )
-    print(f"reference sweep (peasant GF, per-edge DP): {t_ref * 1000:8.1f} ms")
+    print(f"reference sweep (peasant GF, per-edge):    {t_ref * 1000:8.1f} ms")
     print(
         f"table/compressed sweep:                    {t_new * 1000:8.1f} ms"
         f"   ({speedup:.1f}x)"

@@ -14,6 +14,12 @@ therefore reduce to the combinatorial quantity
 computed here with an O(b) branch-free digit DP, fully vectorized over numpy
 arrays of ``(d, t1, t2)`` triples.  Interval versions follow by
 inclusion-exclusion.  Brute-force cross-checks live in the test suite.
+
+The seed sweep does not run the DP per (seed, column) cell: a phase has few
+distinct threshold rows ``(t1, t2)`` (or interval quadruples) but 2^m seeds,
+so :class:`~repro.core.potential.SweepCountKernel` runs these functions once
+per distinct row over every ``d ∈ [0, 2^b)`` to fill a count table, and
+answers each cell with one table gather.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ def count_xor_below(
     t1: np.ndarray,
     t2: np.ndarray,
     b: int,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized ``N(d, t1, t2)`` for thresholds in ``[0, 2^b]``.
 
@@ -39,25 +44,12 @@ def count_xor_below(
     whole block (2^i points), rejects it, or reduces to the low bits of t2
     (where ``z_low ↦ z_low ⊕ d_low`` is a bijection).  Position ``i = b``
     uniformly handles the inclusive threshold ``t1 = 2^b``.
-
-    ``out``, when given, must be an int64 array of the broadcast shape; it
-    is zeroed and accumulated into, letting tight sweep loops reuse one
-    count buffer instead of allocating per call.
     """
     d = np.asarray(d, dtype=np.int64)
     t1 = np.asarray(t1, dtype=np.int64)
     t2 = np.asarray(t2, dtype=np.int64)
     d, t1, t2 = np.broadcast_arrays(d, t1, t2)
-    if out is None:
-        total = np.zeros(d.shape, dtype=np.int64)
-    else:
-        if out.shape != d.shape or out.dtype != np.int64:
-            raise ValueError(
-                f"out must be int64 of shape {d.shape}, got "
-                f"{out.dtype} {out.shape}"
-            )
-        out[...] = 0
-        total = out
+    total = np.zeros(d.shape, dtype=np.int64)
     for i in range(b, -1, -1):
         bit_set = ((t1 >> i) & 1).astype(bool)
         # Value of y's bits b..i inside this block, shifted down by i.

@@ -14,8 +14,8 @@ edge-wise:
 :class:`PhaseEstimator` evaluates, for one r-bit prefix-extension phase,
 
 * ``expected_by_s1``  — E[Σ_e X_e | s1] for every multiplicative seed s1
-  (expectation over the uniform additive seed σ), via the exact counting DP
-  of :mod:`repro.core.counting`;
+  (expectation over the uniform additive seed σ), via count tables filled
+  by the exact counting DP of :mod:`repro.core.counting`;
 * ``exact_by_sigma``  — the exact value of Σ_e X_e for every σ once s1 is
   fixed.
 
@@ -30,7 +30,11 @@ the E[·|s1] sweep) and per-node keys ``(s1, ψ_v, thresholds(v))`` (for the
 function of that key, and real instances collapse to a handful of distinct
 keys.  :class:`SeedSweepWorkspace` and the σ-side kernels therefore
 deduplicate columns with one encoded-key ``np.unique`` and run the GF(2^m)
-multiply and the counting DP on unique columns only.  The E[·|s1] sweep
+multiply on unique columns only.  The counting DP runs on even fewer
+inputs: :class:`SweepCountKernel` deduplicates the columns' threshold rows
+once more, fills one count table per distinct row over every hash
+difference d ∈ [0, 2^b), and turns each (seed, column) count into one
+gather from that table.  The E[·|s1] sweep
 never scatters back: it weights the unique count columns through exact
 int64 sums per (estimator, list size k) and divides by k only at the end,
 so each ``val1`` entry is a fixed function of exact integers that do not
@@ -75,6 +79,10 @@ _SIGMA_FUSE_BUDGET_ENTRIES = 2 * _SIGMA_CHUNK_ENTRIES
 #: Every integer sum the seed-sweep weighting forms must stay below this:
 #: int64 then cannot wrap and the conversion to float64 is exact.
 _EXACT_INT_LIMIT = 1 << 53
+
+#: Entry budget of one row block of the count-table build: the counting DP
+#: runs on (rows × 2^b) int64 temporaries of at most this many entries.
+_TABLE_BLOCK_ENTRIES = 1 << 18
 
 __all__ = [
     "PhaseEstimator",
@@ -124,12 +132,25 @@ def accuracy_bits(
 class SweepCountKernel:
     """The pure-integer half of the ``E[Σ_e X_e | s1]`` seed sweep.
 
-    Everything the 2^m enumeration computes *before* the first float — the
-    GF(2^m) multiply of ``g_values_many`` and the counting DP of
-    :mod:`repro.core.counting` — is a function of the (possibly
-    unique-column-compressed) per-edge keys alone, operates elementwise per
-    ``(seed, column)`` entry, and produces exact int64 counts.  The kernel
-    packages exactly that state so the count matrix can be produced
+    Everything the 2^m enumeration computes *before* the first float is a
+    function of the (possibly unique-column-compressed) per-edge keys alone
+    and produces exact int64 counts.  Every count column ``c`` asks for one
+    ``N(d, ·)`` of :mod:`repro.core.counting` with ``d = top_b(s1 ⊙ δ_c)``
+    and a *threshold row* that does not depend on the seed: ``(t_u, t_v)``
+    of bucket 0 for 2-bucket (r = 1) phases, the interval quadruple
+    ``(lo_u, hi_u, lo_v, hi_v)`` of the column's bucket otherwise.  A phase
+    has few distinct threshold rows but 2^m × count_width cells, so the
+    kernel runs the counting DP once per (distinct row, d ∈ [0, 2^b)) into
+    an int32 count table and answers every cell with one gather:
+
+        counts[s1, c] = table[row(c), g_values_many(s1, δ)[c]].
+
+    The table is derived state like the family: built lazily on the first
+    :meth:`count_rows` call (in row blocks of at most
+    ``_TABLE_BLOCK_ENTRIES`` DP entries), never pickled, never part of the
+    fingerprint.  It holds ``rows × 2^b ≤ count_width × 2^m`` entries, so at
+    4 bytes each it is at most half of the full int64 count matrix.  The
+    count matrix can be produced
 
     * **chunk-boundary-stably**: ``count_rows`` over any partition of the
       seed range concatenates to the same integers as one full-range call,
@@ -139,18 +160,21 @@ class SweepCountKernel:
     * **picklably**: the kernel carries only the small unique-column arrays
       plus the family parameters ``(a, b)``; the
       :class:`~repro.hashing.pairwise.PairwiseFamily` (whose GF(2^m) log
-      tables are process-cached) is rebuilt lazily on the receiving side.
+      tables are process-cached) and the count table are rebuilt lazily on
+      the receiving side.
 
     ``count_width`` is the number of integer columns per seed row:
     the (unique) edge-column count for 2-bucket (r = 1) phases, or the
-    total of per-bucket alive column counts for the r > 1 interval loop
-    (laid out block by block in bucket order).  :attr:`fingerprint`
-    identifies the kernel's exact inputs (a stable sha256 over the family
-    parameters and column arrays) — the key of the sweep-result cache
-    (:mod:`repro.core.sweep_cache`) as well as the label worker-side
-    caches and telemetry use.  Same fingerprint ⇒ same inputs ⇒ the same
-    integer count matrix, which is why cached counts can be reused
-    verbatim while the weighting is always re-applied fresh.
+    total of per-bucket alive column counts for r > 1, laid out block by
+    block in bucket order; ``bucket_columns[w]`` is ``(alive, start)`` for
+    bucket w's block (``alive`` masks the edge columns whose bucket-w
+    interval is nonempty at both endpoints) or None when no column is
+    alive.  :attr:`fingerprint` identifies the kernel's exact inputs (a
+    stable sha256 over the family parameters and column arrays) — the key
+    of the sweep-result cache (:mod:`repro.core.sweep_cache`) as well as
+    the label worker-side caches and telemetry use.  Same fingerprint ⇒
+    same inputs ⇒ the same integer count matrix, which is why cached counts
+    can be reused verbatim while the weighting is always re-applied fresh.
     """
 
     def __init__(
@@ -170,35 +194,24 @@ class SweepCountKernel:
         self.thr_v = thr_v
         self._family = None
         self._fingerprint: str | None = None
+        self._lookup = None
         if self.num_buckets == 2:
-            self._plans = None
-            self._blocks = None
+            self.bucket_columns = None
             self.count_width = len(psi_diff)
         else:
-            # One (alive mask, DP interval bounds) plan and one contiguous
-            # column block per bucket; buckets empty at some endpoint of
-            # every edge contribute no columns.
-            self._plans = []
-            self._blocks = []
+            # One contiguous column block per bucket; buckets empty at some
+            # endpoint of every edge contribute no columns.
+            self.bucket_columns = []
             col = 0
             for w in range(self.num_buckets):
-                lo_u, hi_u = thr_u[:, w], thr_u[:, w + 1]
-                lo_v, hi_v = thr_v[:, w], thr_v[:, w + 1]
-                alive = (hi_u > lo_u) & (hi_v > lo_v)
-                if not alive.any():
-                    self._plans.append(None)
-                    self._blocks.append(None)
-                    continue
-                bounds = (
-                    lo_u[alive][None, :],
-                    hi_u[alive][None, :],
-                    lo_v[alive][None, :],
-                    hi_v[alive][None, :],
+                alive = (thr_u[:, w + 1] > thr_u[:, w]) & (
+                    thr_v[:, w + 1] > thr_v[:, w]
                 )
-                width = int(alive.sum())
-                self._plans.append((alive, bounds))
-                self._blocks.append((col, col + width))
-                col += width
+                if not alive.any():
+                    self.bucket_columns.append(None)
+                    continue
+                self.bucket_columns.append((alive, col))
+                col += int(alive.sum())
             self.count_width = col
 
     @property
@@ -230,7 +243,9 @@ class SweepCountKernel:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_family"] = None  # rebuilt lazily; GF tables never pickled
+        # Rebuilt lazily: GF tables and the count table are never pickled.
+        state["_family"] = None
+        state["_lookup"] = None
         return state
 
     def count_nbytes(self, order: int) -> int:
@@ -239,15 +254,62 @@ class SweepCountKernel:
         this kernel (see :mod:`repro.core.sweep_cache`)."""
         return 8 * int(order) * self.count_width
 
+    def _threshold_rows(self) -> tuple:
+        """Per count column: its edge column (None for the identity) and
+        its threshold row, as ``(source, rows)``."""
+        if self.bucket_columns is None:
+            return None, np.stack([self.thr_u[:, 1], self.thr_v[:, 1]], axis=1)
+        sources, rows = [], []
+        for w, block in enumerate(self.bucket_columns):
+            if block is None:
+                continue
+            alive = block[0]
+            sources.append(np.flatnonzero(alive))
+            rows.append(
+                np.stack(
+                    [
+                        self.thr_u[alive, w],
+                        self.thr_u[alive, w + 1],
+                        self.thr_v[alive, w],
+                        self.thr_v[alive, w + 1],
+                    ],
+                    axis=1,
+                )
+            )
+        return np.concatenate(sources), np.concatenate(rows)
+
+    def _count_table(self) -> tuple:
+        """``(table, offsets, source)``: the flat int32 count table over
+        (distinct threshold row, d), each count column's row offset into
+        it, and the column → edge column map (None for r = 1)."""
+        if self._lookup is None:
+            source, rows = self._threshold_rows()
+            keys, row_of_col = np.unique(rows, axis=0, return_inverse=True)
+            size = 1 << self.b
+            table = np.empty((len(keys), size), dtype=np.int32)
+            d = np.arange(size, dtype=np.int64)[None, :]
+            step = max(1, _TABLE_BLOCK_ENTRIES >> self.b)
+            for lo in range(0, len(keys), step):
+                bounds = [col[:, None] for col in keys[lo:lo + step].T]
+                if self.bucket_columns is None:
+                    block = count_xor_below(d, *bounds, self.b)
+                else:
+                    block = count_xor_in_intervals(d, *bounds, self.b)
+                table[lo:lo + step] = block
+            offsets = row_of_col.reshape(-1).astype(np.int64) << self.b
+            self._lookup = (table.reshape(-1), offsets, source)
+        return self._lookup
+
     def count_rows(
         self, s1_values: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Integer count matrix for the given seeds; shape
         ``(len(s1_values), count_width)``.
 
-        Row ``i`` depends only on ``s1_values[i]`` (every operation is
-        elementwise over seed rows), so calls over any chunking of the seed
-        range produce bitwise-identical rows.
+        One GF multiply per (seed, edge column) and one count-table gather
+        per (seed, count column).  Row ``i`` depends only on
+        ``s1_values[i]``, so calls over any chunking of the seed range
+        produce bitwise-identical rows.
         """
         s1_values = np.asarray(s1_values, dtype=np.int64)
         shape = (len(s1_values), self.count_width)
@@ -259,24 +321,12 @@ class SweepCountKernel:
             )
         if self.count_width == 0 or not len(s1_values):
             return out
+        table, offsets, source = self._count_table()
         d = self.family.g_values_many(s1_values, self.psi_diff)
-        if self.num_buckets == 2:
-            count_xor_below(
-                d,
-                self.thr_u[:, 1][None, :],
-                self.thr_v[:, 1][None, :],
-                self.b,
-                out=out,
-            )
-        else:
-            for plan, block in zip(self._plans, self._blocks):
-                if plan is None:
-                    continue
-                alive, bounds = plan
-                lo, hi = block
-                out[:, lo:hi] = count_xor_in_intervals(
-                    d[:, alive], *bounds, self.b
-                )
+        if source is not None:
+            d = np.take(d, source, axis=1)
+        d += offsets
+        out[...] = np.take(table, d)
         return out
 
 
@@ -288,8 +338,8 @@ class SeedSweepWorkspace:
     count (i.e. they evaluate the same seed space), but may carry different
     conflict graphs and input colorings ψ.  The dominant
     (candidates × edges) work — the GF(2^m) multiply of ``g_values_many``
-    and the counting DP — runs ONCE over the concatenated edge arrays of
-    all estimators, and the weighting recovers every estimator's
+    and the count-table gather — runs ONCE over the concatenated edge
+    arrays of all estimators, and the weighting recovers every estimator's
     expectation from exact per-(estimator, list size) integer sums.
 
     Constructing the workspace once per phase hoists everything that does
@@ -299,7 +349,7 @@ class SeedSweepWorkspace:
       rows) are built once instead of once per chunk;
     * with ``compress=True`` (the default), edge columns are deduplicated
       by the key ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))`` via one
-      ``np.unique``, and the GF multiply and counting DP run on unique
+      ``np.unique``, and the GF multiply and count gather run on unique
       columns only;
     * the weighting plan: every edge endpoint x of estimator j contributes
       ``n_w / k_w(x)`` for each bucket w, where ``n_w`` is the number of σ
@@ -414,13 +464,11 @@ class SeedSweepWorkspace:
                     ks.append(k)
         else:
             consts = None
-            for w, (plan, block) in enumerate(
-                zip(self.kernel._plans, self.kernel._blocks)
-            ):
-                if plan is None:
+            for w, block in enumerate(self.kernel.bucket_columns):
+                if block is None:
                     continue
-                alive = plan[0]
-                position = block[0] + np.cumsum(alive) - 1
+                alive, start = block
+                position = start + np.cumsum(alive) - 1
                 alive_edge = alive[column]
                 for k in (k_u[alive_edge, w], k_v[alive_edge, w]):
                     cols.append(position[column[alive_edge]])
@@ -759,8 +807,8 @@ def buckets_for_seed_grouped(estimators, seeds) -> list:
     g = first.family.field.mul_vec(s1_node, psi) >> (first.family.m - first.b)
     y = g ^ sigma_node
     thresholds = np.concatenate([est.thresholds for est in estimators])
+    # T[:, 2^r] = 2^b > y never counts, so buckets < num_buckets.
     buckets = (thresholds[:, 1:] <= y[:, None]).sum(axis=1, dtype=np.int64)
-    np.clip(buckets, 0, first.num_buckets - 1, out=buckets)
     counts = np.concatenate([est.counts for est in estimators])
     chosen = counts[np.arange(len(psi)), buckets]
     if (chosen <= 0).any():
@@ -932,14 +980,14 @@ class PhaseEstimator:
         """Bucket chosen by each node under the (deterministic) seed.
 
         One broadcast comparison of every node's y value against its row of
-        the threshold matrix replaces the per-node ``searchsorted`` loop.
+        the threshold matrix replaces the per-node ``searchsorted`` loop;
+        T[:, 2^r] = 2^b > y never counts, so every index is a bucket.
         """
         g = self.family.g_values(s1, self.psi)
         y = g ^ np.int64(sigma)
         buckets = (self.thresholds[:, 1:] <= y[:, None]).sum(
             axis=1, dtype=np.int64
         )
-        np.clip(buckets, 0, self.num_buckets - 1, out=buckets)
         chosen = self.counts[np.arange(len(self.psi)), buckets]
         if (chosen <= 0).any():
             raise AssertionError(

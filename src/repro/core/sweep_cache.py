@@ -2,7 +2,7 @@
 
 The 2^m seed sweep splits into a pure-integer half (the
 :class:`~repro.core.potential.SweepCountKernel` — GF(2^m) multiply plus
-counting DP) and the weighting step
+count-table gather) and the weighting step
 (:meth:`~repro.core.potential.SeedSweepWorkspace.weight_rows`).  The
 kernel's :attr:`~repro.core.potential.SweepCountKernel.fingerprint` is a
 sha256 over everything the integer half depends on — family parameters

@@ -91,7 +91,10 @@ def sweep_chunk_counts(payload):
     ``payload`` is ``(kernel, shm_name, total_rows, lo, hi)``: the pickled
     :class:`~repro.core.potential.SweepCountKernel` (its GF(2^m) tables are
     rebuilt lazily from the per-process cache), the segment name, the full
-    matrix height and this chunk's row range.  Each chunk is the sole
+    matrix height and this chunk's row range.  The kernel's count table
+    is not pickled, so each chunk rebuilds it (one counting DP per
+    distinct threshold row over every d ∈ [0, 2^b)) before its gathers;
+    ``kernel_seconds`` includes that build.  Each chunk is the sole
     producer of its rows, so no synchronization is needed; the kernel is
     elementwise per row, so the assembled matrix is bit-identical to one
     serial enumeration.  Returns ``(lo, hi, kernel_seconds)``.

@@ -8,15 +8,22 @@ and the σ sweep sees the same float operands in the same order either
 way, so all results — expectations, σ arrays, seed choices, conditional
 traces — are asserted *exactly* equal across those knobs, not approx.
 The integer weighting itself is checked against the original full-width
-float weighting (:func:`float_weight_reference`) within ``REFERENCE_RTOL``.
+float weighting (:func:`float_weight_reference`) within ``REFERENCE_RTOL``,
+and the table-driven count kernel bit for bit against the per-cell counting
+DP it replaced (:func:`dp_count_reference`).
 """
+
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.potential as potential
 
 from equivalence import assert_seed_choices_equal
+from repro.core.counting import count_xor_below, count_xor_in_intervals
 from repro.core.derandomize import (
     derandomize_phase_group,
     fix_bits_greedily,
@@ -25,9 +32,11 @@ from repro.core.derandomize import (
 from repro.core.potential import (
     PhaseEstimator,
     SeedSweepWorkspace,
+    SweepCountKernel,
     exact_by_sigma_grouped,
     expected_by_s1_grouped,
 )
+from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
 
 
@@ -96,11 +105,11 @@ def float_weight_reference(workspace, counts):
     else:
         kernel = workspace.kernel
         total = np.zeros((rows, len(weights)))
-        for w, (plan, block) in enumerate(zip(kernel._plans, kernel._blocks)):
-            if plan is None:
+        for w, block in enumerate(kernel.bucket_columns):
+            if block is None:
                 continue
-            alive = plan[0]
-            position = block[0] + np.cumsum(alive) - 1
+            alive, start = block
+            position = start + np.cumsum(alive) - 1
             alive_edge = alive[column]
             total[:, alive_edge] += (
                 counts[:, position[column[alive_edge]]] * weights[alive_edge, w]
@@ -111,6 +120,132 @@ def float_weight_reference(workspace, counts):
         segment = total[:, bounds[j]:bounds[j + 1]]
         out[i] = segment.sum(axis=1) / float(workspace.scale)
     return out
+
+
+def dp_count_reference(kernel, s1_values):
+    """The per-cell counting DP the count table replaced.
+
+    Runs the digit DP of :mod:`repro.core.counting` on every (seed, count
+    column) cell: ``N(d, t_u, t_v)`` per edge column for 2-bucket phases,
+    and per bucket the interval count of the columns alive in it (the
+    bucket's interval nonempty at both endpoints), laid out block by block
+    in bucket order — an independent reference for
+    :meth:`SweepCountKernel.count_rows`.
+    """
+    s1_values = np.asarray(s1_values, dtype=np.int64)
+    thr_u, thr_v, b = kernel.thr_u, kernel.thr_v, kernel.b
+    d = kernel.family.g_values_many(s1_values, kernel.psi_diff)
+    if kernel.num_buckets == 2:
+        return count_xor_below(d, thr_u[None, :, 1], thr_v[None, :, 1], b)
+    blocks = []
+    for w in range(kernel.num_buckets):
+        alive = (thr_u[:, w + 1] > thr_u[:, w]) & (
+            thr_v[:, w + 1] > thr_v[:, w]
+        )
+        blocks.append(
+            count_xor_in_intervals(
+                d[:, alive],
+                thr_u[None, alive, w],
+                thr_u[None, alive, w + 1],
+                thr_v[None, alive, w],
+                thr_v[None, alive, w + 1],
+                b,
+            )
+        )
+    return np.concatenate(blocks, axis=1)
+
+
+#: A fixed 4-bucket kernel, its fingerprint and its count-matrix sum over
+#: all 64 seeds as produced by the per-cell DP kernel.  On-disk sweep-cache
+#: entries are named by this fingerprint, so it must never drift.
+PINNED_COUNTS = (
+    np.array([[2, 0, 1, 3], [1, 1, 1, 1], [0, 4, 0, 1], [3, 3, 0, 0],
+              [1, 0, 0, 6]]),
+    np.array([[1, 2, 0, 0], [0, 0, 5, 1], [2, 2, 2, 2], [1, 0, 0, 0],
+              [0, 1, 1, 1]]),
+)
+PINNED_FINGERPRINT = (
+    "b89fe98304c0cbffd5fdc0f630a4a08bce6e2159632e42efb2e47631c1391343"
+)
+PINNED_COUNT_SUM = 5714
+
+
+def pinned_kernel():
+    psi_diff = np.array([1, 5, 6, 9, 12], dtype=np.int64)
+    counts_u, counts_v = PINNED_COUNTS
+    return SweepCountKernel(
+        4,
+        6,
+        4,
+        psi_diff,
+        bucket_thresholds(counts_u, 6),
+        bucket_thresholds(counts_v, 6),
+    )
+
+
+@st.composite
+def count_kernels(draw):
+    """A random kernel: b in [1, 14] on either side of the domain bits a,
+    r in {1, 2, 3}, bucket counts with empty buckets (so thresholds hit 0
+    and 2^b), and seeds that always include the s1 = 0 row."""
+    b = draw(st.integers(min_value=1, max_value=14))
+    a = draw(st.integers(min_value=1, max_value=14))
+    num_buckets = draw(st.sampled_from([2, 4, 8]))
+    cols = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = []
+    for _ in range(2):
+        counts = rng.integers(0, 3, size=(cols, num_buckets))
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        ends.append(bucket_thresholds(counts, b))
+    psi_diff = rng.integers(0, 1 << a, size=cols).astype(np.int64)
+    kernel = SweepCountKernel(a, b, num_buckets, psi_diff, *ends)
+    order = 1 << kernel.family.m
+    seeds = rng.choice(order, size=min(order, 48), replace=False)
+    seeds = np.concatenate([[0], seeds[seeds != 0]]).astype(np.int64)
+    return kernel, seeds
+
+
+class TestCountTable:
+    @given(
+        count_kernels(),
+        st.lists(st.integers(min_value=1, max_value=48), max_size=4),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dp_reference(self, drawn, cuts, use_tables, pickled):
+        kernel, seeds = drawn
+        want = dp_count_reference(kernel, seeds)
+        bounds = sorted({0, len(seeds), *(c for c in cuts if c < len(seeds))})
+        field = kernel.family.field
+        field.use_tables = use_tables
+        try:
+            parts = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                parts.append(kernel.count_rows(seeds[lo:hi]).copy())
+                if pickled:
+                    kernel = pickle.loads(pickle.dumps(kernel))
+        finally:
+            field.use_tables = True
+        got = np.concatenate(parts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_table_is_never_pickled(self):
+        kernel = pinned_kernel()
+        before = len(pickle.dumps(kernel))
+        kernel.count_rows(np.arange(64, dtype=np.int64))
+        assert len(pickle.dumps(kernel)) == before
+
+    def test_pinned_fingerprint_and_counts(self):
+        kernel = pinned_kernel()
+        assert kernel.fingerprint == PINNED_FINGERPRINT
+        counts = kernel.count_rows(np.arange(64, dtype=np.int64))
+        assert int(counts.sum()) == PINNED_COUNT_SUM
+        want = dp_count_reference(kernel, np.arange(64))
+        assert np.array_equal(counts, want)
+        assert kernel.fingerprint == PINNED_FINGERPRINT
 
 
 class TestIntegerWeighting:
