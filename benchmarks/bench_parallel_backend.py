@@ -42,7 +42,7 @@ from repro.core.instances import (
 from repro.core.list_coloring import solve_list_coloring_batch
 from repro.core.partial_coloring import partial_coloring_pass_batch
 from repro.graphs import generators
-from repro.parallel import ProcessBackend, plan_shard_bounds
+from repro.parallel import ProcessBackend, plan_shards
 
 sys.path.insert(0, os.path.dirname(__file__))
 from _perf_json import add_json_arg, write_perf_json  # noqa: E402
@@ -105,7 +105,7 @@ def main() -> int:
     args = parser.parse_args()
 
     batch = build_batch(args.n)
-    bounds = plan_shard_bounds(batch, args.workers)
+    bounds = plan_shards(batch, args.workers).bounds
     print(
         f"batch: {batch.num_instances} instances, {batch.n} union nodes, "
         f"{len(bounds) - 1} shards at {args.workers} workers"

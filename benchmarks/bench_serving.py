@@ -13,8 +13,8 @@ the coalescer's fusion key) arriving concurrently, solved two ways:
   :class:`~repro.core.sweep_cache.SweepResultCache` serves waves 2..R
   from memory.
 
-The service backend is pinned to ``workers=1, sweep_workers=0`` — a
-single-shard inline dispatch that never creates a worker pool — so the
+The service backend is pinned to ``workers=1`` — a single-shard inline
+dispatch that never creates a worker pool — so the
 measured speedup comes from sweep fusion plus caching alone, *not* from
 parallelism; the guard therefore never self-skips, on 1-core CI hosts
 included.
@@ -98,7 +98,6 @@ def make_service(graphs: int) -> ColoringService:
     """A fresh cold service pinned to the parallelism-free inline path."""
     return ColoringService(
         workers=1,
-        sweep_workers=0,
         max_batch_instances=graphs,
         max_delay_ms=50.0,
         r_schedule=r_schedule,
@@ -176,7 +175,7 @@ def main() -> int:
     print(
         f"workload: {args.rounds} waves x {args.graphs} graphs "
         f"(n={args.n} d={args.degree}, signature {signatures.pop()}), "
-        f"{requests} requests; service pinned to workers=1 sweep_workers=0 "
+        f"{requests} requests; service pinned to workers=1 "
         "(no pool, wins are fusion + cache only)"
     )
 

@@ -16,15 +16,16 @@ multiply, the interval count-table build and one table gather per
 as much as the weighting a warm run still does, so warm beats cold by
 about 2×.
 
-Unlike the instance/seed parallel axes, the warm-vs-cold ratio needs no
-second core, so the speedup guard **never self-skips**: byte-identity
-(colors, SeedChoices, Eq. (7) conditional traces, round ledgers) is
-asserted against the cache-off serial path first, then warm must beat
-cold by ``--min-speedup`` (default 1×).  Cache-aware process backends
-are additionally checked under every available start method (fork AND
-spawn): a cold backend run fans cache misses out through the pool's
-``sweep_counts`` path, a warm run serves everything from the cache, and
-both must match the serial reference byte for byte.
+Unlike the parallel backend, the warm-vs-cold ratio needs no second core,
+so the speedup guard **never self-skips**: byte-identity (colors,
+SeedChoices, Eq. (7) conditional traces, round ledgers) is asserted
+against the cache-off serial path first, then warm must beat cold by
+``--min-speedup`` (default 1×).  Cache-aware process backends are
+additionally checked under every available start method (fork AND
+spawn), planned to one shard so the pass runs inline under the backend's
+cache: a cold backend run counts and stores every sweep, a warm run
+serves everything from the cache, and both must match the serial
+reference byte for byte.
 
 Usage::
 
@@ -146,9 +147,10 @@ def main() -> int:
         f"{warm_stats['memory_bytes'] / 1e6:.1f} MB resident"
     )
 
-    # Cache-aware process backend under every available start method: a
-    # cold run fans misses out through sweep_counts, a warm run serves
-    # everything from the cache — both byte-identical to serial.
+    # Cache-aware process backend under every available start method,
+    # planned to one shard (the inline path, under the backend's cache): a
+    # cold run counts and stores every sweep, a warm run serves everything
+    # from the cache — both byte-identical to serial.
     methods = [
         m for m in ("fork", "spawn")
         if m in multiprocessing.get_all_start_methods()
@@ -158,7 +160,7 @@ def main() -> int:
         with ProcessBackend(
             workers=args.workers,
             start_method=method,
-            max_shards=1,  # force the inline seed mode: cache + dispatcher
+            max_shards=1,  # one shard: solved inline under the cache
             sweep_cache=backend_cache,
         ) as backend:
             backend_cold = run_pass(batch, psis, nums, backend=backend)

@@ -11,11 +11,10 @@ record (solver, graph parameters, seed, round totals and per-category
 breakdown, and a sha256 of the coloring) so benchmark scripts can consume
 results without scraping tables.  ``--seed`` is threaded through graph
 generation and echoed in the JSON output.  ``--backend serial|process``
-(with ``--workers N`` and ``--sweep-workers N``) selects the executor for
-the batched solver core — the process backend shards batches across a
-worker pool and/or fans each phase's seed sweep out over shared memory,
-and produces byte-identical results either way, so the JSON records
-(including the coloring hash) do not depend on the backend.
+(with ``--workers N``) selects the executor for the batched solver core —
+the process backend shards batches across a worker pool and produces
+byte-identical results, so the JSON records (including the coloring hash)
+do not depend on the backend.
 ``--dispatch-retries N`` bounds the process backend's worker-crash
 recovery (retries on a rebuilt pool before the inline serial fallback);
 recovery recomputes deterministically, so the hash does not depend on
@@ -102,7 +101,6 @@ def _make_backend(args, sweep_cache=None):
     return resolve_backend(
         args.backend,
         workers=args.workers,
-        sweep_workers=getattr(args, "sweep_workers", None),
         sweep_cache=sweep_cache,
         max_retries=getattr(args, "dispatch_retries", None),
     )
@@ -250,19 +248,11 @@ def main(argv=None) -> int:
                 help="process-backend pool size (default: cpu count)",
             )
             p.add_argument(
-                "--sweep-workers",
-                type=int,
-                default=None,
-                help="seed-axis parallelism of the process backend "
-                "(pool fan-out of each 2^m seed sweep; default: "
-                "--workers, 0 disables the seed axis)",
-            )
-            p.add_argument(
                 "--dispatch-retries",
                 type=int,
                 default=None,
                 help="worker-crash recovery budget of the process "
-                "backend: how many times a shard/sweep chunk whose "
+                "backend: how many times a shard whose "
                 "worker died is retried on a rebuilt pool before the "
                 "coordinator recomputes it inline (results stay "
                 "byte-identical either way; default: 2)",

@@ -37,51 +37,11 @@ from repro.core.potential import (
 __all__ = [
     "SeedChoice",
     "current_sweep_cache",
-    "current_sweep_dispatcher",
     "fix_bits_greedily",
     "derandomize_phase",
     "derandomize_phase_group",
     "sweep_cache_scope",
-    "sweep_dispatch_scope",
 ]
-
-
-#: Ambient seed-sweep dispatcher (None → serial chunk loop).  The parallel
-#: layer installs its seed-axis executor here via :func:`sweep_dispatch_scope`
-#: so the core layer never imports ``repro.parallel``; a dispatcher is any
-#: object with ``sweep_val1(sweep, order, chunk_size, out) -> bool`` that
-#: either fills ``out`` with the full ``val1`` matrix (returning True) or
-#: declines (returning False, e.g. sweep too small) and lets the serial
-#: loop run.  Whatever the executor does with the integer kernel, the
-#: weighting must go through ``sweep.weight_rows`` — that is the
-#: byte-identity contract: it turns each seed row into exact integer sums
-#: per (estimator, list size) and then floats, so its output does not
-#: depend on how the seed range was chunked or which process counted it.
-_sweep_dispatcher_var: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_sweep_dispatcher", default=None
-)
-
-
-def current_sweep_dispatcher():
-    """The ambient seed-sweep dispatcher, or ``None`` for the serial loop."""
-    return _sweep_dispatcher_var.get()
-
-
-@contextmanager
-def sweep_dispatch_scope(dispatcher):
-    """Install ``dispatcher`` as the ambient seed-sweep executor.
-
-    Grouped sweeps started inside the scope (any engine depth — the
-    decomposition and clique engines reach :func:`derandomize_phase_group`
-    through several layers) route their 2^m enumeration through it.
-    ``None`` restores the serial loop, which nested scopes can use to
-    shield a region from an outer dispatcher.
-    """
-    token = _sweep_dispatcher_var.set(dispatcher)
-    try:
-        yield dispatcher
-    finally:
-        _sweep_dispatcher_var.reset(token)
 
 
 #: Ambient sweep-result cache (None → every sweep recomputes).  A cache is
@@ -106,11 +66,12 @@ def current_sweep_cache():
 def sweep_cache_scope(cache):
     """Install ``cache`` as the ambient sweep-result cache.
 
-    Grouped sweeps started inside the scope consult it before running the
-    integer kernel (serial loop and seed-axis fan-out alike) and store
-    their count matrices on a miss.  ``None`` disables memoization, which
-    nested scopes (e.g. shard worker entry points) use to shield a region
-    from an outer cache.
+    Grouped sweeps started inside the scope (any engine depth — the
+    decomposition and clique engines reach :func:`derandomize_phase_group`
+    through several layers) consult it before running the integer kernel
+    and store their count matrices on a miss.  ``None`` disables
+    memoization, which nested scopes (e.g. shard worker entry points) use
+    to shield a region from an outer cache.
     """
     token = _sweep_cache_var.set(cache)
     try:
@@ -210,7 +171,6 @@ def derandomize_phase_group(
     chunk_size: int = 512,
     strict: bool = True,
     compress: bool = True,
-    sweep_dispatcher=None,
     sweep_cache=None,
 ) -> list:
     """Derandomize one phase of many instances against one seed sweep.
@@ -230,28 +190,21 @@ def derandomize_phase_group(
     identical to a standalone :func:`derandomize_phase` call.
     ``compress=False`` forces the uncompressed reference kernels (results
     are bit-identical; used by tests and the benchmark guard).
-    ``sweep_dispatcher`` (default: the ambient one from
-    :func:`sweep_dispatch_scope`) may run the 2^m enumeration across the
-    seed axis; its output is bit-identical to the serial loop because the
-    integer kernel is elementwise per seed row and the weighting turns each
-    row into exact integer sums before its fixed float step (see
-    :meth:`SeedSweepWorkspace.weight_rows`).
     ``sweep_cache`` (default: the ambient one from
     :func:`sweep_cache_scope`) memoizes the integer count matrix by kernel
     fingerprint: a hit skips the 2^m integer enumeration entirely — only
-    ``weight_rows`` runs — and a miss materializes the counts (through the
-    dispatcher's seed-axis ``sweep_counts`` fan-out when one is installed,
-    else serially), weights them, and stores them for the next sweep with
-    the same fingerprint.  Warm results are byte-identical because the
-    weighting always re-runs over the same integers.
+    ``weight_rows`` runs — and a miss counts the full matrix serially,
+    weights it, and stores it for the next sweep with the same
+    fingerprint.  Warm results are byte-identical because the weighting
+    turns each seed row into exact integer sums before its fixed float
+    step (see :meth:`SeedSweepWorkspace.weight_rows`) and always re-runs
+    over the same integers.
     """
     estimators = list(estimators)
     if not estimators:
         return []
     m = estimators[0].family.m
     order = 1 << m
-    if sweep_dispatcher is None:
-        sweep_dispatcher = _sweep_dispatcher_var.get()
     if sweep_cache is None:
         sweep_cache = _sweep_cache_var.get()
 
@@ -263,17 +216,14 @@ def derandomize_phase_group(
         counts = sweep_cache.load(kernel, order)
         if counts is None and sweep_cache.admits(kernel.count_nbytes(order)):
             # Miss: materialize the full integer matrix (the cacheable
-            # artifact), preferring the dispatcher's counts-only fan-out.
+            # artifact).
             counts = np.empty((order, kernel.count_width), dtype=np.int64)
-            fan_out = getattr(sweep_dispatcher, "sweep_counts", None)
-            filled = fan_out(sweep, order, counts) if fan_out is not None else False
-            if not filled:
-                for start in range(0, order, chunk_size):
-                    stop = min(order, start + chunk_size)
-                    kernel.count_rows(
-                        np.arange(start, stop, dtype=np.int64),
-                        out=counts[start:stop],
-                    )
+            for start in range(0, order, chunk_size):
+                stop = min(order, start + chunk_size)
+                kernel.count_rows(
+                    np.arange(start, stop, dtype=np.int64),
+                    out=counts[start:stop],
+                )
             sweep_cache.store(kernel, counts)
     if counts is not None:
         # Hit (or freshly stored): the weighting over the cached integers —
@@ -282,15 +232,11 @@ def derandomize_phase_group(
             stop = min(order, start + chunk_size)
             sweep.weight_rows(counts[start:stop], out=val1[:, start:stop])
     else:
-        dispatched = False
-        if sweep_dispatcher is not None and sweep.live:
-            dispatched = sweep_dispatcher.sweep_val1(sweep, order, chunk_size, val1)
-        if not dispatched:
-            for start in range(0, order, chunk_size):
-                stop = min(order, start + chunk_size)
-                sweep.expected_rows(
-                    np.arange(start, stop, dtype=np.int64), out=val1[:, start:stop]
-                )
+        for start in range(0, order, chunk_size):
+            stop = min(order, start + chunk_size)
+            sweep.expected_rows(
+                np.arange(start, stop, dtype=np.int64), out=val1[:, start:stop]
+            )
 
     # Fix every instance's s1 bits first (one vectorized greedy descent over
     # all rows), then evaluate the exact σ arrays for the whole group in one

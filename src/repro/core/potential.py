@@ -154,9 +154,9 @@ class SweepCountKernel:
 
     * **chunk-boundary-stably**: ``count_rows`` over any partition of the
       seed range concatenates to the same integers as one full-range call,
-      because no operation crosses seed rows — the property the seed-axis
-      parallel backend relies on to let many workers each produce one
-      contiguous seed chunk of a shared ``val1`` count buffer; and
+      because no operation crosses seed rows — the property the chunked
+      2^m enumeration of :func:`~repro.core.derandomize.derandomize_phase_group`
+      relies on when it fills a cacheable count matrix block by block; and
     * **picklably**: the kernel carries only the small unique-column arrays
       plus the family parameters ``(a, b)``; the
       :class:`~repro.hashing.pairwise.PairwiseFamily` (whose GF(2^m) log
@@ -608,8 +608,8 @@ class SeedSweepWorkspace:
         ``out``, when given, is filled in place (float64, matching shape).
         Composition of the integer :meth:`count_rows` kernel and the
         :meth:`weight_rows` step (exact integer sums, then one division per
-        list size) — the seam the seed-axis parallel backend splits across
-        processes.
+        list size) — the seam the sweep-result cache splits at: it stores
+        the integers and re-runs the weighting on every hit.
         """
         s1_candidates = np.asarray(s1_candidates, dtype=np.int64)
         shape = (len(self.estimators), len(s1_candidates))

@@ -39,9 +39,9 @@ Two tiers:
   directory without bound across restarts.
 
 The cache is consulted through the contextvar seam in
-:mod:`repro.core.derandomize` (``sweep_cache_scope``) — the same
-pattern as the seed-axis dispatcher — so the core never imports the
-parallel machinery and worker processes can pin the cache off.
+:mod:`repro.core.derandomize` (``sweep_cache_scope``), so callers at any
+engine depth can install it without threading a parameter, and process
+backend workers can pin it off.
 """
 
 from __future__ import annotations

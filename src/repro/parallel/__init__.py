@@ -1,17 +1,13 @@
-"""Two-axis parallel execution backends for the batched solver core.
+"""Parallel execution backends for the batched solver core.
 
 The batch ``(values, offsets, instance_offsets)`` array program shards
 along its instance partition; :class:`ProcessBackend` dispatches shard
 solves to a worker pool and merges every artifact — colorings, seed
 choices, round ledgers, potential traces — back byte-identically to the
-serial path (:class:`SerialBackend`, the default).  When fusion runs
-leave too few instance cuts, the same pool instead fans the per-phase
-2^m seed enumeration out over shared memory
-(:class:`SeedChunkDispatcher`), chosen per batch by a measured
-:class:`SweepCostModel` — still byte-identical.  A
+serial path (:class:`SerialBackend`, the default).  A
 :class:`~repro.core.sweep_cache.SweepResultCache` handed to
-``ProcessBackend(sweep_cache=...)`` memoizes the sweeps' integer count
-matrices across dispatches, with per-dispatch hit/miss deltas in the
+``ProcessBackend(sweep_cache=...)`` memoizes the inline sweeps' integer
+count matrices across dispatches, with per-dispatch hit/miss deltas in the
 backend telemetry.
 """
 
@@ -27,29 +23,26 @@ from repro.parallel.sharding import (
     fusion_signatures,
     instance_fusion_signature,
     merge_solve_results,
-    plan_shard_bounds,
     plan_shards,
     replay_ledger,
 )
-from repro.parallel.sweep import (
-    SHM_PREFIX,
-    SeedChunkDispatcher,
-    SweepCostModel,
-)
+
+#: Name prefix of the shared-memory segments the removed seed axis
+#: created.  Nothing in the package creates such segments any more;
+#: leak checks still scan for the prefix alongside the standard library's
+#: ``psm_`` and ``sem.`` names.
+SHM_PREFIX = "repro-sweep-"
 
 __all__ = [
     "Backend",
     "ProcessBackend",
     "SHM_PREFIX",
-    "SeedChunkDispatcher",
     "SerialBackend",
     "ShardPlan",
-    "SweepCostModel",
     "backend_scope",
     "fusion_signatures",
     "instance_fusion_signature",
     "merge_solve_results",
-    "plan_shard_bounds",
     "plan_shards",
     "replay_ledger",
     "resolve_backend",

@@ -5,21 +5,14 @@ A backend decides *where* the array program of
 
 * :class:`SerialBackend` — in-process, the default; exactly the existing
   single-call path.
-* :class:`ProcessBackend` — plans over *two* axes per dispatch: shard the
-  batch along ``instance_offsets``
+* :class:`ProcessBackend` — shards the batch along ``instance_offsets``
   (:func:`~repro.parallel.sharding.plan_shards`, fusion runs kept whole)
-  and dispatch shard solves to a ``ProcessPoolExecutor``, and/or fan the
-  per-phase 2^m seed enumeration out across the same pool through a
-  shared-memory count matrix
-  (:class:`~repro.parallel.sweep.SeedChunkDispatcher`) — the axis that
-  still helps when fusion runs collapse the batch to one shard.  A
-  :class:`~repro.parallel.sweep.SweepCostModel`, calibrated from measured
-  shard and sweep timings, picks the mode.  Because every per-instance
-  output of the batched engine is byte-identical to a batch-of-one solve,
-  and the seed-axis split keeps all float work single-threaded in serial
-  order, the merged colorings, seed choices, round ledgers and potential
-  traces are byte-identical to the serial backend — the contract the
-  golden suite and ``benchmarks/bench_parallel_backend.py`` pin.
+  and dispatches shard solves to a ``ProcessPoolExecutor``.  Because
+  every per-instance output of the batched engine is byte-identical to a
+  batch-of-one solve, the merged colorings, seed choices, round ledgers
+  and potential traces are byte-identical to the serial backend — the
+  contract the golden suite and ``benchmarks/bench_parallel_backend.py``
+  pin.
 
 Both backends expose the same two operations — the full solve and the
 single Lemma 2.1 pass — which is all the decomposition and MPC engines
@@ -37,22 +30,16 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 
 import numpy as np
 
-from repro.core.derandomize import (
-    current_sweep_cache,
-    sweep_cache_scope,
-    sweep_dispatch_scope,
-)
+from repro.core.derandomize import current_sweep_cache, sweep_cache_scope
 from repro.parallel.sharding import (
     merge_solve_results,
     plan_shards,
     replay_ledger,
 )
-from repro.parallel.sweep import SeedChunkDispatcher, SweepCostModel
-from repro.parallel.worker import partial_pass_shard_timed, solve_shard_timed
+from repro.parallel.worker import partial_pass_shard, run_shard, solve_shard
 
 __all__ = [
     "Backend",
@@ -138,9 +125,9 @@ def _slice(seq, lo: int, hi: int):
 
 #: Per-dispatch fault-telemetry counters (``record["faults"]``):
 #: ``crashes`` — worker deaths observed (``BrokenProcessPool``);
-#: ``retries`` — shards/chunks re-dispatched onto a rebuilt pool;
+#: ``retries`` — shards re-dispatched onto a rebuilt pool;
 #: ``pool_rebuilds`` — executors dropped and recreated;
-#: ``serial_fallbacks`` — pieces recomputed inline after retries ran out.
+#: ``serial_fallbacks`` — shards recomputed inline after retries ran out.
 _FAULT_KEYS = ("crashes", "retries", "pool_rebuilds", "serial_fallbacks")
 
 
@@ -149,7 +136,7 @@ def _new_faults() -> dict:
 
 
 class ProcessBackend(Backend):
-    """Two-axis multiprocess executor for the batched solver.
+    """Multiprocess executor for the batched solver.
 
     Parameters
     ----------
@@ -167,59 +154,38 @@ class ProcessBackend(Backend):
         trades shared-seed sweep fusion for finer load balancing; outputs
         are byte-identical either way.
     sweep_workers:
-        Seed-axis parallelism: the pool fan-out of each phase's 2^m seed
-        enumeration (:class:`~repro.parallel.sweep.SeedChunkDispatcher`).
-        ``None`` (default) uses ``workers``; ``0`` disables the seed axis
-        and restores pure instance sharding.
-    cost_model:
-        A :class:`~repro.parallel.sweep.SweepCostModel`; defaults to a
-        fresh one.  Shared across calls, it is calibrated online from the
-        timings this backend measures — per-shard wall times feed the
-        planner weights, per-sweep kernel times feed the chunker.
+        Accepted only as ``0`` (the default), for callers written against
+        the removed seed axis; any other value raises :class:`ValueError`.
     sweep_cache:
         A :class:`~repro.core.sweep_cache.SweepResultCache` (or ``None``).
-        Installed around every inline dispatch (the ``seed`` / ``both``
-        modes and the single-shard fallback), so repeated batches reuse
-        their integer count matrices; misses fan out through the
-        dispatcher's ``sweep_counts``.  With ``None``, an ambient cache
-        from :func:`~repro.core.derandomize.sweep_cache_scope` still
-        applies.  Per-dispatch hit/miss/store/eviction deltas are attached
-        to the telemetry record under ``"cache"``, and the cost model's
-        sweep-fraction calibration is skipped on fully-warm dispatches
-        (no sweep was fanned out, so there is nothing to observe).
+        Installed around every inline dispatch (a single-shard plan), so
+        repeated batches reuse their integer count matrices.  With
+        ``None``, an ambient cache from
+        :func:`~repro.core.derandomize.sweep_cache_scope` still applies.
+        Pool workers always run with the cache off.  Per-dispatch
+        hit/miss/store/eviction deltas are attached to the telemetry
+        record under ``"cache"``.
     max_retries:
-        Crash-recovery budget: how many times a shard or sweep chunk
-        whose worker died (``BrokenProcessPool``) is re-dispatched onto a
-        rebuilt pool before the coordinator recomputes it inline.  Every
-        recovery path recomputes deterministically, so results stay
-        byte-identical to the serial backend whichever path answers.
-        ``0`` skips straight to the inline fallback.  Python exceptions
-        *raised* by worker code are not faults and propagate unchanged —
-        a deterministic recompute would fail identically.
+        Crash-recovery budget: how many times a shard whose worker died
+        (``BrokenProcessPool``) is re-dispatched onto a rebuilt pool
+        before the coordinator recomputes it inline.  Every recovery path
+        recomputes deterministically, so results stay byte-identical to
+        the serial backend whichever path answers.  ``0`` skips straight
+        to the inline fallback.  Python exceptions *raised* by worker
+        code are not faults and propagate unchanged — a deterministic
+        recompute would fail identically.
     retry_backoff:
         Base seconds slept before retry ``n`` (linear: ``n *
         retry_backoff``), giving a crash-looping host a breather.
 
-    Per dispatch the backend plans over *both* axes and picks a mode:
-
-    * ``"instance"`` — cut along ``instance_offsets`` and solve shards in
-      the pool (the PR-5 path), chosen when the plan yields enough
-      well-balanced shards;
-    * ``"seed"`` — solve inline with the grouped seed sweeps fanned out
-      across the pool, chosen when fusion runs make instance cuts useless
-      (the homogeneous batch / single large instance case);
-    * ``"both"`` — walk the fusion-run-aligned shards sequentially, each
-      with pool-parallel sweeps, chosen when shards exist but are too
-      skewed for instance cuts alone; the sequential walk keeps each
-      shard's working set bounded while the seed axis supplies the
-      parallelism.
-
-    All three modes are byte-identical to the serial backend.  Every
-    dispatch appends a telemetry record (mode, requested vs effective
-    shards, wall seconds, and a ``"faults"`` dict — crashes, retries,
-    pool rebuilds, serial fallbacks; all zero on a healthy dispatch) to
-    :attr:`telemetry`; sweep-level records land in
-    :attr:`sweep_telemetry`.
+    Every dispatch plans contiguous shards on node-count weights; a
+    single-shard plan runs inline (no slicing, no IPC), otherwise the
+    shards run on the pool.  Each dispatch appends one telemetry record to
+    :attr:`telemetry` — ``op``, ``mode`` (always ``"instance"``),
+    requested vs effective shards, wall seconds, a ``"faults"`` dict
+    (crashes, retries, pool rebuilds, serial fallbacks; all zero on a
+    healthy dispatch) and, with a cache, ``"cache"`` — even when the
+    dispatch raised or its stream was closed early.
 
     The pool is created lazily on first dispatch and reused across calls
     (one backend can serve every color class of a decomposition, say);
@@ -237,14 +203,18 @@ class ProcessBackend(Backend):
         start_method: str | None = None,
         max_shards: int | None = None,
         keep_fusion_runs: bool = True,
-        sweep_workers: int | None = None,
-        cost_model: SweepCostModel | None = None,
+        sweep_workers: int = 0,
         sweep_cache=None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
     ):
         import multiprocessing as mp
 
+        if sweep_workers != 0:
+            raise ValueError(
+                f"sweep_workers={sweep_workers!r}: the seed axis was removed; "
+                "only 0 is accepted"
+            )
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
@@ -256,12 +226,6 @@ class ProcessBackend(Backend):
         self.start_method = start_method
         self.max_shards = self.workers if max_shards is None else int(max_shards)
         self.keep_fusion_runs = keep_fusion_runs
-        self.sweep_workers = (
-            self.workers if sweep_workers is None else int(sweep_workers)
-        )
-        if self.sweep_workers < 0:
-            raise ValueError(f"sweep_workers must be >= 0, got {sweep_workers}")
-        self.cost_model = cost_model if cost_model is not None else SweepCostModel()
         self.sweep_cache = sweep_cache
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -270,9 +234,7 @@ class ProcessBackend(Backend):
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
         self.telemetry: list[dict] = []
-        self.sweep_telemetry: list[dict] = []
         self._executor: ProcessPoolExecutor | None = None
-        self._dispatcher: SeedChunkDispatcher | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -291,14 +253,13 @@ class ProcessBackend(Backend):
     def prewarm(self) -> None:
         """Build the worker pool now rather than on first dispatch.
 
-        A no-op for configurations that never fan out (``workers == 1``
-        with the seed axis off — dispatches run inline and a pool would
-        only burn memory).  Raises :class:`RuntimeError` after
+        A no-op with ``workers == 1`` — dispatches then run inline and a
+        pool would only burn memory.  Raises :class:`RuntimeError` after
         :meth:`close`.
         """
         if self._closed:
             raise RuntimeError("backend is closed")
-        if max(self.workers, self.sweep_workers) > 1:
+        if self.workers > 1:
             self._pool()
 
     def close(self) -> None:
@@ -316,37 +277,25 @@ class ProcessBackend(Backend):
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
-    def _sweep_dispatcher(self) -> SeedChunkDispatcher:
-        if self._dispatcher is None:
-            self._dispatcher = SeedChunkDispatcher(
-                self._pool,
-                self.sweep_workers,
-                cost_model=self.cost_model,
-                telemetry=self.sweep_telemetry,
-                on_pool_broken=self._rebuild_pool,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff,
-            )
-        return self._dispatcher
+    def _pool_map_with_recovery(self, shard_fn, payloads, faults):
+        """Yield ``(index, shard_fn(payload))`` for every payload, in
+        completion order, surviving worker death.
 
-    def _pool_map_with_recovery(self, worker_fn, payloads, inline_fn, faults):
-        """Yield ``(index, output)`` for every payload, in completion
-        order, surviving worker death.
-
-        All payloads are submitted to the pool; ``BrokenProcessPool`` —
+        All payloads are submitted to the pool (through
+        :func:`~repro.parallel.worker.run_shard`); ``BrokenProcessPool`` —
         raised at submit time if the pool is already poisoned, or on any
         individual future — marks those payloads failed instead of
         escaping.  The broken executor is dropped and rebuilt and the
         failed payloads re-submitted, up to ``max_retries`` rounds with
-        linear backoff; whatever still fails is computed inline via
-        ``inline_fn``, so a degraded backend answers every dispatch.
-        Recomputation is deterministic, so a retried or inlined piece's
-        bytes are identical to a first-try pool solve.  Python exceptions
-        *raised by* worker code propagate unchanged — they are bugs, not
-        faults, and a deterministic recompute would fail identically.
-        ``faults`` is mutated in place (see ``_FAULT_KEYS``).  Closing
-        the generator early cancels not-yet-started futures, exactly like
-        the pre-recovery stream.
+        linear backoff; whatever still fails is computed inline with the
+        cache off, as a worker would, so a degraded backend answers every
+        dispatch.  Recomputation is deterministic, so a retried or inlined
+        piece's bytes are identical to a first-try pool solve.  Python
+        exceptions *raised by* worker code propagate unchanged — they are
+        bugs, not faults, and a deterministic recompute would fail
+        identically.  ``faults`` is mutated in place (see
+        ``_FAULT_KEYS``).  Closing the generator early cancels
+        not-yet-started futures.
         """
         pending = dict(enumerate(payloads))
         attempts = 0
@@ -356,7 +305,7 @@ class ProcessBackend(Backend):
             try:
                 pool = self._pool()
                 for j in sorted(pending):
-                    futures[pool.submit(worker_fn, pending[j])] = j
+                    futures[pool.submit(run_shard, (shard_fn, pending[j]))] = j
             except BrokenProcessPool:
                 # Pool already broken at submit time: whatever did not
                 # make it in is collected below, after the futures that
@@ -400,101 +349,76 @@ class ProcessBackend(Backend):
         # inline, in index order.
         faults["serial_fallbacks"] += len(pending)
         for j in sorted(pending):
-            yield j, inline_fn(pending[j])
+            with sweep_cache_scope(None):
+                output = shard_fn(pending[j])
+            yield j, output
 
-    def _active_cache(self):
-        """The cache inline dispatches will consult: the backend's own, or
-        the ambient one already installed by the caller."""
-        return self.sweep_cache if self.sweep_cache is not None else current_sweep_cache()
+    def _check_dispatch(self, rng) -> None:
+        if self._closed:
+            raise RuntimeError("backend is closed")
+        if rng is not None:
+            raise ValueError(
+                "the process backend requires derandomized solves "
+                "(rng draws are ordered across the whole batch)"
+            )
 
-    def _cache_scope(self):
-        """Scope installing the backend's cache around an inline dispatch
-        (a no-op that preserves any ambient cache when it has none)."""
-        if self.sweep_cache is None:
-            return nullcontext()
-        return sweep_cache_scope(self.sweep_cache)
+    def _dispatch(self, op: str, batch, shard_fn, make_payload):
+        """The one shard-dispatch routine behind every operation.
 
-    def _plan(self, batch):
-        """Two-axis shard plan for ``batch``: fusion-run-aligned bounds
-        weighted by the cost model's measured per-signature rates (node
-        counts until calibrated)."""
-        from repro.parallel.sharding import fusion_signatures
-
-        signatures = fusion_signatures(batch)
-        weights = self.cost_model.instance_weights(
-            signatures, batch.instance_sizes
-        )
-        return plan_shards(
+        Plans contiguous shards, builds one ``make_payload(shard, lo,
+        hi)`` per shard and yields ``(lo, hi, shard_fn(payload))`` per
+        shard as it completes.  A single-shard plan runs inline (no
+        slicing, no IPC) under the backend's cache, else the ambient one;
+        otherwise the shards run on the pool with crash recovery.  The
+        telemetry record is appended in the ``finally``, so a dispatch
+        that raised or whose stream was closed early is still recorded.
+        """
+        plan = plan_shards(
             batch,
             min(self.max_shards, batch.num_instances),
             keep_fusion_runs=self.keep_fusion_runs,
-            weights=weights,
-            signatures=signatures,
         )
-
-    def _choose_mode(self, plan) -> str:
-        """Pick the dispatch mode for one batch from the plan + cost model."""
-        seed_axis = self.sweep_workers > 1
-        if not seed_axis:
-            return "instance"
-        if plan.effective_shards <= 1:
-            return "seed"
-        if plan.effective_shards >= plan.requested_shards:
-            return "instance"
-        # Fewer shards than requested: compare the instance-axis critical
-        # path (heaviest shard's share) with the seed axis' Amdahl bound.
-        seed_share = self.cost_model.seed_mode_share(self.sweep_workers)
-        if plan.max_weight_share <= seed_share:
-            return "instance"
-        return "both"
-
-    def _record(
-        self,
-        op: str,
-        mode: str,
-        plan,
-        wall: float,
-        sweeps_before: int,
-        cache=None,
-        cache_before=None,
-        faults=None,
-        dispatcher_faults_before=None,
-    ):
-        record = {
-            "op": op,
-            "mode": mode,
-            "requested_shards": int(plan.requested_shards),
-            "effective_shards": int(plan.effective_shards),
-            "wall_seconds": wall,
-        }
-        # "faults" merges the instance-axis counters (mutated in place by
-        # _pool_map_with_recovery) with this dispatch's delta of the sweep
-        # dispatcher's cumulative counters.
-        merged = dict(faults) if faults is not None else _new_faults()
-        if dispatcher_faults_before is not None and self._dispatcher is not None:
-            for key, value in self._dispatcher.fault_counters.items():
-                merged[key] = merged.get(key, 0) + value - dispatcher_faults_before.get(key, 0)
-        record["faults"] = merged
-        if cache is not None and cache_before is not None:
-            after = cache.stats()
-            # Counters as this-dispatch deltas; occupancy as absolutes.
-            absolute = ("memory_bytes", "entries")
-            record["cache"] = {
-                key: value if key in absolute else value - cache_before[key]
-                for key, value in after.items()
+        cache = (
+            self.sweep_cache if self.sweep_cache is not None else current_sweep_cache()
+        )
+        cache_before = cache.stats() if cache is not None else None
+        faults = _new_faults()
+        start_time = time.perf_counter()
+        try:
+            if plan.effective_shards <= 1:
+                k = batch.num_instances
+                with sweep_cache_scope(cache):
+                    output = shard_fn(make_payload(batch, 0, k))
+                yield (0, k, output)
+            else:
+                bounds = plan.bounds.tolist()
+                payloads = [
+                    make_payload(shard, lo, hi)
+                    for shard, lo, hi in zip(
+                        batch.shard(plan.bounds), bounds[:-1], bounds[1:]
+                    )
+                ]
+                for j, output in self._pool_map_with_recovery(
+                    shard_fn, payloads, faults
+                ):
+                    yield (bounds[j], bounds[j + 1], output)
+        finally:
+            record = {
+                "op": op,
+                "mode": "instance",
+                "requested_shards": int(plan.requested_shards),
+                "effective_shards": int(plan.effective_shards),
+                "wall_seconds": time.perf_counter() - start_time,
+                "faults": faults,
             }
-        self.telemetry.append(record)
-        if mode in ("seed", "both") and len(self.sweep_telemetry) > sweeps_before:
-            # Fully-warm dispatches (every sweep served from the cache) fan
-            # nothing out; folding their zero sweep share into the model
-            # would drag the Amdahl estimate toward serial and mis-plan the
-            # next cold batch, so calibration only runs when a sweep
-            # actually dispatched.
-            sweep_seconds = sum(
-                entry["wall_seconds"]
-                for entry in self.sweep_telemetry[sweeps_before:]
-            )
-            self.cost_model.observe_sweep_fraction(sweep_seconds, wall)
+            if cache is not None:
+                # Counters as this-dispatch deltas; occupancy as absolutes.
+                absolute = ("memory_bytes", "entries")
+                record["cache"] = {
+                    key: value if key in absolute else value - cache_before[key]
+                    for key, value in cache.stats().items()
+                }
+            self.telemetry.append(record)
 
     # ------------------------------------------------------------------
     def solve_batch(
@@ -510,8 +434,8 @@ class ProcessBackend(Backend):
     ):
         # Drain-and-merge over the streaming iterator: chunks arrive in
         # completion order, sorting by instance range restores batch order,
-        # so the merged result is byte-identical to the pre-streaming path
-        # (the golden suite pins this).
+        # so the merged result is byte-identical to the serial path (the
+        # golden suite pins this).
         chunks = sorted(
             self.solve_batch_iter(
                 batch,
@@ -541,155 +465,36 @@ class ProcessBackend(Backend):
         """Stream the solve: yield ``(lo, hi, BatchColoringResult)`` per
         shard as it completes (see :meth:`Backend.solve_batch_iter`).
 
-        In ``instance`` mode shard solves are submitted to the pool and
-        yielded through :func:`concurrent.futures.as_completed` — a fast
-        shard lands before a slow one regardless of batch position, so a
-        streaming consumer (the serving layer) resolves its requests at
-        shard granularity instead of the merge barrier.  ``both`` mode
-        yields each fusion-run shard after its inline solve; ``seed`` and
-        single-shard dispatches yield one chunk covering the whole batch.
-        Closing the iterator early cancels not-yet-started shard futures
-        (running ones finish; the pool stays reusable) and still appends
-        the telemetry record.  The telemetry ``wall_seconds`` of a
-        streamed dispatch includes any time the consumer spends between
-        chunks.
+        Shard solves are submitted to the pool and yielded through
+        :func:`concurrent.futures.as_completed` — a fast shard lands
+        before a slow one regardless of batch position, so a streaming
+        consumer (the serving layer) resolves its requests at shard
+        granularity instead of the merge barrier.  A single-shard plan
+        yields one chunk covering the whole batch.  Validation errors
+        raise at the call, not on first ``next()``.  Closing the iterator
+        early cancels not-yet-started shard futures (running ones finish;
+        the pool stays reusable) and still appends the telemetry record.
+        The telemetry ``wall_seconds`` of a streamed dispatch includes any
+        time the consumer spends between chunks.
         """
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        if rng is not None:
-            raise ValueError(
-                "the process backend requires derandomized solves "
-                "(rng draws are ordered across the whole batch)"
-            )
+        self._check_dispatch(rng)
         if batch.num_instances == 0:
             return iter(())
-        plan = self._plan(batch)
-        mode = self._choose_mode(plan)
-        return self._solve_chunks(
-            batch,
-            plan,
-            mode,
-            r_schedule,
-            strict,
-            verify,
-            comm_depths,
-            input_colorings,
-            nums_input_colors,
-        )
 
-    def _solve_chunks(
-        self,
-        batch,
-        plan,
-        mode,
-        r_schedule,
-        strict,
-        verify,
-        comm_depths,
-        input_colorings,
-        nums_input_colors,
-    ):
-        from repro.core.list_coloring import solve_list_coloring_batch
-
-        sweeps_before = len(self.sweep_telemetry)
-        cache = self._active_cache()
-        cache_before = cache.stats() if cache is not None else None
-        faults = _new_faults()
-        disp_before = (
-            dict(self._dispatcher.fault_counters)
-            if self._dispatcher is not None
-            else {}
-        )
-        start_time = time.perf_counter()
-
-        def solve_inline(sub_batch, lo, hi):
-            return solve_list_coloring_batch(
-                sub_batch,
-                r_schedule=r_schedule,
-                strict=strict,
-                verify=verify,
-                comm_depths=_slice(comm_depths, lo, hi),
-                input_colorings=_slice(input_colorings, lo, hi),
-                nums_input_colors=_slice(nums_input_colors, lo, hi),
+        def make_payload(shard, lo, hi):
+            return (
+                shard,
+                dict(
+                    r_schedule=r_schedule,
+                    strict=strict,
+                    verify=verify,
+                    comm_depths=_slice(comm_depths, lo, hi),
+                    input_colorings=_slice(input_colorings, lo, hi),
+                    nums_input_colors=_slice(nums_input_colors, lo, hi),
+                ),
             )
 
-        try:
-            if mode == "seed":
-                with sweep_dispatch_scope(
-                    self._sweep_dispatcher()
-                ), self._cache_scope():
-                    result = solve_inline(batch, 0, batch.num_instances)
-                yield (0, batch.num_instances, result)
-            elif mode == "both":
-                bounds = plan.bounds
-                with sweep_dispatch_scope(
-                    self._sweep_dispatcher()
-                ), self._cache_scope():
-                    for shard, lo, hi in zip(
-                        batch.shard(bounds),
-                        bounds[:-1].tolist(),
-                        bounds[1:].tolist(),
-                    ):
-                        yield (lo, hi, solve_inline(shard, lo, hi))
-            elif plan.effective_shards <= 1:
-                # one shard, seed axis off: run inline, skip slicing and IPC
-                with self._cache_scope():
-                    result = solve_inline(batch, 0, batch.num_instances)
-                yield (0, batch.num_instances, result)
-            else:
-                bounds = plan.bounds
-                payloads = [
-                    (
-                        shard,
-                        dict(
-                            r_schedule=r_schedule,
-                            strict=strict,
-                            verify=verify,
-                            comm_depths=_slice(comm_depths, lo, hi),
-                            input_colorings=_slice(input_colorings, lo, hi),
-                            nums_input_colors=_slice(nums_input_colors, lo, hi),
-                        ),
-                    )
-                    for shard, lo, hi in zip(
-                        batch.shard(bounds),
-                        bounds[:-1].tolist(),
-                        bounds[1:].tolist(),
-                    )
-                ]
-
-                def inline_shard(payload):
-                    # Serial-fallback twin of worker.solve_shard_timed,
-                    # running in the coordinator: pin the null scopes the
-                    # worker would, never the fault-injection hook.
-                    shard, kwargs = payload
-                    begin = time.perf_counter()
-                    with sweep_dispatch_scope(None), sweep_cache_scope(None):
-                        result = solve_list_coloring_batch(shard, **kwargs)
-                    return result, time.perf_counter() - begin
-
-                for j, (result, seconds) in self._pool_map_with_recovery(
-                    solve_shard_timed, payloads, inline_shard, faults
-                ):
-                    nodes = int(
-                        batch.instance_offsets[bounds[j + 1]]
-                        - batch.instance_offsets[bounds[j]]
-                    )
-                    self.cost_model.observe_shard(
-                        plan.shard_signature(j), nodes, seconds
-                    )
-                    yield (int(bounds[j]), int(bounds[j + 1]), result)
-        finally:
-            self._record(
-                "solve",
-                mode,
-                plan,
-                time.perf_counter() - start_time,
-                sweeps_before,
-                cache=cache,
-                cache_before=cache_before,
-                faults=faults,
-                dispatcher_faults_before=disp_before,
-            )
+        return self._dispatch("solve", batch, solve_shard, make_payload)
 
     # ------------------------------------------------------------------
     def partial_pass_batch(
@@ -704,131 +509,41 @@ class ProcessBackend(Backend):
         strict: bool = True,
         rng=None,
     ):
-        from repro.core.partial_coloring import partial_coloring_pass_batch
-
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        if rng is not None:
-            raise ValueError(
-                "the process backend requires derandomized solves "
-                "(rng draws are ordered across the whole batch)"
-            )
-        k = batch.num_instances
-        if k == 0:
+        self._check_dispatch(rng)
+        if batch.num_instances == 0:
             return []
-        plan = self._plan(batch)
-        mode = self._choose_mode(plan)
-        sweeps_before = len(self.sweep_telemetry)
-        cache = self._active_cache()
-        cache_before = cache.stats() if cache is not None else None
-        faults = _new_faults()
-        disp_before = (
-            dict(self._dispatcher.fault_counters)
-            if self._dispatcher is not None
-            else {}
-        )
-        start_time = time.perf_counter()
         psis = np.asarray(psis, dtype=np.int64)
+        offsets = batch.instance_offsets
 
-        def pass_inline(sub_batch, lo, hi):
-            node_lo = int(batch.instance_offsets[lo])
-            node_hi = int(batch.instance_offsets[hi])
-            return partial_coloring_pass_batch(
-                sub_batch,
-                psis[node_lo:node_hi],
+        def make_payload(shard, lo, hi):
+            return (
+                shard,
+                psis[int(offsets[lo]):int(offsets[hi])],
                 list(nums_input_colors[lo:hi]),
-                comm_depths=_slice(comm_depths, lo, hi),
-                ledgers=None if ledgers is None else list(ledgers[lo:hi]),
-                r_schedule=r_schedule,
-                avoid_mis=avoid_mis,
-                strict=strict,
+                [
+                    ledgers is not None and ledgers[i] is not None
+                    for i in range(lo, hi)
+                ],
+                dict(
+                    comm_depths=_slice(comm_depths, lo, hi),
+                    r_schedule=r_schedule,
+                    avoid_mis=avoid_mis,
+                    strict=strict,
+                ),
             )
 
-        if mode == "seed":
-            with sweep_dispatch_scope(self._sweep_dispatcher()), self._cache_scope():
-                outcomes = pass_inline(batch, 0, k)
-        elif mode == "both":
-            bounds = plan.bounds
-            outcomes = []
-            with sweep_dispatch_scope(self._sweep_dispatcher()), self._cache_scope():
-                for shard, lo, hi in zip(
-                    batch.shard(bounds),
-                    bounds[:-1].tolist(),
-                    bounds[1:].tolist(),
-                ):
-                    outcomes.extend(pass_inline(shard, lo, hi))
-        elif plan.effective_shards <= 1:
-            # one shard, seed axis off: run inline, skip slicing and IPC
-            with self._cache_scope():
-                outcomes = pass_inline(batch, 0, k)
-        else:
-            bounds = plan.bounds
-            payloads = []
-            for shard, lo, hi in zip(
-                batch.shard(bounds), bounds[:-1].tolist(), bounds[1:].tolist()
-            ):
-                node_lo = int(batch.instance_offsets[lo])
-                node_hi = int(batch.instance_offsets[hi])
-                payloads.append(
-                    (
-                        shard,
-                        psis[node_lo:node_hi],
-                        list(nums_input_colors[lo:hi]),
-                        [
-                            ledgers is not None and ledgers[i] is not None
-                            for i in range(lo, hi)
-                        ],
-                        dict(
-                            comm_depths=_slice(comm_depths, lo, hi),
-                            r_schedule=r_schedule,
-                            avoid_mis=avoid_mis,
-                            strict=strict,
-                        ),
-                    )
-                )
-            def inline_pass(payload):
-                # Serial-fallback twin of worker.partial_pass_shard_timed,
-                # running in the coordinator: pin the null scopes the
-                # worker would, never the fault-injection hook.
-                from repro.engine.rounds import RoundLedger
-
-                shard, shard_psis, shard_colors, ledger_mask, kwargs = payload
-                begin = time.perf_counter()
-                fresh = [RoundLedger() if has else None for has in ledger_mask]
-                with sweep_dispatch_scope(None), sweep_cache_scope(None):
-                    shard_outcomes = partial_coloring_pass_batch(
-                        shard, shard_psis, shard_colors, ledgers=fresh, **kwargs
-                    )
-                return shard_outcomes, fresh, time.perf_counter() - begin
-
-            outcomes = []
-            shard_outputs = [None] * len(payloads)
-            for j, output in self._pool_map_with_recovery(
-                partial_pass_shard_timed, payloads, inline_pass, faults
-            ):
-                shard_outputs[j] = output
-            for j, (lo, (shard_outcomes, shard_ledgers, seconds)) in enumerate(
-                zip(bounds[:-1].tolist(), shard_outputs)
-            ):
-                outcomes.extend(shard_outcomes)
-                for offset, worker_ledger in enumerate(shard_ledgers):
-                    if worker_ledger is not None and ledgers is not None:
-                        target = ledgers[lo + offset]
-                        if target is not None:
-                            replay_ledger(target, worker_ledger)
-                nodes = int(
-                    batch.instance_offsets[bounds[j + 1]]
-                    - batch.instance_offsets[bounds[j]]
-                )
-                self.cost_model.observe_shard(
-                    plan.shard_signature(j), nodes, seconds
-                )
-
-        self._record(
-            "partial_pass", mode, plan, time.perf_counter() - start_time,
-            sweeps_before, cache=cache, cache_before=cache_before,
-            faults=faults, dispatcher_faults_before=disp_before,
-        )
+        # Shard order restores batch order; each shard's fresh ledgers are
+        # replayed event by event into the caller's, exactly the charges a
+        # serial pass would have made.
+        outcomes = []
+        for lo, _hi, (shard_outcomes, shard_ledgers) in sorted(
+            self._dispatch("partial_pass", batch, partial_pass_shard, make_payload),
+            key=lambda chunk: chunk[0],
+        ):
+            outcomes.extend(shard_outcomes)
+            for offset, shard_ledger in enumerate(shard_ledgers):
+                if shard_ledger is not None:
+                    replay_ledger(ledgers[lo + offset], shard_ledger)
         return outcomes
 
 
@@ -863,18 +578,16 @@ def backend_scope(spec, workers: int | None = None) -> _BackendScope:
 def resolve_backend(
     backend,
     workers: int | None = None,
-    sweep_workers: int | None = None,
     sweep_cache=None,
     max_retries: int | None = None,
 ) -> Backend:
     """Coerce ``None`` / a name / a :class:`Backend` into a backend.
 
     ``None`` and ``"serial"`` give the in-process default; ``"process"``
-    builds a :class:`ProcessBackend` (with ``workers`` / ``sweep_workers``
-    / ``sweep_cache`` / ``max_retries`` if given — ``max_retries`` is the
-    worker-crash retry budget before the inline serial fallback).
-    Backend instances pass through untouched, so callers can share one
-    pool.
+    builds a :class:`ProcessBackend` (with ``workers`` / ``sweep_cache`` /
+    ``max_retries`` if given — ``max_retries`` is the worker-crash retry
+    budget before the inline serial fallback).  Backend instances pass
+    through untouched, so callers can share one pool.
     """
     if backend is None:
         return SerialBackend()
@@ -888,10 +601,7 @@ def resolve_backend(
             if max_retries is not None:
                 kwargs["max_retries"] = max_retries
             return ProcessBackend(
-                workers=workers,
-                sweep_workers=sweep_workers,
-                sweep_cache=sweep_cache,
-                **kwargs,
+                workers=workers, sweep_cache=sweep_cache, **kwargs
             )
         raise ValueError(
             f"unknown backend {backend!r} (expected 'serial' or 'process')"

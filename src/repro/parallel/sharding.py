@@ -33,7 +33,6 @@ __all__ = [
     "fusion_signatures",
     "instance_fusion_signature",
     "merge_solve_results",
-    "plan_shard_bounds",
     "plan_shards",
     "replay_ledger",
 ]
@@ -101,87 +100,46 @@ class ShardPlan:
 
     ``effective_shards`` may be smaller than ``requested_shards`` when
     ``keep_fusion_runs`` leaves fewer admissible cut points than shards
-    requested — previously a silent degradation; the backend now reads it
-    off the plan (and reports it in telemetry) to decide whether the seed
-    axis must make up the lost parallelism.
+    requested; the backend reports both in its telemetry.
     """
 
     bounds: np.ndarray  #: int64 ``[0, .., num_instances]``, shard edges
     requested_shards: int
-    signatures: np.ndarray  #: (k, 2) fusion signatures used for the cuts
-    weights: np.ndarray  #: per-instance planning weights (cost or nodes)
 
     @property
     def effective_shards(self) -> int:
         return max(1, len(self.bounds) - 1)
-
-    @property
-    def shard_weights(self) -> np.ndarray:
-        """Total planning weight per shard."""
-        cum = np.concatenate(
-            [[0], np.cumsum(np.asarray(self.weights, dtype=np.float64))]
-        )
-        return np.diff(cum[self.bounds])
-
-    @property
-    def max_weight_share(self) -> float:
-        """Heaviest shard's fraction of the total weight (crit-path proxy)."""
-        shard_weights = self.shard_weights
-        total = float(shard_weights.sum())
-        if total <= 0.0:
-            return 1.0
-        return float(shard_weights.max()) / total
-
-    def shard_signature(self, j: int) -> tuple:
-        """Signature of shard j's first instance (shards are fusion-run
-        aligned, so for homogeneous runs this is *the* shard signature)."""
-        lo = int(self.bounds[j])
-        if lo >= len(self.signatures):
-            return (0, 0)
-        return tuple(int(v) for v in self.signatures[lo])
 
 
 def plan_shards(
     batch: BatchedListColoringInstance,
     num_shards: int,
     keep_fusion_runs: bool = True,
-    weights: np.ndarray | None = None,
-    signatures: np.ndarray | None = None,
 ) -> ShardPlan:
     """Contiguous shard plan along ``instance_offsets``.
 
     ``bounds`` is a non-decreasing int64 array ``[0, .., num_instances]``
-    with at most ``num_shards`` gaps, balancing the per-shard weight
-    (``weights`` defaults to node counts; the backend passes cost-model
-    estimates once calibrated).  With ``keep_fusion_runs`` (the default), a
-    boundary is only placed where the fusion signature changes, so
-    contiguous shared-seed groups stay whole — a homogeneous batch then
-    degrades to fewer (possibly one) shards rather than splitting its
-    fused sweep, and the plan's ``effective_shards`` records the loss.
+    with at most ``num_shards`` gaps, balancing the per-shard node count.
+    With ``keep_fusion_runs`` (the default), a boundary is only placed
+    where the fusion signature changes, so contiguous shared-seed groups
+    stay whole — a homogeneous batch then degrades to fewer (possibly one)
+    shards rather than splitting its fused sweep, and the plan's
+    ``effective_shards`` records the loss.
     """
     k = batch.num_instances
     num_shards = max(1, int(num_shards))
     if k == 0:
         return ShardPlan(
-            bounds=np.array([0, 0], dtype=np.int64),
-            requested_shards=num_shards,
-            signatures=np.zeros((0, 2), dtype=np.int64),
-            weights=np.zeros(0, dtype=np.float64),
+            bounds=np.array([0, 0], dtype=np.int64), requested_shards=num_shards
         )
-    if signatures is None:
-        signatures = fusion_signatures(batch)
-    if weights is None:
-        weights = np.maximum(1, batch.instance_sizes).astype(np.float64)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (k,):
-            raise ValueError(f"need one weight per instance, got {weights.shape}")
+    weights = np.maximum(1, batch.instance_sizes).astype(np.float64)
     cum = np.zeros(k + 1, dtype=np.float64)
     np.cumsum(weights, out=cum[1:])
     total = float(cum[-1])
 
     allowed = np.ones(k + 1, dtype=bool)
     if keep_fusion_runs and k > 1:
+        signatures = fusion_signatures(batch)
         allowed[1:k] = (signatures[1:] != signatures[:-1]).any(axis=1)
 
     bounds = [0]
@@ -197,20 +155,8 @@ def plan_shards(
         bounds.append(pick)
     bounds.append(k)
     return ShardPlan(
-        bounds=np.array(bounds, dtype=np.int64),
-        requested_shards=num_shards,
-        signatures=signatures,
-        weights=weights,
+        bounds=np.array(bounds, dtype=np.int64), requested_shards=num_shards
     )
-
-
-def plan_shard_bounds(
-    batch: BatchedListColoringInstance,
-    num_shards: int,
-    keep_fusion_runs: bool = True,
-) -> np.ndarray:
-    """Bounds-only view of :func:`plan_shards` (node-count weights)."""
-    return plan_shards(batch, num_shards, keep_fusion_runs=keep_fusion_runs).bounds
 
 
 def merge_solve_results(shard_results) -> "BatchColoringResult":

@@ -59,13 +59,13 @@ class ColoringService:
     ----------
     backend:
         ``None`` (default) builds a :class:`ProcessBackend` with
-        ``workers`` / ``sweep_workers`` and the service's cache; a name
+        ``workers`` and the service's cache; a name
         (``"serial"`` / ``"process"``) resolves the same way.  A
         :class:`Backend` *instance* is used as-is and stays caller-owned
         (not closed by :meth:`close`); if it carries its own
         ``sweep_cache`` and none is given here, the service adopts it so
         telemetry reads the cache actually consulted.
-    workers, sweep_workers:
+    workers:
         Forwarded to the default backend construction (ignored for
         caller-owned instances).
     max_batch_instances, max_delay_ms:
@@ -94,7 +94,6 @@ class ColoringService:
         backend=None,
         *,
         workers: int | None = None,
-        sweep_workers: int | None = None,
         max_batch_instances: int = 8,
         max_delay_ms: float = 2.0,
         sweep_cache: SweepResultCache | None = None,
@@ -123,7 +122,6 @@ class ColoringService:
         self._backend = resolve_backend(
             backend if backend is not None else "process",
             workers=workers,
-            sweep_workers=sweep_workers,
             sweep_cache=sweep_cache,
         )
         self._coalescer = RequestCoalescer(
@@ -160,8 +158,7 @@ class ColoringService:
         self._dispatch_queue = asyncio.Queue()
         self._wake = asyncio.Event()
         # One dispatch at a time: the backend's pool supplies parallelism;
-        # serializing dispatches keeps its telemetry and cost model
-        # single-writer.
+        # serializing dispatches keeps its telemetry single-writer.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serving"
         )

@@ -16,6 +16,10 @@ indistinguishable from a SIGKILL/OOM kill):
   so the coordinator's own fallback recomputation is safe even though it
   shares code paths with the workers.
 
+:func:`shm_segments` / :func:`leaked_segments` are the shared-memory
+leak check every backend test uses: snapshot before the dispatches under
+test, then assert nothing new outlived them.
+
 Everything here must be picklable by qualified name: ``spawn`` workers
 re-import this module, which works because the tests directory is on
 ``sys.path`` (the suite already imports ``equivalence`` the same way).
@@ -30,12 +34,44 @@ import os
 import uuid
 from contextlib import contextmanager
 
+from repro.parallel import SHM_PREFIX
 from repro.parallel.worker import FAULT_ENV
+
+
+def shm_segments() -> set:
+    """Names in ``/dev/shm`` with the prefixes perfbench's hygiene gate
+    scans: :data:`repro.parallel.SHM_PREFIX`, stdlib shared memory
+    (``psm_``) and multiprocessing semaphores (``sem.``, which a live
+    ``spawn``/``forkserver`` pool holds until it shuts down).
+
+    Under pytest-xdist the other workers' live pools hold ``sem.`` names
+    that cannot be told apart from this process's, so that prefix is only
+    scanned when the suite runs in one process.
+    """
+    prefixes = (SHM_PREFIX, "psm_")
+    if not os.environ.get("PYTEST_XDIST_WORKER"):
+        prefixes += ("sem.",)
+    try:
+        names = os.listdir("/dev/shm")
+    except FileNotFoundError:
+        return set()
+    return {name for name in names if name.startswith(prefixes)}
+
+
+def leaked_segments(before: set) -> list:
+    """Segments of :func:`shm_segments`' kinds that appeared since the
+    ``before`` snapshot and are still there."""
+    return sorted(shm_segments() - before)
 
 
 def kill_self(_arg=None):
     """Pool task that dies abruptly (no exception back, no cleanup)."""
     os._exit(1)
+
+
+def raising_schedule(phase_index, bits_left):
+    """Prefix-bit schedule that raises: a Python error inside shard code."""
+    raise RuntimeError("schedule exploded")
 
 
 def sleep_worker(seconds):

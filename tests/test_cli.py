@@ -74,3 +74,17 @@ class TestCLI:
         assert main(
             ["color", "--family", "regular", "--n", "15", "--degree", "3"]
         ) == 0
+
+    @pytest.mark.parametrize("command", ["color", "compare"])
+    def test_process_backend_json_matches_serial(self, capsys, command):
+        base = [command, "--family", "regular", "--n", "16", "--degree", "3",
+                "--json"]
+        assert main(base) == 0
+        serial = json.loads(capsys.readouterr().out)
+        assert main(base + ["--backend", "process", "--workers", "2",
+                            "--sweep-cache", "memory"]) == 0
+        assert json.loads(capsys.readouterr().out) == serial
+
+    def test_sweep_workers_flag_removed(self):
+        with pytest.raises(SystemExit):
+            main(["color", "--backend", "process", "--sweep-workers", "2"])

@@ -280,6 +280,29 @@ def parallel_actual() -> dict:
         return _record_batched_congest(instances, backend=backend)
 
 
+@pytest.fixture(scope="module")
+def free_cut_actual() -> dict:
+    """Like ``parallel_actual`` but with fusion runs ignored and one shard
+    per instance requested, under ``spawn`` where available: shared-seed
+    runs are split across workers that re-import the package, and the
+    merge must still reproduce the golden records."""
+    import multiprocessing as mp
+
+    from repro.parallel import ProcessBackend
+
+    instances = {**_instances(), **_large_instances()}
+    methods = mp.get_all_start_methods()
+    with ProcessBackend(
+        workers=2,
+        start_method="spawn" if "spawn" in methods else methods[0],
+        max_shards=len(instances),
+        keep_fusion_runs=False,
+    ) as backend:
+        records = _record_batched_congest(instances, backend=backend)
+        assert backend.telemetry[-1]["effective_shards"] > 1
+    return records
+
+
 @pytest.mark.parametrize("instance_name", list(_instances()))
 def test_engines_match_ragged_golden(golden, actual, instance_name):
     _assert_matches(actual[instance_name], golden[instance_name], instance_name)
@@ -322,24 +345,6 @@ def test_batched_section_pinned(golden, actual):
     """The batched records are themselves golden-pinned, so future changes
     to the fusion/grouping logic cannot drift silently."""
     _assert_matches(actual[BATCHED_KEY], golden[BATCHED_KEY], BATCHED_KEY)
-
-
-@pytest.fixture(scope="module")
-def seed_axis_actual() -> dict:
-    """Records of ONE process-backend solve with the SEED axis forced: a
-    single shard (``max_shards=1`` → mode ``seed``) whose per-phase 2^m
-    sweeps are chunked over the pool through shared memory (``chunks=3``
-    dispatches every sweep, dividing or not) — compared against the very
-    same golden records as every other execution path."""
-    from repro.parallel import ProcessBackend
-
-    instances = {**_instances(), **_large_instances()}
-    with ProcessBackend(workers=2, max_shards=1) as backend:
-        backend._sweep_dispatcher().chunks = 3
-        records = _record_batched_congest(instances, backend=backend)
-        assert all(rec["mode"] == "seed" for rec in backend.telemetry)
-        assert backend.sweep_telemetry, "no sweep was dispatched"
-    return records
 
 
 @pytest.fixture(scope="module")
@@ -427,27 +432,29 @@ def test_parallel_backend_matches_large_golden(
     )
 
 
+
 @pytest.mark.parametrize("instance_name", list(_instances()))
-def test_seed_axis_matches_ragged_congest_golden(
-    golden, seed_axis_actual, instance_name
+def test_free_cut_backend_matches_ragged_congest_golden(
+    golden, free_cut_actual, instance_name
 ):
-    """Seed-axis (shared-memory sweep fan-out) execution reproduces the
-    ragged-era sequential records byte-identically."""
+    """Fusion runs split across spawn workers: still the ragged-era
+    sequential records."""
     _assert_matches(
-        seed_axis_actual[instance_name],
+        free_cut_actual[instance_name],
         golden[instance_name]["congest"],
-        f"seed-axis.{instance_name}",
+        f"free-cut.{instance_name}",
     )
 
 
 @pytest.mark.parametrize("instance_name", list(_large_instances()))
-def test_seed_axis_matches_large_golden(golden, seed_axis_actual, instance_name):
+def test_free_cut_backend_matches_large_golden(
+    golden, free_cut_actual, instance_name
+):
     _assert_matches(
-        seed_axis_actual[instance_name],
+        free_cut_actual[instance_name],
         golden[LARGE_KEY][instance_name],
-        f"seed-axis.{instance_name}",
+        f"free-cut.{instance_name}",
     )
-
 
 if __name__ == "__main__":
     import argparse

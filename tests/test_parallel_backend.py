@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from equivalence import (
     assert_ledgers_equal,
     assert_outcomes_equal,
 )
+from faults import leaked_segments, raising_schedule, shm_segments
 from repro.core.instances import (
     BatchedListColoringInstance,
     ColorListStore,
@@ -44,7 +46,7 @@ from repro.parallel import (
     SerialBackend,
     backend_scope,
     fusion_signatures,
-    plan_shard_bounds,
+    plan_shards,
     resolve_backend,
 )
 
@@ -167,7 +169,7 @@ class TestShardMerge:
     def test_plan_bounds_invariants(self, seed, num_shards):
         instances = random_batch(seed)
         batch = BatchedListColoringInstance.from_instances(instances)
-        bounds = plan_shard_bounds(batch, num_shards)
+        bounds = plan_shards(batch, num_shards).bounds
         assert bounds[0] == 0 and bounds[-1] == batch.num_instances
         assert (np.diff(bounds) >= 0).all()
         assert len(bounds) - 1 <= max(1, num_shards)
@@ -181,9 +183,103 @@ class TestShardMerge:
     def test_plan_bounds_homogeneous_degrades_to_one_shard(self):
         instances = [make_delta_plus_one_instance(gen.cycle_graph(8))] * 4
         batch = BatchedListColoringInstance.from_instances(instances)
-        assert len(plan_shard_bounds(batch, 4)) == 2  # one shard: run kept whole
-        loose = plan_shard_bounds(batch, 4, keep_fusion_runs=False)
+        assert len(plan_shards(batch, 4).bounds) == 2  # one shard: run kept whole
+        loose = plan_shards(batch, 4, keep_fusion_runs=False).bounds
         assert len(loose) == 5  # free cutting balances into 4 shards
+
+    def test_plan_weights_are_node_counts(self):
+        # One 60-node instance then four 8-node ones: balancing node counts
+        # cuts right after the big instance, not at the instance midpoint.
+        instances = [make_delta_plus_one_instance(gen.cycle_graph(60))] + [
+            make_delta_plus_one_instance(gen.cycle_graph(8))
+        ] * 4
+        batch = BatchedListColoringInstance.from_instances(instances)
+        assert plan_shards(batch, 2, keep_fusion_runs=False).bounds.tolist() == [
+            0, 1, 5,
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plan_free_cuts_balance_node_counts(self, seed):
+        """Free cutting never yields an empty shard, and no shard carries
+        more than its even share of nodes plus one instance."""
+        batch = BatchedListColoringInstance.from_instances(
+            random_batch(seed + 100, max_k=10)
+        )
+        k = batch.num_instances
+        weights = np.maximum(1, batch.instance_sizes)
+        cum = np.concatenate([[0], np.cumsum(weights)])
+        for num_shards in (2, 3, 4):
+            bounds = plan_shards(batch, num_shards, keep_fusion_runs=False).bounds
+            if k == 0:
+                assert bounds.tolist() == [0, 0]
+                continue
+            assert (np.diff(bounds) > 0).all(), f"empty shard in {bounds}"
+            shard_nodes = np.diff(cum[bounds])
+            assert shard_nodes.max() <= cum[-1] / num_shards + weights.max()
+
+    def test_plan_of_degree_runs_cuts_between_runs(self):
+        # Four fusion runs (degrees 10..16), two sizes each — the shape of
+        # the parallel-backend benchmark: node-count weights cut the eight
+        # instances in half at 2 shards and into whole runs at 4.
+        instances = [
+            make_delta_plus_one_instance(
+                gen.random_regular_graph(size, degree, seed=100 * degree + size)
+            )
+            for degree in (10, 12, 14, 16)
+            for size in (24, 30)
+        ]
+        batch = BatchedListColoringInstance.from_instances(instances)
+        assert plan_shards(batch, 2).bounds.tolist() == [0, 4, 8]
+        assert plan_shards(batch, 4).bounds.tolist() == [0, 2, 4, 6, 8]
+
+    def test_plan_empty_batch(self):
+        plan = plan_shards(BatchedListColoringInstance.from_instances([]), 3)
+        assert plan.bounds.tolist() == [0, 0]
+        assert plan.requested_shards == 3
+        assert plan.effective_shards == 1
+
+    def test_effective_shards_surfaced_for_homogeneous_batch(self):
+        instances = [
+            make_delta_plus_one_instance(gen.gnp_graph(40, 0.2, seed=7))
+        ] * 4
+        batch = BatchedListColoringInstance.from_instances(instances)
+        plan = plan_shards(batch, 4)
+        assert plan.requested_shards == 4
+        assert plan.effective_shards == 1
+        assert plan.bounds.tolist() == [0, 4]
+
+    def test_effective_shards_in_backend_telemetry(self, process_backend):
+        instances = [
+            make_delta_plus_one_instance(gen.gnp_graph(12, 0.2, seed=7))
+        ] * 2
+        batch = BatchedListColoringInstance.from_instances(instances)
+        solve_list_coloring_batch(batch, backend=process_backend)
+        record = process_backend.telemetry[-1]
+        assert record["effective_shards"] == 1
+        assert record["requested_shards"] == min(WORKERS, batch.num_instances)
+
+    def test_vectorized_signatures_match_reference(self):
+        from repro.core.instances import ceil_log2
+
+        rng = np.random.default_rng(11)
+        instances = []
+        for _ in range(7):
+            n = int(rng.integers(1, 20))
+            instances.append(
+                make_delta_plus_one_instance(gen.random_tree(n, seed=int(rng.integers(0, 99))))
+                if n > 1
+                else make_delta_plus_one_instance(gen.star_graph(2))
+            )
+        batch = BatchedListColoringInstance.from_instances(instances)
+        sig = fusion_signatures(batch)
+        assert sig.shape == (batch.num_instances, 2)
+        for i in range(batch.num_instances):
+            lo, hi = batch.instance_offsets[i], batch.instance_offsets[i + 1]
+            delta = (
+                int(batch.graph.degrees[lo:hi].max()) if hi > lo else 0
+            )
+            want = (max(1, ceil_log2(int(batch.color_spaces[i]))), delta)
+            assert tuple(sig[i]) == want
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +412,136 @@ class TestPartialPassEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Forced shard counts: every contiguous cut merges back byte-identically.
+# ----------------------------------------------------------------------
+@contextmanager
+def shard_settings(backend, max_shards: int, keep_fusion_runs: bool = False):
+    """Temporarily re-plan the module-shared backend (its pool is reused)."""
+    saved = backend.max_shards, backend.keep_fusion_runs
+    backend.max_shards, backend.keep_fusion_runs = max_shards, keep_fusion_runs
+    try:
+        yield backend
+    finally:
+        backend.max_shards, backend.keep_fusion_runs = saved
+
+
+def distinct_batch(k: int = 6) -> BatchedListColoringInstance:
+    """``k`` instances of mixed families and sizes."""
+    rng = np.random.default_rng(31)
+    instances = []
+    while len(instances) < k:
+        instance = random_instance(rng)
+        if instance.n > 0:
+            instances.append(instance)
+    return BatchedListColoringInstance.from_instances(instances)
+
+
+class TestShardedEquivalence:
+    @pytest.mark.parametrize("shards", [2, 3, 5])
+    def test_solve_forced_shard_counts_identical(self, process_backend, shards):
+        batch = distinct_batch()
+        serial = solve_list_coloring_batch(batch)
+        with shard_settings(process_backend, shards):
+            parallel = solve_list_coloring_batch(batch, backend=process_backend)
+        assert_batch_results_equal(serial, parallel, f"shards={shards}")
+        record = process_backend.telemetry[-1]
+        assert record["requested_shards"] == shards
+        assert record["effective_shards"] == shards
+        assert record["mode"] == "instance"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_random_shard_counts_identical(self, process_backend, seed):
+        rng = np.random.default_rng(seed + 200)
+        instances = random_batch(seed + 200, max_k=8) or [
+            make_delta_plus_one_instance(gen.cycle_graph(7))
+        ]
+        batch = BatchedListColoringInstance.from_instances(instances)
+        serial = solve_list_coloring_batch(batch)
+        shards = int(rng.integers(2, 9))
+        keep_runs = bool(rng.integers(0, 2))
+        with shard_settings(process_backend, shards, keep_runs):
+            parallel = solve_list_coloring_batch(batch, backend=process_backend)
+        assert_batch_results_equal(
+            serial, parallel, f"seed={seed} shards={shards} keep={keep_runs}"
+        )
+        plan = plan_shards(
+            batch, min(shards, batch.num_instances), keep_fusion_runs=keep_runs
+        )
+        assert process_backend.telemetry[-1]["effective_shards"] == (
+            plan.effective_shards
+        )
+
+    def test_partial_pass_size_one_shards_with_ledgers(self, process_backend):
+        batch = distinct_batch(5)
+        k = batch.num_instances
+        psis = np.concatenate(
+            [np.arange(inst.n, dtype=np.int64) for inst in batch.split()]
+        )
+        nums = [max(2, inst.n) for inst in batch.split()]
+        serial_ledgers = [RoundLedger() if i != 2 else None for i in range(k)]
+        serial = partial_coloring_pass_batch(
+            batch, psis, nums, ledgers=serial_ledgers
+        )
+        parallel_ledgers = [RoundLedger() if i != 2 else None for i in range(k)]
+        with shard_settings(process_backend, k):
+            parallel = process_backend.partial_pass_batch(
+                batch, psis, nums, ledgers=parallel_ledgers
+            )
+        record = process_backend.telemetry[-1]
+        assert record["op"] == "partial_pass"
+        assert record["effective_shards"] == k
+        for i, (s, p) in enumerate(zip(serial, parallel)):
+            assert_outcomes_equal(s, p, f"outcome[{i}]")
+        for i, (s, p) in enumerate(zip(serial_ledgers, parallel_ledgers)):
+            if s is None:
+                assert p is None
+            else:
+                assert_ledgers_equal(s, p, f"ledger[{i}]")
+
+    def test_stream_chunks_follow_plan_bounds(self, process_backend):
+        batch = distinct_batch()
+        with shard_settings(process_backend, 3):
+            spans = sorted(
+                (lo, hi) for lo, hi, _ in process_backend.solve_batch_iter(batch)
+            )
+        bounds = plan_shards(batch, 3, keep_fusion_runs=False).bounds.tolist()
+        assert spans == list(zip(bounds[:-1], bounds[1:]))
+
+
+class TestShmHygiene:
+    """No shared-memory segment or pool semaphore outlives a closed
+    backend, whether its dispatches completed or raised."""
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_no_segments_after_sharded_solve(self, start_method):
+        before = shm_segments()
+        batch = distinct_batch(4)
+        serial = solve_list_coloring_batch(batch)
+        with ProcessBackend(
+            workers=WORKERS, start_method=start_method, keep_fusion_runs=False
+        ) as backend:
+            parallel = solve_list_coloring_batch(batch, backend=backend)
+            assert backend.telemetry[-1]["effective_shards"] > 1
+        assert_batch_results_equal(serial, parallel)
+        assert leaked_segments(before) == []
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_no_segments_after_worker_exception(self, start_method):
+        before = shm_segments()
+        batch = distinct_batch(4)
+        with ProcessBackend(
+            workers=WORKERS, start_method=start_method, keep_fusion_runs=False
+        ) as backend:
+            with pytest.raises(RuntimeError, match="schedule exploded"):
+                solve_list_coloring_batch(
+                    batch, backend=backend, r_schedule=raising_schedule
+                )
+            (record,) = backend.telemetry
+            assert record["op"] == "solve"
+        assert leaked_segments(before) == []
+
+
+# ----------------------------------------------------------------------
 # Backend resolution and plumbing.
 # ----------------------------------------------------------------------
 class TestResolution:
@@ -371,6 +597,19 @@ class TestResolution:
     def test_process_backend_invalid_workers(self):
         with pytest.raises(ValueError):
             ProcessBackend(workers=0)
+
+    def test_sweep_workers_accepts_only_zero(self):
+        """The seed axis is gone: ``sweep_workers=0`` is still accepted
+        (and changes nothing), any other value is refused."""
+        instances = [make_delta_plus_one_instance(gen.cycle_graph(8))] * 2
+        batch = BatchedListColoringInstance.from_instances(instances)
+        with ProcessBackend(workers=2, sweep_workers=0) as backend:
+            result = solve_list_coloring_batch(batch, backend=backend)
+            assert backend.telemetry[-1]["mode"] == "instance"
+        assert_batch_results_equal(solve_list_coloring_batch(batch), result)
+        for value in (1, 2, None):
+            with pytest.raises(ValueError, match="seed axis was removed"):
+                ProcessBackend(workers=2, sweep_workers=value)
 
     def test_backend_scope_closes_created_pools_only(self):
         # A name spec creates the backend, so the scope must close it...

@@ -10,7 +10,9 @@ traces — are asserted *exactly* equal across those knobs, not approx.
 The integer weighting itself is checked against the original full-width
 float weighting (:func:`float_weight_reference`) within ``REFERENCE_RTOL``,
 and the table-driven count kernel bit for bit against the per-cell counting
-DP it replaced (:func:`dp_count_reference`).
+DP it replaced (:func:`dp_count_reference`).  The integer count / weight
+split is checked to be chunk-boundary stable and picklable
+(``TestKernelSplit``).
 """
 
 import pickle
@@ -246,6 +248,69 @@ class TestCountTable:
         want = dp_count_reference(kernel, np.arange(64))
         assert np.array_equal(counts, want)
         assert kernel.fingerprint == PINNED_FINGERPRINT
+
+
+class TestKernelSplit:
+    """``count_rows`` is elementwise per (seed row, count column), so any
+    partition of the seed range assembles the same integer matrix, and
+    ``weight_rows`` over it reproduces ``expected_rows`` bit for bit."""
+
+    @pytest.mark.parametrize("buckets", [2, 4])
+    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_count_then_weight_matches_expected_rows(self, buckets, compress, seed):
+        group = random_group(3, buckets=buckets, seed=seed)
+        sweep = SeedSweepWorkspace(group, compress=compress)
+        order = 1 << group[0].family.m
+        s1s = np.arange(order, dtype=np.int64)
+        counts = sweep.kernel.count_rows(s1s)
+        via_split = sweep.weight_rows(counts)
+        direct = SeedSweepWorkspace(group, compress=compress).expected_rows(s1s)
+        assert np.array_equal(via_split, direct)
+
+    @pytest.mark.parametrize("chunks", [2, 3, 5, 7])
+    def test_counts_chunk_boundary_stable(self, chunks):
+        group = random_group(3, buckets=4, seed=2)
+        sweep = SeedSweepWorkspace(group)
+        kernel = sweep.kernel
+        order = 1 << group[0].family.m
+        whole = kernel.count_rows(np.arange(order, dtype=np.int64)).copy()
+        assembled = np.empty_like(whole)
+        edges = (order * np.arange(chunks + 1, dtype=np.int64)) // chunks
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            kernel.count_rows(
+                np.arange(lo, hi, dtype=np.int64), out=assembled[lo:hi]
+            )
+        assert np.array_equal(assembled, whole)
+
+    def test_kernel_pickles_without_field_tables(self):
+        group = random_group(1, seed=3)
+        kernel = SeedSweepWorkspace(group).kernel
+        _ = kernel.family  # force the lazy family
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone._family is None  # tables rebuilt lazily in the worker
+        s1s = np.arange(16, dtype=np.int64)
+        assert np.array_equal(clone.count_rows(s1s), kernel.count_rows(s1s))
+        assert clone.fingerprint == kernel.fingerprint
+
+    def test_fingerprint_distinguishes_workspaces(self):
+        a = SeedSweepWorkspace(random_group(2, seed=4)).kernel
+        b = SeedSweepWorkspace(random_group(2, seed=5)).kernel
+        assert a.fingerprint != b.fingerprint
+        again = SeedSweepWorkspace(random_group(2, seed=4)).kernel
+        assert a.fingerprint == again.fingerprint
+
+    def test_weight_rows_rejects_bad_counts(self):
+        group = random_group(2, seed=6)
+        sweep = SeedSweepWorkspace(group)
+        with pytest.raises(ValueError):
+            sweep.weight_rows(
+                np.zeros((4, sweep.kernel.count_width + 1), dtype=np.int64)
+            )
+        with pytest.raises(ValueError):
+            sweep.weight_rows(
+                np.zeros((4, sweep.kernel.count_width), dtype=np.float64)
+            )
 
 
 class TestIntegerWeighting:

@@ -7,9 +7,9 @@ Four layers, mirroring the subsystem's structure:
    request; ``due`` / ``flush_all`` pop oldest-first.
 2. **Streaming backend** — ``solve_batch_iter`` chunks tile the batch
    exactly once and sorted-concatenate byte-identically to
-   ``solve_batch`` in every dispatch mode (instance / seed / both /
-   inline), under fork AND spawn; eager validation, early close and the
-   serial default are covered.
+   ``solve_batch`` on pool shards and on the inline single-shard path,
+   under fork AND spawn; eager validation, early close and the serial
+   default are covered.
 3. **Service equivalence** — randomized concurrent submissions through a
    :class:`ColoringService` resolve byte-identically to standalone
    ``solve_list_coloring_congest`` calls, over both start methods, with
@@ -25,7 +25,6 @@ Pool size defaults to 2 workers; CI pins it via ``REPRO_TEST_WORKERS=2``.
 from __future__ import annotations
 
 import asyncio
-import glob
 import multiprocessing as mp
 import os
 
@@ -33,11 +32,12 @@ import numpy as np
 import pytest
 
 from equivalence import assert_batch_results_equal, assert_coloring_results_equal
+from faults import leaked_segments, shm_segments
 from repro.core.instances import make_delta_plus_one_instance
 from repro.core.list_coloring import solve_list_coloring_congest
 from repro.core.sweep_cache import SweepResultCache
 from repro.graphs import generators as gen
-from repro.parallel import SHM_PREFIX, ProcessBackend, SerialBackend
+from repro.parallel import ProcessBackend, SerialBackend
 from repro.parallel.sharding import instance_fusion_signature
 from repro.serving import ColoringService, PendingRequest, RequestCoalescer
 from test_parallel_backend import random_batch, random_instance
@@ -46,15 +46,13 @@ WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 START_METHODS = [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
 
 
-def leaked_segments() -> list:
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
-
-
 @pytest.fixture(scope="module", params=START_METHODS)
 def process_backend(request):
     """One pool per start method, shared across the module (spawn worker
-    startup re-imports repro, so reuse keeps the suite fast)."""
+    startup re-imports repro, so reuse keeps the suite fast).  Prewarmed,
+    so the semaphores of its live pool predate every leak snapshot."""
     backend = ProcessBackend(workers=WORKERS, start_method=request.param)
+    backend.prewarm()
     yield backend
     backend.close()
 
@@ -187,45 +185,28 @@ class TestSolveBatchIter:
         ]
         batch = BatchedListColoringInstance.from_instances(instances)
         with ProcessBackend(
-            workers=WORKERS, sweep_workers=0, keep_fusion_runs=False
+            workers=WORKERS, keep_fusion_runs=False
         ) as backend:
             chunks = collect_chunks(backend, batch)
             assert len(chunks) > 1
             assert backend.telemetry[-1]["mode"] == "instance"
 
-    def test_both_mode_yields_per_shard_chunks(self):
+    def test_single_shard_yields_one_inline_chunk(self):
         from repro.core.instances import BatchedListColoringInstance
 
-        instances = [
-            regular_instance(seed=s, n=16, degree=d)
-            for s, d in ((1, 4), (2, 4), (3, 6), (4, 6))
-        ]
-        batch = BatchedListColoringInstance.from_instances(instances)
-        reference = SerialBackend().solve_batch(batch)
-        with ProcessBackend(workers=WORKERS, sweep_workers=WORKERS) as backend:
-            backend._choose_mode = lambda plan: "both"
-            chunks = collect_chunks(backend, batch)
-            assert len(chunks) == 2  # one per fusion run
-            assert backend.telemetry[-1]["mode"] == "both"
-        from repro.parallel.sharding import merge_solve_results
-
-        merged = merge_solve_results(
-            result for _lo, _hi, result in sorted(chunks, key=lambda c: c[0])
-        )
-        assert_batch_results_equal(reference, merged)
-
-    def test_seed_mode_yields_single_chunk(self):
-        from repro.core.instances import BatchedListColoringInstance
-
-        # Homogeneous batch: fusion runs collapse it to one shard, the
-        # seed axis picks up the parallelism.
+        # Homogeneous batch: fusion runs collapse it to one shard, which
+        # is solved inline as one chunk covering the whole batch.
         instances = [regular_instance(seed=s) for s in range(3)]
         batch = BatchedListColoringInstance.from_instances(instances)
-        with ProcessBackend(workers=WORKERS, sweep_workers=WORKERS) as backend:
-            chunks = collect_chunks(backend, batch)
-            assert backend.telemetry[-1]["mode"] == "seed"
-        assert len(chunks) == 1
-        assert (chunks[0][0], chunks[0][1]) == (0, batch.num_instances)
+        reference = SerialBackend().solve_batch(batch)
+        with ProcessBackend(workers=WORKERS) as backend:
+            ((lo, hi, result),) = collect_chunks(backend, batch)
+            record = backend.telemetry[-1]
+            assert backend._executor is None  # inline: no pool was built
+        assert (lo, hi) == (0, batch.num_instances)
+        assert record["mode"] == "instance"
+        assert record["effective_shards"] == 1
+        assert_batch_results_equal(reference, result)
 
     def test_rng_rejected_eagerly(self, process_backend):
         from repro.core.instances import BatchedListColoringInstance
@@ -247,6 +228,7 @@ class TestSolveBatchIter:
     def test_early_close_keeps_pool_reusable(self):
         from repro.core.instances import BatchedListColoringInstance
 
+        before = shm_segments()
         instances = [
             regular_instance(seed=s, n=16, degree=d)
             for s, d in ((1, 4), (2, 6), (3, 4), (4, 6))
@@ -254,7 +236,7 @@ class TestSolveBatchIter:
         batch = BatchedListColoringInstance.from_instances(instances)
         reference = SerialBackend().solve_batch(batch)
         with ProcessBackend(
-            workers=WORKERS, sweep_workers=0, keep_fusion_runs=False
+            workers=WORKERS, keep_fusion_runs=False
         ) as backend:
             iterator = backend.solve_batch_iter(batch)
             next(iterator)
@@ -264,7 +246,7 @@ class TestSolveBatchIter:
             # The pool survives an abandoned stream and solves again,
             # byte-identically.
             assert_batch_results_equal(reference, backend.solve_batch(batch))
-        assert leaked_segments() == []
+        assert leaked_segments(before) == []
 
     def test_serial_backend_default_single_chunk(self):
         from repro.core.instances import BatchedListColoringInstance
@@ -295,6 +277,7 @@ def submit_all(service: ColoringService, instances: list) -> list:
 class TestServiceEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_responses_match_standalone_solves(self, process_backend, seed):
+        before = shm_segments()
         instances = random_batch(seed) or [regular_instance(seed)]
         direct = [solve_list_coloring_congest(inst) for inst in instances]
         service = ColoringService(
@@ -303,11 +286,12 @@ class TestServiceEquivalence:
         served = submit_all(service, instances)
         for i, (expected, got) in enumerate(zip(direct, served)):
             assert_coloring_results_equal(expected, got, f"request[{i}]")
-        assert leaked_segments() == []
+        assert leaked_segments(before) == []
 
     def test_repeat_traffic_hits_cache_and_stays_identical(
         self, process_backend
     ):
+        before = shm_segments()
         instances = [regular_instance(s) for s in range(3)]
         direct = [solve_list_coloring_congest(inst) for inst in instances]
         service = ColoringService(
@@ -318,8 +302,30 @@ class TestServiceEquivalence:
             assert_coloring_results_equal(direct[j % 3], got, f"request[{j}]")
         cache = service.stats()["cache"]
         assert cache["hits"] > 0  # later waves served from the cache
-        assert leaked_segments() == []
+        assert leaked_segments(before) == []
 
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_coalesced_group_split_across_shards(self, start_method):
+        """With fusion runs off, one coalesced same-signature group is cut
+        into pool shards and streamed back chunk by chunk; every response
+        still equals its standalone solve."""
+        before = shm_segments()
+        instances = [regular_instance(s) for s in range(4)]
+        direct = [solve_list_coloring_congest(inst) for inst in instances]
+        with ProcessBackend(
+            workers=WORKERS, start_method=start_method, keep_fusion_runs=False
+        ) as backend:
+            service = ColoringService(
+                backend, max_batch_instances=4, max_delay_ms=5.0
+            )
+            served = submit_all(service, instances)
+            assert any(
+                record["effective_shards"] > 1 for record in backend.telemetry
+            )
+        for i, (expected, got) in enumerate(zip(direct, served)):
+            assert_coloring_results_equal(expected, got, f"request[{i}]")
+        assert leaked_segments(before) == []
 
 # ----------------------------------------------------------------------
 # 4. Service behavior
@@ -425,6 +431,7 @@ class TestServiceBehavior:
         assert asyncio.run(drive()) == [True, True, True]
 
     def test_owned_backend_closed_caller_backend_left_open(self):
+        before = shm_segments()
         # Caller-owned: the service must not shut the backend down.
         backend = SerialBackend()
         service = ColoringService(backend)
@@ -434,13 +441,11 @@ class TestServiceBehavior:
         owned = ColoringService("process", workers=WORKERS)
         submit_all(owned, [regular_instance(s) for s in range(2)])
         assert owned._backend._executor is None
-        assert leaked_segments() == []
+        assert leaked_segments(before) == []
 
     def test_service_adopts_backend_cache(self):
         cache = SweepResultCache()
-        backend = ProcessBackend(
-            workers=1, sweep_workers=0, sweep_cache=cache
-        )
+        backend = ProcessBackend(workers=1, sweep_cache=cache)
         service = ColoringService(backend)
         assert service.sweep_cache is cache
         with pytest.raises(ValueError, match="not both"):
@@ -454,7 +459,6 @@ class TestServiceBehavior:
         def run_generation():
             service = ColoringService(
                 workers=1,
-                sweep_workers=0,
                 max_batch_instances=2,
                 cache_dir=tmp_path,
             )

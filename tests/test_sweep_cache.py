@@ -5,20 +5,19 @@ Four layers, mirroring the subsystem's structure:
 1. **Cache unit behavior** — bitwise store/load round-trips, LRU
    eviction under a tiny byte budget, read-only entries, admission.
 2. **Derandomize integration** — cold, warm, and uncached grouped
-   sweeps produce identical SeedChoices; the dispatcher's counts-only
-   fan-out is used on misses and dispatchers without one still work.
+   sweeps produce identical SeedChoices; the ambient scope and a refused
+   admission behave.
 3. **Disk tier** — persistence across cache instances, atomicity of the
    entry files, and corrupted / truncated / mismatched entries falling
    back to recompute (plus repair-by-overwrite).
 4. **Process backend** — cache-aware solves under fork and spawn are
    byte-identical to serial, telemetry carries per-dispatch cache
-   deltas, fully-warm dispatches skip cost-model calibration, and the
+   deltas, pool workers never touch the coordinator's cache, and the
    kernel fingerprint is stable across process boundaries.
 """
 
 from __future__ import annotations
 
-import glob
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -39,17 +38,14 @@ from repro.core.list_coloring import solve_list_coloring_batch
 from repro.core.potential import SeedSweepWorkspace, SweepCountKernel
 from repro.core.sweep_cache import SweepResultCache
 from repro.graphs import generators as gen
-from repro.parallel import SHM_PREFIX, ProcessBackend
+from repro.parallel import ProcessBackend
 
 from equivalence import assert_batch_results_equal, assert_seed_choices_equal
+from faults import leaked_segments, shm_segments
 from test_seed_sweep_compression import random_group
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 START_METHODS = [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
-
-
-def leaked_segments() -> list:
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
 
 
 def make_sweep(seed: int = 0, buckets: int = 2, n: int = 30):
@@ -196,74 +192,32 @@ class TestDerandomizeWithCache:
         for i, (ref, got) in enumerate(zip(reference, choices)):
             assert_seed_choices_equal(ref, got, f"streamed[{i}]")
 
-    def test_miss_uses_dispatcher_sweep_counts(self):
-        """On a miss the counts-only fan-out is preferred; the val1 path
-        must not run (the cache owns the weighting)."""
-        group = random_group(3, seed=5)
-        reference = derandomize_phase_group(group)
 
-        class CountsDispatcher:
-            calls = 0
-            val1_calls = 0
-
-            def sweep_val1(self, sweep, order, chunk_size, out):
-                type(self).val1_calls += 1
-                return False
-
-            def sweep_counts(self, sweep, order, out):
-                type(self).calls += 1
-                sweep.kernel.count_rows(
-                    np.arange(order, dtype=np.int64), out=out
-                )
-                return True
-
+    def test_miss_stores_the_serial_count_matrix(self):
+        """A miss counts the whole seed range serially, in chunks, and
+        stores exactly the matrix one ``count_rows`` call over it gives."""
+        group, sweep, order = make_sweep(seed=5, buckets=4)
         cache = SweepResultCache()
-        choices = derandomize_phase_group(
-            group, sweep_dispatcher=CountsDispatcher(), sweep_cache=cache
-        )
-        assert CountsDispatcher.calls == 1
-        assert CountsDispatcher.val1_calls == 0
+        derandomize_phase_group(group, sweep_cache=cache, chunk_size=7)
         assert cache.stats()["stores"] == 1
-        for i, (ref, got) in enumerate(zip(reference, choices)):
-            assert_seed_choices_equal(ref, got, f"fanout[{i}]")
+        stored = cache.load(sweep.kernel, order)
+        assert stored is not None
+        assert np.array_equal(stored, full_counts(sweep, order))
 
-    def test_dispatcher_without_sweep_counts_still_works(self):
-        """Pre-cache dispatchers (only ``sweep_val1``) are still valid:
-        the miss path falls back to the serial kernel fill."""
-        group = random_group(2, seed=6)
+    def test_hit_skips_counting(self, monkeypatch):
+        group = random_group(3, buckets=2, seed=6)
         reference = derandomize_phase_group(group)
-
-        class LegacyDispatcher:
-            def sweep_val1(self, sweep, order, chunk_size, out):
-                return False
-
         cache = SweepResultCache()
-        choices = derandomize_phase_group(
-            group, sweep_dispatcher=LegacyDispatcher(), sweep_cache=cache
-        )
-        assert cache.stats()["stores"] == 1
-        for i, (ref, got) in enumerate(zip(reference, choices)):
-            assert_seed_choices_equal(ref, got, f"legacy[{i}]")
+        derandomize_phase_group(group, sweep_cache=cache)
 
-    def test_declining_sweep_counts_falls_back_serial(self):
-        group = random_group(2, seed=7)
-        reference = derandomize_phase_group(group)
+        def no_counting(self, s1_values, out=None):
+            raise AssertionError("a cache hit must not recount")
 
-        class DecliningDispatcher:
-            def sweep_val1(self, sweep, order, chunk_size, out):
-                return False
-
-            def sweep_counts(self, sweep, order, out):
-                return False  # e.g. too little work, forked copy
-
-        cache = SweepResultCache()
-        choices = derandomize_phase_group(
-            group, sweep_dispatcher=DecliningDispatcher(), sweep_cache=cache
-        )
-        assert cache.stats()["stores"] == 1
-        for i, (ref, got) in enumerate(zip(reference, choices)):
-            assert_seed_choices_equal(ref, got, f"declined[{i}]")
-
+        monkeypatch.setattr(SweepCountKernel, "count_rows", no_counting)
+        warm = derandomize_phase_group(group, sweep_cache=cache)
+        assert cache.stats()["hits"] == 1
+        for i, (ref, got) in enumerate(zip(reference, warm)):
+            assert_seed_choices_equal(ref, got, f"warm[{i}]")
 
 # ----------------------------------------------------------------------
 # 3. Disk tier
@@ -489,7 +443,7 @@ class TestFingerprintStability:
 
 
 def homogeneous_batch(copies: int = 4, n: int = 40) -> BatchedListColoringInstance:
-    """All instances share one fusion signature → seed mode (inline)."""
+    """All instances share one fusion signature → one shard (inline)."""
     instances = [
         make_delta_plus_one_instance(gen.gnp_graph(n, 0.2, seed=7))
         for _ in range(copies)
@@ -500,6 +454,7 @@ def homogeneous_batch(copies: int = 4, n: int = 40) -> BatchedListColoringInstan
 @pytest.mark.parametrize("start_method", START_METHODS)
 class TestBackendCacheAware:
     def test_warm_solves_identical_and_telemetry(self, start_method):
+        before = shm_segments()
         batch = homogeneous_batch()
         serial = solve_list_coloring_batch(batch)
         cache = SweepResultCache()
@@ -514,22 +469,18 @@ class TestBackendCacheAware:
             assert cold_record["cache"]["stores"] > 0
             assert cold_record["cache"]["hits"] == 0
 
-            sentinel = 0.777
-            backend.cost_model.sweep_fraction = sentinel
             warm = solve_list_coloring_batch(batch, backend=backend)
             assert_batch_results_equal(serial, warm)
             warm_record = backend.telemetry[-1]
             assert warm_record["cache"]["hits"] > 0
             assert warm_record["cache"]["stores"] == 0
             assert warm_record["cache"]["misses"] == 0
-            # Fully warm: no sweep dispatched, so the cost model must not
-            # have folded a zero sweep share into its Amdahl estimate.
-            assert backend.cost_model.sweep_fraction == sentinel
-        assert not leaked_segments()
+        assert not leaked_segments(before)
 
     def test_ambient_cache_reaches_inline_modes(self, start_method):
         """A caller-scoped cache (no backend kwarg) is still consulted by
-        the backend's inline dispatch modes."""
+        the backend's inline single-shard dispatch."""
+        before = shm_segments()
         batch = homogeneous_batch(copies=2)
         serial = solve_list_coloring_batch(batch)
         cache = SweepResultCache()
@@ -543,12 +494,13 @@ class TestBackendCacheAware:
         assert_batch_results_equal(serial, warm)
         assert cache.stats()["hits"] > 0
         assert backend.telemetry[-1]["cache"]["hits"] > 0
-        assert not leaked_segments()
+        assert not leaked_segments(before)
 
     def test_instance_mode_workers_pin_cache_off(self, start_method):
-        """Sharded (instance-mode) dispatch must not grow per-worker cache
-        copies: the shard entry points pin a null cache scope, so the
-        coordinator cache sees no traffic from pool workers."""
+        """Sharded dispatch must not grow per-worker cache copies: the
+        shard entry point pins a null cache scope, so the coordinator
+        cache sees no traffic from pool workers."""
+        before = shm_segments()
         instances = [
             make_delta_plus_one_instance(gen.gnp_graph(30, 0.2, seed=s))
             for s in range(4)
@@ -559,13 +511,11 @@ class TestBackendCacheAware:
         with ProcessBackend(
             workers=WORKERS,
             start_method=start_method,
-            sweep_workers=0,  # seed axis off → instance sharding
             keep_fusion_runs=False,
             sweep_cache=cache,
         ) as backend:
             result = solve_list_coloring_batch(batch, backend=backend)
-            mode = backend.telemetry[-1]["mode"]
         assert_batch_results_equal(serial, result)
-        if mode == "instance" and backend.telemetry[-1]["effective_shards"] > 1:
+        if backend.telemetry[-1]["effective_shards"] > 1:
             assert cache.stats()["stores"] == 0
-        assert not leaked_segments()
+        assert not leaked_segments(before)
