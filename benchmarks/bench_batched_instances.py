@@ -157,6 +157,7 @@ def main() -> int:
             speedup=speedup,
             min_speedup=args.min_speedup,
             guard=guard,
+            identity="ok",  # asserted above, before any timing
         )
     return 1 if guard == "fail" else 0
 

@@ -11,7 +11,11 @@ import pytest
 
 from repro.core.counting import count_xor_below
 from repro.core.derandomize import derandomize_phase
-from repro.core.potential import PhaseEstimator, SeedSweepWorkspace
+from repro.core.potential import (
+    PhaseEstimator,
+    SeedSweepWorkspace,
+    exact_by_sigma_grouped,
+)
 from repro.hashing.gf2 import GF2m, get_field
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -105,9 +109,13 @@ def test_kernel_expected_by_s1(benchmark, estimator):
     assert len(values) == 256
 
 
-def test_kernel_exact_by_sigma(benchmark, estimator):
-    values = benchmark(estimator.exact_by_sigma, 37)
-    assert len(values) == 1 << estimator.b
+def test_kernel_sigma_descent(benchmark, estimator):
+    ((sigma, trace, final, root),) = benchmark(
+        exact_by_sigma_grouped, [estimator], [37]
+    )
+    assert 0 <= sigma < 1 << estimator.b
+    assert len(trace) == estimator.b
+    assert final <= root + 1e-9
 
 
 def test_kernel_full_phase_derandomization(benchmark, estimator):

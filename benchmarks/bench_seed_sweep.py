@@ -23,6 +23,18 @@ Exits non-zero if the sweep speedup falls below ``--min-speedup``
 (default 5×), so CI catches regressions that reintroduce per-edge work
 into the derandomization hot path.
 
+A second leg times the σ half of a phase at the s1 each member chose:
+
+* **sigma_reference** — the full 2^b sweep the σ descent replaced
+  (``sigma_sweep_reference`` in the tests: a (nodes × 2^b) bucket matrix,
+  per-edge float contributions, then greedy block means);
+* **sigma_descent** — :func:`~repro.core.potential.exact_by_sigma_grouped`,
+  b levels of exact clipped-threshold counts over the whole group.
+
+Before timing, every member's σ, σ trace, final value and root value from
+the descent are asserted bit-identical to the tests' exact-integer oracle
+(``sigma_descent_reference``); the σ leg is recorded, not guarded.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_seed_sweep.py \
@@ -38,16 +50,28 @@ import time
 
 import numpy as np
 
-from repro.core.derandomize import derandomize_phase_group
+from repro.core.derandomize import (
+    derandomize_phase_group,
+    fix_bits_greedily_many,
+)
 from repro.core.potential import (
     PhaseEstimator,
     SeedSweepWorkspace,
+    exact_by_sigma_grouped,
     expected_by_s1_grouped,
 )
 from repro.hashing.pairwise import PairwiseFamily
 
-sys.path.insert(0, os.path.dirname(__file__))
+HERE = os.path.dirname(__file__)
+sys.path.insert(0, HERE)
 from _perf_json import add_json_arg, write_perf_json  # noqa: E402
+
+# The σ oracles live next to the tests that pin the descent against them.
+sys.path.insert(0, os.path.join(HERE, "..", "tests"))
+from test_seed_sweep_compression import (  # noqa: E402
+    sigma_descent_reference,
+    sigma_sweep_reference,
+)
 
 CHUNK = 512
 
@@ -96,6 +120,27 @@ def reference_sweep(estimators: list, order: int) -> np.ndarray:
     return val1
 
 
+def sigma_sweep(estimators: list, s1s: np.ndarray) -> np.ndarray:
+    """σ by greedy block means over each member's full 2^b float sweep."""
+    values = np.stack(
+        [sigma_sweep_reference(est, s1) for est, s1 in zip(estimators, s1s)]
+    )
+    return fix_bits_greedily_many(values)[0]
+
+
+def assert_descent_matches_oracle(estimators: list, s1s: np.ndarray) -> None:
+    got = exact_by_sigma_grouped(estimators, s1s)
+    for est, s1, (sigma, trace, final, root) in zip(estimators, s1s, got):
+        want_sigma, want_trace, want_final, want_root = sigma_descent_reference(
+            est, s1
+        )
+        assert sigma == want_sigma, "σ choice diverged from the oracle"
+        assert trace == want_trace, "σ trace diverged from the oracle"
+        assert (final, root) == (want_final, want_root), (
+            "σ final or root value diverged from the oracle"
+        )
+
+
 def best_of(fn, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -140,12 +185,16 @@ def main() -> int:
     field.use_tables = True
     assert np.array_equal(val1_new, val1_ref), "val1 sweep diverged"
     assert_choices_identical(choices_new, choices_ref)
+    s1s = np.array([choice.s1 for choice in choices_new], dtype=np.int64)
+    assert_descent_matches_oracle(estimators, s1s)
 
     t_new = best_of(lambda: optimized_sweep(estimators, order))
     field.use_tables = False
     t_ref = best_of(lambda: reference_sweep(estimators, order))
     field.use_tables = True
     speedup = t_ref / t_new
+    t_sigma_ref = best_of(lambda: sigma_sweep(estimators, s1s))
+    t_sigma = best_of(lambda: exact_by_sigma_grouped(estimators, s1s))
 
     print(
         f"instances={args.instances} edges={edges} unique-columns={unique} "
@@ -155,6 +204,12 @@ def main() -> int:
     print(
         f"table/compressed sweep:                    {t_new * 1000:8.1f} ms"
         f"   ({speedup:.1f}x)"
+    )
+    label = f"σ full 2^{estimators[0].b} sweep + greedy:"
+    print(f"{label:<43}{t_sigma_ref * 1000:8.1f} ms")
+    print(
+        f"{'σ bit-by-bit descent:':<43}{t_sigma * 1000:8.1f} ms"
+        f"   ({t_sigma_ref / t_sigma:.1f}x, not guarded)"
     )
 
     guard = "ok"
@@ -179,10 +234,16 @@ def main() -> int:
                 "edges": edges,
                 "unique_columns": unique,
             },
-            timings_seconds={"reference": t_ref, "optimized": t_new},
+            timings_seconds={
+                "reference": t_ref,
+                "optimized": t_new,
+                "sigma_reference": t_sigma_ref,
+                "sigma_descent": t_sigma,
+            },
             speedup=speedup,
             min_speedup=args.min_speedup,
             guard=guard,
+            identity="ok",  # asserted above, before any timing
         )
     return 1 if guard == "fail" else 0
 

@@ -7,12 +7,14 @@ bit: for each bit, the conditional expectation of the potential given the
 already-fixed prefix and either value of the next bit is computed, and the
 smaller branch is kept — Eq. (7) of the paper.
 
-Because :class:`~repro.core.potential.PhaseEstimator` produces the full
-conditional-value arrays (``val1[s1]`` = E[potential | s1], ``val2[σ]`` =
-exact potential given (s1, σ)), the conditional expectation after fixing any
-bit prefix is simply the mean of the corresponding contiguous block, and the
-greedy bit choice is exact — no sampling, no approximation beyond the coin
-rounding that Lemma 2.3 already accounts for.
+The multiplicative seed s1 is fixed from the full array ``val1[s1]`` =
+E[potential | s1] (one fused sweep over all 2^m seeds): the conditional
+expectation after fixing any bit prefix of s1 is the mean of a contiguous
+block of ``val1``.  σ is then fixed level by level, never from a per-σ
+array: :func:`~repro.core.potential.exact_by_sigma_grouped` evaluates each
+level's two candidate blocks of σ from exact integer counts and keeps the
+smaller.  Both choices are exact — no sampling, no approximation beyond
+the coin rounding that Lemma 2.3 already accounts for.
 
 In the CONGEST model each bit costs one aggregation + one broadcast over a
 BFS tree (O(D) rounds); in the CONGESTED CLIQUE / MPC models whole λ-bit
@@ -156,10 +158,11 @@ def derandomize_phase(
     """Choose a good seed for one phase (Lemma 2.6).
 
     Computes ``val1[s1]`` for all 2^m multiplicative seeds (in chunks, to
-    bound memory), greedily fixes the m bits of s1, then computes the exact
-    ``val2[σ]`` array and fixes the b bits of σ.  When ``strict``, internal
-    consistency (mean of val2 equals val1 at the chosen s1; Eq. (7)
-    monotonicity; final ≤ initial expectation) is asserted.
+    bound memory), greedily fixes the m bits of s1, then fixes the b bits
+    of σ by the exact per-level descent.  When ``strict``, internal
+    consistency (the descent's value over the whole σ range equals
+    ``val1`` at the chosen s1 exactly; Eq. (7) monotonicity; final ≤
+    initial expectation) is asserted.
 
     Single-estimator view of :func:`derandomize_phase_group`.
     """
@@ -186,10 +189,11 @@ def derandomize_phase_group(
     instead of 2^m / chunk_size times; each chunk writes its columns
     straight into the ``val1`` matrix.  Each instance then fixes its own
     seed bits independently (segmented argmin over its own conditional
-    expectations), so the returned :class:`SeedChoice` per estimator is
-    identical to a standalone :func:`derandomize_phase` call.
-    ``compress=False`` forces the uncompressed reference kernels (results
-    are bit-identical; used by tests and the benchmark guard).
+    expectations, then one σ descent batched over the group), so the
+    returned :class:`SeedChoice` per estimator is identical to a standalone
+    :func:`derandomize_phase` call.  ``compress=False`` forces the
+    uncompressed reference columns of the s1 sweep (results are
+    bit-identical; used by tests and the benchmark guard).
     ``sweep_cache`` (default: the ambient one from
     :func:`sweep_cache_scope`) memoizes the integer count matrix by kernel
     fingerprint: a hit skips the 2^m integer enumeration entirely — only
@@ -239,29 +243,21 @@ def derandomize_phase_group(
             )
 
     # Fix every instance's s1 bits first (one vectorized greedy descent over
-    # all rows), then evaluate the exact σ arrays for the whole group in one
-    # fused sweep and fix the σ bits the same way.
+    # all rows), then descend σ for the whole group at once.
     s1s, traces1 = fix_bits_greedily_many(val1)
-    val2s = exact_by_sigma_grouped(estimators, s1s, compress=compress)
-    sigmas, traces2 = fix_bits_greedily_many(np.stack(val2s))
+    descents = exact_by_sigma_grouped(estimators, s1s)
 
     choices = []
     for j, estimator in enumerate(estimators):
         row = val1[j]
         initial = float(row.mean())
         s1, trace1 = int(s1s[j]), traces1[j]
-
-        val2 = val2s[j]
-        if strict and estimator.num_edges:
-            agreement = abs(float(val2.mean()) - float(row[s1]))
-            tolerance = 1e-9 * max(1.0, abs(float(row[s1])))
-            if agreement > tolerance:
-                raise AssertionError(
-                    f"estimator inconsistency: mean(val2)={val2.mean()} vs "
-                    f"val1[s1]={row[s1]}"
-                )
-        sigma, trace2 = int(sigmas[j]), traces2[j]
-        final = float(val2[sigma])
+        sigma, trace2, final, root = descents[j]
+        if strict and root != row[s1]:
+            raise AssertionError(
+                f"estimator inconsistency: σ-descent root {root!r} vs "
+                f"val1[s1]={float(row[s1])!r}"
+            )
 
         trace = trace1 + trace2
         if strict:

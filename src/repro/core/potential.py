@@ -11,40 +11,38 @@ edge-wise:
     Σ_u Φ_ℓ(u) = Σ_{e = {u,v} ∈ E_ℓ} X_e,
     X_e = 1_{e ∈ E_ℓ} (1/|L_ℓ(u)| + 1/|L_ℓ(v)|).
 
-:class:`PhaseEstimator` evaluates, for one r-bit prefix-extension phase,
+For one r-bit prefix-extension phase the method of conditional
+expectations (Lemma 2.6 / Eq. (7)) needs two things:
 
-* ``expected_by_s1``  — E[Σ_e X_e | s1] for every multiplicative seed s1
-  (expectation over the uniform additive seed σ), via count tables filled
-  by the exact counting DP of :mod:`repro.core.counting`;
-* ``exact_by_sigma``  — the exact value of Σ_e X_e for every σ once s1 is
-  fixed.
+* ``E[Σ_e X_e | s1]`` for every multiplicative seed s1 (expectation over
+  the uniform additive seed σ) — the ``val1`` array the s1 bits are fixed
+  from by greedy block means.  :class:`SeedSweepWorkspace` produces it
+  from count tables filled by the exact counting DP of
+  :mod:`repro.core.counting`;
+* once s1 is fixed, the conditional expectation of every dyadic block of
+  σ values, one level per σ bit.  :func:`exact_by_sigma_grouped` fixes σ
+  bit by bit from exact counts on the block (see its docstring) and never
+  builds a per-σ array.
 
-These two arrays are all the method of conditional expectations needs: the
-conditional expectation after fixing any prefix of seed bits is the mean of
-the corresponding block (Lemma 2.6 / Eq. (7)).
+**Exact-integer weighting.**  Both halves reduce to integer counts ``n_w``
+— the number of seeds in a block that put both endpoints of an edge in
+bucket w — weighted by the endpoints' ``1/k_w``.  :class:`_WeightPlan`
+sums the counts into exact int64 ``S`` per (estimator, list size k) and
+only then forms ``(Σ_k S_k / k, k ascending) / block size``.  Every value
+is therefore a fixed function of exact integers: compression, chunking,
+worker count and cache state cannot change a bit, and the σ descent's
+root (the whole σ range) equals ``val1[s1]`` exactly.
 
-**Unique-column compression.**  The seed sweeps only ever evaluate the
-hash on per-edge keys ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))`` (for
-the E[·|s1] sweep) and per-node keys ``(s1, ψ_v, thresholds(v))`` (for the
-σ sweep): everything a column of the candidate matrix contributes is a
-function of that key, and real instances collapse to a handful of distinct
-keys.  :class:`SeedSweepWorkspace` and the σ-side kernels therefore
-deduplicate columns with one encoded-key ``np.unique`` and run the GF(2^m)
-multiply on unique columns only.  The counting DP runs on even fewer
-inputs: :class:`SweepCountKernel` deduplicates the columns' threshold rows
-once more, fills one count table per distinct row over every hash
-difference d ∈ [0, 2^b), and turns each (seed, column) count into one
-gather from that table.  The E[·|s1] sweep
-never scatters back: it weights the unique count columns through exact
-int64 sums per (estimator, list size k) and divides by k only at the end,
-so each ``val1`` entry is a fixed function of exact integers that do not
-depend on how the columns were deduplicated.  The σ sweep scatters its
-*integer* bucket indices back through the inverse index before any float
-enters, so every float operation sees the same operands in the same order
-as the uncompressed evaluation.  Either way the compressed sweeps are
-bit-for-bit identical — compression, like the GF(2^m) log tables it
-composes with, is a speed knob that can never change a seed choice,
-ledger, or coloring.
+**Unique-column compression.**  The s1 sweep only ever evaluates the hash
+on per-edge keys ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``;
+everything a column contributes is a function of that key, and real
+instances collapse to a handful of distinct keys.
+:class:`SeedSweepWorkspace` deduplicates columns with one encoded-key
+``np.unique`` and runs the GF(2^m) multiply on unique columns only.  The
+counting DP runs on even fewer inputs: :class:`SweepCountKernel`
+deduplicates the columns' threshold rows once more, fills one count table
+per distinct row over every hash difference d ∈ [0, 2^b), and turns each
+(seed, column) count into one gather from that table.
 """
 
 from __future__ import annotations
@@ -57,24 +55,6 @@ import numpy as np
 from repro.core.counting import count_xor_below, count_xor_in_intervals
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
-
-#: Entry budgets of the two σ-sweep summation loops — a coupled pair.
-#:
-#: ``_SIGMA_CHUNK_ENTRIES`` bounds one edge-summation block of
-#: :meth:`PhaseEstimator.exact_by_sigma` (edges × 2^b entries per block).
-#: ``_SIGMA_FUSE_BUDGET_ENTRIES`` bounds one fused sub-batch of
-#: :func:`exact_by_sigma_grouped` ((nodes + edges) × 2^b entries).
-#:
-#: Byte-identity coupling: the fused sweep is bit-identical to the
-#: per-estimator method only because every fusable member (one with at most
-#: ``_SIGMA_CHUNK_ENTRIES // 2^b`` edges) has its edge contributions summed
-#: in a single block either way — members above that bound fall back to the
-#: sequential chunked method, since different chunk boundaries would reorder
-#: float additions.  Keep ``_SIGMA_FUSE_BUDGET_ENTRIES >=
-#: _SIGMA_CHUNK_ENTRIES`` so a lone fusable member always fits one
-#: sub-batch, and change the two budgets together.
-_SIGMA_CHUNK_ENTRIES = 1 << 22
-_SIGMA_FUSE_BUDGET_ENTRIES = 2 * _SIGMA_CHUNK_ENTRIES
 
 #: Every integer sum the seed-sweep weighting forms must stay below this:
 #: int64 then cannot wrap and the conversion to float64 is exact.
@@ -330,6 +310,102 @@ class SweepCountKernel:
         return out
 
 
+class _WeightPlan:
+    """The exact-integer weighting shared by the s1 sweep and the σ descent.
+
+    An *incidence* is one (edge endpoint x, bucket w) pair of estimator j:
+    it adds the count in integer column ``col`` (the number of seeds of a
+    block putting both endpoints in bucket w) to the group ``(j, k)`` with
+    ``k = k_w(x)``; k = 0 carries weight 0 and is dropped.  Groups are
+    numbered in (estimator, ascending k) order, and the plan keeps a sparse
+    (column, group, multiplicity) list sorted by group, so fused groups of
+    hundreds of estimators never build a dense (columns × groups) matrix.
+
+    :meth:`sums` forms the int64 sums ``S`` per group (plus an optional
+    integer constant per incidence); :meth:`values` turns them into
+    ``(Σ_k S_k / k, k ascending) / scale`` per estimator.  Groups whose
+    ``S`` is 0 add an exact 0.0, so two plans over the same nonzero sums
+    give the same floats.  The exactness guard checks once that no ``S``
+    can reach 2^53 when every count lies in [0, ``scale``] (and every
+    constant in [−``scale``, ``scale``]): below that int64 cannot wrap and
+    every ``S`` converts to float64 exactly.
+    """
+
+    def __init__(
+        self,
+        inc_col: np.ndarray,
+        inc_est: np.ndarray,
+        inc_k: np.ndarray,
+        num_est: int,
+        width: int,
+        scale: int,
+        inc_const: np.ndarray | None = None,
+    ):
+        keep = inc_k > 0
+        span = int(inc_k.max(initial=0)) + 1
+        groups, inc_group = np.unique(
+            (inc_est * span + inc_k)[keep], return_inverse=True
+        )
+        inc_group = inc_group.reshape(-1)
+        num_groups = len(groups)
+        width = max(1, int(width))
+        entries, mult = np.unique(
+            inc_group * width + inc_col[keep], return_counts=True
+        )
+        self.entry_col = entries % width
+        self.entry_mult = mult.astype(np.int64)
+        self.group_start = np.searchsorted(
+            entries // width, np.arange(num_groups)
+        )
+        self.group_est = groups // span
+        self.group_k = (groups % span).astype(np.float64)
+        self.const = None
+        if inc_const is not None:
+            self.const = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(self.const, inc_group, inc_const[keep])
+        # |S| and every partial sum are at most scale times the group's
+        # number of incidences.
+        per_group = np.bincount(inc_group, minlength=num_groups)
+        self.sum_bound = int(scale) * int(per_group.max(initial=0))
+        if self.sum_bound >= _EXACT_INT_LIMIT:
+            raise ValueError(
+                f"seed-sweep sums may reach {self.sum_bound} >= 2^53: "
+                "the integer weighting would not be exact"
+            )
+        # Sequential ascending-k summation order: slot p of estimator j
+        # holds its p-th smallest k; missing slots point at a zero column.
+        first_group = np.searchsorted(self.group_est, np.arange(num_est))
+        slot = np.arange(num_groups) - first_group[self.group_est]
+        self.slots = np.full(
+            (num_est, int(slot.max(initial=0)) + 1), num_groups, dtype=np.int64
+        )
+        self.slots[self.group_est, slot] = np.arange(num_groups)
+
+    def sums(self, counts: np.ndarray) -> np.ndarray:
+        """(rows × groups) int64 sums ``S`` of a (rows × width) count block."""
+        if not len(self.group_k):
+            return np.zeros((len(counts), 0), dtype=np.int64)
+        terms = np.take(counts, self.entry_col, axis=1)
+        terms *= self.entry_mult
+        sums = np.add.reduceat(terms, self.group_start, axis=1)
+        if self.const is not None:
+            sums += self.const
+        return sums
+
+    def values(self, sums: np.ndarray, scale: int) -> np.ndarray:
+        """(rows × estimators) ``(Σ_k S_k / k, k ascending) / scale``."""
+        num_groups = len(self.group_k)
+        # One float per (row, group): S / k, plus a zero column that the
+        # padding slots of estimators with fewer distinct k point at.
+        quotients = np.zeros((len(sums), num_groups + 1), dtype=np.float64)
+        np.divide(sums, self.group_k, out=quotients[:, :num_groups])
+        total = quotients[:, self.slots[:, 0]]
+        for p in range(1, self.slots.shape[1]):
+            total += quotients[:, self.slots[:, p]]
+        total /= float(scale)
+        return total
+
+
 class SeedSweepWorkspace:
     """Seed-independent state for the fused ``E[Σ_e X_e | s1]`` sweep.
 
@@ -359,18 +435,15 @@ class SeedSweepWorkspace:
           2^b · E[Σ_e X_e | s1] = Σ_k S[s1, j, k] / k,
           S[s1, j, k] = Σ_c counts[s1, c] · mult[c, j, k] (+ const[j, k]),
 
-      an int64 sum over the count columns.  The multiplicities are kept as
-      a sparse (column, group, multiplicity) list sorted by group, so fused
-      groups of hundreds of estimators never materialize a dense
-      (columns × groups) matrix.  For r = 1 the bucket-1 count follows by
-      inclusion-exclusion, ``n_both1 = 2^b − t_u − t_v + n_both0``, so
-      bucket-1 endpoints add multiplicity to the ``n_both0`` column and
-      their ``2^b − t_u − t_v`` to ``const``.
+      an int64 sum over the count columns, kept as a :class:`_WeightPlan`.
+      For r = 1 the bucket-1 count follows by inclusion-exclusion,
+      ``n_both1 = 2^b − t_u − t_v + n_both0``, so bucket-1 endpoints add
+      multiplicity to the ``n_both0`` column and their ``2^b − t_u − t_v``
+      to ``const``.
 
-    The exactness guard checks once, from 2^b and the multiplicities, that
-    no ``S`` can reach 2^53: below that int64 cannot wrap and every ``S``
-    converts to float64 exactly, so each ``val1`` entry is a fixed
-    function of exact integers of its own seed row.
+    The plan's exactness guard checks once that no ``S`` can reach 2^53,
+    so each ``val1`` entry is a fixed function of exact integers of its
+    own seed row.
     """
 
     def __init__(self, estimators, compress: bool = True):
@@ -429,16 +502,14 @@ class SeedSweepWorkspace:
         self._plan_weighting()
 
     def _plan_weighting(self) -> None:
-        """Build the sparse (column, group, multiplicity) weighting plan.
+        """Build the weighting plan over the count columns.
 
-        Each incidence is one (edge endpoint, bucket) pair with a nonempty
-        bucket (empty buckets carry weight 0); it adds multiplicity 1 to
-        the count column holding that edge's bucket count, in the group
-        ``(estimator, k)``.  Groups are numbered in (estimator, ascending
-        k) order; entries are sorted by group, then column.
+        Each incidence is one (edge endpoint, bucket) pair; it reads the
+        count column holding that edge's bucket count (for r = 1 the
+        ``n_both0`` column, plus the constant ``2^b − t_u − t_v`` for
+        bucket 1).
         """
         live = self.live
-        scale = int(self.scale)
         est_id = np.repeat(
             np.arange(len(live), dtype=np.int64),
             [est.num_edges for est in live],
@@ -451,19 +522,19 @@ class SeedSweepWorkspace:
             else np.arange(len(est_id), dtype=np.int64)
         )
         cols, ests, ks = [], [], []
+        consts = None
         if self.num_buckets == 2:
             # Both buckets weight the n_both0 column; bucket 1 also adds
             # its inclusion-exclusion constant 2^b - t_u - t_v.
-            const = scale - self.thr_u[:, 1] - self.thr_v[:, 1]
+            const = int(self.scale) - self.thr_u[:, 1] - self.thr_v[:, 1]
             zero = np.zeros_like(const)
-            consts = [zero, zero, const, const]
+            consts = np.concatenate([zero, zero, const, const])
             for w in (0, 1):
                 for k in (k_u[:, w], k_v[:, w]):
                     cols.append(column)
                     ests.append(est_id)
                     ks.append(k)
         else:
-            consts = None
             for w, block in enumerate(self.kernel.bucket_columns):
                 if block is None:
                     continue
@@ -474,51 +545,16 @@ class SeedSweepWorkspace:
                     cols.append(position[column[alive_edge]])
                     ests.append(est_id[alive_edge])
                     ks.append(k)
-        inc_col = np.concatenate(cols)
-        inc_est = np.concatenate(ests)
-        inc_k = np.concatenate(ks)
-        keep = inc_k > 0
-        span = int(inc_k.max(initial=0)) + 1
-        groups, inc_group = np.unique(
-            (inc_est * span + inc_k)[keep], return_inverse=True
+        self.plan = _WeightPlan(
+            np.concatenate(cols),
+            np.concatenate(ests),
+            np.concatenate(ks),
+            len(live),
+            self.kernel.count_width,
+            int(self.scale),
+            consts,
         )
-        num_groups = len(groups)
-        width = max(1, self.kernel.count_width)
-        entries, mult = np.unique(
-            inc_group * width + inc_col[keep], return_counts=True
-        )
-        entry_group = entries // width
-        self._entry_col = entries % width
-        self._entry_mult = mult.astype(np.int64)
-        self._group_start = np.searchsorted(
-            entry_group, np.arange(num_groups)
-        )
-        group_est = groups // span
-        self._group_k = (groups % span).astype(np.float64)
-        self._group_const = None
-        if consts is not None:
-            self._group_const = np.zeros(num_groups, dtype=np.int64)
-            np.add.at(
-                self._group_const, inc_group, np.concatenate(consts)[keep]
-            )
-        # Exactness guard: every incidence's count lies in [0, 2^b] and
-        # each r = 1 constant term in [-2^b, 2^b], so |S| and every partial
-        # sum are at most 2^b times the group's number of incidences.
-        per_group = np.bincount(inc_group, minlength=num_groups)
-        self.sum_bound = scale * int(per_group.max(initial=0))
-        if self.sum_bound >= _EXACT_INT_LIMIT:
-            raise ValueError(
-                f"seed-sweep sums may reach {self.sum_bound} >= 2^53: "
-                "the integer weighting would not be exact"
-            )
-        # Sequential ascending-k summation order: slot p of estimator j
-        # holds its p-th smallest k; missing slots point at a zero column.
-        first_group = np.searchsorted(group_est, np.arange(len(live)))
-        slot = np.arange(num_groups) - first_group[group_est]
-        self._slots = np.full(
-            (len(live), int(slot.max(initial=0)) + 1), num_groups, dtype=np.int64
-        )
-        self._slots[group_est, slot] = np.arange(num_groups)
+        self.sum_bound = self.plan.sum_bound
         self._live_rows = np.array(
             [i for i, est in enumerate(self.estimators) if est.num_edges],
             dtype=np.int64,
@@ -580,23 +616,9 @@ class SeedSweepWorkspace:
                 f"columns, got {counts.dtype} {counts.shape}"
             )
         out[...] = 0.0
-        num_groups = len(self._group_k)
-        if not num_groups or not len(counts):
-            return out
-        terms = np.take(counts, self._entry_col, axis=1)
-        terms *= self._entry_mult
-        sums = np.add.reduceat(terms, self._group_start, axis=1)
-        if self._group_const is not None:
-            sums += self._group_const
-        # One float per (row, group): S / k, plus a zero column that the
-        # padding slots of estimators with fewer distinct k point at.
-        quotients = np.zeros((len(counts), num_groups + 1), dtype=np.float64)
-        np.divide(sums, self._group_k, out=quotients[:, :num_groups])
-        total = quotients[:, self._slots[:, 0]]
-        for p in range(1, self._slots.shape[1]):
-            total += quotients[:, self._slots[:, p]]
-        total /= float(self.scale)
-        out[self._live_rows, :] = total.T
+        if len(counts):
+            total = self.plan.values(self.plan.sums(counts), int(self.scale))
+            out[self._live_rows, :] = total.T
         return out
 
     def expected_rows(
@@ -661,127 +683,184 @@ def _check_group(estimators) -> tuple:
     return key
 
 
-def _bucket_sigma_matrix(
-    first, s1_node, psi, thresholds, sigmas, compress
+def _count_below_block(
+    d: np.ndarray, t1: np.ndarray, t2: np.ndarray, width: int
 ) -> np.ndarray:
-    """(nodes × 2^b) bucket-per-σ matrix, optionally via unique-row keys.
+    """``N(d, t1, t2)`` on a block of 2^width values, thresholds in
+    [0, 2^width]; the digit DP runs only where both thresholds fall
+    strictly inside.  Elsewhere N(d, 0, ·) = N(d, ·, 0) = 0 and
+    N(d, 2^width, t) = N(d, t, 2^width) = t (z ↦ z ⊕ d is a bijection)."""
+    full = 1 << width
+    out = np.where(t1 == full, t2, np.where(t2 == full, t1, 0))
+    inner = np.flatnonzero((t1 > 0) & (t1 < full) & (t2 > 0) & (t2 < full))
+    if len(inner):
+        out[inner] = count_xor_below(d[inner], t1[inner], t2[inner], width)
+    return out
 
-    A node's bucket row is a function of ``(s1, ψ_v, thresholds(v))``
-    alone, so with ``compress`` the GF multiply and the 2^r threshold
-    comparisons run on the distinct keys only and the *integer* bucket
-    indices are scattered back through the inverse index — bit-identical
-    because no float is involved yet.  The matrix uses the narrowest
-    unsigned dtype holding ``num_buckets - 1`` (uint8 up to 256 buckets),
-    which keeps the per-edge gathers and comparisons of the σ sweep small.
-    """
-    if compress and len(psi) > 1:
-        key = np.concatenate(
-            [s1_node[:, None], psi[:, None], thresholds], axis=1
+
+class _SigmaDescent:
+    """Per-level exact counts of a fused group's σ descent (see
+    :func:`exact_by_sigma_grouped`).  Holds the alive edges of every member
+    with edges: hash values under the member's own s1, thresholds and the
+    weighting plan, all O(edges · 2^r)."""
+
+    def __init__(self, members, s1_values: np.ndarray):
+        first = members[0]
+        sizes = np.array([len(est.psi) for est in members], dtype=np.int64)
+        node_offsets = np.zeros(len(members), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=node_offsets[1:])
+        num_edges = [est.num_edges for est in members]
+        edge_est = np.repeat(np.arange(len(members), dtype=np.int64), num_edges)
+        eu = np.concatenate([est.edges_u for est in members])
+        ev = np.concatenate([est.edges_v for est in members])
+        eu += node_offsets[edge_est]
+        ev += node_offsets[edge_est]
+        psi = np.concatenate([est.psi for est in members])
+        g = first.family.field.mul_vec(np.repeat(s1_values, sizes), psi) >> (
+            first.family.m - first.b
         )
-        uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-        s1_node = np.ascontiguousarray(uniq[:, 0])
-        psi = np.ascontiguousarray(uniq[:, 1])
-        thresholds = uniq[:, 2:]
-    else:
-        inverse = None
-    g = first.family.field.mul_vec(s1_node, psi) >> (first.family.m - first.b)
-    y = g[:, None] ^ sigmas[None, :]
-    dtype = np.uint8 if first.num_buckets <= 256 else np.uint16
-    buckets = np.zeros((len(psi), len(sigmas)), dtype=dtype)
-    # At most num_buckets - 1 interior thresholds can lie at or below y.
-    for w in range(1, first.num_buckets):
-        buckets += thresholds[:, w, None] <= y
-    if inverse is not None:
-        buckets = buckets[inverse.reshape(-1)]
-    return buckets
+        thresholds = np.concatenate([est.thresholds for est in members])
+        counts = np.concatenate([est.counts for est in members])
+        if first.num_buckets == 2:
+            # Items are edges; the level counts are [n_both0 | n_both1].
+            item_edge = np.arange(len(eu), dtype=np.int64)
+            num_cols = 2 * len(eu)
+            self.bounds = (thresholds[eu, 1], thresholds[ev, 1])
+            inc_col = np.concatenate(
+                [item_edge, item_edge, item_edge + len(eu), item_edge + len(eu)]
+            )
+            ends = [(eu, 0), (ev, 0), (eu, 1), (ev, 1)]
+        else:
+            # Items are the (edge, bucket) pairs whose bucket interval is
+            # nonempty at both endpoints; the level counts are per item.
+            width = np.diff(thresholds, axis=1) > 0
+            item_edge, item_w = np.nonzero(width[eu] & width[ev])
+            iu, iv = eu[item_edge], ev[item_edge]
+            self.bounds = (
+                thresholds[iu, item_w],
+                thresholds[iu, item_w + 1],
+                thresholds[iv, item_w],
+                thresholds[iv, item_w + 1],
+            )
+            num_cols = len(item_edge)
+            idx = np.arange(num_cols, dtype=np.int64)
+            inc_col = np.concatenate([idx, idx])
+            ends = [(iu, item_w), (iv, item_w)]
+        self.item_est = edge_est[item_edge]
+        self.g_u = g[eu[item_edge]]
+        self.g_v = g[ev[item_edge]]
+        self.d = self.g_u ^ self.g_v
+        self.plan = _WeightPlan(
+            inc_col,
+            np.tile(self.item_est, len(ends)),
+            np.concatenate([counts[x, w] for x, w in ends]),
+            len(members),
+            num_cols,
+            int(first.scale),
+        )
+
+    def block_sums(self, width: int, prefix: np.ndarray) -> np.ndarray:
+        """int64 sums ``S`` per group over the σ block of each member whose
+        top ``b − width`` bits are its ``prefix``.
+
+        On that block y_x = g_x ⊕ σ sweeps one dyadic block of 2^width
+        values from ``base_x`` while y_u and y_v differ by ``d`` in their
+        low bits, so ``y_x < t`` becomes ``z < clip(t − base_x)`` for the
+        low-bit counter z of :func:`_count_below_block`.
+        """
+        full = 1 << width
+        q = prefix[self.item_est]
+        base_u = ((self.g_u >> width) ^ q) << width
+        base_v = ((self.g_v >> width) ^ q) << width
+        d = self.d & (full - 1)
+        if len(self.bounds) == 2:
+            t_u, t_v = self.bounds
+            a_u = np.clip(t_u - base_u, 0, full)
+            a_v = np.clip(t_v - base_v, 0, full)
+            n0 = _count_below_block(d, a_u, a_v, width)
+            counts = np.concatenate([n0, full - a_u - a_v + n0])
+        else:
+            lo_u, hi_u, lo_v, hi_v = (
+                np.clip(t - base, 0, full)
+                for t, base in zip(self.bounds, (base_u, base_u, base_v, base_v))
+            )
+            n = _count_below_block(
+                np.tile(d, 4),
+                np.concatenate([hi_u, lo_u, hi_u, lo_u]),
+                np.concatenate([hi_v, hi_v, lo_v, lo_v]),
+                width,
+            ).reshape(4, -1)
+            counts = n[0] - n[1] - n[2] + n[3]
+        return self.plan.sums(counts[None, :])[0]
 
 
-def exact_by_sigma_grouped(estimators, s1_values, compress: bool = True) -> list:
-    """Per estimator, exact Σ_e X_e for every σ given its own s1 — fused.
+def exact_by_sigma_grouped(estimators, s1_values) -> list:
+    """Fix σ bit by bit for every member of a fused group (Lemma 2.6).
 
-    The per-node hash evaluation (one GF(2^m) multiply with a per-node s1),
-    the (nodes × 2^b) bucket matrix and the per-edge contributions are
-    computed once over the concatenated node/edge arrays of the group;
-    per-estimator totals are per-instance row-segment sums.  Numerically
-    identical to calling :meth:`PhaseEstimator.exact_by_sigma` per
-    estimator.  Members whose edge count exceeds the sequential summation
-    chunk fall back to their own method (different chunk boundaries would
-    reorder float additions); memory is bounded by processing the group in
-    sub-batches.
+    Once s1 is fixed, Eq. (7) fixes σ's b bits most significant first:
+    with the prefix p of i bits fixed, each child ``c`` is the dyadic
+    block of 2^L values of σ with top bits ``(p << 1) | c``, L = b − i − 1,
+    and its conditional expectation is the mean of Σ_e X_e over the block.
+    XOR by ``g_x`` maps the block onto a dyadic block of y_x = g_x ⊕ σ, so
+    the number of block values putting both endpoints in bucket w is one
+    counting DP on width L with clipped thresholds
+    (:meth:`_SigmaDescent.block_sums`; for r = 1 the bucket-1 count follows
+    by inclusion-exclusion).  Per level the c = 0 child's counts are summed
+    into exact int64 ``S`` per (member, list size k); the c = 1 child is
+    the parent's ``S`` minus that, exactly; each child's value is
+    ``(Σ_k S_k / k, k ascending) / 2^L`` (:meth:`_WeightPlan.values`, the
+    formula of ``val1``); and ``v1 < v0`` picks bit 1, so an exact tie
+    keeps the 0 branch.  Every level runs once over the whole group, and
+    no array indexed by σ is built: memory is O(edges · 2^r) per level.
 
-    With ``compress`` (the default) the bucket-matrix rows are computed
-    on nodes deduplicated by ``(s1, ψ_v, thresholds(v))`` and the integer
-    bucket indices scattered back through the inverse index before the
-    float contribution step, which leaves every float operation — and hence
-    the result — bit-for-bit unchanged.
+    Keeps the name the derandomizer calls once per group for σ.  Returns,
+    per estimator, ``(sigma, trace, final, root)``: the chosen σ, the
+    chosen child's value after each bit (Eq. (7) trace), the value of the
+    single σ left (the exact potential at (s1, σ)), and the value of the
+    whole σ range — the same function of the same integers as
+    ``val1[s1]``, so the two agree bit for bit.  Members without edges get
+    σ = 0 and all-zero values.  Raises ``ValueError`` for an s1 outside
+    GF(2^m).
     """
     estimators = list(estimators)
     if not estimators:
         return []
     _check_group(estimators)
     first = estimators[0]
-    scale = int(first.scale)
-    chunk = max(1, _SIGMA_CHUNK_ENTRIES // scale)
-
-    out: list = [None] * len(estimators)
-    fusable = []
-    for j, est in enumerate(estimators):
-        if est.num_edges == 0:
-            out[j] = np.zeros(scale, dtype=np.float64)
-        elif est.num_edges > chunk:
-            out[j] = est.exact_by_sigma(int(s1_values[j]), compress=compress)
-        else:
-            fusable.append(j)
-
-    # Sub-batch so the (rows × 2^b) work arrays stay bounded.
-    budget = max(scale, _SIGMA_FUSE_BUDGET_ENTRIES)
-    start = 0
-    while start < len(fusable):
-        stop = start
-        rows = 0
-        while stop < len(fusable):
-            j = fusable[stop]
-            need = len(estimators[j].psi) + estimators[j].num_edges
-            if stop > start and (rows + need) * scale > budget:
-                break
-            rows += need
-            stop += 1
-        members = [estimators[j] for j in fusable[start:stop]]
-
-        sizes = np.array([len(est.psi) for est in members], dtype=np.int64)
-        node_offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=node_offsets[1:])
-        psi = np.concatenate([est.psi for est in members])
-        s1_node = np.repeat(
-            np.array(
-                [int(s1_values[j]) for j in fusable[start:stop]],
-                dtype=np.int64,
-            ),
-            sizes,
+    b = first.b
+    s1_values = np.asarray(s1_values, dtype=np.int64).reshape(-1)
+    if len(s1_values) != len(estimators):
+        raise ValueError(
+            f"need one s1 per estimator, got {len(s1_values)} for "
+            f"{len(estimators)}"
         )
-        sigmas = np.arange(scale, dtype=np.int64)
-        thresholds = np.concatenate([est.thresholds for est in members])
-        buckets = _bucket_sigma_matrix(
-            first, s1_node, psi, thresholds, sigmas, compress
-        )
-        inv = np.concatenate([est._inv_counts for est in members])
-        inv_sel = inv[np.arange(len(psi))[:, None], buckets]
-
-        eu = np.concatenate(
-            [est.edges_u + node_offsets[i] for i, est in enumerate(members)]
-        )
-        ev = np.concatenate(
-            [est.edges_v + node_offsets[i] for i, est in enumerate(members)]
-        )
-        same = buckets[eu] == buckets[ev]
-        contrib = np.where(same, inv_sel[eu] + inv_sel[ev], 0.0)
-        edge_offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum([est.num_edges for est in members], out=edge_offsets[1:])
-        for i, j in enumerate(fusable[start:stop]):
-            lo, hi = int(edge_offsets[i]), int(edge_offsets[i + 1])
-            out[j] = contrib[lo:hi].sum(axis=0)
-        start = stop
-    return out
+    outside = (s1_values < 0) | (s1_values >= first.family.field.order)
+    if outside.any():
+        first.family.field._check(int(s1_values[outside][0]))
+    results = [(0, [0.0] * b, 0.0, 0.0) for _ in estimators]
+    live = [j for j, est in enumerate(estimators) if est.num_edges]
+    if not live:
+        return results
+    descent = _SigmaDescent([estimators[j] for j in live], s1_values[live])
+    plan = descent.plan
+    prefix = np.zeros(len(live), dtype=np.int64)
+    parent = descent.block_sums(b, prefix)
+    root = plan.values(parent[None, :], 1 << b)[0]
+    chosen = []
+    for width in range(b - 1, -1, -1):
+        zero = descent.block_sums(width, prefix << 1)
+        values = plan.values(np.stack([zero, parent - zero]), 1 << width)
+        take1 = values[1] < values[0]
+        prefix = (prefix << 1) | take1
+        parent = np.where(take1[plan.group_est], parent - zero, zero)
+        chosen.append(np.where(take1, values[1], values[0]))
+    traces = (
+        np.stack(chosen, axis=1).tolist() if chosen else [[] for _ in live]
+    )
+    finals = chosen[-1] if chosen else root
+    for i, j in enumerate(live):
+        results[j] = (int(prefix[i]), traces[i], float(finals[i]), float(root[i]))
+    return results
 
 
 def buckets_for_seed_grouped(estimators, seeds) -> list:
@@ -847,7 +926,6 @@ class PhaseEstimator:
         edges_u: np.ndarray,
         edges_v: np.ndarray,
         _thresholds: np.ndarray | None = None,
-        _inv_counts: np.ndarray | None = None,
     ):
         self.family = family
         self.b = family.b
@@ -871,13 +949,6 @@ class PhaseEstimator:
             self.psi_diff = diff
         else:
             self.psi_diff = np.empty(0, dtype=np.int64)
-        if _inv_counts is None:
-            # 1/k_w with empty buckets mapped to 0 (probability 0).
-            inv = np.zeros(self.counts.shape, dtype=np.float64)
-            np.divide(1.0, self.counts, out=inv, where=self.counts > 0)
-            self._inv_counts = inv
-        else:
-            self._inv_counts = _inv_counts
 
     @classmethod
     def build_group(
@@ -887,10 +958,9 @@ class PhaseEstimator:
 
         ``members`` is a sequence of ``(psi, bucket_counts, edges_u,
         edges_v)`` tuples whose count matrices share a width.  The integer
-        threshold construction and the 1/k_w table — the row-independent
-        parts of ``__init__`` — run once on the stacked count rows and are
-        sliced back per member, so each estimator is identical to a direct
-        construction.
+        threshold construction — the row-independent part of ``__init__`` —
+        runs once on the stacked count rows and is sliced back per member,
+        so each estimator is identical to a direct construction.
         """
         members = list(members)
         if not members:
@@ -899,8 +969,6 @@ class PhaseEstimator:
             [np.asarray(m[1], dtype=np.int64) for m in members]
         )
         thresholds = bucket_thresholds(counts, family.b)
-        inv = np.zeros(counts.shape, dtype=np.float64)
-        np.divide(1.0, counts, out=inv, where=counts > 0)
         offsets = np.zeros(len(members) + 1, dtype=np.int64)
         np.cumsum([len(m[0]) for m in members], out=offsets[1:])
         return [
@@ -911,7 +979,6 @@ class PhaseEstimator:
                 eu,
                 ev,
                 _thresholds=thresholds[offsets[i]:offsets[i + 1]],
-                _inv_counts=inv[offsets[i]:offsets[i + 1]],
             )
             for i, (psi, _counts, eu, ev) in enumerate(members)
         ]
@@ -921,61 +988,12 @@ class PhaseEstimator:
     def num_edges(self) -> int:
         return len(self.edges_u)
 
-    def edge_weight(self, w: int) -> np.ndarray:
-        """(1/k_w(u) + 1/k_w(v)) per alive edge."""
-        return (
-            self._inv_counts[self.edges_u, w] + self._inv_counts[self.edges_v, w]
-        )
-
     # ------------------------------------------------------------------
     def expected_by_s1(self, s1_candidates: np.ndarray) -> np.ndarray:
         """E[Σ_e X_e | s1] for each candidate s1 (expectation over σ)."""
         return expected_by_s1_grouped([self], s1_candidates)[0]
 
-    def _edge_thresholds(self, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per alive edge, both endpoints' thresholds for column ``w``."""
-        return self.thresholds[self.edges_u, w], self.thresholds[self.edges_v, w]
-
     # ------------------------------------------------------------------
-    def buckets_for_sigma_matrix(
-        self, s1: int, compress: bool = True
-    ) -> np.ndarray:
-        """Bucket selected by every node for every σ; shape (n, 2^b).
-
-        The per-node ``searchsorted`` is replaced by broadcast comparisons
-        against the (n, 2^r+1) threshold matrix: the bucket index is the
-        number of interior thresholds ≤ y (T[:, 0] = 0 always counts, and
-        T[:, 2^r] = 2^b never does since y < 2^b).  The loop is over the
-        2^r bucket columns — a constant — not over nodes; with ``compress``
-        it runs on nodes deduplicated by ``(ψ_v, thresholds(v))`` and the
-        integer rows are scattered back (bit-identical either way).  The
-        dtype is the narrowest unsigned one holding ``num_buckets - 1``:
-        uint8 up to 256 buckets, uint16 above.
-        """
-        self.family.field._check(int(s1))
-        s1_node = np.full(len(self.psi), int(s1), dtype=np.int64)
-        sigmas = np.arange(self.scale, dtype=np.int64)
-        return _bucket_sigma_matrix(
-            self, s1_node, self.psi, self.thresholds, sigmas, compress
-        )
-
-    def exact_by_sigma(self, s1: int, compress: bool = True) -> np.ndarray:
-        """Exact Σ_e X_e for every additive seed σ once s1 is fixed."""
-        if self.num_edges == 0:
-            return np.zeros(int(self.scale), dtype=np.float64)
-        buckets = self.buckets_for_sigma_matrix(s1, compress=compress)
-        n = len(self.psi)
-        inv_sel = self._inv_counts[np.arange(n)[:, None], buckets]
-        total = np.zeros(int(self.scale), dtype=np.float64)
-        chunk = max(1, _SIGMA_CHUNK_ENTRIES // int(self.scale))
-        for start in range(0, self.num_edges, chunk):
-            eu = self.edges_u[start:start + chunk]
-            ev = self.edges_v[start:start + chunk]
-            same = buckets[eu] == buckets[ev]
-            contrib = np.where(same, inv_sel[eu] + inv_sel[ev], 0.0)
-            total += contrib.sum(axis=0)
-        return total
-
     def buckets_for_seed(self, s1: int, sigma: int) -> np.ndarray:
         """Bucket chosen by each node under the (deterministic) seed.
 

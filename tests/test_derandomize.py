@@ -6,6 +6,7 @@ import pytest
 from repro.core.derandomize import derandomize_phase, fix_bits_greedily
 from repro.core.potential import PhaseEstimator
 from repro.hashing.pairwise import PairwiseFamily
+from test_seed_sweep_compression import sigma_sweep_reference
 
 
 class TestFixBitsGreedily:
@@ -83,7 +84,7 @@ class TestDerandomizePhase:
     def test_chosen_seed_realizes_final_value(self):
         est = small_estimator(4)
         choice = derandomize_phase(est)
-        exact = est.exact_by_sigma(choice.s1)
+        exact = sigma_sweep_reference(est, choice.s1)
         assert exact[choice.sigma] == pytest.approx(choice.final_value)
 
     def test_beats_average_random_seed(self):

@@ -16,6 +16,7 @@ from repro.graphs import generators as gen
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
 from repro.substrates.linial import linial_coloring
+from test_seed_sweep_compression import sigma_sweep_reference
 
 
 def build_case(seed=0, n=8, b=4):
@@ -43,9 +44,10 @@ class TestNodeValuesMatchEstimator:
                 {v: counts[v] for v in neighbors},
             )
             total += values
-        # The engine's exact_by_sigma(s1) must equal the column sums.
+        # The engine's per-σ potential (the full-sweep oracle the σ
+        # descent is tested against) must equal the column sums.
         for s1 in (0, 3, 5, 7):
-            engine = estimator.exact_by_sigma(s1)
+            engine = sigma_sweep_reference(estimator, s1)
             np.testing.assert_allclose(total[s1], engine, rtol=1e-12)
 
     def test_node_buckets_match_estimator_buckets(self):

@@ -11,9 +11,11 @@ import pytest
 from repro.core.potential import (
     PhaseEstimator,
     accuracy_bits,
+    exact_by_sigma_grouped,
     expected_by_s1_grouped,
     potential_sum,
 )
+from test_seed_sweep_compression import sigma_sweep_reference
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -52,13 +54,26 @@ def make_estimator(a=3, b=4, buckets=2, seed=0):
 
 class TestEstimatorExactness:
     @pytest.mark.parametrize("buckets", [2, 4])
-    def test_exact_by_sigma_matches_brute_force(self, buckets):
+    def test_sigma_oracle_matches_brute_force(self, buckets):
         est, edges, psi, counts, family = make_estimator(buckets=buckets)
         for s1 in (0, 1, 7, 11):
-            vals = est.exact_by_sigma(s1)
+            vals = sigma_sweep_reference(est, s1)
             for sigma in range(0, 16, 3):
                 brute = brute_force_potential(family, psi, counts, edges, s1, sigma)
                 assert vals[sigma] == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("buckets", [2, 4])
+    def test_sigma_descent_matches_brute_force(self, buckets):
+        est, edges, psi, counts, family = make_estimator(buckets=buckets)
+        for s1 in (0, 1, 7, 11):
+            ((sigma, trace, final, root),) = exact_by_sigma_grouped([est], [s1])
+            brute = [
+                brute_force_potential(family, psi, counts, edges, s1, x)
+                for x in range(16)
+            ]
+            assert final == pytest.approx(brute[sigma], abs=1e-12)
+            assert root == pytest.approx(np.mean(brute), abs=1e-12)
+            assert trace[-1] == final
 
     @pytest.mark.parametrize("buckets", [2, 4])
     def test_expected_by_s1_is_mean_over_sigma(self, buckets):
@@ -66,7 +81,7 @@ class TestEstimatorExactness:
         s1s = np.arange(1 << est.family.m, dtype=np.int64)
         expected = est.expected_by_s1(s1s)
         for s1 in (0, 3, 9, 15):
-            exact = est.exact_by_sigma(int(s1))
+            exact = sigma_sweep_reference(est, int(s1))
             assert expected[s1] == pytest.approx(exact.mean(), rel=1e-12)
 
     @pytest.mark.parametrize("buckets", [2, 4])
@@ -106,7 +121,7 @@ class TestEstimatorExactness:
             family, psi, counts, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
         assert est.expected_by_s1(np.arange(8)).sum() == 0.0
-        assert est.exact_by_sigma(0).sum() == 0.0
+        assert exact_by_sigma_grouped([est], [0]) == [(0, [0.0] * 4, 0.0, 0.0)]
 
     def test_rejects_improper_input_coloring(self):
         family = PairwiseFamily(3, 4)

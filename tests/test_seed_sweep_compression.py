@@ -1,21 +1,24 @@
-"""Unique-column sweep compression: bit-for-bit against the reference path.
+"""Unique-column sweep compression and the σ descent, bit for bit.
 
 The table/compression kernels (GF(2^m) log tables, unique-column seed
 sweeps, the reusable sweep workspace) are pure speedups.  The E[·|s1]
 weighting forms exact integer sums per (estimator, list size) that do not
 depend on how columns were deduplicated or how the seed range was chunked,
-and the σ sweep sees the same float operands in the same order either
-way, so all results — expectations, σ arrays, seed choices, conditional
-traces — are asserted *exactly* equal across those knobs, not approx.
+so expectations, seed choices and conditional traces are asserted
+*exactly* equal across those knobs, not approx.
 The integer weighting itself is checked against the original full-width
 float weighting (:func:`float_weight_reference`) within ``REFERENCE_RTOL``,
 and the table-driven count kernel bit for bit against the per-cell counting
 DP it replaced (:func:`dp_count_reference`).  The integer count / weight
 split is checked to be chunk-boundary stable and picklable
-(``TestKernelSplit``).
+(``TestKernelSplit``).  The bit-by-bit σ descent is checked against the
+full 2^b sweep it replaced (:func:`sigma_sweep_reference`): bit for bit
+against the oracle's exact integer sums under the same value formula, and
+against its float values up to exact ties (``TestSigmaDescent``).
 """
 
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ import repro.core.potential as potential
 
 from equivalence import assert_seed_choices_equal
 from repro.core.counting import count_xor_below, count_xor_in_intervals
+import repro.core.derandomize as derandomize
 from repro.core.derandomize import (
     derandomize_phase_group,
     fix_bits_greedily,
@@ -89,8 +93,9 @@ def float_weight_reference(workspace, counts):
     out = np.zeros((len(workspace.estimators), rows))
     if not live:
         return out
+    inverse = [inverse_counts(est) for est in live]
     weights = np.concatenate(
-        [est._inv_counts[est.edges_u] + est._inv_counts[est.edges_v] for est in live]
+        [inv[est.edges_u] + inv[est.edges_v] for inv, est in zip(inverse, live)]
     )
     column = (
         workspace.inverse
@@ -155,6 +160,93 @@ def dp_count_reference(kernel, s1_values):
             )
         )
     return np.concatenate(blocks, axis=1)
+
+
+def inverse_counts(est):
+    """1/k_w per node and bucket, with empty buckets mapped to 0."""
+    inv = np.zeros(est.counts.shape, dtype=np.float64)
+    np.divide(1.0, est.counts, out=inv, where=est.counts > 0)
+    return inv
+
+
+def sigma_buckets_reference(est, s1):
+    """The (nodes × 2^b) bucket of every node under every σ given s1."""
+    est.family.field._check(int(s1))
+    g = est.family.g_values(int(s1), est.psi)
+    y = g[:, None] ^ np.arange(int(est.scale), dtype=np.int64)[None, :]
+    buckets = np.zeros(y.shape, dtype=np.int64)
+    # At most num_buckets - 1 interior thresholds can lie at or below y.
+    for w in range(1, est.num_buckets):
+        buckets += est.thresholds[:, w, None] <= y
+    return buckets
+
+
+def sigma_sweep_reference(est, s1):
+    """Exact Σ_e X_e for every σ once s1 is fixed: the full 2^b float
+    sweep the σ descent replaced (bucket matrix, per-edge contributions,
+    one sum per σ)."""
+    if est.num_edges == 0:
+        return np.zeros(int(est.scale), dtype=np.float64)
+    buckets = sigma_buckets_reference(est, s1)
+    inv = inverse_counts(est)
+    inv_sel = inv[np.arange(len(est.psi))[:, None], buckets]
+    eu, ev = est.edges_u, est.edges_v
+    same = buckets[eu] == buckets[ev]
+    return np.where(same, inv_sel[eu] + inv_sel[ev], 0.0).sum(axis=0)
+
+
+def sigma_sums_reference(est, s1):
+    """``(ks, S)``: the list sizes k > 0 and the exact int64 sums
+    ``S[σ, k]`` — per σ, the number of (edge, endpoint) pairs whose
+    endpoints share a bucket in which that endpoint has k candidates."""
+    ks = [int(k) for k in np.unique(est.counts[est.counts > 0])]
+    sums = np.zeros((int(est.scale), len(ks)), dtype=np.int64)
+    if est.num_edges == 0:
+        return ks, sums
+    buckets = sigma_buckets_reference(est, s1)
+    eu, ev = est.edges_u, est.edges_v
+    same = buckets[eu] == buckets[ev]
+    for x in (eu, ev):
+        k_x = est.counts[x[:, None], buckets[x]]
+        for i, k in enumerate(ks):
+            sums[:, i] += (same & (k_x == k)).sum(axis=0)
+    return ks, sums
+
+
+def sums_value(ks, sums, size):
+    """``(Σ_k S_k / k, k ascending) / size`` in plain Python floats."""
+    total = 0.0
+    for k, s in zip(ks, sums):
+        total += int(s) / float(k)
+    return total / float(size)
+
+
+def sums_fraction(ks, sums, size):
+    """The exact rational value of :func:`sums_value`."""
+    return sum(Fraction(int(s), k) for k, s in zip(ks, sums)) / size
+
+
+def sigma_descent_reference(est, s1):
+    """``(sigma, trace, final, root)`` by the greedy over the oracle's
+    per-σ integer sums: int64 prefix sums give every block's ``S``, and
+    each block's value uses the descent's formula."""
+    ks, sums = sigma_sums_reference(est, s1)
+    prefix = np.zeros((len(sums) + 1, len(ks)), dtype=np.int64)
+    np.cumsum(sums, axis=0, out=prefix[1:])
+    size = len(sums)
+    root = sums_value(ks, prefix[size] - prefix[0], size)
+    lo, trace = 0, []
+    while size > 1:
+        half = size // 2
+        v0 = sums_value(ks, prefix[lo + half] - prefix[lo], half)
+        v1 = sums_value(ks, prefix[lo + size] - prefix[lo + half], half)
+        if v1 < v0:
+            lo += half
+            trace.append(v1)
+        else:
+            trace.append(v0)
+        size = half
+    return lo, trace, sums_value(ks, sums[lo], 1), root
 
 
 #: A fixed 4-bucket kernel, its fingerprint and its count-matrix sum over
@@ -437,25 +529,6 @@ class TestExpectedSweepCompression:
     def test_empty_group(self):
         assert expected_by_s1_grouped([], np.arange(4)) == []
 
-
-class TestSigmaSweepCompression:
-    @pytest.mark.parametrize("buckets", [2, 4])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_grouped_sigma_bitwise(self, buckets, seed):
-        group = random_group(3, buckets=buckets, seed=seed)
-        s1s = [3, 7, 11]
-        compressed = exact_by_sigma_grouped(group, s1s, compress=True)
-        reference = exact_by_sigma_grouped(group, s1s, compress=False)
-        for got, want in zip(compressed, reference):
-            assert np.array_equal(got, want)
-
-    def test_sigma_matrix_rejects_out_of_range_s1(self):
-        (est,) = random_group(1, seed=6)
-        with pytest.raises(ValueError):
-            est.buckets_for_sigma_matrix(1 << est.family.m)
-        with pytest.raises(ValueError):
-            est.exact_by_sigma(-1)
-
     def test_expected_rows_rejects_bad_out_buffer(self):
         group = random_group(2, seed=6)
         workspace = SeedSweepWorkspace(group)
@@ -467,17 +540,127 @@ class TestSigmaSweepCompression:
         with pytest.raises(ValueError):
             workspace.expected_rows(candidates, out=np.empty((3, 4)))
 
-    def test_single_estimator_sigma_bitwise(self):
-        (est,) = random_group(1, seed=6)
-        for s1 in (0, 5, 13):
-            assert np.array_equal(
-                est.exact_by_sigma(s1, compress=True),
-                est.exact_by_sigma(s1, compress=False),
+
+@st.composite
+def sigma_groups(draw):
+    """A random fused group with one s1 per member: r in {1, 2, 3}, b in
+    [1, 12], bucket counts with empty buckets, and edgeless members mixed
+    in (sometimes every member).  With ``tie_heavy`` every nonempty bucket
+    holds 3 candidates, so many σ blocks have the same exact value while
+    1/3 is inexact in floats."""
+    b = draw(st.integers(min_value=1, max_value=12))
+    a = draw(st.integers(min_value=1, max_value=6))
+    num_buckets = draw(st.sampled_from([2, 4, 8]))
+    num = draw(st.integers(min_value=1, max_value=4))
+    tie_heavy = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = PairwiseFamily(a, b)
+    group = []
+    for _ in range(num):
+        n = int(rng.integers(1, 10))
+        psi = rng.integers(0, 1 << a, size=n).astype(np.int64)
+        counts = rng.integers(0, 3, size=(n, num_buckets)).astype(np.int64)
+        if tie_heavy:
+            counts = 3 * (counts > 0)
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        u = rng.integers(0, n, size=int(rng.integers(0, 3 * n + 1)))
+        v = rng.integers(0, n, size=len(u))
+        keep = psi[u] != psi[v]
+        group.append(PhaseEstimator(family, psi, counts, u[keep], v[keep]))
+    s1s = rng.integers(0, family.field.order, size=num)
+    return group, s1s
+
+
+def first_split(sigma_a, sigma_b, b):
+    """The number of leading σ bits two choices share (< b)."""
+    return b - int(sigma_a ^ sigma_b).bit_length()
+
+
+class TestSigmaDescent:
+    @given(sigma_groups())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_integer_oracle_bitwise(self, drawn):
+        group, s1s = drawn
+        got = exact_by_sigma_grouped(group, s1s)
+        assert len(got) == len(group)
+        for est, s1, (sigma, trace, final, root) in zip(group, s1s, got):
+            want_sigma, want_trace, want_final, want_root = (
+                sigma_descent_reference(est, s1)
             )
-            assert np.array_equal(
-                est.buckets_for_sigma_matrix(s1, compress=True),
-                est.buckets_for_sigma_matrix(s1, compress=False),
-            )
+            assert sigma == want_sigma
+            assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+            assert np.float64(final).tobytes() == np.float64(want_final).tobytes()
+            assert np.float64(root).tobytes() == np.float64(want_root).tobytes()
+            assert len(trace) == est.b
+            assert all(type(t) is float for t in trace)
+
+    @given(sigma_groups())
+    @settings(max_examples=150, deadline=None)
+    def test_float_sweep_differs_only_on_exact_ties(self, drawn):
+        group, s1s = drawn
+        got = exact_by_sigma_grouped(group, s1s)
+        for est, s1, (sigma, _trace, final, root) in zip(group, s1s, got):
+            values = sigma_sweep_reference(est, s1)
+            old, _ = fix_bits_greedily(values)
+            assert final == pytest.approx(values[sigma], rel=1e-12, abs=0.0)
+            assert root == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
+            if old == sigma:
+                continue
+            # At the first bit the two choices split, both children of
+            # the shared prefix must have the same exact value.
+            ks, sums = sigma_sums_reference(est, s1)
+            width = est.b - first_split(old, sigma, est.b) - 1
+            lo = (sigma >> (width + 1)) << (width + 1)
+            half = 1 << width
+            zero = sums[lo:lo + half].sum(axis=0)
+            one = sums[lo + half:lo + 2 * half].sum(axis=0)
+            assert sums_fraction(ks, zero, half) == sums_fraction(ks, one, half)
+
+    @pytest.mark.parametrize("buckets", [2, 4])
+    def test_root_equals_val1_at_every_s1(self, buckets):
+        group = random_group(3, buckets=buckets, seed=13, edgeless=(1,))
+        order = 1 << group[0].family.m
+        val1 = SeedSweepWorkspace(group).expected_rows(
+            np.arange(order, dtype=np.int64)
+        )
+        for s1 in range(order):
+            got = exact_by_sigma_grouped(group, [s1] * len(group))
+            for j, (_sigma, _trace, _final, root) in enumerate(got):
+                assert root == val1[j, s1]
+
+    def test_rejects_out_of_range_s1(self):
+        group = random_group(2, seed=6)
+        order = group[0].family.field.order
+        with pytest.raises(ValueError):
+            exact_by_sigma_grouped(group, [0, order])
+        with pytest.raises(ValueError):
+            exact_by_sigma_grouped(group, [-1, 0])
+        with pytest.raises(ValueError):
+            exact_by_sigma_grouped(group, [0])
+
+    def test_edgeless_members_choose_zero(self):
+        group = random_group(3, seed=14, edgeless=(0, 1, 2))
+        b = group[0].b
+        for got in exact_by_sigma_grouped(group, [1, 2, 3]):
+            assert got == (0, [0.0] * b, 0.0, 0.0)
+
+    def test_empty_group(self):
+        assert exact_by_sigma_grouped([], []) == []
+
+    def test_strict_check_rejects_a_root_off_val1(self, monkeypatch):
+        group = random_group(2, seed=15)
+        descend = derandomize.exact_by_sigma_grouped
+
+        def nudged(estimators, s1_values):
+            out = descend(estimators, s1_values)
+            sigma, trace, final, root = out[0]
+            out[0] = (sigma, trace, final, np.nextafter(root, np.inf))
+            return out
+
+        monkeypatch.setattr(derandomize, "exact_by_sigma_grouped", nudged)
+        with pytest.raises(AssertionError, match="inconsistency"):
+            derandomize_phase_group(group)
+        derandomize_phase_group(group, strict=False)
 
 
 class TestDerandomizeEquivalence:
