@@ -21,7 +21,9 @@ residual sub-instances are re-batched and solved through the shared-seed
 fused prefix engine, color lists live in one flat CSR store pruned by a
 single batched deletion per pass, and per-instance round ledgers / pass
 statistics are recovered from the batch trace — identical to running the
-instances sequentially.
+instances sequentially.  Linial runs once per group of instances sharing
+``(n_i, Δ_i)``, on the group's union graph; no per-instance instance
+objects are built unless ``verify`` asks for them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.core.list_ops import prune_lists_after_coloring
 from repro.core.partial_coloring import partial_coloring_pass_batch
 from repro.core.validation import verify_proper_list_coloring
 from repro.engine.rounds import RoundLedger
-from repro.substrates.linial import LinialResult, linial_coloring
+from repro.substrates.linial import linial_coloring
 
 __all__ = [
     "BatchColoringResult",
@@ -179,44 +181,34 @@ def solve_list_coloring_batch(
     k = batch.num_instances
     if k == 0:
         return BatchColoringResult()
-    instances = batch.split()
     offs = batch.instance_offsets
+    sizes_n = batch.instance_sizes
     slices = [batch.instance_slice(i) for i in range(k)]
     colors = np.full(batch.n, -1, dtype=np.int64)
     lists = batch.copy_lists()
 
+    # Step 1: input colorings, union-node indexed for one-gather ψ
+    # restriction per pass (Linial's K = O(Δ²) from node ids by default).
+    psi_global, num_input, linial_iters = _input_colorings(
+        batch, input_colorings, nums_input_colors
+    )
     results: list[ColoringResult] = []
-    linials: list[LinialResult | None] = []
     depths: list[int] = []
-    for i, inst in enumerate(instances):
+    for i in range(k):
         ledger = RoundLedger()
-        g = inst.graph
-        if g.n == 0:
+        if sizes_n[i] == 0:
             results.append(
                 ColoringResult(colors=np.full(0, -1, dtype=np.int64), rounds=ledger)
             )
-            linials.append(None)
             depths.append(0)
             continue
-
-        # Step 1: Linial input coloring from node ids (K = O(Δ²)).
-        given = None if input_colorings is None else input_colorings[i]
-        if given is None:
-            linial = linial_coloring(g)
-            ledger.charge("linial", max(1, linial.iterations))
-        else:
-            size = None if nums_input_colors is None else nums_input_colors[i]
-            if size is None:
-                size = int(np.max(given, initial=0)) + 1
-            linial = LinialResult(
-                colors=np.asarray(given, dtype=np.int64),
-                num_colors=int(size),
-                iterations=0,
-            )
+        if input_colorings is None or input_colorings[i] is None:
+            ledger.charge("linial", max(1, linial_iters[i]))
 
         # Step 2: BFS tree depth per component — the aggregation cost unit.
         depth = None if comm_depths is None else comm_depths[i]
         if depth is None:
+            g = batch.instance_graph(i)
             depth = 0
             for component in g.connected_components():
                 root = int(component[0])
@@ -224,28 +216,21 @@ def solve_list_coloring_batch(
                 depth = max(depth, int(levels.max(initial=0)))
             ledger.charge("bfs_tree", max(1, depth))
 
-        linials.append(linial)
         depths.append(int(depth))
         results.append(
             ColoringResult(
                 colors=colors[slices[i]],
                 rounds=ledger,
-                input_coloring_size=linial.num_colors,
-                linial_iterations=linial.iterations,
+                input_coloring_size=num_input[i],
+                linial_iterations=linial_iters[i],
                 comm_depth=int(depth),
             )
         )
 
     max_passes = [
-        max(1, math.ceil(math.log(max(2, inst.graph.n)) / math.log(8 / 7)) + 2)
-        for inst in instances
+        max(1, math.ceil(math.log(max(2, int(n_i))) / math.log(8 / 7)) + 2)
+        for n_i in sizes_n
     ]
-    # Concatenated input colorings, union-node indexed, for one-gather ψ
-    # restriction per pass.
-    psi_global = np.zeros(batch.n, dtype=np.int64)
-    for i in range(k):
-        if linials[i] is not None:
-            psi_global[slices[i]] = linials[i].colors
 
     passes = [0] * k
     while True:
@@ -280,7 +265,7 @@ def solve_list_coloring_batch(
         outcomes = partial_coloring_pass_batch(
             sub_batch,
             psi_global[original],
-            [linials[i].num_colors for i in live],
+            [num_input[i] for i in live],
             comm_depths=[depths[i] for i in live],
             ledgers=[results[i].rounds for i in live],
             r_schedule=r_schedule,
@@ -317,6 +302,46 @@ def solve_list_coloring_batch(
 
     for i in range(k):
         results[i].colors = colors[slices[i]].copy()
-        if verify and instances[i].graph.n:
-            verify_proper_list_coloring(instances[i], results[i].colors)
+    if verify:
+        for i, view in enumerate(batch.split()):
+            if view.graph.n:
+                verify_proper_list_coloring(view, results[i].colors)
     return BatchColoringResult(results=results)
+
+
+def _input_colorings(batch, input_colorings, nums_input_colors):
+    """ψ over the union nodes, plus per-instance K_i and Linial iterations.
+
+    A given coloring is used as it is.  The others come from Linial's
+    algorithm on node ids, run once per group of instances that share
+    ``(n_i, Δ_i)`` — the only inputs its field choices read — on the
+    group's union graph with local ids as the initial colors, so every
+    node gets the color a standalone run gives it.
+    """
+    k = batch.num_instances
+    offs = batch.instance_offsets
+    sizes = batch.instance_sizes
+    psi = np.zeros(batch.n, dtype=np.int64)
+    num_colors = [0] * k
+    iterations = [0] * k
+    deltas = batch.graph.block_max_degrees(offs)
+    groups: dict[tuple, list] = {}
+    for i in np.flatnonzero(sizes).tolist():
+        given = None if input_colorings is None else input_colorings[i]
+        if given is None:
+            groups.setdefault((int(sizes[i]), int(deltas[i])), []).append(i)
+            continue
+        size = None if nums_input_colors is None else nums_input_colors[i]
+        if size is None:
+            size = int(np.max(given, initial=0)) + 1
+        psi[offs[i]:offs[i + 1]] = given
+        num_colors[i] = int(size)
+    for (n_i, _delta), members in groups.items():
+        graph, nodes = batch.graph.block_subgraph(offs, members)
+        local = nodes - np.repeat(offs[members], n_i)
+        linial = linial_coloring(graph, local, n_i)
+        psi[nodes] = linial.colors
+        for i in members:
+            num_colors[i] = linial.num_colors
+            iterations[i] = linial.iterations
+    return psi, num_colors, iterations

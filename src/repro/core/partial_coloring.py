@@ -17,8 +17,11 @@ nodes:
 :func:`partial_coloring_pass_batch` runs the pass over every instance of a
 :class:`BatchedListColoringInstance` simultaneously: the prefix extension is
 the batched engine of :mod:`repro.core.prefix` (shared-seed phase fusion),
-while the cheap id-sensitive endgame (eligibility, MIS, round charges) stays
-per instance so each outcome is identical to a standalone pass.
+and the endgame (eligibility, the eligible conflict subgraph, the MIS) runs
+once on the union of the instances' results.  The MIS's Linial crunch runs
+once per group of instances sharing ``(K_i, conflict Δ_i)``, the inputs of
+its schedule, so each outcome — members, MIS rounds, round charges — is
+identical to a standalone pass.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.core.instances import BatchedListColoringInstance, ListColoringInstan
 from repro.core.prefix import PrefixResult, extend_prefixes_batch
 from repro.engine.rounds import RoundLedger
 from repro.graphs.graph import Graph
-from repro.substrates.mis import mis_bounded_degree
+from repro.substrates.mis import mis_by_blocks
 
 __all__ = [
     "PartialColoringOutcome",
@@ -192,12 +195,9 @@ def partial_coloring_pass_batch(
             psis_sub = np.concatenate(
                 [psis[batch.instance_slice(i)] for i in nonempty]
             )
-        deltas = [
-            int(batch.graph.degrees[batch.instance_slice(i)].max())
-            for i in nonempty
-        ]
+        deltas = batch.graph.block_max_degrees(batch.instance_offsets)
         strengthens = [
-            delta + 1 if avoid_mis else 1 for delta in deltas
+            int(deltas[i]) + 1 if avoid_mis else 1 for i in nonempty
         ]
         prefixes = extend_prefixes_batch(
             sub_batch,
@@ -210,52 +210,55 @@ def partial_coloring_pass_batch(
             sweep_cache=sweep_cache,
         )
 
+        # The endgame on the union of the instances' results: eligibility,
+        # the eligible conflict subgraph and the MIS are per node, so one
+        # array pass serves every instance.
+        sub_offs = sub_batch.instance_offsets
+        n_sub = sub_batch.n
+        candidates = np.concatenate([p.candidates for p in prefixes])
         threshold = 1 if avoid_mis else 3
-        for i, prefix in zip(nonempty, prefixes):
+        degrees = np.concatenate([p.conflict_degrees for p in prefixes])
+        eligible = degrees <= threshold
+        eligible_ids = np.flatnonzero(eligible)
+        remap = np.full(n_sub, -1, dtype=np.int64)
+        remap[eligible_ids] = np.arange(len(eligible_ids))
+        # Conflict edges stay canonical: each instance's are, and the
+        # blocks are shifted in order.
+        conflict_u = np.concatenate(
+            [p.conflict_edges_u + sub_offs[j] for j, p in enumerate(prefixes)]
+        )
+        conflict_v = np.concatenate(
+            [p.conflict_edges_v + sub_offs[j] for j, p in enumerate(prefixes)]
+        )
+        keep = eligible[conflict_u] & eligible[conflict_v]
+        sub_u, sub_v = remap[conflict_u[keep]], remap[conflict_v[keep]]
+        eligible_offs = np.searchsorted(eligible_ids, sub_offs)
+
+        if avoid_mis:
+            # Conflict degree ≤ 1: the higher id of each conflicting pair
+            # joins; isolated eligible nodes join.  One CONGEST round.
+            members = np.ones(len(eligible_ids), dtype=bool)
+            members[np.minimum(sub_u, sub_v)] = False
+            mis_rounds = np.ones(len(nonempty), dtype=np.int64)
+        else:
+            conflict = Graph.from_arrays(len(eligible_ids), sub_u, sub_v)
+            members, mis_rounds = mis_by_blocks(
+                conflict,
+                psis_sub[eligible_ids],
+                eligible_offs,
+                [nums_input_colors[i] for i in nonempty],
+            )
+
+        winners = eligible_ids[members]
+        colors_sub = np.full(n_sub, -1, dtype=np.int64)
+        colors_sub[winners] = candidates[winners]
+        colored_counts = np.bincount(
+            np.searchsorted(sub_offs, winners, side="right") - 1,
+            minlength=len(nonempty),
+        )
+        for j, (i, prefix) in enumerate(zip(nonempty, prefixes)):
             n = int(sizes_n[i])
-            psi = psis[batch.instance_slice(i)]
-            colors = np.full(n, -1, dtype=np.int64)
-
-            eligible = prefix.conflict_degrees <= threshold
-            eligible_ids = np.flatnonzero(eligible)
-
-            # Conflict subgraph restricted to eligible nodes.
-            if len(prefix.conflict_edges_u):
-                keep = (
-                    eligible[prefix.conflict_edges_u]
-                    & eligible[prefix.conflict_edges_v]
-                )
-                sub_u = prefix.conflict_edges_u[keep]
-                sub_v = prefix.conflict_edges_v[keep]
-            else:
-                sub_u = sub_v = np.empty(0, dtype=np.int64)
-
-            remap = np.full(n, -1, dtype=np.int64)
-            remap[eligible_ids] = np.arange(len(eligible_ids))
-            sub_u = remap[sub_u]
-            sub_v = remap[sub_v]
-
-            if avoid_mis:
-                # Conflict degree ≤ 1: the higher id of each conflicting
-                # pair joins; isolated eligible nodes join.  One CONGEST
-                # round.
-                members = np.ones(len(eligible_ids), dtype=bool)
-                members[np.minimum(sub_u, sub_v)] = False
-                mis_rounds = 1
-            else:
-                conflict_sub = Graph(
-                    len(eligible_ids), np.stack([sub_u, sub_v], axis=1)
-                )
-                mis = mis_bounded_degree(
-                    conflict_sub, psi[eligible_ids], int(nums_input_colors[i])
-                )
-                members = mis.members
-                mis_rounds = mis.rounds
-
-            winners = eligible_ids[members]
-            colors[winners] = prefix.candidates[winners]
-            colored = len(winners)
-
+            colored = int(colored_counts[j])
             if strict and rng is None:
                 # Deterministic guarantee only; the randomized variant
                 # achieves the bound in expectation (Lemmas 2.2/2.3), not
@@ -266,14 +269,16 @@ def partial_coloring_pass_batch(
                         f"Lemma 2.1 violated: colored {colored} < n/8 = {n / 8}"
                     )
 
-            _charge_congest_rounds(ledgers[i], prefix, comm_depths[i], mis_rounds)
+            _charge_congest_rounds(
+                ledgers[i], prefix, comm_depths[i], int(mis_rounds[j])
+            )
             outcomes[i] = PartialColoringOutcome(
-                colors=colors,
+                colors=colors_sub[sub_offs[j]:sub_offs[j + 1]].copy(),
                 colored_count=colored,
                 fraction=colored / n,
                 prefix=prefix,
-                mis_rounds=mis_rounds,
-                eligible_count=int(eligible.sum()),
+                mis_rounds=int(mis_rounds[j]),
+                eligible_count=int(eligible_offs[j + 1] - eligible_offs[j]),
             )
 
     return [outcomes[i] for i in range(k)]

@@ -21,6 +21,15 @@ Pipeline:
 The total round charge is decomposition + Σ_class κ · max-cluster-rounds,
 which is polylog(n) — independent of the graph diameter.  This is the
 claim experiment T7/F3 checks against the D-dependent Theorem 1.1 cost.
+
+Execution is one array program per class, with no per-cluster instance:
+the class's nodes, cluster by cluster, induce exactly the block-diagonal
+union of the clusters' induced subgraphs (Definition 3.1 (iii)), so one
+relabeled ``induced_subgraph`` and one ``ColorListStore.subset`` build a
+:class:`~repro.core.instances.BatchedListColoringInstance` that is
+validated once, and one :func:`solve_list_coloring_batch` call solves
+every cluster.  Each cluster's colors and ledger are what a standalone
+solve of that cluster gives.
 """
 
 from __future__ import annotations
@@ -67,10 +76,10 @@ def _class_congestion(clusters) -> int:
     One encoded-key ``np.unique`` over the concatenated tree edges replaces
     the per-edge Python dict loop.
     """
-    arrays = [c.tree_edge_array() for c in clusters if c.tree_edges]
-    if not arrays:
+    flat = [edge for c in clusters for edge in c.tree_edges]
+    if not flat:
         return 1
-    edges = np.concatenate(arrays)
+    edges = np.asarray(flat, dtype=np.int64)
     lo = edges.min(axis=1)
     hi = edges.max(axis=1)
     base = np.int64(int(hi.max()) + 1)
@@ -141,20 +150,26 @@ def _solve_polylog_resolved(
 
         # Solve the whole class as ONE batched instance: the clusters never
         # conflict, and batching lets their per-phase seed enumerations be
-        # amortized (shared-seed phase fusion).  Aggregation over each
-        # cluster's Steiner tree: depth ≤ its weak radius; use the carving
-        # radius bound (tree depth).
-        sub_instances = []
-        originals = []
-        for cluster in clusters:
-            sub_graph, original = graph.induced_subgraph(cluster.nodes)
-            sub_instances.append(
-                ListColoringInstance(
-                    sub_graph, instance.color_space, lists.subset(original)
-                )
-            )
-            originals.append(original)
-        class_batch = BatchedListColoringInstance.from_instances(sub_instances)
+        # amortized (shared-seed phase fusion).  The class's nodes, cluster
+        # by cluster, induce exactly the block-diagonal union of the
+        # clusters' induced subgraphs (Definition 3.1 (iii)), so one
+        # relabeled subgraph and one list slice build the batch, validated
+        # once.  Aggregation over each cluster's Steiner tree: depth ≤ its
+        # weak radius; use the carving radius bound (tree depth).
+        sizes = np.array([len(c.nodes) for c in clusters], dtype=np.int64)
+        offsets = np.zeros(len(clusters) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        # Members ascend within each cluster, as a per-cluster induced
+        # subgraph numbers them.
+        owner = np.repeat(np.arange(len(clusters)), sizes)
+        order = class_nodes[np.lexsort((class_nodes, owner))]
+        class_graph, _ = graph.induced_subgraph(order, keep_order=True)
+        class_batch = BatchedListColoringInstance(
+            class_graph,
+            offsets,
+            np.full(len(clusters), instance.color_space, dtype=np.int64),
+            lists.subset(order),
+        )
         batch_result = solve_list_coloring_batch(
             class_batch,
             strict=strict,
@@ -163,16 +178,14 @@ def _solve_polylog_resolved(
             backend=backend,
         )
 
-        max_rounds = 0
-        for original, sub_result in zip(originals, batch_result.results):
-            colors[original] = sub_result.colors
-            max_rounds = max(max_rounds, sub_result.rounds.total)
+        colors[order] = batch_result.colors
+        max_rounds = max(batch_result.rounds_totals())
         ledger.charge(f"class_{color}", max(1, max_rounds * kappa))
         result.classes.append(
             ClassStats(
                 color=color,
                 clusters=len(clusters),
-                largest_cluster=max(len(c.nodes) for c in clusters),
+                largest_cluster=int(sizes.max()),
                 max_cluster_rounds=max_rounds,
                 congestion=kappa,
             )

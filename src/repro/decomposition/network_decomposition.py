@@ -9,12 +9,14 @@ clusters, each with an associated Steiner tree in G and a color in
   (iii) clusters joined by an edge of G get different colors,
   (iv)  every edge of G lies in at most κ trees of the same color.
 
-The :meth:`NetworkDecomposition.validate` method machine-checks all four
-properties (plus that clusters partition V); every decomposition produced
-in this library passes through it.  The checks run on flat edge/owner
-arrays — membership through ``np.searchsorted`` over encoded edge keys —
-so validation stays cheap even when every produced decomposition flows
-through it.
+The :meth:`NetworkDecomposition.validate` method machine-checks
+properties (i) and (iii), the bound (ii) on request, and that the clusters
+partition V and every tree is a tree of G; every decomposition produced in
+this library passes through it; :meth:`NetworkDecomposition.congestion`
+measures (iv).  The checks are one pass over all clusters at once:
+members, tree nodes and tree edges are stacked as ``cluster·n + node``
+keys with membership through ``np.searchsorted``, and the trees'
+connectivity is one multi-source BFS over their disjoint union.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ import numpy as np
 from repro.graphs.graph import Graph
 
 __all__ = ["Cluster", "NetworkDecomposition"]
+
+
+def _in_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Membership mask of ``keys`` in the sorted array ``table``."""
+    if not table.size:
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return table[pos] == keys
 
 
 @dataclass
@@ -62,23 +72,39 @@ class NetworkDecomposition:
     num_colors: int = 0
 
     # ------------------------------------------------------------------
+    def _stacked_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cluster's members in one array, with their cluster index."""
+        if not self.clusters:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        nodes = np.concatenate(
+            [np.asarray(c.nodes, dtype=np.int64) for c in self.clusters]
+        )
+        sizes = [len(c.nodes) for c in self.clusters]
+        owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        return nodes, owner
+
+    def _stacked_tree_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every tree edge as ``(t, 2)`` plus the index of its cluster."""
+        flat = [edge for c in self.clusters for edge in c.tree_edges]
+        if not flat:
+            return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+        counts = [len(c.tree_edges) for c in self.clusters]
+        owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        return np.asarray(flat, dtype=np.int64).reshape(-1, 2), owner
+
     def cluster_of(self) -> np.ndarray:
         """Node -> cluster index; every node must be covered exactly once."""
-        owner = np.full(self.graph.n, -1, dtype=np.int64)
-        for idx, cluster in enumerate(self.clusters):
-            nodes = np.asarray(cluster.nodes, dtype=np.int64)
-            sorted_nodes = np.sort(nodes)
-            dup = sorted_nodes[:-1][sorted_nodes[1:] == sorted_nodes[:-1]]
-            if dup.size:
-                raise AssertionError(f"node {int(dup[0])} in two clusters")
-            taken = owner[nodes] != -1
-            if taken.any():
-                v = int(nodes[np.argmax(taken)])
-                raise AssertionError(f"node {v} in two clusters")
-            owner[nodes] = idx
-        if (owner == -1).any():
-            missing = int(np.flatnonzero(owner == -1)[0])
+        nodes, owner_of = self._stacked_nodes()
+        hits = np.bincount(nodes, minlength=self.graph.n)
+        if (hits > 1).any():
+            raise AssertionError(
+                f"node {int(np.argmax(hits > 1))} in two clusters"
+            )
+        if (hits == 0).any():
+            missing = int(np.argmax(hits == 0))
             raise AssertionError(f"node {missing} not covered by any cluster")
+        owner = np.empty(self.graph.n, dtype=np.int64)
+        owner[nodes] = owner_of
         return owner
 
     def weak_diameter(self) -> int:
@@ -120,53 +146,74 @@ class NetworkDecomposition:
 
     # ------------------------------------------------------------------
     def validate(self, max_diameter: int | None = None) -> None:
-        """Check Definition 3.1 (raises AssertionError on violation)."""
+        """Check Definition 3.1 (raises AssertionError on violation).
+
+        One pass over all clusters: members, tree nodes and tree edges are
+        stacked as ``cluster·n + node`` keys, and the trees' connectivity
+        is one multi-source BFS from every center over the disjoint union
+        of the trees.
+        """
         owner = self.cluster_of()
         graph = self.graph
         n = graph.n
-        # Sorted keys of G's canonical edge set, for membership queries.
-        g_edge_keys = graph.edges_u * n + graph.edges_v
+        k = len(self.clusters)
+        colors = np.fromiter(
+            (c.color for c in self.clusters), dtype=np.int64, count=k
+        )
+        bad = (colors < 1) | (colors > self.num_colors)
+        if bad.any():
+            raise AssertionError(
+                f"cluster color {int(colors[np.argmax(bad)])} outside "
+                f"1..{self.num_colors}"
+            )
+        centers = np.fromiter(
+            (c.center for c in self.clusters), dtype=np.int64, count=k
+        )
+        center_keys = np.arange(k, dtype=np.int64) * n + centers
+        edges, edge_owner = self._stacked_tree_edges()
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
 
-        for cluster in self.clusters:
-            if not (1 <= cluster.color <= self.num_colors):
-                raise AssertionError(
-                    f"cluster color {cluster.color} outside 1..{self.num_colors}"
-                )
-            # (i) the tree spans the cluster and is a connected tree.
-            tree_nodes = cluster.tree_node_array()
-            missing = ~np.isin(cluster.nodes, tree_nodes)
-            if missing.any():
-                v = int(np.asarray(cluster.nodes)[np.argmax(missing)])
-                raise AssertionError(f"cluster node {v} missing from its tree")
-            edges = cluster.tree_edge_array()
-            if len(edges):
-                lo = edges.min(axis=1)
-                hi = edges.max(axis=1)
-                keys = lo * n + hi
-                pos = np.searchsorted(g_edge_keys, keys)
-                in_range = pos < len(g_edge_keys)
-                present = np.zeros(len(keys), dtype=bool)
-                present[in_range] = g_edge_keys[pos[in_range]] == keys[in_range]
-                if not present.all():
-                    i = int(np.argmin(present))
-                    raise AssertionError(
-                        f"tree edge ({edges[i, 0]}, {edges[i, 1]}) is not an "
-                        "edge of G"
-                    )
-                tree = Graph(
-                    len(tree_nodes),
-                    np.searchsorted(tree_nodes, edges),
-                )
-                if tree.m != tree.n - 1 or len(tree.connected_components()) != 1:
-                    raise AssertionError("cluster tree is not a tree")
+        # Tree edges are edges of G: sorted keys of G's canonical edge set.
+        g_edge_keys = graph.edges_u * n + graph.edges_v
+        present = _in_sorted(lo * n + hi, g_edge_keys)
+        if not present.all():
+            i = int(np.argmin(present))
+            raise AssertionError(
+                f"tree edge ({edges[i, 0]}, {edges[i, 1]}) is not an edge of G"
+            )
+
+        # (i) the tree spans the cluster: tree nodes are the edge endpoints
+        # plus the center, keyed by cluster.
+        tree_keys = np.unique(
+            np.concatenate(
+                [edge_owner * n + lo, edge_owner * n + hi, center_keys]
+            )
+        )
+        nodes, node_owner = self._stacked_nodes()
+        spanned = _in_sorted(node_owner * n + nodes, tree_keys)
+        if not spanned.all():
+            v = int(nodes[np.argmin(spanned)])
+            raise AssertionError(f"cluster node {v} missing from its tree")
+
+        # ... and is a tree: m = n − 1 distinct edges per cluster, and every
+        # tree node is reached from its center in the union of the trees.
+        u = np.searchsorted(tree_keys, edge_owner * n + lo)
+        v = np.searchsorted(tree_keys, edge_owner * n + hi)
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+        distinct = np.ones(len(u), dtype=bool)
+        distinct[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        u, v = u[distinct], v[distinct]
+        tree_m = np.bincount(edge_owner[order][distinct], minlength=k)
+        tree_n = np.bincount(tree_keys // max(n, 1), minlength=k)
+        forest = Graph.from_arrays(len(tree_keys), u, v)
+        reached = forest.bfs_levels(np.searchsorted(tree_keys, center_keys)) >= 0
+        if (tree_m != tree_n - 1).any() or not reached.all():
+            raise AssertionError("cluster tree is not a tree")
 
         # (iii) adjacent clusters have different colors.
         if graph.m and self.clusters:
-            colors = np.fromiter(
-                (c.color for c in self.clusters),
-                dtype=np.int64,
-                count=len(self.clusters),
-            )
             cu, cv = owner[graph.edges_u], owner[graph.edges_v]
             bad = (cu != cv) & (colors[cu] == colors[cv])
             if bad.any():

@@ -32,6 +32,10 @@ Guarantees (all asserted here or in the validator):
 Round accounting: every proposal step costs O(1) rounds for the proposals
 themselves plus a cluster-internal aggregation over the current radius to
 count proposers; we charge ``2·radius + 4`` per step.
+
+Each cluster's Steiner tree is the union of its members' shortest paths to
+the center in G; :func:`steiner_trees` builds the trees of every cluster of
+a carving in one frontier BFS.
 """
 
 from __future__ import annotations
@@ -41,11 +45,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.decomposition.network_decomposition import Cluster, NetworkDecomposition
+from repro.decomposition.network_decomposition import (
+    Cluster,
+    NetworkDecomposition,
+    _in_sorted,
+)
 from repro.engine.rounds import RoundLedger
 from repro.graphs.graph import Graph
 
-__all__ = ["carve_class", "decompose", "CarveResult"]
+__all__ = ["carve_class", "decompose", "steiner_trees", "CarveResult"]
 
 
 @dataclass
@@ -65,10 +73,12 @@ def carve_class(
 ) -> CarveResult:
     """One RG19-style carving on the alive nodes (see module docstring).
 
-    The proposal step is fully vectorized: the neighborhoods of all alive
-    blue nodes are expanded at once through :meth:`Graph.gather_neighbors`,
-    and each blue node's smallest-label active red neighbor cluster is a
-    segment minimum over that expansion.  Cluster labels are node ids, so
+    The proposal step is fully vectorized: it keeps the (blue node, red
+    neighbor with matching prefix) pairs of the phase — the alive blue
+    nodes' neighborhoods, expanded once per phase through
+    :meth:`Graph.gather_neighbors`, plus the pairs each absorption creates
+    — and each blue node's smallest-label active red neighbor cluster is a
+    segment minimum over those pairs.  Cluster labels are node ids, so
     cluster state (member counts, radii, finalized flags) lives in flat
     arrays indexed by label.
     """
@@ -92,6 +102,20 @@ def carve_class(
     for k in range(B):
         finalized = np.zeros(n, dtype=bool)  # by cluster label
         prefix_mask = (1 << k) - 1
+        # Within a phase a blue node only leaves the blue side (absorbed
+        # nodes turn red, rejected ones die) and a red node never changes.
+        # So the pairs (alive blue node, red neighbor with the same
+        # processed prefix) that proposals read are the phase-start pairs
+        # plus those each absorption creates; a step scans only these.
+        blue_now = alive & (((center >> k) & 1) == 1)
+        srcs, nbrs = graph.gather_neighbors(np.flatnonzero(blue_now))
+        cw = center[nbrs]
+        match = (
+            alive[nbrs]
+            & (((cw >> k) & 1) == 0)
+            & ((cw & prefix_mask) == (center[srcs] & prefix_mask))
+        )
+        srcs, nbrs = srcs[match], nbrs[match]
         for _step in range(max_steps_per_phase + 1):
             if _step == max_steps_per_phase:
                 raise AssertionError(
@@ -100,21 +124,16 @@ def carve_class(
                 )
             # Proposals: alive blue node -> smallest-label active red
             # cluster with matching processed prefix.
-            blue = np.flatnonzero(alive & (((center >> k) & 1) == 1))
-            srcs, nbrs = graph.gather_neighbors(blue)
-            valid = alive[nbrs]
-            cw = np.where(valid, center[nbrs], 0)
-            red = valid & (((cw >> k) & 1) == 0)
-            match = red & ((cw & prefix_mask) == (center[srcs] & prefix_mask))
+            keep = blue_now[srcs]
+            srcs, nbrs = srcs[keep], nbrs[keep]
+            cw = center[nbrs]
             is_final = finalized[cw]
             best = np.full(n, sentinel, dtype=np.int64)
-            np.minimum.at(
-                best, srcs[match & ~is_final], cw[match & ~is_final]
-            )
-            if (match & is_final).any():
+            np.minimum.at(best, srcs[~is_final], cw[~is_final])
+            if is_final.any():
                 saw_final = np.zeros(n, dtype=bool)
-                saw_final[srcs[match & is_final]] = True
-                stuck = blue[(best[blue] == sentinel) & saw_final[blue]]
+                saw_final[srcs[is_final]] = True
+                stuck = np.flatnonzero((best == sentinel) & saw_final)
                 if stuck.size:
                     # By the Rule-Y invariant this cannot happen: a blue
                     # node's first adjacency to red always includes an
@@ -123,7 +142,7 @@ def carve_class(
                         f"blue nodes {stuck[:5].tolist()} adjacent only to "
                         "finalized reds"
                     )
-            proposers = blue[best[blue] < sentinel]
+            proposers = np.flatnonzero(best < sentinel)
             if proposers.size == 0:
                 break
             steps += 1
@@ -139,7 +158,9 @@ def carve_class(
             order = np.argsort(tgt, kind="stable")
             p_sorted = proposers[order]
             t_sorted = tgt[order]
-            uniq_t, grp_counts = np.unique(t_sorted, return_counts=True)
+            starts = np.flatnonzero(np.diff(t_sorted, prepend=-1))
+            uniq_t = t_sorted[starts]
+            grp_counts = np.diff(starts, append=len(t_sorted))
             absorb_grp = grp_counts >= count[uniq_t] / (2.0 * B)
             absorb_elem = np.repeat(absorb_grp, grp_counts)
 
@@ -152,6 +173,15 @@ def carve_class(
                 center[moved] = new_centers
                 count[uniq_t[absorb_grp]] += grp_counts[absorb_grp]
                 radius_arr[uniq_t[absorb_grp]] += 1
+                blue_now[moved] = False
+                # New pairs: blue neighbors of the absorbed (now red) nodes.
+                red_new, blue_nbrs = graph.gather_neighbors(moved)
+                new = blue_now[blue_nbrs] & (
+                    (center[red_new] & prefix_mask)
+                    == (center[blue_nbrs] & prefix_mask)
+                )
+                srcs = np.concatenate([srcs, blue_nbrs[new]])
+                nbrs = np.concatenate([nbrs, red_new[new]])
 
             killed = p_sorted[~absorb_elem]
             if killed.size:
@@ -159,6 +189,7 @@ def carve_class(
                 np.subtract.at(count, center[killed], 1)
                 center[killed] = -1
                 alive[killed] = False
+                blue_now[killed] = False
                 dead[killed] = True
                 deaths += int(killed.size)
 
@@ -177,24 +208,102 @@ def carve_class(
     )
 
 
-def _steiner_tree(graph: Graph, center: int, nodes: np.ndarray) -> list:
-    """Shortest-path tree edges in G covering ``nodes`` from ``center``."""
-    parent, _depth = graph.bfs_tree(int(center), targets=nodes)
-    edges = set()
-    for v in nodes:
-        v = int(v)
-        while v != center:
-            p = int(parent[v])
-            if p < 0:
-                raise AssertionError(
-                    f"cluster node {v} unreachable from center {center}"
-                )
-            edge = (min(v, p), max(v, p))
-            if edge in edges:
-                break  # rest of the path already in the tree
-            edges.add(edge)
-            v = p
-    return sorted(edges)
+def steiner_trees(
+    graph: Graph, centers: np.ndarray, nodes: np.ndarray, offsets: np.ndarray
+) -> list:
+    """Shortest-path Steiner trees of many clusters, one BFS for all.
+
+    Cluster ``c`` has center ``centers[c]`` and the sorted members
+    ``nodes[offsets[c]:offsets[c + 1]]``.  Its tree is the union of the
+    member→center paths of the BFS tree of G rooted at the center, as a
+    sorted list of ``(lo, hi)`` edges — exactly what
+    ``Graph.bfs_tree(center, targets=members)`` plus a parent walk gives.
+
+    Every cluster's BFS runs in the same frontier loop, keyed by
+    ``cluster·n + node`` (sorted key arrays, never a dense clusters × n
+    table), with one ``gather_neighbors`` per level.  Frontiers stay
+    cluster-major and, within a cluster, in discovery order, so a node's
+    parent is the earliest-discovered frontier node next to it: the tie
+    rule of ``Graph._bfs``.  In an undirected graph a neighbor of a level-L
+    node lies at level L−1, L or L+1, so "unseen" is a lookup in the last
+    two levels only.  A cluster leaves the frontier once all its members
+    are reached; a cluster whose only member is its center gets an empty
+    tree without a BFS.
+    """
+    n = graph.n
+    centers = np.asarray(centers, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    k = len(centers)
+    sizes = np.diff(offsets)
+    owner = np.repeat(np.arange(k, dtype=np.int64), sizes)
+    member_keys = np.sort(owner * n + nodes)
+    center_keys = np.arange(k, dtype=np.int64) * n + centers
+    remaining = sizes - _in_sorted(center_keys, member_keys)
+    trees: list = [[] for _ in range(k)]
+    active = np.flatnonzero(remaining > 0)
+    if not active.size:
+        return trees
+
+    # BFS over (cluster, node) keys; each level keeps its sorted keys and
+    # the parent node of each key (a center is its own parent).
+    level_keys = [center_keys[active]]
+    level_parents = [centers[active]]
+    front_c, front_v = active, centers[active]
+    prev_keys = np.empty(0, dtype=np.int64)
+    while front_c.size:
+        going = remaining[front_c] > 0
+        front_c, front_v = front_c[going], front_v[going]
+        if not front_c.size:
+            break
+        srcs, nbrs = graph.gather_neighbors(front_v)
+        owners = np.repeat(front_c, graph.degrees[front_v])
+        found, first = np.unique(owners * n + nbrs, return_index=True)
+        unseen = ~(_in_sorted(found, level_keys[-1]) | _in_sorted(found, prev_keys))
+        found, first = found[unseen], first[unseen]
+        if not found.size:
+            break
+        order = np.sort(first)
+        front_c, front_v = owners[order], nbrs[order]
+        prev_keys = level_keys[-1]
+        level_keys.append(found)
+        level_parents.append(srcs[first])
+        hit = found[_in_sorted(found, member_keys)] // n
+        remaining -= np.bincount(hit, minlength=k)
+    if (remaining > 0).any():
+        c = int(np.argmax(remaining > 0))
+        members = nodes[offsets[c]:offsets[c + 1]]
+        reached = _in_sorted(c * n + members, np.sort(np.concatenate(level_keys)))
+        raise AssertionError(
+            f"cluster node {int(members[np.argmin(reached)])} unreachable "
+            f"from center {int(centers[c])}"
+        )
+
+    # Tree nodes, by a vectorized parent walk: every member path advances
+    # one step per iteration, and stops at its center or where it joins a
+    # path already walked.
+    keys = np.concatenate(level_keys)
+    parents = np.concatenate(level_parents)
+    order = np.argsort(keys)
+    keys, parents = keys[order], parents[order]
+    cluster = keys // n
+    on_tree = np.zeros(len(keys), dtype=bool)
+    cur = np.searchsorted(keys, member_keys[~_in_sorted(member_keys, center_keys)])
+    while cur.size:
+        on_tree[cur] = True
+        step = cluster[cur] * n + parents[cur]
+        step = step[~_in_sorted(step, center_keys)]
+        cur = np.unique(np.searchsorted(keys, step))
+        cur = cur[~on_tree[cur]]
+    cluster, parent = cluster[on_tree], parents[on_tree]
+    child = keys[on_tree] - cluster * n
+    lo, hi = np.minimum(child, parent), np.maximum(child, parent)
+    order = np.lexsort((hi, lo, cluster))
+    lo, hi = lo[order].tolist(), hi[order].tolist()
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(cluster, minlength=k))))
+    for c in np.flatnonzero(np.diff(bounds)).tolist():
+        a, b = int(bounds[c]), int(bounds[c + 1])
+        trees[c] = list(zip(lo[a:b], hi[a:b]))
+    return trees
 
 
 def decompose(
@@ -217,15 +326,16 @@ def decompose(
         carve = carve_class(graph, alive)
         if ledger is not None:
             ledger.charge(f"carve_color_{color}", max(1, carve.rounds))
-        for c, nodes in sorted(_members_from_centers(carve.center).items()):
-            tree_edges = _steiner_tree(graph, c, nodes)
+        centers, members, offsets = _members_from_centers(carve.center)
+        trees = steiner_trees(graph, centers, members, offsets)
+        for i, c in enumerate(centers.tolist()):
             decomposition.clusters.append(
                 Cluster(
-                    nodes=nodes,
+                    nodes=members[offsets[i]:offsets[i + 1]],
                     color=color,
-                    center=int(c),
-                    tree_edges=tree_edges,
-                    radius=int(carve.radius.get(int(c), 0)),
+                    center=c,
+                    tree_edges=trees[i],
+                    radius=carve.radius.get(c, 0),
                 )
             )
         alive = carve.dead
@@ -235,18 +345,17 @@ def decompose(
     return decomposition
 
 
-def _members_from_centers(center: np.ndarray) -> dict:
-    """Group clustered nodes by center: ``{center: sorted member array}``."""
+def _members_from_centers(center: np.ndarray) -> tuple:
+    """Group clustered nodes by center: ``(centers, members, offsets)``.
+
+    ``centers`` ascend; cluster i's members are the ascending
+    ``members[offsets[i]:offsets[i + 1]]``.
+    """
     nodes = np.flatnonzero(center >= 0)
-    if nodes.size == 0:
-        return {}
     labels = center[nodes]
     order = np.argsort(labels, kind="stable")  # members stay ascending
     nodes_s, labels_s = nodes[order], labels[order]
-    bounds = np.flatnonzero(
-        np.concatenate(([True], labels_s[1:] != labels_s[:-1], [True]))
-    )
-    return {
-        int(labels_s[bounds[i]]): nodes_s[bounds[i]:bounds[i + 1]]
-        for i in range(len(bounds) - 1)
-    }
+    new = np.ones(len(labels_s), dtype=bool)
+    new[1:] = labels_s[1:] != labels_s[:-1]
+    starts = np.flatnonzero(new)
+    return labels_s[starts], nodes_s, np.append(starts, len(nodes_s))

@@ -320,14 +320,32 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def induced_subgraph(self, nodes: Sequence[int]) -> tuple["Graph", np.ndarray]:
+    def induced_subgraph(
+        self, nodes: Sequence[int], keep_order: bool = False
+    ) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``nodes``.
 
         Returns ``(subgraph, original_ids)`` where ``original_ids[i]`` is the
         original id of the subgraph node ``i``.  Vectorized: membership mask
         + ``np.searchsorted`` relabeling; the relabeled edges stay canonical
         so the subgraph is built through the :meth:`from_arrays` fast path.
+
+        By default the subgraph's nodes are the sorted distinct ``nodes``.
+        With ``keep_order`` the distinct ``nodes`` keep their given order
+        (``original_ids`` is ``nodes`` itself) and the relabeled edges are
+        re-sorted into canonical form.
         """
+        if keep_order:
+            original = np.asarray(nodes, dtype=np.int64).ravel()
+            label = np.full(self.n, -1, dtype=np.int64)
+            label[original] = np.arange(len(original), dtype=np.int64)
+            a, b = label[self.edges_u], label[self.edges_v]
+            mask = (a >= 0) & (b >= 0)
+            a, b = a[mask], b[mask]
+            base = max(len(original), 1)
+            keys = np.sort(np.minimum(a, b) * base + np.maximum(a, b))
+            sub = Graph.from_arrays(len(original), keys // base, keys % base)
+            return sub, original
         if not isinstance(nodes, np.ndarray):
             nodes = np.array(sorted(int(x) for x in nodes), dtype=np.int64)
         original = np.unique(nodes.astype(np.int64, copy=False).ravel())
@@ -337,6 +355,48 @@ class Graph:
         sub_u = np.searchsorted(original, self.edges_u[mask])
         sub_v = np.searchsorted(original, self.edges_v[mask])
         return Graph.from_arrays(len(original), sub_u, sub_v), original
+
+    def block_max_degrees(self, offsets: np.ndarray) -> np.ndarray:
+        """Maximum degree of every node block ``offsets[j]:offsets[j+1]``
+        (0 for an empty block)."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        deltas = np.zeros(len(offsets) - 1, dtype=np.int64)
+        nonempty = np.flatnonzero(np.diff(offsets))
+        if nonempty.size:
+            deltas[nonempty] = np.maximum.reduceat(
+                self.degrees, offsets[nonempty]
+            )
+        return deltas
+
+    def block_subgraph(
+        self, offsets: np.ndarray, blocks: Sequence[int]
+    ) -> tuple["Graph", np.ndarray]:
+        """Subgraph of a block-diagonal graph made of whole node blocks.
+
+        Block j holds nodes ``offsets[j]:offsets[j+1]`` and no edge leaves
+        its block.  Returns ``(subgraph, original_ids)`` for the ascending
+        ``blocks``.  Relabeling keeps node and edge order, so the subgraph's
+        edges stay canonical with no sort; when the blocks cover every
+        node the graph itself is returned.
+        """
+        offsets = np.asarray(offsets, dtype=np.int64)
+        blocks = np.asarray(blocks, dtype=np.int64)
+        starts = offsets[blocks]
+        counts = offsets[blocks + 1] - starts
+        total = int(counts.sum())
+        if total == self.n:
+            return self, np.arange(self.n, dtype=np.int64)
+        cum_excl = np.cumsum(counts) - counts
+        original = np.repeat(starts - cum_excl, counts) + np.arange(total)
+        label = np.full(self.n, -1, dtype=np.int64)
+        label[original] = np.arange(total, dtype=np.int64)
+        keep = label[self.edges_u] >= 0
+        return (
+            Graph.from_arrays(
+                total, label[self.edges_u[keep]], label[self.edges_v[keep]]
+            ),
+            original,
+        )
 
     def filter_edges(self, mask: np.ndarray) -> "Graph":
         """Graph on the same nodes keeping only edges where ``mask`` is True."""

@@ -17,7 +17,12 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.substrates.linial import linial_coloring
 
-__all__ = ["mis_by_color_classes", "mis_bounded_degree", "MISResult"]
+__all__ = [
+    "mis_by_color_classes",
+    "mis_bounded_degree",
+    "mis_by_blocks",
+    "MISResult",
+]
 
 
 @dataclass
@@ -69,3 +74,38 @@ def mis_bounded_degree(graph: Graph, input_colors: np.ndarray, num_colors: int) 
         num_classes=classes,
         linial_iterations=reduction.iterations,
     )
+
+
+def mis_by_blocks(
+    graph: Graph, input_colors: np.ndarray, offsets: np.ndarray, nums_colors
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mis_bounded_degree` on every block of a block-diagonal graph.
+
+    Block j holds nodes ``offsets[j]:offsets[j+1]``, no edge leaves its
+    block, and ``input_colors`` is a proper ``nums_colors[j]``-coloring of
+    it.  Blocks that share ``(K_j, Δ_j)`` share Linial's schedule, so each
+    such group is one Linial run on its union; then one class iteration
+    covers every block.  Returns ``(members, rounds)`` with ``rounds[j]``
+    block j's own cost: its Linial iterations plus the number of distinct
+    reduced colors in block j.  Both equal a standalone call's on the
+    block, since Linial and the class iteration only read neighbors and
+    the classes run in ascending color order.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    k = len(offsets) - 1
+    deltas = graph.block_max_degrees(offsets)
+    groups: dict[tuple, list] = {}
+    for j in range(k):
+        groups.setdefault((int(nums_colors[j]), int(deltas[j])), []).append(j)
+    reduced = np.zeros(graph.n, dtype=np.int64)
+    iterations = np.zeros(k, dtype=np.int64)
+    for (num_colors, _delta), blocks in groups.items():
+        sub, nodes = graph.block_subgraph(offsets, blocks)
+        reduction = linial_coloring(sub, input_colors[nodes], num_colors)
+        reduced[nodes] = reduction.colors
+        iterations[blocks] = reduction.iterations
+    members, _classes = mis_by_color_classes(graph, reduced)
+    block = np.repeat(np.arange(k, dtype=np.int64), np.diff(offsets))
+    width = int(reduced.max(initial=0)) + 1
+    keys = np.unique(block * width + reduced)
+    return members, iterations + np.bincount(keys // width, minlength=k)
