@@ -35,6 +35,18 @@ Before timing, every member's σ, σ trace, final value and root value from
 the descent are asserted bit-identical to the tests' exact-integer oracle
 (``sigma_descent_reference``); the σ leg is recorded, not guarded.
 
+A third leg times :class:`~repro.core.potential.SeedSweepWorkspace`
+construction, whose largest step is the column dedup:
+
+* **workspace_reference** — the row-wise ``np.unique(axis=0)`` over the
+  stacked E × (1 + 2·(2^r + 1)) key matrix that the packed key replaced;
+* **workspace** — the default: one packed lexicographic int64 key per
+  column and a 1-D ``np.unique``.
+
+Before timing, both constructions are asserted to give identical unique
+columns, inverse and kernel fingerprint; this leg is recorded, not
+guarded.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_seed_sweep.py \
@@ -50,6 +62,7 @@ import time
 
 import numpy as np
 
+import repro.core.potential as potential
 from repro.core.derandomize import (
     derandomize_phase_group,
     fix_bits_greedily_many,
@@ -68,6 +81,7 @@ from _perf_json import add_json_arg, write_perf_json  # noqa: E402
 
 # The σ oracles live next to the tests that pin the descent against them.
 sys.path.insert(0, os.path.join(HERE, "..", "tests"))
+from reference import unique_rows_reference  # noqa: E402
 from test_seed_sweep_compression import (  # noqa: E402
     sigma_descent_reference,
     sigma_sweep_reference,
@@ -141,6 +155,30 @@ def assert_descent_matches_oracle(estimators: list, s1s: np.ndarray) -> None:
         )
 
 
+def reference_workspace(estimators: list) -> SeedSweepWorkspace:
+    """The workspace built with the row-wise column dedup."""
+    packed = potential._unique_rows
+    potential._unique_rows = lambda columns: unique_rows_reference(
+        np.stack(columns, axis=1)
+    )[1:]
+    try:
+        return SeedSweepWorkspace(estimators)
+    finally:
+        potential._unique_rows = packed
+
+
+def assert_workspace_matches_reference(estimators: list) -> None:
+    new = SeedSweepWorkspace(estimators)
+    ref = reference_workspace(estimators)
+    for name in ("inverse", "uniq_psi_diff", "uniq_thr_u", "uniq_thr_v"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), (
+            f"workspace {name} diverged"
+        )
+    assert new.kernel.fingerprint == ref.kernel.fingerprint, (
+        "kernel fingerprint diverged"
+    )
+
+
 def best_of(fn, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -187,6 +225,7 @@ def main() -> int:
     assert_choices_identical(choices_new, choices_ref)
     s1s = np.array([choice.s1 for choice in choices_new], dtype=np.int64)
     assert_descent_matches_oracle(estimators, s1s)
+    assert_workspace_matches_reference(estimators)
 
     t_new = best_of(lambda: optimized_sweep(estimators, order))
     field.use_tables = False
@@ -195,6 +234,8 @@ def main() -> int:
     speedup = t_ref / t_new
     t_sigma_ref = best_of(lambda: sigma_sweep(estimators, s1s))
     t_sigma = best_of(lambda: exact_by_sigma_grouped(estimators, s1s))
+    t_ws_ref = best_of(lambda: reference_workspace(estimators), repeats=7)
+    t_ws = best_of(lambda: SeedSweepWorkspace(estimators), repeats=7)
 
     print(
         f"instances={args.instances} edges={edges} unique-columns={unique} "
@@ -210,6 +251,11 @@ def main() -> int:
     print(
         f"{'σ bit-by-bit descent:':<43}{t_sigma * 1000:8.1f} ms"
         f"   ({t_sigma_ref / t_sigma:.1f}x, not guarded)"
+    )
+    print(f"{'workspace, row-wise np.unique(axis=0):':<43}{t_ws_ref * 1000:8.1f} ms")
+    print(
+        f"{'workspace, packed lexicographic key:':<43}{t_ws * 1000:8.1f} ms"
+        f"   ({t_ws_ref / t_ws:.1f}x, not guarded)"
     )
 
     guard = "ok"
@@ -239,6 +285,8 @@ def main() -> int:
                 "optimized": t_new,
                 "sigma_reference": t_sigma_ref,
                 "sigma_descent": t_sigma,
+                "workspace_reference": t_ws_ref,
+                "workspace": t_ws,
             },
             speedup=speedup,
             min_speedup=args.min_speedup,

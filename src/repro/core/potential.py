@@ -37,12 +37,20 @@ root (the whole σ range) equals ``val1[s1]`` exactly.
 on per-edge keys ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``;
 everything a column contributes is a function of that key, and real
 instances collapse to a handful of distinct keys.
-:class:`SeedSweepWorkspace` deduplicates columns with one encoded-key
-``np.unique`` and runs the GF(2^m) multiply on unique columns only.  The
-counting DP runs on even fewer inputs: :class:`SweepCountKernel`
-deduplicates the columns' threshold rows once more, fills one count table
-per distinct row over every hash difference d ∈ [0, 2^b), and turns each
-(seed, column) count into one gather from that table.
+:class:`SeedSweepWorkspace` deduplicates columns and runs the GF(2^m)
+multiply on unique columns only.  The counting DP runs on even fewer
+inputs: :class:`SweepCountKernel` deduplicates the columns' threshold rows
+once more, fills one count table per distinct row over every hash
+difference d ∈ [0, 2^b), and turns each (seed, column) count into one
+gather from that table.  Both dedups pack each row into one int64
+lexicographic rank (:func:`_unique_rows`): every non-constant key column,
+most significant first, becomes one mixed-radix digit (its value minus the
+column minimum, or its dense rank when its span exceeds the row count),
+and one 1-D ``np.unique`` of the ranks gives the distinct rows.  Ranks
+compare exactly as the rows compare lexicographically, so the unique
+columns come out in the order of a row-wise ``np.unique`` (``axis=0``),
+and the column layout, the kernel fingerprint and every value are those of
+that order.
 """
 
 from __future__ import annotations
@@ -107,6 +115,52 @@ def accuracy_bits(
         return int(10 * delta * bits - 1).bit_length()
     need = ((1 << r) + 2 * delta) * bits * strengthen / r
     return max(1, math.ceil(math.log2(need)) + 1)
+
+
+def _unique_rows(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``np.stack(columns, axis=1)`` and the inverse,
+    as a row-wise ``np.unique`` gives them, from one packed int64 key per
+    row.
+
+    ``columns`` is a sequence of equal-length 1-D int64 arrays, most
+    significant first.  Returns ``(index, inverse)``: ``rows[index]`` are
+    the distinct rows in ascending lexicographic order (the first
+    occurrence of each) and ``rows[index][inverse] == rows``.
+
+    The columns fold into one rank, ``rank = rank · span + (col − min)``,
+    which is a mixed-radix number whose digits are the row's column values
+    shifted to start at 0, so comparing ranks compares rows
+    lexicographically, exactly as a row-wise ``np.unique`` orders them.
+    Constant columns are skipped (they order nothing).  A column whose
+    span exceeds the row count is first replaced by its dense 1-D
+    ``np.unique`` rank, and the running rank is densified the same way
+    before a multiply that could reach 2^62; both maps are monotone, so
+    the order is kept, and the rank never overflows.
+    """
+    n = len(columns[0])
+    if not n:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    rank = np.zeros(n, dtype=np.int64)
+    bound = 1  # every rank lies in [0, bound)
+    for col in columns:
+        lo, hi = int(col.min()), int(col.max())
+        span = hi - lo + 1
+        if span == 1:
+            continue
+        if span > n:
+            _, digit = np.unique(col, return_inverse=True)
+            span = int(digit.max()) + 1
+        else:
+            digit = col - lo
+        if bound * span >= 1 << 62:
+            _, rank = np.unique(rank, return_inverse=True)
+            bound = int(rank.max()) + 1
+        rank *= span
+        rank += digit
+        bound *= span
+    _, index, inverse = np.unique(rank, return_index=True, return_inverse=True)
+    return index, inverse
 
 
 class SweepCountKernel:
@@ -236,47 +290,46 @@ class SweepCountKernel:
 
     def _threshold_rows(self) -> tuple:
         """Per count column: its edge column (None for the identity) and
-        its threshold row, as ``(source, rows)``."""
+        its threshold row, as ``(source, columns)`` with one 1-D array per
+        threshold (``columns[i][c]`` is entry i of column c's row)."""
         if self.bucket_columns is None:
-            return None, np.stack([self.thr_u[:, 1], self.thr_v[:, 1]], axis=1)
-        sources, rows = [], []
+            return None, [self.thr_u[:, 1], self.thr_v[:, 1]]
+        sources, parts = [], []
         for w, block in enumerate(self.bucket_columns):
             if block is None:
                 continue
             alive = block[0]
             sources.append(np.flatnonzero(alive))
-            rows.append(
-                np.stack(
-                    [
-                        self.thr_u[alive, w],
-                        self.thr_u[alive, w + 1],
-                        self.thr_v[alive, w],
-                        self.thr_v[alive, w + 1],
-                    ],
-                    axis=1,
+            parts.append(
+                (
+                    self.thr_u[alive, w],
+                    self.thr_u[alive, w + 1],
+                    self.thr_v[alive, w],
+                    self.thr_v[alive, w + 1],
                 )
             )
-        return np.concatenate(sources), np.concatenate(rows)
+        return np.concatenate(sources), [np.concatenate(c) for c in zip(*parts)]
 
     def _count_table(self) -> tuple:
         """``(table, offsets, source)``: the flat int32 count table over
         (distinct threshold row, d), each count column's row offset into
         it, and the column → edge column map (None for r = 1)."""
         if self._lookup is None:
-            source, rows = self._threshold_rows()
-            keys, row_of_col = np.unique(rows, axis=0, return_inverse=True)
+            source, columns = self._threshold_rows()
+            index, row_of_col = _unique_rows(columns)
+            keys = [col[index] for col in columns]
             size = 1 << self.b
-            table = np.empty((len(keys), size), dtype=np.int32)
+            table = np.empty((len(index), size), dtype=np.int32)
             d = np.arange(size, dtype=np.int64)[None, :]
             step = max(1, _TABLE_BLOCK_ENTRIES >> self.b)
-            for lo in range(0, len(keys), step):
-                bounds = [col[:, None] for col in keys[lo:lo + step].T]
+            for lo in range(0, len(index), step):
+                bounds = [col[lo:lo + step, None] for col in keys]
                 if self.bucket_columns is None:
                     block = count_xor_below(d, *bounds, self.b)
                 else:
                     block = count_xor_in_intervals(d, *bounds, self.b)
                 table[lo:lo + step] = block
-            offsets = row_of_col.reshape(-1).astype(np.int64) << self.b
+            offsets = row_of_col.astype(np.int64) << self.b
             self._lookup = (table.reshape(-1), offsets, source)
         return self._lookup
 
@@ -343,10 +396,12 @@ class _WeightPlan:
     ):
         keep = inc_k > 0
         span = int(inc_k.max(initial=0)) + 1
-        groups, inc_group = np.unique(
-            (inc_est * span + inc_k)[keep], return_inverse=True
-        )
-        inc_group = inc_group.reshape(-1)
+        # Groups are the present keys in ascending order, numbered by rank:
+        # the same numbering as a sorted unique, without the sort.
+        key = (inc_est * span + inc_k)[keep]
+        present = np.bincount(key) > 0
+        groups = np.flatnonzero(present)
+        inc_group = (np.cumsum(present) - 1)[key]
         num_groups = len(groups)
         width = max(1, int(width))
         entries, mult = np.unique(
@@ -424,9 +479,15 @@ class SeedSweepWorkspace:
     * the concatenated per-edge arrays (ψ-differences, endpoint threshold
       rows) are built once instead of once per chunk;
     * with ``compress=True`` (the default), edge columns are deduplicated
-      by the key ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))`` via one
-      ``np.unique``, and the GF multiply and count gather run on unique
-      columns only;
+      by the key ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``, and the GF
+      multiply and count gather run on unique columns only.  The key's
+      1 + 2·(2^r + 1) columns are packed, most significant first, into one
+      int64 mixed-radix rank per edge (:func:`_unique_rows`; for r = 1 the
+      constant threshold columns 0 and 2^b drop out), and one 1-D
+      ``np.unique`` of the ranks yields the unique columns and ``inverse``.
+      A rank compares as its row compares lexicographically, so the
+      unique columns are in a row-wise ``np.unique``'s order: sorted by
+      ψ-difference, then by the thresholds of u, then by those of v;
     * the weighting plan: every edge endpoint x of estimator j contributes
       ``n_w / k_w(x)`` for each bucket w, where ``n_w`` is the number of σ
       putting both endpoints in bucket w.  Grouping endpoints by
@@ -472,15 +533,12 @@ class SeedSweepWorkspace:
             [est.thresholds[est.edges_v] for est in live]
         )
         if self.compress:
-            key = np.concatenate(
-                [self.psi_diff[:, None], self.thr_u, self.thr_v], axis=1
+            index, self.inverse = _unique_rows(
+                [self.psi_diff, *self.thr_u.T, *self.thr_v.T]
             )
-            uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-            width = self.thr_u.shape[1]
-            self.inverse = inverse.reshape(-1)
-            self.uniq_psi_diff = np.ascontiguousarray(uniq[:, 0])
-            self.uniq_thr_u = np.ascontiguousarray(uniq[:, 1:1 + width])
-            self.uniq_thr_v = np.ascontiguousarray(uniq[:, 1 + width:])
+            self.uniq_psi_diff = self.psi_diff[index]
+            self.uniq_thr_u = self.thr_u[index]
+            self.uniq_thr_v = self.thr_v[index]
             self.kernel = SweepCountKernel(
                 self.family.a,
                 self.b,

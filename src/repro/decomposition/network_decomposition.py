@@ -16,7 +16,9 @@ this library passes through it; :meth:`NetworkDecomposition.congestion`
 measures (iv).  The checks are one pass over all clusters at once:
 members, tree nodes and tree edges are stacked as ``cluster·n + node``
 keys with membership through ``np.searchsorted``, and the trees'
-connectivity is one multi-source BFS over their disjoint union.
+connectivity is one multi-source BFS over their disjoint union.  The weak
+diameter (ii) is measured on the same union by a double sweep: two
+multi-source BFS passes, exact for trees.
 """
 
 from __future__ import annotations
@@ -107,42 +109,82 @@ class NetworkDecomposition:
         owner[nodes] = owner_of
         return owner
 
-    def weak_diameter(self) -> int:
-        """Max tree diameter β over all clusters (property ii, measured)."""
-        best = 0
-        for cluster in self.clusters:
-            tree_nodes = cluster.tree_node_array()
-            if len(tree_nodes) <= 1:
-                continue
-            edges = cluster.tree_edge_array()
-            tree = Graph(
-                len(tree_nodes),
-                np.searchsorted(tree_nodes, edges),
+    def _tree_union(self) -> tuple:
+        """Every cluster's tree nodes as sorted ``cluster·n + node`` keys.
+
+        Returns ``(keys, roots, edges, edge_owner, lo, hi)``: the keys of
+        the tree edges' endpoints plus each center, the position of every
+        center in ``keys``, and the stacked tree edges with their cluster
+        index and ``lo ≤ hi`` endpoint ids.
+        """
+        n = self.graph.n
+        k = len(self.clusters)
+        centers = np.fromiter(
+            (c.center for c in self.clusters), dtype=np.int64, count=k
+        )
+        center_keys = np.arange(k, dtype=np.int64) * n + centers
+        edges, edge_owner = self._stacked_tree_edges()
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        keys = np.unique(
+            np.concatenate(
+                [edge_owner * n + lo, edge_owner * n + hi, center_keys]
             )
-            best = max(best, tree.diameter())
-        return best
+        )
+        roots = np.searchsorted(keys, center_keys)
+        return keys, roots, edges, edge_owner, lo, hi
+
+    def _forest(self, keys, edge_owner, lo, hi) -> tuple[Graph, np.ndarray]:
+        """The disjoint union of the trees as one graph over ``keys``, and
+        the cluster of each of its distinct edges."""
+        n = self.graph.n
+        u = np.searchsorted(keys, edge_owner * n + lo)
+        v = np.searchsorted(keys, edge_owner * n + hi)
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+        distinct = np.ones(len(u), dtype=bool)
+        distinct[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        forest = Graph.from_arrays(len(keys), u[distinct], v[distinct])
+        return forest, edge_owner[order][distinct]
+
+    def weak_diameter(self) -> int:
+        """Max tree diameter β over all clusters (property ii, measured).
+
+        A double sweep on the disjoint union of the trees: one multi-source
+        BFS from the centers finds each tree's farthest node, and a second
+        one from those nodes gives each tree's eccentricity at it, which in
+        a tree is its exact diameter.  Assumes every cluster's tree is a
+        tree, as :meth:`validate` checks.
+        """
+        if not self.clusters:
+            return 0
+        keys, roots, _, edge_owner, lo, hi = self._tree_union()
+        forest, _ = self._forest(keys, edge_owner, lo, hi)
+        depth = forest.bfs_levels(roots)
+        # Keys are sorted by cluster, so in (cluster, depth descending)
+        # order each tree's run starts at its farthest node.
+        tree = keys // max(self.graph.n, 1)
+        order = np.lexsort((-depth, tree))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = tree[order][1:] != tree[order][:-1]
+        return int(forest.bfs_levels(order[first]).max(initial=0))
 
     def congestion(self) -> int:
         """Max number of same-color trees sharing one edge (property iv)."""
-        rows = []
-        for cluster in self.clusters:
-            edges = cluster.tree_edge_array()
-            if not len(edges):
-                continue
-            rows.append(
-                np.stack(
-                    [
-                        edges.min(axis=1),
-                        edges.max(axis=1),
-                        np.full(len(edges), cluster.color, dtype=np.int64),
-                    ],
-                    axis=1,
-                )
-            )
-        if not rows:
+        edges, edge_owner = self._stacked_tree_edges()
+        if not len(edges):
             return 0
-        _, counts = np.unique(np.concatenate(rows), axis=0, return_counts=True)
-        return int(counts.max())
+        colors = np.fromiter(
+            (c.color for c in self.clusters),
+            dtype=np.int64,
+            count=len(self.clusters),
+        )[edge_owner]
+        pair = edges.min(axis=1) * self.graph.n + edges.max(axis=1)
+        order = np.lexsort((pair, colors))
+        pair, colors = pair[order], colors[order]
+        start = np.ones(len(order), dtype=bool)
+        start[1:] = (pair[1:] != pair[:-1]) | (colors[1:] != colors[:-1])
+        return int(np.diff(np.append(np.flatnonzero(start), len(order))).max())
 
     # ------------------------------------------------------------------
     def validate(self, max_diameter: int | None = None) -> None:
@@ -166,13 +208,7 @@ class NetworkDecomposition:
                 f"cluster color {int(colors[np.argmax(bad)])} outside "
                 f"1..{self.num_colors}"
             )
-        centers = np.fromiter(
-            (c.center for c in self.clusters), dtype=np.int64, count=k
-        )
-        center_keys = np.arange(k, dtype=np.int64) * n + centers
-        edges, edge_owner = self._stacked_tree_edges()
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
+        tree_keys, roots, edges, edge_owner, lo, hi = self._tree_union()
 
         # Tree edges are edges of G: sorted keys of G's canonical edge set.
         g_edge_keys = graph.edges_u * n + graph.edges_v
@@ -185,11 +221,6 @@ class NetworkDecomposition:
 
         # (i) the tree spans the cluster: tree nodes are the edge endpoints
         # plus the center, keyed by cluster.
-        tree_keys = np.unique(
-            np.concatenate(
-                [edge_owner * n + lo, edge_owner * n + hi, center_keys]
-            )
-        )
         nodes, node_owner = self._stacked_nodes()
         spanned = _in_sorted(node_owner * n + nodes, tree_keys)
         if not spanned.all():
@@ -198,17 +229,10 @@ class NetworkDecomposition:
 
         # ... and is a tree: m = n − 1 distinct edges per cluster, and every
         # tree node is reached from its center in the union of the trees.
-        u = np.searchsorted(tree_keys, edge_owner * n + lo)
-        v = np.searchsorted(tree_keys, edge_owner * n + hi)
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        distinct = np.ones(len(u), dtype=bool)
-        distinct[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        u, v = u[distinct], v[distinct]
-        tree_m = np.bincount(edge_owner[order][distinct], minlength=k)
+        forest, forest_owner = self._forest(tree_keys, edge_owner, lo, hi)
+        tree_m = np.bincount(forest_owner, minlength=k)
         tree_n = np.bincount(tree_keys // max(n, 1), minlength=k)
-        forest = Graph.from_arrays(len(tree_keys), u, v)
-        reached = forest.bfs_levels(np.searchsorted(tree_keys, center_keys)) >= 0
+        reached = forest.bfs_levels(roots) >= 0
         if (tree_m != tree_n - 1).any() or not reached.all():
             raise AssertionError("cluster tree is not a tree")
 

@@ -1,14 +1,18 @@
-"""Per-cluster reference implementations of Corollary 1.2's batched paths.
+"""Plain reference implementations of batched and packed-key paths.
 
 The decomposition engine builds every Steiner tree of a carving in one
-frontier BFS, validates Definition 3.1 in one pass over all clusters,
-solves each color class as one batch built from one relabeled induced
-subgraph, and carves from the (blue node, matching red neighbor) pairs
-alone.  The functions here are the plain versions those replace: one
-``bfs_tree`` plus a parent walk per cluster, one check loop per cluster,
-one validated ``ListColoringInstance`` per cluster, and a carving step
-that expands every alive blue node.  The tests pin the engine against
-them.
+frontier BFS, validates Definition 3.1 and measures the weak diameter in
+one pass over all clusters, solves each color class as one batch built
+from one relabeled induced subgraph, and carves from the (blue node,
+matching red neighbor) pairs alone.  Most functions here are the plain
+per-cluster versions those replace: one ``bfs_tree`` plus a parent walk
+per cluster, one check loop per cluster, an all-pairs BFS per cluster
+tree, one validated ``ListColoringInstance`` per cluster, and a carving
+step that expands every alive blue node.
+
+:func:`unique_rows_reference` is the row-wise ``np.unique(axis=0)`` that
+the seed-sweep workspace's packed lexicographic key replaces.  The tests
+pin the engine against all of them.
 """
 
 from __future__ import annotations
@@ -34,8 +38,11 @@ __all__ = [
     "carve_class_reference",
     "decompose_reference",
     "solve_list_coloring_polylog_reference",
+    "congestion_reference",
     "steiner_tree",
+    "unique_rows_reference",
     "validate_reference",
+    "weak_diameter_reference",
 ]
 
 
@@ -235,6 +242,44 @@ def validate_reference(decomposition: NetworkDecomposition) -> None:
         cu, cv = owner[graph.edges_u], owner[graph.edges_v]
         if ((cu != cv) & (colors[cu] == colors[cv])).any():
             raise AssertionError("adjacent clusters share a color")
+
+
+def weak_diameter_reference(decomposition: NetworkDecomposition) -> int:
+    """Max tree diameter over all clusters, by all-pairs BFS per tree."""
+    best = 0
+    for cluster in decomposition.clusters:
+        tree_nodes = cluster.tree_node_array()
+        if len(tree_nodes) <= 1:
+            continue
+        edges = cluster.tree_edge_array()
+        tree = Graph(len(tree_nodes), np.searchsorted(tree_nodes, edges))
+        best = max(best, tree.diameter())
+    return best
+
+
+def congestion_reference(decomposition: NetworkDecomposition) -> int:
+    """Max number of same-color trees sharing one edge, by a row-wise
+    unique over (lo, hi, color) rows."""
+    rows = []
+    for cluster in decomposition.clusters:
+        edges = cluster.tree_edge_array()
+        if not len(edges):
+            continue
+        color = np.full(len(edges), cluster.color, dtype=np.int64)
+        rows.append(np.stack([edges.min(axis=1), edges.max(axis=1), color], axis=1))
+    if not rows:
+        return 0
+    _, counts = np.unique(np.concatenate(rows), axis=0, return_counts=True)
+    return int(counts.max())
+
+
+def unique_rows_reference(rows: np.ndarray) -> tuple:
+    """``(unique rows, first-occurrence index, inverse)`` of a 2-D int64
+    matrix by the row-wise ``np.unique(axis=0)``."""
+    uniq, index, inverse = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True
+    )
+    return uniq, index, inverse.reshape(-1)
 
 
 def solve_list_coloring_polylog_reference(

@@ -2,9 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import repro.cli as cli
+from reference import congestion_reference, weak_diameter_reference
 from repro.cli import main
+from repro.decomposition.rozhon_ghaffari import decompose
+from repro.graphs import generators
+from repro.graphs.graph import Graph
 
 
 class TestCLI:
@@ -61,6 +67,23 @@ class TestCLI:
     def test_decompose_command(self, capsys):
         assert main(["decompose", "--family", "grid", "--n", "25"]) == 0
         assert "decomposition" in capsys.readouterr().out
+
+    def test_decompose_permuted_grid(self, capsys, monkeypatch):
+        """On an id-permuted grid the printed weak diameter and congestion
+        equal the per-cluster references."""
+        base = generators.grid_graph(30, 30)
+        perm = np.random.default_rng(7).permutation(base.n)
+        graph = Graph(
+            base.n, np.stack([perm[base.edges_u], perm[base.edges_v]], axis=1)
+        )
+        monkeypatch.setattr(cli, "_build_graph", lambda *args: graph)
+        assert main(["decompose", "--family", "grid", "--n", "900"]) == 0
+        out = capsys.readouterr().out
+        decomposition = decompose(graph)
+        assert (
+            f"weak diameter {weak_diameter_reference(decomposition)}, "
+            f"congestion {congestion_reference(decomposition)}"
+        ) in out
 
     def test_unknown_family_exits(self):
         with pytest.raises(SystemExit):

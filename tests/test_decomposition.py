@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from equivalence import assert_ledgers_equal
 from reference import (
     carve_class_reference,
+    congestion_reference,
     decompose_reference,
     solve_list_coloring_polylog_reference,
     steiner_tree,
     validate_reference,
+    weak_diameter_reference,
 )
 from repro.core.instances import make_delta_plus_one_instance
 from repro.core.validation import verify_proper_list_coloring
@@ -51,6 +53,28 @@ def graphs(draw):
         return gen.cycle_graph(draw(st.integers(min_value=3, max_value=60)))
     rows = draw(st.integers(min_value=1, max_value=9))
     return permuted_grid(rows, draw(st.integers(min_value=2, max_value=9)), seed)
+
+def random_clusters(graph: Graph, seed: int) -> tuple:
+    """``(centers, members, offsets)`` of random clusters inside connected
+    components: singletons, large clusters whose shortest paths leave the
+    cluster, and centers that are not members; some nodes stay unclustered."""
+    rng = np.random.default_rng(seed)
+    centers, parts = [], []
+    for component in graph.connected_components():
+        k = int(rng.integers(1, len(component) + 1))
+        label = rng.integers(-1, k, size=len(component))
+        for j in range(k):
+            nodes = component[label == j]
+            if not nodes.size:
+                continue
+            center = nodes[0] if rng.random() < 0.7 else rng.choice(component)
+            centers.append(int(center))
+            parts.append(nodes)
+    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in parts], out=offsets[1:])
+    members = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.array(centers, dtype=np.int64), members, offsets
+
 
 GRAPHS = {
     "cycle40": lambda: gen.cycle_graph(40),
@@ -135,6 +159,62 @@ class TestDecompose:
         assert decomposition.congestion() >= 1
 
 
+class TestTreeMeasures:
+    """The double-sweep weak diameter and the one-sort congestion equal the
+    per-cluster references."""
+
+    @staticmethod
+    def assert_matches_reference(decomposition):
+        assert decomposition.weak_diameter() == weak_diameter_reference(
+            decomposition
+        )
+        assert decomposition.congestion() == congestion_reference(decomposition)
+
+    @given(graphs(), st.integers(min_value=0, max_value=2**32 - 1))
+    @SETTINGS
+    def test_random_clusters(self, graph, seed):
+        """Steiner trees of random clusters with random colors; the trees
+        of one color may share edges, and centers need not be members."""
+        centers, members, offsets = random_clusters(graph, seed)
+        trees = steiner_trees(graph, centers, members, offsets)
+        colors = np.random.default_rng(seed).integers(1, 4, size=len(centers))
+        clusters = [
+            Cluster(members[offsets[c]:offsets[c + 1]], int(colors[c]),
+                    int(centers[c]), trees[c])
+            for c in range(len(centers))
+        ]
+        self.assert_matches_reference(
+            NetworkDecomposition(graph=graph, clusters=clusters, num_colors=3)
+        )
+
+    @given(graphs())
+    @SETTINGS
+    def test_decompositions(self, graph):
+        self.assert_matches_reference(decompose(graph))
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 60])
+    def test_one_spanning_tree(self, n):
+        """A random tree as one cluster: the diameter path need not pass
+        near the center, so the first sweep must find the far end."""
+        graph = gen.random_tree(n, seed=n)
+        for center in range(0, n, max(1, n // 5)):
+            decomposition = NetworkDecomposition(
+                graph=graph,
+                clusters=[
+                    Cluster(np.arange(n), 1, center,
+                            [tuple(e) for e in graph.edge_list()])
+                ],
+                num_colors=1,
+            )
+            decomposition.validate()
+            self.assert_matches_reference(decomposition)
+
+    def test_empty(self):
+        decomposition = NetworkDecomposition(graph=Graph(0, []))
+        assert decomposition.weak_diameter() == 0
+        assert decomposition.congestion() == 0
+
+
 class TestSteinerTrees:
     """The one-BFS Steiner trees equal the per-cluster reference."""
 
@@ -151,24 +231,10 @@ class TestSteinerTrees:
         """Random clusters inside connected components: singletons, large
         clusters whose shortest paths leave the cluster, and centers that
         are not members (a carving can move a label's own node away)."""
-        rng = np.random.default_rng(seed)
-        centers, parts = [], []
-        for component in graph.connected_components():
-            k = int(rng.integers(1, len(component) + 1))
-            label = rng.integers(-1, k, size=len(component))
-            for j in range(k):
-                nodes = component[label == j]
-                if not nodes.size:
-                    continue
-                center = nodes[0] if rng.random() < 0.7 else rng.choice(component)
-                centers.append(int(center))
-                parts.append(nodes)
-        if not centers:
+        centers, members, offsets = random_clusters(graph, seed)
+        if not len(centers):
             return
-        offsets = np.concatenate([[0], np.cumsum([len(p) for p in parts])])
-        self.assert_matches_reference(
-            graph, np.array(centers), np.concatenate(parts), offsets
-        )
+        self.assert_matches_reference(graph, centers, members, offsets)
 
     @given(graphs())
     @SETTINGS

@@ -17,6 +17,7 @@ against the oracle's exact integer sums under the same value formula, and
 against its float values up to exact ties (``TestSigmaDescent``).
 """
 
+import math
 import pickle
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 import repro.core.potential as potential
 
 from equivalence import assert_seed_choices_equal
+from reference import unique_rows_reference
 from repro.core.counting import count_xor_below, count_xor_in_intervals
 import repro.core.derandomize as derandomize
 from repro.core.derandomize import (
@@ -340,6 +342,134 @@ class TestCountTable:
         want = dp_count_reference(kernel, np.arange(64))
         assert np.array_equal(counts, want)
         assert kernel.fingerprint == PINNED_FINGERPRINT
+
+
+INT64_EXTREMES = np.array(
+    [np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max], dtype=np.int64
+)
+
+
+@st.composite
+def int64_matrices(draw):
+    """int64 matrices of 0..40 rows with many repeated rows, whose columns
+    are constant, small, negative, or span more values than there are rows
+    (out to int64's extremes)."""
+    rows = draw(st.integers(min_value=0, max_value=40))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["const", "small", "negative", "wide", "extreme"]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in kinds:
+        if kind == "const":
+            col = np.full(rows, rng.integers(-5, 5))
+        elif kind == "small":
+            col = rng.integers(0, 3, size=rows)
+        elif kind == "negative":
+            col = rng.integers(-6, 0, size=rows)
+        elif kind == "wide":
+            col = rng.integers(-(1 << 40), 1 << 40, size=rows)
+        else:
+            col = rng.choice(INT64_EXTREMES, size=rows)
+        cols.append(col.astype(np.int64))
+    matrix = np.stack(cols, axis=1)
+    if rows:
+        matrix = matrix[rng.integers(0, rows, size=rows)]
+    return matrix
+
+
+class TestPackedUniqueRows:
+    """The packed lexicographic key dedups exactly like the row-wise
+    ``np.unique(axis=0)`` it replaced: same unique rows, same order, same
+    inverse, so the workspace's columns and fingerprints do not move."""
+
+    @staticmethod
+    def assert_matches_oracle(rows):
+        index, inverse = potential._unique_rows(list(rows.T))
+        _, want_index, want_inverse = unique_rows_reference(rows)
+        assert index.dtype == inverse.dtype == np.int64
+        assert np.array_equal(index, want_index)
+        assert np.array_equal(inverse, want_inverse)
+
+    @staticmethod
+    def assert_workspace_matches_oracle(group):
+        workspace = SeedSweepWorkspace(group)
+        width = workspace.thr_u.shape[1]
+        key = np.concatenate(
+            [workspace.psi_diff[:, None], workspace.thr_u, workspace.thr_v], axis=1
+        )
+        uniq, _, inverse = unique_rows_reference(key)
+        assert np.array_equal(workspace.inverse, inverse)
+        want = (uniq[:, 0], uniq[:, 1:1 + width], uniq[:, 1 + width:])
+        got = (workspace.uniq_psi_diff, workspace.uniq_thr_u, workspace.uniq_thr_v)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        oracle = SweepCountKernel(
+            workspace.family.a,
+            workspace.b,
+            workspace.num_buckets,
+            *(np.ascontiguousarray(part) for part in want),
+        )
+        assert workspace.kernel.fingerprint == oracle.fingerprint
+        # The count table dedups threshold rows the same way.
+        _, offsets, _ = workspace.kernel._count_table()
+        _, columns = workspace.kernel._threshold_rows()
+        _, _, row_of_col = unique_rows_reference(np.stack(columns, axis=1))
+        assert np.array_equal(offsets >> workspace.b, row_of_col)
+
+    @given(int64_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_wise_unique(self, rows):
+        self.assert_matches_oracle(rows)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_rows(self, rows):
+        self.assert_matches_oracle(np.full((rows, 3), -7, dtype=np.int64))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_rows_force_a_rank_redensify(self, seed):
+        """An r = 6 key has 1 + 2·(2^6 + 1) = 131 columns.  Every column
+        spans at least its number of distinct values, and their product
+        reaches 2^62, so the running rank must be densified on the way."""
+        group = random_group(2, buckets=64, seed=seed, b=6, duplicate_heavy=False)
+        workspace = SeedSweepWorkspace(group)
+        columns = [workspace.psi_diff, *workspace.thr_u.T, *workspace.thr_v.T]
+        assert len(columns) == 131
+        assert math.prod(len(np.unique(col)) for col in columns) >= 1 << 62
+        self.assert_matches_oracle(np.stack(columns, axis=1))
+        self.assert_workspace_matches_oracle(group)
+
+    @given(
+        st.sampled_from([2, 4, 8]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=4, max_value=30),
+        st.integers(min_value=3, max_value=7),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_workspace_matches_row_wise_construction(
+        self, buckets, num, n, b, duplicate_heavy, seed
+    ):
+        """Random fused groups, r = 1 and r > 1; with few nodes and b up
+        to 7 the threshold columns can span more values than there are
+        edges."""
+        group = random_group(
+            num,
+            buckets=buckets,
+            seed=seed,
+            n=n,
+            b=b,
+            duplicate_heavy=duplicate_heavy,
+            edgeless=(0,) if num > 2 else (),
+        )
+        if not any(est.num_edges for est in group):
+            return
+        self.assert_workspace_matches_oracle(group)
 
 
 class TestKernelSplit:
