@@ -5,26 +5,22 @@ Models the serving workload: ``--rounds`` waves of requests over
 the coalescer's fusion key) arriving concurrently, solved two ways:
 
 * **sequential** — one fresh ``solve_list_coloring_congest`` call per
-  request, no cache: the pre-serving per-request cost.
+  request: the pre-serving per-request cost.
 * **service** — the same requests submitted concurrently to a fresh
   :class:`~repro.serving.service.ColoringService`; the coalescer packs
   each wave into ONE fused batch (one 2^m sweep per phase per wave
-  instead of per request) and the service's process-wide
-  :class:`~repro.core.sweep_cache.SweepResultCache` serves waves 2..R
-  from memory.
+  instead of per request).
 
 The service backend is pinned to ``workers=1`` — a single-shard inline
-dispatch that never creates a worker pool — so the
-measured speedup comes from sweep fusion plus caching alone, *not* from
-parallelism; the guard therefore never self-skips, on 1-core CI hosts
-included.
+dispatch that never creates a worker pool — so the measured speedup
+comes from sweep fusion alone, *not* from parallelism; the guard
+therefore never self-skips, on 1-core CI hosts included.
 
 Both sides solve with the same ``--r-bits`` phase schedule (default
-r = 3, the same move as ``bench_sweep_cache``'s r = 2): fixing more
-prefix bits per phase shifts solve time from per-bit round machinery —
-which coalescing cannot amortize — into the 2^m integer seed sweeps that
-fusion shares across a wave and the cache elides on repeats, i.e. the
-regime the serving layer is for.  The comparison stays apples-to-apples:
+r = 3): fixing more prefix bits per phase shifts solve time from per-bit
+round machinery — which coalescing cannot amortize — into the 2^m
+integer seed sweeps that fusion shares across a wave, i.e. the regime
+the serving layer is for.  The comparison stays apples-to-apples:
 identical algorithm, identical outputs, only the execution strategy
 differs.
 
@@ -176,7 +172,7 @@ def main() -> int:
         f"workload: {args.rounds} waves x {args.graphs} graphs "
         f"(n={args.n} d={args.degree}, signature {signatures.pop()}), "
         f"{requests} requests; service pinned to workers=1 "
-        "(no pool, wins are fusion + cache only)"
+        "(no pool, wins are fusion only)"
     )
 
     # -- identity before any timing ------------------------------------
@@ -192,8 +188,7 @@ def main() -> int:
     assert_pass_identical(instances)
     print(
         "byte-identical responses (colors, ledgers, traces, SeedChoices); "
-        f"batches={stats['batch_sizes']}, "
-        f"cache hits/misses={stats['cache']['hits']}/{stats['cache']['misses']}"
+        f"batches={stats['batch_sizes']}"
     )
 
     # -- timing --------------------------------------------------------

@@ -12,18 +12,15 @@ without any randomness (no retry storms, reproducible plans).
 
 The second half simulates *repeated traffic*: regulators revise the
 channel lists every few hours, so the operator re-plans a stream of
-perturbed instances over the same towers.  A
-:class:`~repro.core.sweep_cache.SweepResultCache` memoizes each plan's
-seed-sweep integer count matrices by kernel fingerprint; re-planning the
-same stream hits the cache and skips the 2^m enumerations entirely —
-while producing byte-identical assignments (the float weighting always
-re-runs, so a warm plan IS the cold plan).
+perturbed instances over the same towers.  Replaying the stream gives
+byte-identical assignments, because the solver is deterministic: an
+audit can re-derive any past plan from its lists alone.
 
 The final leg runs the same traffic through a
 :class:`~repro.serving.service.ColoringService` — the planning desk as a
 shared endpoint: regional operators submit re-plans concurrently, the
-service coalesces same-signature requests into fused batches, solves
-them over one shared cache, and resolves each submission the moment its
+service coalesces same-signature requests into fused batches (one seed
+sweep per group and phase) and resolves each submission the moment its
 shard lands.  Every response is still byte-identical to a standalone
 solve of that request.
 """
@@ -36,9 +33,7 @@ import numpy as np
 from repro import (
     ColoringService,
     ListColoringInstance,
-    SweepResultCache,
     solve_list_coloring_congest,
-    sweep_cache_scope,
     verify_proper_list_coloring,
 )
 from repro.graphs.graph import Graph
@@ -72,13 +67,13 @@ def allowed_channels(graph: Graph, spectrum: int, seed: int):
 
 
 def repeated_traffic_demo(graph: Graph, spectrum: int, ticks: int = 5) -> None:
-    """Re-plan a stream of perturbed instances twice: cold, then warm.
+    """Re-plan a stream of perturbed instances twice.
 
     Each tick re-samples the regulatory lists (a new licensing round over
-    the same towers); the stream is then solved a second time, as a
-    serving layer replaying the same requests would.  The second sweep of
-    the stream is pure cache hits — identical assignments, a fraction of
-    the wall clock.
+    the same towers); the stream is then solved a second time, as an
+    audit replaying the same requests would.  The replay reproduces every
+    assignment byte for byte.  Between ticks, the number of stations that
+    must retune shows how much a licensing round churns the plan.
     """
     stream = [
         ListColoringInstance(
@@ -86,32 +81,23 @@ def repeated_traffic_demo(graph: Graph, spectrum: int, ticks: int = 5) -> None:
         )
         for t in range(ticks)
     ]
-    cache = SweepResultCache(max_bytes=64 << 20)
-    with sweep_cache_scope(cache):
-        start = time.perf_counter()
-        cold_plans = [solve_list_coloring_congest(inst) for inst in stream]
-        cold_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        warm_plans = [solve_list_coloring_congest(inst) for inst in stream]
-        warm_seconds = time.perf_counter() - start
-    for inst, cold, warm in zip(stream, cold_plans, warm_plans):
-        verify_proper_list_coloring(inst, cold.colors)
-        assert (cold.colors == warm.colors).all()
-    stats = cache.stats()
-    lookups = stats["hits"] + stats["misses"]
+    start = time.perf_counter()
+    plans = [solve_list_coloring_congest(inst) for inst in stream]
+    plan_seconds = time.perf_counter() - start
+    replays = [solve_list_coloring_congest(inst) for inst in stream]
+    for inst, plan, replay in zip(stream, plans, replays):
+        verify_proper_list_coloring(inst, plan.colors)
+        assert (plan.colors == replay.colors).all()
+    retunes = [
+        int((before.colors != after.colors).sum())
+        for before, after in zip(plans, plans[1:])
+    ]
     print(f"\nrepeated traffic: {ticks} perturbed instances, solved twice")
     print(
-        f"  sweep cache: {stats['hits']}/{lookups} hits "
-        f"({100.0 * stats['hits'] / max(1, lookups):.0f}%), "
-        f"{stats['entries']} entries, "
-        f"{stats['memory_bytes'] / 1e6:.1f} MB resident"
+        f"  {plan_seconds * 1000 / ticks:7.1f} ms per plan; stations retuned "
+        f"per licensing round: {retunes}"
     )
-    print(
-        f"  cold pass: {cold_seconds * 1000:7.1f} ms   "
-        f"warm pass: {warm_seconds * 1000:7.1f} ms   "
-        f"({cold_seconds / warm_seconds:.2f}x)"
-    )
-    print("  warm assignments are byte-identical to the cold plans")
+    print("  replayed assignments are byte-identical to the first plans")
 
 
 def service_demo(graph: Graph, spectrum: int, ticks: int = 5) -> None:
@@ -120,7 +106,7 @@ def service_demo(graph: Graph, spectrum: int, ticks: int = 5) -> None:
     Two licensing waves over the same towers are submitted concurrently —
     all the requests of a wave at once, as independent regional operators
     would.  Same-signature requests coalesce into fused batches (watch the
-    batch sizes), the second wave hits the shared sweep cache, and each
+    batch sizes), the second wave answers exactly as the first, and each
     submission resolves as soon as its shard completes; per-request
     latency percentiles come straight off the service telemetry.
     """
@@ -148,23 +134,15 @@ def service_demo(graph: Graph, spectrum: int, ticks: int = 5) -> None:
         # telemetry is complete once close() (the `async with` exit) ran
         return plans, service.stats(), list(service.request_latencies)
 
-    (cold_plans, warm_plans), stats, latencies = asyncio.run(drive())
-    for inst, direct_plan, cold, warm in zip(
-        stream, direct, cold_plans, warm_plans
-    ):
-        assert (cold.colors == direct_plan.colors).all()
-        assert (warm.colors == direct_plan.colors).all()
-    cache = stats["cache"]
-    lookups = cache["hits"] + cache["misses"]
+    (first_plans, second_plans), stats, latencies = asyncio.run(drive())
+    for direct_plan, first, second in zip(direct, first_plans, second_plans):
+        assert (first.colors == direct_plan.colors).all()
+        assert (second.colors == direct_plan.colors).all()
     p50, p95 = np.percentile(np.array(latencies) * 1000.0, [50, 95])
     print(f"\nservice mode: 2 waves x {ticks} concurrent submissions")
     print(
         f"  coalesced batches: {stats['batches']} "
         f"(sizes {stats['batch_sizes']}, mean {stats['mean_batch_size']:.1f})"
-    )
-    print(
-        f"  sweep cache: {cache['hits']}/{lookups} hits "
-        f"({100.0 * cache['hits'] / max(1, lookups):.0f}%)"
     )
     print(
         f"  request latency: p50 {p50:7.1f} ms   p95 {p95:7.1f} ms "

@@ -26,12 +26,6 @@ Backends
     byte-identical outputs), resolved by
     :func:`~repro.parallel.backend.resolve_backend` and accepted by the
     ``backend=`` parameter of the batched solvers and engines.
-Caching
-    :class:`~repro.core.sweep_cache.SweepResultCache` — fingerprint-keyed
-    memoization of the seed sweeps' integer count matrices (memory LRU +
-    optional disk tier), installed ambiently via
-    :func:`~repro.core.derandomize.sweep_cache_scope` or per backend via
-    ``ProcessBackend(sweep_cache=...)``; warm solves stay byte-identical.
 Serving
     :class:`~repro.serving.service.ColoringService` — async batch intake
     with a fusion-keyed request coalescer (group by ``(⌈log C⌉, Δ)``,
@@ -44,14 +38,12 @@ Graphs
     :mod:`repro.graphs.generators`.
 """
 
-from repro.core.derandomize import sweep_cache_scope
 from repro.core.instances import (
     BatchedListColoringInstance,
     ListColoringInstance,
     make_delta_plus_one_instance,
     make_random_lists_instance,
 )
-from repro.core.sweep_cache import SweepResultCache
 from repro.core.list_coloring import (
     BatchColoringResult,
     ColoringResult,
@@ -86,8 +78,6 @@ __all__ = [
     "make_delta_plus_one_instance",
     "make_random_lists_instance",
     "resolve_backend",
-    "SweepResultCache",
-    "sweep_cache_scope",
     "solve_list_coloring_batch",
     "solve_list_coloring_congest",
     "verify_proper_coloring",

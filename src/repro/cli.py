@@ -19,12 +19,6 @@ do not depend on the backend.
 recovery (retries on a rebuilt pool before the inline serial fallback);
 recovery recomputes deterministically, so the hash does not depend on
 whether workers died mid-run either.
-``--sweep-cache memory|disk`` (with ``--sweep-cache-mb`` and, for the
-disk tier, ``--sweep-cache-dir`` plus an optional ``--sweep-cache-disk-mb``
-byte budget) memoizes the seed sweeps' integer count
-matrices by kernel fingerprint — warm repeated runs skip the 2^m integer
-enumeration, still byte-identically, so the coloring hash does not depend
-on the cache either.
 
 Examples::
 
@@ -68,27 +62,7 @@ def _build_graph(family: str, n: int, degree: int, seed: int):
     raise SystemExit(f"unknown family {family!r}")
 
 
-def _make_sweep_cache(args):
-    """Resolve the ``--sweep-cache*`` knobs into a cache (or None)."""
-    mode = getattr(args, "sweep_cache", "off")
-    disk_mb = getattr(args, "sweep_cache_disk_mb", None)
-    if disk_mb is not None and mode != "disk":
-        raise SystemExit("--sweep-cache-disk-mb requires --sweep-cache disk")
-    if mode == "off":
-        return None
-    from repro.core.sweep_cache import SweepResultCache
-
-    directory = getattr(args, "sweep_cache_dir", None)
-    if mode == "disk" and directory is None:
-        raise SystemExit("--sweep-cache disk requires --sweep-cache-dir")
-    return SweepResultCache(
-        max_bytes=int(args.sweep_cache_mb * (1 << 20)),
-        directory=directory if mode == "disk" else None,
-        disk_max_bytes=None if disk_mb is None else int(disk_mb * (1 << 20)),
-    )
-
-
-def _make_backend(args, sweep_cache=None):
+def _make_backend(args):
     """Resolve ``--backend``/``--workers`` into a shared backend (or None).
 
     One backend instance per command invocation so the process pool is
@@ -101,7 +75,6 @@ def _make_backend(args, sweep_cache=None):
     return resolve_backend(
         args.backend,
         workers=args.workers,
-        sweep_cache=sweep_cache,
         max_retries=getattr(args, "dispatch_retries", None),
     )
 
@@ -151,15 +124,9 @@ def _solver_record(args, graph, solver: str, result) -> dict:
 def cmd_color(args) -> int:
     graph = _build_graph(args.family, args.n, args.degree, args.seed)
     instance = make_delta_plus_one_instance(graph)
-    sweep_cache = _make_sweep_cache(args)
-    backend = _make_backend(args, sweep_cache)
-    from repro.core.derandomize import sweep_cache_scope
-
+    backend = _make_backend(args)
     try:
-        # The ambient scope covers the serial path; the process backend
-        # additionally carries the cache into its inline dispatch modes.
-        with sweep_cache_scope(sweep_cache):
-            result = _solve(instance, args.solver, backend)
+        result = _solve(instance, args.solver, backend)
     finally:
         if backend is not None:
             backend.close()
@@ -181,16 +148,12 @@ def cmd_compare(args) -> int:
     instance = make_delta_plus_one_instance(graph)
     solvers = ("congest", "polylog", "clique", "mpc-linear", "mpc-sublinear")
     records = []
-    sweep_cache = _make_sweep_cache(args)
-    backend = _make_backend(args, sweep_cache)
-    from repro.core.derandomize import sweep_cache_scope
-
+    backend = _make_backend(args)
     try:
-        with sweep_cache_scope(sweep_cache):
-            for solver in solvers:
-                result = _solve(instance, solver, backend)
-                verify_proper_list_coloring(instance, result.colors)
-                records.append(_solver_record(args, graph, solver, result))
+        for solver in solvers:
+            result = _solve(instance, solver, backend)
+            verify_proper_list_coloring(instance, result.colors)
+            records.append(_solver_record(args, graph, solver, result))
     finally:
         if backend is not None:
             backend.close()
@@ -256,34 +219,6 @@ def main(argv=None) -> int:
                 "worker died is retried on a rebuilt pool before the "
                 "coordinator recomputes it inline (results stay "
                 "byte-identical either way; default: 2)",
-            )
-            p.add_argument(
-                "--sweep-cache",
-                choices=("off", "memory", "disk"),
-                default="off",
-                help="memoize seed-sweep count matrices by kernel "
-                "fingerprint (byte-identical results; 'disk' persists "
-                "entries under --sweep-cache-dir)",
-            )
-            p.add_argument(
-                "--sweep-cache-mb",
-                type=float,
-                default=256.0,
-                help="byte budget of the in-memory cache tier (MiB)",
-            )
-            p.add_argument(
-                "--sweep-cache-dir",
-                default=None,
-                help="directory of the on-disk cache tier "
-                "(required for --sweep-cache disk)",
-            )
-            p.add_argument(
-                "--sweep-cache-disk-mb",
-                type=float,
-                default=None,
-                help="byte budget of the on-disk cache tier (MiB); "
-                "stores prune oldest-mtime entries past the budget "
-                "(default: unbounded)",
             )
         if name == "color":
             p.add_argument("--solver", default="congest")

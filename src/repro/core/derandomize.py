@@ -24,8 +24,6 @@ consume the same :class:`SeedChoice`; only the round accounting differs.
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,48 +36,10 @@ from repro.core.potential import (
 
 __all__ = [
     "SeedChoice",
-    "current_sweep_cache",
     "fix_bits_greedily",
     "derandomize_phase",
     "derandomize_phase_group",
-    "sweep_cache_scope",
 ]
-
-
-#: Ambient sweep-result cache (None → every sweep recomputes).  A cache is
-#: any object with the :class:`repro.core.sweep_cache.SweepResultCache`
-#: surface — ``load(kernel, order)``, ``store(kernel, counts)``, and
-#: ``admits(nbytes)`` — keyed by the kernel fingerprint and holding pure
-#: int64 count matrices.  Only the integer half of a sweep is ever cached;
-#: the ``weight_rows`` step re-runs on every hit, which is what makes warm
-#: results byte-identical to cold ones (the list sizes it weights by are
-#: not a function of the fingerprint).
-_sweep_cache_var: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_sweep_cache", default=None
-)
-
-
-def current_sweep_cache():
-    """The ambient sweep-result cache, or ``None`` when memoization is off."""
-    return _sweep_cache_var.get()
-
-
-@contextmanager
-def sweep_cache_scope(cache):
-    """Install ``cache`` as the ambient sweep-result cache.
-
-    Grouped sweeps started inside the scope (any engine depth — the
-    decomposition and clique engines reach :func:`derandomize_phase_group`
-    through several layers) consult it before running the integer kernel
-    and store their count matrices on a miss.  ``None`` disables
-    memoization, which nested scopes (e.g. shard worker entry points) use
-    to shield a region from an outer cache.
-    """
-    token = _sweep_cache_var.set(cache)
-    try:
-        yield cache
-    finally:
-        _sweep_cache_var.reset(token)
 
 
 @dataclass
@@ -174,7 +134,6 @@ def derandomize_phase_group(
     chunk_size: int = 512,
     strict: bool = True,
     compress: bool = True,
-    sweep_cache=None,
 ) -> list:
     """Derandomize one phase of many instances against one seed sweep.
 
@@ -194,53 +153,20 @@ def derandomize_phase_group(
     :func:`derandomize_phase` call.  ``compress=False`` forces the
     uncompressed reference columns of the s1 sweep (results are
     bit-identical; used by tests and the benchmark guard).
-    ``sweep_cache`` (default: the ambient one from
-    :func:`sweep_cache_scope`) memoizes the integer count matrix by kernel
-    fingerprint: a hit skips the 2^m integer enumeration entirely — only
-    ``weight_rows`` runs — and a miss counts the full matrix serially,
-    weights it, and stores it for the next sweep with the same
-    fingerprint.  Warm results are byte-identical because the weighting
-    turns each seed row into exact integer sums before its fixed float
-    step (see :meth:`SeedSweepWorkspace.weight_rows`) and always re-runs
-    over the same integers.
     """
     estimators = list(estimators)
     if not estimators:
         return []
     m = estimators[0].family.m
     order = 1 << m
-    if sweep_cache is None:
-        sweep_cache = _sweep_cache_var.get()
 
     sweep = SeedSweepWorkspace(estimators, compress=compress)
     val1 = np.empty((len(estimators), order), dtype=np.float64)
-    counts = None
-    if sweep_cache is not None and sweep.live:
-        kernel = sweep.kernel
-        counts = sweep_cache.load(kernel, order)
-        if counts is None and sweep_cache.admits(kernel.count_nbytes(order)):
-            # Miss: materialize the full integer matrix (the cacheable
-            # artifact).
-            counts = np.empty((order, kernel.count_width), dtype=np.int64)
-            for start in range(0, order, chunk_size):
-                stop = min(order, start + chunk_size)
-                kernel.count_rows(
-                    np.arange(start, stop, dtype=np.int64),
-                    out=counts[start:stop],
-                )
-            sweep_cache.store(kernel, counts)
-    if counts is not None:
-        # Hit (or freshly stored): the weighting over the cached integers —
-        # byte-identical to the cache-off path.
-        for start in range(0, order, chunk_size):
-            stop = min(order, start + chunk_size)
-            sweep.weight_rows(counts[start:stop], out=val1[:, start:stop])
-    else:
-        for start in range(0, order, chunk_size):
-            stop = min(order, start + chunk_size)
-            sweep.expected_rows(
-                np.arange(start, stop, dtype=np.int64), out=val1[:, start:stop]
-            )
+    for start in range(0, order, chunk_size):
+        stop = min(order, start + chunk_size)
+        sweep.expected_rows(
+            np.arange(start, stop, dtype=np.int64), out=val1[:, start:stop]
+        )
 
     # Fix every instance's s1 bits first (one vectorized greedy descent over
     # all rows), then descend σ for the whole group at once.

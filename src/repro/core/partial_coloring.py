@@ -136,7 +136,6 @@ def partial_coloring_pass_batch(
     strict: bool = True,
     rng: np.random.Generator | None = None,
     backend=None,
-    sweep_cache=None,
 ) -> list[PartialColoringOutcome]:
     """One Lemma 2.1 pass on every instance of ``batch`` at once.
 
@@ -147,9 +146,7 @@ def partial_coloring_pass_batch(
     selects the executor exactly as in
     :func:`~repro.core.list_coloring.solve_list_coloring_batch`; with a
     process backend the worker ledgers are replayed event-by-event into
-    the caller's ``ledgers``.  ``sweep_cache`` memoizes the serial path's
-    grouped seed sweeps (ignored when a non-serial ``backend`` takes over,
-    which installs its own cache scope).
+    the caller's ``ledgers``.
     """
     if backend is not None:
         from repro.parallel.backend import SerialBackend, backend_scope
@@ -207,7 +204,6 @@ def partial_coloring_pass_batch(
             strengthens=strengthens,
             strict=strict,
             rng=rng,
-            sweep_cache=sweep_cache,
         )
 
         # The endgame on the union of the instances' results: eligibility,

@@ -29,9 +29,9 @@ expectations (Lemma 2.6 / Eq. (7)) needs two things:
 bucket w — weighted by the endpoints' ``1/k_w``.  :class:`_WeightPlan`
 sums the counts into exact int64 ``S`` per (estimator, list size k) and
 only then forms ``(Σ_k S_k / k, k ascending) / block size``.  Every value
-is therefore a fixed function of exact integers: compression, chunking,
-worker count and cache state cannot change a bit, and the σ descent's
-root (the whole σ range) equals ``val1[s1]`` exactly.
+is therefore a fixed function of exact integers: compression, chunking
+and worker count cannot change a bit, and the σ descent's root (the
+whole σ range) equals ``val1[s1]`` exactly.
 
 **Unique-column compression.**  The s1 sweep only ever evaluates the hash
 on per-edge keys ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``;
@@ -190,7 +190,7 @@ class SweepCountKernel:
       seed range concatenates to the same integers as one full-range call,
       because no operation crosses seed rows — the property the chunked
       2^m enumeration of :func:`~repro.core.derandomize.derandomize_phase_group`
-      relies on when it fills a cacheable count matrix block by block; and
+      relies on when it counts the seed rows block by block; and
     * **picklably**: the kernel carries only the small unique-column arrays
       plus the family parameters ``(a, b)``; the
       :class:`~repro.hashing.pairwise.PairwiseFamily` (whose GF(2^m) log
@@ -204,11 +204,8 @@ class SweepCountKernel:
     bucket w's block (``alive`` masks the edge columns whose bucket-w
     interval is nonempty at both endpoints) or None when no column is
     alive.  :attr:`fingerprint` identifies the kernel's exact inputs (a
-    stable sha256 over the family parameters and column arrays) — the key
-    of the sweep-result cache (:mod:`repro.core.sweep_cache`) as well as
-    the label worker-side caches and telemetry use.  Same fingerprint ⇒
-    same inputs ⇒ the same integer count matrix, which is why cached counts
-    can be reused verbatim while the weighting is always re-applied fresh.
+    stable sha256 over the family parameters and column arrays): same
+    fingerprint ⇒ same inputs ⇒ the same integer count matrix.
     """
 
     def __init__(
@@ -281,12 +278,6 @@ class SweepCountKernel:
         state["_family"] = None
         state["_lookup"] = None
         return state
-
-    def count_nbytes(self, order: int) -> int:
-        """Bytes of the full int64 count matrix for ``order`` seed rows —
-        the size a sweep-result cache must budget for before admitting
-        this kernel (see :mod:`repro.core.sweep_cache`)."""
-        return 8 * int(order) * self.count_width
 
     def _threshold_rows(self) -> tuple:
         """Per count column: its edge column (None for the identity) and
@@ -653,8 +644,8 @@ class SeedSweepWorkspace:
         ``S[j, k]``, then ``(Σ_k S[j, k] / k) / 2^b`` with k ascending, so
         every entry is a fixed function of exact integers of its own seed
         row: the result is bit-identical for any chunking of the seed
-        range, any worker count, any cache state, and with compression on
-        or off (the sums do not depend on how columns were deduplicated).
+        range, any worker count, and with compression on or off (the sums
+        do not depend on how columns were deduplicated).
         """
         counts = np.asarray(counts)
         shape = (len(self.estimators), counts.shape[0])
@@ -688,8 +679,7 @@ class SeedSweepWorkspace:
         ``out``, when given, is filled in place (float64, matching shape).
         Composition of the integer :meth:`count_rows` kernel and the
         :meth:`weight_rows` step (exact integer sums, then one division per
-        list size) — the seam the sweep-result cache splits at: it stores
-        the integers and re-runs the weighting on every hit.
+        list size).
         """
         s1_candidates = np.asarray(s1_candidates, dtype=np.int64)
         shape = (len(self.estimators), len(s1_candidates))

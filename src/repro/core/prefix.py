@@ -177,7 +177,6 @@ def extend_prefixes_batch(
     strict: bool = True,
     rng: np.random.Generator | None = None,
     accuracy_override: int | None = None,
-    sweep_cache=None,
 ) -> list[PrefixResult]:
     """Run the full prefix extension on every instance of ``batch`` at once.
 
@@ -187,9 +186,6 @@ def extend_prefixes_batch(
     :class:`PrefixResult` per instance, each identical to what
     :func:`extend_prefixes` would produce on that instance alone.  With
     ``rng``, random seeds are drawn per phase in instance order.
-    ``sweep_cache`` memoizes the grouped seed sweeps' integer count
-    matrices (see :func:`~repro.core.derandomize.derandomize_phase_group`);
-    results are bit-identical with or without it.
     """
     k = batch.num_instances
     if k == 0:
@@ -327,7 +323,6 @@ def extend_prefixes_batch(
                 group_choices = derandomize_phase_group(
                     [estimators[i] for i in members],
                     strict=strict,
-                    sweep_cache=sweep_cache,
                 )
                 for i, choice in zip(members, group_choices):
                     choices[i] = choice

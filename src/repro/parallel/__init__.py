@@ -4,11 +4,8 @@ The batch ``(values, offsets, instance_offsets)`` array program shards
 along its instance partition; :class:`ProcessBackend` dispatches shard
 solves to a worker pool and merges every artifact — colorings, seed
 choices, round ledgers, potential traces — back byte-identically to the
-serial path (:class:`SerialBackend`, the default).  A
-:class:`~repro.core.sweep_cache.SweepResultCache` handed to
-``ProcessBackend(sweep_cache=...)`` memoizes the inline sweeps' integer
-count matrices across dispatches, with per-dispatch hit/miss deltas in the
-backend telemetry.
+serial path (:class:`SerialBackend`, the default).  Every dispatch appends
+one record to the backend's ``telemetry`` (shards, wall time, faults).
 """
 
 from repro.parallel.backend import (

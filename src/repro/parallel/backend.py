@@ -33,7 +33,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from repro.core.derandomize import current_sweep_cache, sweep_cache_scope
 from repro.parallel.sharding import (
     merge_solve_results,
     plan_shards,
@@ -156,15 +155,6 @@ class ProcessBackend(Backend):
     sweep_workers:
         Accepted only as ``0`` (the default), for callers written against
         the removed seed axis; any other value raises :class:`ValueError`.
-    sweep_cache:
-        A :class:`~repro.core.sweep_cache.SweepResultCache` (or ``None``).
-        Installed around every inline dispatch (a single-shard plan), so
-        repeated batches reuse their integer count matrices.  With
-        ``None``, an ambient cache from
-        :func:`~repro.core.derandomize.sweep_cache_scope` still applies.
-        Pool workers always run with the cache off.  Per-dispatch
-        hit/miss/store/eviction deltas are attached to the telemetry
-        record under ``"cache"``.
     max_retries:
         Crash-recovery budget: how many times a shard whose worker died
         (``BrokenProcessPool``) is re-dispatched onto a rebuilt pool
@@ -184,8 +174,8 @@ class ProcessBackend(Backend):
     :attr:`telemetry` — ``op``, ``mode`` (always ``"instance"``),
     requested vs effective shards, wall seconds, a ``"faults"`` dict
     (crashes, retries, pool rebuilds, serial fallbacks; all zero on a
-    healthy dispatch) and, with a cache, ``"cache"`` — even when the
-    dispatch raised or its stream was closed early.
+    healthy dispatch) — even when the dispatch raised or its stream was
+    closed early.
 
     The pool is created lazily on first dispatch and reused across calls
     (one backend can serve every color class of a decomposition, say);
@@ -204,7 +194,6 @@ class ProcessBackend(Backend):
         max_shards: int | None = None,
         keep_fusion_runs: bool = True,
         sweep_workers: int = 0,
-        sweep_cache=None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
     ):
@@ -226,7 +215,6 @@ class ProcessBackend(Backend):
         self.start_method = start_method
         self.max_shards = self.workers if max_shards is None else int(max_shards)
         self.keep_fusion_runs = keep_fusion_runs
-        self.sweep_cache = sweep_cache
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if retry_backoff < 0:
@@ -287,15 +275,14 @@ class ProcessBackend(Backend):
         individual future — marks those payloads failed instead of
         escaping.  The broken executor is dropped and rebuilt and the
         failed payloads re-submitted, up to ``max_retries`` rounds with
-        linear backoff; whatever still fails is computed inline with the
-        cache off, as a worker would, so a degraded backend answers every
-        dispatch.  Recomputation is deterministic, so a retried or inlined
-        piece's bytes are identical to a first-try pool solve.  Python
-        exceptions *raised by* worker code propagate unchanged — they are
-        bugs, not faults, and a deterministic recompute would fail
-        identically.  ``faults`` is mutated in place (see
-        ``_FAULT_KEYS``).  Closing the generator early cancels
-        not-yet-started futures.
+        linear backoff; whatever still fails is computed inline, so a
+        degraded backend answers every dispatch.  Recomputation is
+        deterministic, so a retried or inlined piece's bytes are identical
+        to a first-try pool solve.  Python exceptions *raised by* worker
+        code propagate unchanged — they are bugs, not faults, and a
+        deterministic recompute would fail identically.  ``faults`` is
+        mutated in place (see ``_FAULT_KEYS``).  Closing the generator
+        early cancels not-yet-started futures.
         """
         pending = dict(enumerate(payloads))
         attempts = 0
@@ -349,9 +336,7 @@ class ProcessBackend(Backend):
         # inline, in index order.
         faults["serial_fallbacks"] += len(pending)
         for j in sorted(pending):
-            with sweep_cache_scope(None):
-                output = shard_fn(pending[j])
-            yield j, output
+            yield j, shard_fn(pending[j])
 
     def _check_dispatch(self, rng) -> None:
         if self._closed:
@@ -368,28 +353,22 @@ class ProcessBackend(Backend):
         Plans contiguous shards, builds one ``make_payload(shard, lo,
         hi)`` per shard and yields ``(lo, hi, shard_fn(payload))`` per
         shard as it completes.  A single-shard plan runs inline (no
-        slicing, no IPC) under the backend's cache, else the ambient one;
-        otherwise the shards run on the pool with crash recovery.  The
-        telemetry record is appended in the ``finally``, so a dispatch
-        that raised or whose stream was closed early is still recorded.
+        slicing, no IPC); otherwise the shards run on the pool with crash
+        recovery.  The telemetry record is appended in the ``finally``, so
+        a dispatch that raised or whose stream was closed early is still
+        recorded.
         """
         plan = plan_shards(
             batch,
             min(self.max_shards, batch.num_instances),
             keep_fusion_runs=self.keep_fusion_runs,
         )
-        cache = (
-            self.sweep_cache if self.sweep_cache is not None else current_sweep_cache()
-        )
-        cache_before = cache.stats() if cache is not None else None
         faults = _new_faults()
         start_time = time.perf_counter()
         try:
             if plan.effective_shards <= 1:
                 k = batch.num_instances
-                with sweep_cache_scope(cache):
-                    output = shard_fn(make_payload(batch, 0, k))
-                yield (0, k, output)
+                yield (0, k, shard_fn(make_payload(batch, 0, k)))
             else:
                 bounds = plan.bounds.tolist()
                 payloads = [
@@ -411,13 +390,6 @@ class ProcessBackend(Backend):
                 "wall_seconds": time.perf_counter() - start_time,
                 "faults": faults,
             }
-            if cache is not None:
-                # Counters as this-dispatch deltas; occupancy as absolutes.
-                absolute = ("memory_bytes", "entries")
-                record["cache"] = {
-                    key: value if key in absolute else value - cache_before[key]
-                    for key, value in cache.stats().items()
-                }
             self.telemetry.append(record)
 
     # ------------------------------------------------------------------
@@ -578,14 +550,13 @@ def backend_scope(spec, workers: int | None = None) -> _BackendScope:
 def resolve_backend(
     backend,
     workers: int | None = None,
-    sweep_cache=None,
     max_retries: int | None = None,
 ) -> Backend:
     """Coerce ``None`` / a name / a :class:`Backend` into a backend.
 
     ``None`` and ``"serial"`` give the in-process default; ``"process"``
-    builds a :class:`ProcessBackend` (with ``workers`` / ``sweep_cache`` /
-    ``max_retries`` if given — ``max_retries`` is the worker-crash retry
+    builds a :class:`ProcessBackend` (with ``workers`` / ``max_retries``
+    if given — ``max_retries`` is the worker-crash retry
     budget before the inline serial fallback).  Backend instances pass
     through untouched, so callers can share one pool.
     """
@@ -600,9 +571,7 @@ def resolve_backend(
             kwargs = {}
             if max_retries is not None:
                 kwargs["max_retries"] = max_retries
-            return ProcessBackend(
-                workers=workers, sweep_cache=sweep_cache, **kwargs
-            )
+            return ProcessBackend(workers=workers, **kwargs)
         raise ValueError(
             f"unknown backend {backend!r} (expected 'serial' or 'process')"
         )

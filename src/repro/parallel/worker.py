@@ -84,15 +84,7 @@ def partial_pass_shard(payload):
 
 def run_shard(task):
     """Pool entry point: ``task`` is ``(shard_fn, payload)`` with
-    ``shard_fn`` one of :func:`solve_shard` / :func:`partial_pass_shard`.
-
-    The null cache scope matters under ``fork``: a forked worker would
-    otherwise inherit the coordinator's sweep-result cache and grow a
-    private, never-shared copy of it in every pool process.
-    """
+    ``shard_fn`` one of :func:`solve_shard` / :func:`partial_pass_shard`."""
     _maybe_inject_fault()
     shard_fn, payload = task
-    from repro.core.derandomize import sweep_cache_scope
-
-    with sweep_cache_scope(None):
-        return shard_fn(payload)
+    return shard_fn(payload)

@@ -3,10 +3,9 @@
 A coloring request arrives alone, but the solver is cheapest when many
 instances that share a seed space are packed into ONE
 :class:`~repro.core.instances.BatchedListColoringInstance`: shared-seed
-phase fusion runs one 2^m sweep for the whole group, and the ambient
-:class:`~repro.core.sweep_cache.SweepResultCache` serves repeats of any
-group member.  :class:`RequestCoalescer` therefore groups pending
-requests by their static fusion signature ``(⌈log C⌉, Δ)``
+phase fusion runs one 2^m sweep for the whole group.
+:class:`RequestCoalescer` therefore groups pending requests by their
+static fusion signature ``(⌈log C⌉, Δ)``
 (:func:`~repro.parallel.sharding.instance_fusion_signature` — the same
 key the shard planner refuses to cut across) under two knobs:
 

@@ -12,21 +12,20 @@ high-throughput pipeline for *unrelated concurrent requests*:
    groups pending requests by fusion signature ``(⌈log C⌉, Δ)`` under
    ``max_batch_instances`` / ``max_delay_ms``; each group is packed into
    ONE :meth:`BatchedListColoringInstance.from_instances` batch, so the
-   shared-seed phase fusion (one 2^m sweep per group per phase) and the
-   process-wide :class:`~repro.core.sweep_cache.SweepResultCache`
-   (installed ambiently around every dispatch; disk tier survives
-   restarts) amortize solver work across strangers' requests.
+   shared-seed phase fusion (one 2^m sweep per group per phase)
+   amortizes solver work across strangers' requests.
 3. **Stream** — batches dispatch through the backend's
    ``solve_batch_iter`` on a dedicated dispatch thread; every request's
    future resolves the moment its *shard* lands (``call_soon_threadsafe``
    back into the event loop) instead of at the batch merge barrier.
 
 Because each per-instance output of a fused batch is byte-identical to a
-standalone solve (the pinned batch contract) and a warm cache is
-byte-identical to a cold one (counts-only entries, float weighting always
-re-applied), every response equals the standalone
-``solve_list_coloring_congest`` call for that instance, bit for bit — no
-matter how requests were grouped, cached, sharded or streamed.
+standalone solve (the pinned batch contract), every response equals the
+standalone ``solve_list_coloring_congest`` call for that instance, bit for
+bit — no matter how requests were grouped, sharded or streamed.  The same
+determinism bounds a failure's blast radius: when a group's batch raises,
+its unresolved members are re-solved one by one, and only a request whose
+own solve raises fails.
 
 The event loop only ever does bookkeeping: solves run in a single-slot
 ``ThreadPoolExecutor`` (the backend's own process pool supplies real
@@ -39,9 +38,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.derandomize import sweep_cache_scope
 from repro.core.instances import BatchedListColoringInstance
-from repro.core.sweep_cache import SweepResultCache
 from repro.parallel.backend import Backend, resolve_backend
 from repro.parallel.sharding import instance_fusion_signature
 from repro.serving.coalescer import PendingRequest, RequestCoalescer
@@ -59,12 +56,9 @@ class ColoringService:
     ----------
     backend:
         ``None`` (default) builds a :class:`ProcessBackend` with
-        ``workers`` and the service's cache; a name
-        (``"serial"`` / ``"process"``) resolves the same way.  A
-        :class:`Backend` *instance* is used as-is and stays caller-owned
-        (not closed by :meth:`close`); if it carries its own
-        ``sweep_cache`` and none is given here, the service adopts it so
-        telemetry reads the cache actually consulted.
+        ``workers``; a name (``"serial"`` / ``"process"``) resolves the
+        same way.  A :class:`Backend` *instance* is used as-is and stays
+        caller-owned (not closed by :meth:`close`).
     workers:
         Forwarded to the default backend construction (ignored for
         caller-owned instances).
@@ -72,11 +66,6 @@ class ColoringService:
         Coalescing knobs (see :class:`RequestCoalescer`): dispatch a
         group when it fills, or when its oldest request has waited
         ``max_delay_ms``.
-    sweep_cache, cache_max_bytes, cache_dir, cache_disk_max_bytes:
-        The process-wide sweep-result cache shared by every coalesced
-        batch: pass an instance, or let the service build one
-        (``cache_dir`` adds the disk tier so a restarted service reuses
-        earlier sweeps; ``cache_disk_max_bytes`` bounds it).
     r_schedule, strict, verify:
         Solver options applied to every dispatch — part of the request
         contract, so every response equals
@@ -84,8 +73,8 @@ class ColoringService:
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`close` explicitly.  Telemetry: :attr:`batch_telemetry` (one
-    record per coalesced batch: signature, size, chunks, wall seconds,
-    cache deltas), :attr:`request_latencies` (submit→resolve seconds per
+    record per solved group: signature, size, chunks, wall seconds),
+    :attr:`request_latencies` (submit→resolve seconds per
     completed request), :meth:`stats`.
     """
 
@@ -96,33 +85,13 @@ class ColoringService:
         workers: int | None = None,
         max_batch_instances: int = 8,
         max_delay_ms: float = 2.0,
-        sweep_cache: SweepResultCache | None = None,
-        cache_max_bytes: int = 256 << 20,
-        cache_dir=None,
-        cache_disk_max_bytes: int | None = None,
         r_schedule=None,
         strict: bool = True,
         verify: bool = True,
     ):
-        if sweep_cache is not None and cache_dir is not None:
-            raise ValueError(
-                "pass either a ready sweep_cache or cache_dir/cache_max_bytes "
-                "knobs, not both"
-            )
         self._owns_backend = not isinstance(backend, Backend)
-        if sweep_cache is None and isinstance(backend, Backend):
-            sweep_cache = getattr(backend, "sweep_cache", None)
-        if sweep_cache is None:
-            sweep_cache = SweepResultCache(
-                max_bytes=cache_max_bytes,
-                directory=cache_dir,
-                disk_max_bytes=cache_disk_max_bytes,
-            )
-        self.sweep_cache = sweep_cache
         self._backend = resolve_backend(
-            backend if backend is not None else "process",
-            workers=workers,
-            sweep_cache=sweep_cache,
+            backend if backend is not None else "process", workers=workers
         )
         self._coalescer = RequestCoalescer(
             max_batch_instances=max_batch_instances, max_delay_ms=max_delay_ms
@@ -235,8 +204,8 @@ class ColoringService:
         The result is byte-identical to
         ``solve_list_coloring_congest(instance, r_schedule=..., strict=...,
         verify=...)`` with this service's solver options, regardless of
-        which strangers' requests it was coalesced, cached or sharded
-        with.
+        which strangers' requests it was coalesced or sharded with; a
+        stranger's failing request does not fail this one.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -284,7 +253,13 @@ class ColoringService:
                 self._dispatch_queue.put_nowait(group)
 
     async def _dispatch_worker(self) -> None:
-        """Consume coalesced groups; solve each on the dispatch thread."""
+        """Consume coalesced groups; solve each on the dispatch thread.
+
+        When a group's batch raises, every member still unresolved is
+        re-solved alone, and only a request whose own solve raises gets
+        an exception: one poison request cannot fail the strangers it was
+        coalesced with.  Solves are deterministic, so a re-solve answers
+        byte-identically to the batch it replaces."""
         while True:
             group = await self._dispatch_queue.get()
             if group is _SHUTDOWN:
@@ -295,21 +270,23 @@ class ColoringService:
                 )
             except Exception as exc:  # noqa: BLE001 - forwarded per request
                 for request in group:
+                    error = exc
+                    if len(group) > 1 and not request.future.done():
+                        try:
+                            await self._loop.run_in_executor(
+                                self._executor, self._solve_group, [request]
+                            )
+                        except Exception as own:  # noqa: BLE001
+                            error = own
                     if not request.future.done():
-                        request.future.set_exception(exc)
+                        request.future.set_exception(error)
 
     def _solve_group(self, group) -> None:
         """Dispatch-thread body: pack, solve, stream chunk resolutions.
 
-        Runs under the service cache scope (contextvars are per-thread, so
-        the scope must be entered here, not on the loop thread); the
-        backend's own cache, if any, takes precedence for its inline
-        dispatches — by construction the same object.
-
         The telemetry record is appended in a ``finally`` so a dispatch
         that raises mid-stream is still visible: failed batches carry an
-        ``"error"`` field (and their cache delta covers the work done up
-        to the failure) instead of vanishing from
+        ``"error"`` field instead of vanishing from
         :attr:`batch_telemetry` / :meth:`stats`.  When the backend
         recovered from worker crashes, the record also carries the summed
         ``"faults"`` counters of this dispatch's backend records."""
@@ -317,9 +294,6 @@ class ColoringService:
             [request.instance for request in group]
         )
         start = time.perf_counter()
-        cache_before = (
-            self.sweep_cache.stats() if self.sweep_cache is not None else None
-        )
         backend_telemetry = getattr(self._backend, "telemetry", None)
         records_before = (
             len(backend_telemetry) if backend_telemetry is not None else 0
@@ -327,23 +301,22 @@ class ColoringService:
         chunks = 0
         error = None
         try:
-            with sweep_cache_scope(self.sweep_cache):
-                for lo, _hi, chunk in self._backend.solve_batch_iter(
-                    batch,
-                    r_schedule=self._r_schedule,
-                    strict=self._strict,
-                    verify=self._verify,
-                ):
-                    chunks += 1
-                    now = time.monotonic()
-                    for offset, result in enumerate(chunk.results):
-                        request = group[lo + offset]
-                        self._loop.call_soon_threadsafe(
-                            self._finish_request,
-                            request,
-                            result,
-                            now - request.enqueued_at,
-                        )
+            for lo, _hi, chunk in self._backend.solve_batch_iter(
+                batch,
+                r_schedule=self._r_schedule,
+                strict=self._strict,
+                verify=self._verify,
+            ):
+                chunks += 1
+                now = time.monotonic()
+                for offset, result in enumerate(chunk.results):
+                    request = group[lo + offset]
+                    self._loop.call_soon_threadsafe(
+                        self._finish_request,
+                        request,
+                        result,
+                        now - request.enqueued_at,
+                    )
         except BaseException as exc:  # re-raised; recorded first
             error = exc
             raise
@@ -363,13 +336,6 @@ class ColoringService:
                         faults[key] = faults.get(key, 0) + value
                 if faults:
                     record["faults"] = faults
-            if cache_before is not None:
-                after = self.sweep_cache.stats()
-                absolute = ("memory_bytes", "entries")
-                record["cache"] = {
-                    key: value if key in absolute else value - cache_before[key]
-                    for key, value in after.items()
-                }
             # Appended on the loop thread so telemetry lists are
             # single-writer.  A caller racing in right after its own future
             # resolved may not see its batch's record yet (the record is
@@ -396,7 +362,9 @@ class ColoringService:
         retries, pool rebuilds, serial fallbacks — see
         :class:`~repro.parallel.backend.ProcessBackend`) and
         ``"failed_batches"`` counts batches whose dispatch raised (their
-        records carry ``"error"``)."""
+        records carry ``"error"``).  ``"cache"`` is always ``None``: the
+        service keeps no result cache, and the key stays for readers of
+        the snapshot that still look it up."""
         sizes = [record["size"] for record in self.batch_telemetry]
         faults: dict = {}
         for record in self.batch_telemetry:
@@ -413,7 +381,5 @@ class ColoringService:
                 1 for record in self.batch_telemetry if "error" in record
             ),
             "faults": faults,
-            "cache": (
-                self.sweep_cache.stats() if self.sweep_cache is not None else None
-            ),
+            "cache": None,
         }

@@ -104,8 +104,7 @@ class TestCLI:
                 "--json"]
         assert main(base) == 0
         serial = json.loads(capsys.readouterr().out)
-        assert main(base + ["--backend", "process", "--workers", "2",
-                            "--sweep-cache", "memory"]) == 0
+        assert main(base + ["--backend", "process", "--workers", "2"]) == 0
         assert json.loads(capsys.readouterr().out) == serial
 
     def test_sweep_workers_flag_removed(self):

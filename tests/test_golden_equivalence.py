@@ -14,9 +14,8 @@ since the table-driven seed-sweep kernels): Theorem 1.1 records pinned for
 the congest solver and covered by the one-call batched section.  The
 sharded process backend is NOT a separate golden section — it is asserted
 against the very same ``congest`` / ``large-congest`` records, which *is*
-the regression gate: serial, batched, sharded-parallel, and sweep-cached
-(memory and disk tiers, cold and warm) execution must all reproduce one
-set of pinned records.
+the regression gate: serial, batched and sharded-parallel execution must
+all reproduce one set of pinned records.
 
 One record was re-pinned since: ``tree31.polylog.colors`` changed when the
 E[·|s1] weighting became exact integer sums.  The first polylog phase on
@@ -348,63 +347,29 @@ def test_batched_section_pinned(golden, actual):
 
 
 @pytest.fixture(scope="module")
-def sweep_cache_actual() -> tuple:
-    """Records of TWO batched solves through one in-memory
-    :class:`~repro.core.sweep_cache.SweepResultCache` — a cold run that
-    populates it and a warm run served from it — compared against the
-    very same golden records as every other execution path.  The float
-    weighting re-runs on every hit, so warm must equal cold must equal
-    the pinned serial records."""
-    from repro.core.derandomize import sweep_cache_scope
-    from repro.core.sweep_cache import SweepResultCache
+def repeat_actual() -> dict:
+    """Records of the SECOND of two back-to-back batched solves, per
+    executor: serial, and one shared process pool (2 workers).  Nothing is
+    memoized between solves, so a repeat recounts every seed sweep and must
+    reproduce the very same pinned records as the first solve."""
+    from repro.parallel import ProcessBackend
 
     instances = {**_instances(), **_large_instances()}
-    cache = SweepResultCache()
-    with sweep_cache_scope(cache):
-        cold = _record_batched_congest(instances)
-        stores = cache.stats()["stores"]
-        warm = _record_batched_congest(instances)
-    assert stores > 0, "cold run cached nothing"
-    assert cache.stats()["hits"] >= stores, "warm run missed the cache"
-    return cold, warm
+    _record_batched_congest(instances)
+    repeats = {"serial": _record_batched_congest(instances)}
+    with ProcessBackend(workers=2) as backend:
+        _record_batched_congest(instances, backend=backend)
+        repeats["process"] = _record_batched_congest(instances, backend=backend)
+    return repeats
 
 
-@pytest.fixture(scope="module")
-def disk_cache_actual(tmp_path_factory) -> tuple:
-    """Like ``sweep_cache_actual`` but across the DISK tier: the warm run
-    uses a fresh cache instance over the same directory, so every hit is
-    deserialized from the ``<fingerprint>.npy`` entries the cold run
-    wrote — the persistence leg of the golden gate."""
-    from repro.core.derandomize import sweep_cache_scope
-    from repro.core.sweep_cache import SweepResultCache
-
-    instances = {**_instances(), **_large_instances()}
-    directory = tmp_path_factory.mktemp("sweep-cache")
-    with sweep_cache_scope(SweepResultCache(directory=directory)):
-        cold = _record_batched_congest(instances)
-    reader = SweepResultCache(directory=directory)
-    with sweep_cache_scope(reader):
-        warm = _record_batched_congest(instances)
-    assert reader.stats()["disk_hits"] > 0, "warm run never touched disk"
-    return cold, warm
-
-
-@pytest.mark.parametrize("leg", ["cold", "warm"])
-def test_sweep_cache_matches_batched_golden(golden, sweep_cache_actual, leg):
-    """Memory-tier cache runs (populating and fully warm) reproduce the
-    pinned batched records byte-identically."""
-    cold, warm = sweep_cache_actual
-    actual = cold if leg == "cold" else warm
-    _assert_matches(actual, golden[BATCHED_KEY], f"sweep-cache-{leg}")
-
-
-@pytest.mark.parametrize("leg", ["cold", "warm"])
-def test_disk_cache_matches_batched_golden(golden, disk_cache_actual, leg):
-    """Disk-tier cache runs (writer and fresh-process reader) reproduce
-    the pinned batched records byte-identically."""
-    cold, warm = disk_cache_actual
-    actual = cold if leg == "cold" else warm
-    _assert_matches(actual, golden[BATCHED_KEY], f"disk-cache-{leg}")
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_repeat_solve_matches_batched_golden(golden, repeat_actual, executor):
+    """A repeated batched solve reproduces the pinned batched records
+    byte-identically."""
+    _assert_matches(
+        repeat_actual[executor], golden[BATCHED_KEY], f"repeat-{executor}"
+    )
 
 
 @pytest.mark.parametrize("instance_name", list(_instances()))

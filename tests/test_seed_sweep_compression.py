@@ -252,8 +252,8 @@ def sigma_descent_reference(est, s1):
 
 
 #: A fixed 4-bucket kernel, its fingerprint and its count-matrix sum over
-#: all 64 seeds as produced by the per-cell DP kernel.  On-disk sweep-cache
-#: entries are named by this fingerprint, so it must never drift.
+#: all 64 seeds as produced by the per-cell DP kernel.  The fingerprint
+#: hashes the kernel's column arrays, so it pins their layout.
 PINNED_COUNTS = (
     np.array([[2, 0, 1, 3], [1, 1, 1, 1], [0, 4, 0, 1], [3, 3, 0, 0],
               [1, 0, 0, 6]]),

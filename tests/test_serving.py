@@ -16,8 +16,8 @@ Four layers, mirroring the subsystem's structure:
    no leaked shared-memory segments or worker pools.
 4. **Service behavior** — delay flushes, single-request groups,
    mixed-signature bursts, immediate full-group dispatch, shutdown
-   (drain and cancel), ownership of backend and cache, telemetry, and
-   the disk-tier warm restart.
+   (drain and cancel), ownership of the backend, telemetry, and a
+   failing request that fails nobody else in its group.
 
 Pool size defaults to 2 workers; CI pins it via ``REPRO_TEST_WORKERS=2``.
 """
@@ -35,7 +35,6 @@ from equivalence import assert_batch_results_equal, assert_coloring_results_equa
 from faults import leaked_segments, shm_segments
 from repro.core.instances import make_delta_plus_one_instance
 from repro.core.list_coloring import solve_list_coloring_congest
-from repro.core.sweep_cache import SweepResultCache
 from repro.graphs import generators as gen
 from repro.parallel import ProcessBackend, SerialBackend
 from repro.parallel.sharding import instance_fusion_signature
@@ -288,9 +287,7 @@ class TestServiceEquivalence:
             assert_coloring_results_equal(expected, got, f"request[{i}]")
         assert leaked_segments(before) == []
 
-    def test_repeat_traffic_hits_cache_and_stays_identical(
-        self, process_backend
-    ):
+    def test_repeat_traffic_stays_identical(self, process_backend):
         before = shm_segments()
         instances = [regular_instance(s) for s in range(3)]
         direct = [solve_list_coloring_congest(inst) for inst in instances]
@@ -300,8 +297,7 @@ class TestServiceEquivalence:
         served = submit_all(service, instances * 3)
         for j, got in enumerate(served):
             assert_coloring_results_equal(direct[j % 3], got, f"request[{j}]")
-        cache = service.stats()["cache"]
-        assert cache["hits"] > 0  # later waves served from the cache
+        assert service.stats()["cache"] is None
         assert leaked_segments(before) == []
 
 
@@ -443,38 +439,6 @@ class TestServiceBehavior:
         assert owned._backend._executor is None
         assert leaked_segments(before) == []
 
-    def test_service_adopts_backend_cache(self):
-        cache = SweepResultCache()
-        backend = ProcessBackend(workers=1, sweep_cache=cache)
-        service = ColoringService(backend)
-        assert service.sweep_cache is cache
-        with pytest.raises(ValueError, match="not both"):
-            ColoringService(sweep_cache=cache, cache_dir="/tmp/x")
-
-    def test_disk_tier_survives_restart(self, tmp_path):
-        """A restarted service re-reads earlier sweeps from cache_dir."""
-        instances = [regular_instance(s) for s in range(2)]
-        direct = [solve_list_coloring_congest(inst) for inst in instances]
-
-        def run_generation():
-            service = ColoringService(
-                workers=1,
-                max_batch_instances=2,
-                cache_dir=tmp_path,
-            )
-            results = submit_all(service, instances)
-            return results, service.stats()["cache"]
-
-        cold_results, cold_stats = run_generation()
-        assert cold_stats["disk_stores"] > 0
-        warm_results, warm_stats = run_generation()
-        assert warm_stats["disk_hits"] > 0
-        for i, (expected, cold, warm) in enumerate(
-            zip(direct, cold_results, warm_results)
-        ):
-            assert_coloring_results_equal(expected, cold, f"cold[{i}]")
-            assert_coloring_results_equal(expected, warm, f"warm[{i}]")
-
     def test_stats_and_latencies_after_close(self):
         instances = [regular_instance(s) for s in range(4)]
         service = ColoringService(
@@ -498,8 +462,7 @@ class TestServiceBehavior:
 
     def test_failed_batch_still_recorded_with_error(self):
         """A dispatch that raises mid-stream must not vanish from
-        batch_telemetry: its record lands with an ``"error"`` field and a
-        cache delta for the work done before the failure."""
+        batch_telemetry: its record lands with an ``"error"`` field."""
 
         class ExplodingBackend(SerialBackend):
             def solve_batch_iter(self, batch, **kwargs):
@@ -518,7 +481,101 @@ class TestServiceBehavior:
         assert "stream died" in record["error"]
         assert record["chunks"] == 0
         assert record["size"] == 1
-        assert "cache" in record  # delta still computed on the error path
         stats = service.stats()
         assert stats["failed_batches"] == 1
         assert stats["batches"] == 1
+
+    @pytest.mark.parametrize(
+        "position", [0, 2, 3], ids=["first", "middle", "last"]
+    )
+    def test_poison_request_fails_only_itself(self, monkeypatch, position):
+        """One request whose solve raises, coalesced with healthy ones: the
+        group's batch fails, each member is re-solved alone, and only the
+        poison request's future holds the exception.  The healthy answers
+        equal standalone solves byte for byte, wherever the poison sits in
+        the group."""
+        import repro.core.list_coloring as list_coloring
+
+        healthy = [regular_instance(s) for s in range(3)]
+        poison = regular_instance(7, n=18)  # same signature, marked by n
+        assert instance_fusion_signature(poison) == instance_fusion_signature(
+            healthy[0]
+        )
+        direct = [solve_list_coloring_congest(inst) for inst in healthy]
+        solve_batch = list_coloring.solve_list_coloring_batch
+
+        def poisoned(batch, **kwargs):
+            if 18 in batch.instance_sizes.tolist():
+                raise ValueError("poison request")
+            return solve_batch(batch, **kwargs)
+
+        monkeypatch.setattr(list_coloring, "solve_list_coloring_batch", poisoned)
+        service = ColoringService(
+            "serial", max_batch_instances=4, max_delay_ms=50.0
+        )
+        requests = healthy[:position] + [poison] + healthy[position:]
+
+        async def drive():
+            async with service:
+                return await asyncio.gather(
+                    *(service.submit(inst) for inst in requests),
+                    return_exceptions=True,
+                )
+
+        outcomes = asyncio.run(drive())
+        errors = [o for o in outcomes if isinstance(o, BaseException)]
+        assert len(errors) == 1 and outcomes[position] is errors[0]
+        assert isinstance(errors[0], ValueError)
+        served = outcomes[:position] + outcomes[position + 1:]
+        for i, (expected, got) in enumerate(zip(direct, served)):
+            assert_coloring_results_equal(expected, got, f"healthy[{i}]")
+        # The failed group plus one re-solve per member, of which only the
+        # poison request's failed.
+        assert [r["size"] for r in service.batch_telemetry] == [4, 1, 1, 1, 1]
+        assert service.stats()["failed_batches"] == 2
+
+    def test_midstream_failure_resolves_the_rest_alone(self):
+        """A group whose stream dies after its first chunk landed: the
+        resolved request keeps its answer and is not solved again; only the
+        unresolved members are re-solved, each alone."""
+
+        class FailsAfterFirstChunk(SerialBackend):
+            def solve_batch_iter(self, batch, **kwargs):
+                if batch.num_instances == 1:
+                    yield from super().solve_batch_iter(batch, **kwargs)
+                    return
+                first, _rest = batch.shard([0, 1, batch.num_instances])
+                yield (0, 1, self.solve_batch(first, **kwargs))
+                raise RuntimeError("stream died")
+
+        instances = [regular_instance(s) for s in range(3)]
+        direct = [solve_list_coloring_congest(inst) for inst in instances]
+        service = ColoringService(
+            FailsAfterFirstChunk(), max_batch_instances=3, max_delay_ms=50.0
+        )
+        served = submit_all(service, instances)
+        for i, (expected, got) in enumerate(zip(direct, served)):
+            assert_coloring_results_equal(expected, got, f"request[{i}]")
+        sizes = [r["size"] for r in service.batch_telemetry]
+        assert sizes == [3, 1, 1]
+        assert service.batch_telemetry[0]["chunks"] == 1
+        assert "stream died" in service.batch_telemetry[0]["error"]
+        assert service.stats()["failed_batches"] == 1
+
+    def test_restarted_service_answers_identically(self):
+        """A second service generation over the same traffic answers byte
+        for byte like the first: nothing a service keeps between requests
+        changes an answer."""
+        instances = [regular_instance(s) for s in range(2)]
+        direct = [solve_list_coloring_congest(inst) for inst in instances]
+
+        def run_generation():
+            service = ColoringService(workers=1, max_batch_instances=2)
+            results = submit_all(service, instances)
+            assert service.stats()["cache"] is None
+            return results
+
+        first, second = run_generation(), run_generation()
+        for i, (expected, a, b) in enumerate(zip(direct, first, second)):
+            assert_coloring_results_equal(expected, a, f"first[{i}]")
+            assert_coloring_results_equal(expected, b, f"second[{i}]")
