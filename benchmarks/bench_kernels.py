@@ -6,11 +6,14 @@ phase estimator, and one full derandomized phase.  They guard against
 performance regressions in the derandomization hot path.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.counting import count_xor_below
-from repro.core.derandomize import derandomize_phase
+from repro.core.derandomize import derandomize_phase_group
 from repro.core.potential import (
     PhaseEstimator,
     SeedSweepWorkspace,
@@ -18,6 +21,9 @@ from repro.core.potential import (
 )
 from repro.hashing.gf2 import GF2m, get_field
 from repro.hashing.pairwise import PairwiseFamily
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+from reference import expected_rows_reference  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -88,25 +94,28 @@ def sweep_group():
 
 def test_kernel_sweep_compressed(benchmark, sweep_group):
     candidates = np.arange(256, dtype=np.int64)
-    workspace = SeedSweepWorkspace(sweep_group, compress=True)
+    workspace = SeedSweepWorkspace(sweep_group)
     rows = benchmark(workspace.expected_rows, candidates)
     assert rows.shape == (len(sweep_group), 256)
 
 
 def test_kernel_sweep_uncompressed(benchmark, sweep_group):
-    # Per-edge reference columns; must match the compressed rows exactly.
+    # The tests' per-edge sweep oracle (no column dedup); must match the
+    # compressed rows exactly.
     candidates = np.arange(256, dtype=np.int64)
-    workspace = SeedSweepWorkspace(sweep_group, compress=False)
-    rows = benchmark(workspace.expected_rows, candidates)
+    rows = benchmark(expected_rows_reference, sweep_group, candidates)
     assert np.array_equal(
         rows, SeedSweepWorkspace(sweep_group).expected_rows(candidates)
     )
 
 
 def test_kernel_expected_by_s1(benchmark, estimator):
+    # One-shot: the workspace build is part of the timed call.
     candidates = np.arange(256, dtype=np.int64)
-    values = benchmark(estimator.expected_by_s1, candidates)
-    assert len(values) == 256
+    values = benchmark(
+        lambda: SeedSweepWorkspace([estimator]).expected_rows(candidates)
+    )
+    assert values.shape == (1, 256)
 
 
 def test_kernel_sigma_descent(benchmark, estimator):
@@ -120,6 +129,6 @@ def test_kernel_sigma_descent(benchmark, estimator):
 
 def test_kernel_full_phase_derandomization(benchmark, estimator):
     choice = benchmark.pedantic(
-        lambda: derandomize_phase(estimator), rounds=3, iterations=1
+        lambda: derandomize_phase_group([estimator])[0], rounds=3, iterations=1
     )
     assert choice.final_value <= choice.initial_expectation + 1e-9

@@ -7,15 +7,18 @@ regime every real phase is in — and evaluates the full 2^m seed sweep and
 one complete ``derandomize_phase_group`` twice:
 
 * **reference** — the pre-table / pre-compression path: GF(2^m) multiplies
-  via the shift-and-add peasant kernel (``use_tables = False``), the
-  count gather over every edge column (``compress=False``), and one
-  workspace rebuild per chunk (the old per-chunk concatenation cost);
+  via the shift-and-add peasant kernel (``use_tables = False``) and the
+  tests' per-edge sweep oracle (``expected_rows_reference``: the count
+  gather over every edge column, exact sums per estimator and list size by
+  ``np.add.at``), rebuilt per chunk (the old per-chunk concatenation
+  cost); the reference choices come from the oracles alone
+  (``derandomize_phase_reference``);
 * **optimized** — the default path: log/antilog table multiplies, the
   unique-column compressed sweep, and one
   :class:`~repro.core.potential.SeedSweepWorkspace` reused across chunks.
 
-Both paths count in exact integers and share the exact integer weighting
-(sums per estimator and list size, which do not depend on column
+Both paths count in exact integers and form the same exact integer sums
+per estimator and list size (which do not depend on column
 deduplication), so the val1 matrices and every :class:`SeedChoice` (seed
 bits, conditional traces, final potentials) are asserted
 **bit-identical** before timing.
@@ -44,8 +47,8 @@ construction, whose largest step is the column dedup:
   column and a 1-D ``np.unique``.
 
 Before timing, both constructions are asserted to give identical unique
-columns, inverse and kernel fingerprint; this leg is recorded, not
-guarded.
+columns, inverse and kernel inputs (``kernel_fingerprint``); this leg is
+recorded, not guarded.
 
 Usage::
 
@@ -71,7 +74,6 @@ from repro.core.potential import (
     PhaseEstimator,
     SeedSweepWorkspace,
     exact_by_sigma_grouped,
-    expected_by_s1_grouped,
 )
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -79,10 +81,15 @@ HERE = os.path.dirname(__file__)
 sys.path.insert(0, HERE)
 from _perf_json import add_json_arg, write_perf_json  # noqa: E402
 
-# The σ oracles live next to the tests that pin the descent against them.
+# The oracles live next to the tests that pin the engine against them.
 sys.path.insert(0, os.path.join(HERE, "..", "tests"))
-from reference import unique_rows_reference  # noqa: E402
+from reference import (  # noqa: E402
+    expected_rows_reference,
+    kernel_fingerprint,
+    unique_rows_reference,
+)
 from test_seed_sweep_compression import (  # noqa: E402
+    derandomize_phase_reference,
     sigma_descent_reference,
     sigma_sweep_reference,
 )
@@ -111,7 +118,7 @@ def build_group(
 
 def optimized_sweep(estimators: list, order: int) -> np.ndarray:
     """One workspace for the whole enumeration; compressed columns."""
-    workspace = SeedSweepWorkspace(estimators, compress=True)
+    workspace = SeedSweepWorkspace(estimators)
     val1 = np.empty((len(estimators), order), dtype=np.float64)
     for start in range(0, order, CHUNK):
         stop = min(order, start + CHUNK)
@@ -126,11 +133,9 @@ def reference_sweep(estimators: list, order: int) -> np.ndarray:
     val1 = np.empty((len(estimators), order), dtype=np.float64)
     for start in range(0, order, CHUNK):
         stop = min(order, start + CHUNK)
-        chunk = expected_by_s1_grouped(
-            estimators, np.arange(start, stop, dtype=np.int64), compress=False
+        val1[:, start:stop] = expected_rows_reference(
+            estimators, np.arange(start, stop, dtype=np.int64)
         )
-        for j, values in enumerate(chunk):
-            val1[j, start:stop] = values
     return val1
 
 
@@ -174,7 +179,7 @@ def assert_workspace_matches_reference(estimators: list) -> None:
         assert np.array_equal(getattr(new, name), getattr(ref, name)), (
             f"workspace {name} diverged"
         )
-    assert new.kernel.fingerprint == ref.kernel.fingerprint, (
+    assert kernel_fingerprint(new.kernel) == kernel_fingerprint(ref.kernel), (
         "kernel fingerprint diverged"
     )
 
@@ -219,7 +224,7 @@ def main() -> int:
     choices_new = derandomize_phase_group(estimators)
     field.use_tables = False
     val1_ref = reference_sweep(estimators, order)
-    choices_ref = derandomize_phase_group(estimators, compress=False)
+    choices_ref = derandomize_phase_reference(estimators)
     field.use_tables = True
     assert np.array_equal(val1_new, val1_ref), "val1 sweep diverged"
     assert_choices_identical(choices_new, choices_ref)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["count_xor_below", "count_xor_in_intervals", "count_xor_below_scalar"]
+__all__ = ["count_xor_below", "count_xor_in_intervals"]
 
 
 def count_xor_below(
@@ -81,14 +81,3 @@ def count_xor_in_intervals(
         + count_xor_below(d, lo1, lo2, b)
     )
 
-
-def count_xor_below_scalar(d: int, t1: int, t2: int, b: int) -> int:
-    """Scalar convenience wrapper around :func:`count_xor_below`."""
-    return int(
-        count_xor_below(
-            np.array([d], dtype=np.int64),
-            np.array([t1], dtype=np.int64),
-            np.array([t2], dtype=np.int64),
-            b,
-        )[0]
-    )

@@ -28,18 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.potential import (
-    PhaseEstimator,
-    SeedSweepWorkspace,
-    exact_by_sigma_grouped,
-)
+from repro.core.potential import SeedSweepWorkspace, exact_by_sigma_grouped
 
 __all__ = [
     "SeedChoice",
-    "fix_bits_greedily",
-    "derandomize_phase",
+    "fix_bits_greedily_many",
     "derandomize_phase_group",
 ]
+
+#: Seeds per block of the 2^m enumeration: bounds the (seeds × columns)
+#: count block.  Any value gives the same bits (each row is exact).
+CHUNK_SIZE = 512
 
 
 @dataclass
@@ -61,25 +60,17 @@ class SeedChoice:
         return self.s1_bits + self.sigma_bits
 
 
-def fix_bits_greedily(values: np.ndarray) -> tuple[int, list[float]]:
-    """Fix the bits of an index into ``values`` by greedy block means.
-
-    ``values[i]`` is the conditional expectation given the seed equals i
-    exactly; ``len(values)`` must be a power of two.  Returns the chosen
-    index and the trace of conditional expectations after each bit (the
-    mean over the surviving block), which is non-increasing by the law of
-    total expectation.
-    """
-    lo, trace = fix_bits_greedily_many(np.asarray(values)[None, :])
-    return int(lo[0]), trace[0]
-
-
 def fix_bits_greedily_many(rows: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
-    """:func:`fix_bits_greedily` over every row of a matrix at once.
+    """Fix the bits of an index into each row by greedy block means.
 
-    One prefix-sum matrix and one vectorized comparison per bit serve all
-    rows; the per-row arithmetic (block means from prefix differences) is
-    exactly the scalar version's, so choices and traces are identical.
+    ``rows[j, i]`` is row j's conditional expectation given the seed equals
+    i exactly; the row length must be a power of two.  Per row, each bit
+    keeps the half of the surviving block with the smaller mean (an exact
+    tie keeps 0).  Returns the chosen indices and, per row, the trace of
+    conditional expectations after each bit (the mean over the surviving
+    block), which is non-increasing by the law of total expectation.  One
+    prefix-sum matrix and one vectorized comparison per bit serve all
+    rows.
     """
     rows = np.asarray(rows, dtype=np.float64)
     num, size = rows.shape
@@ -109,50 +100,24 @@ def fix_bits_greedily_many(rows: np.ndarray) -> tuple[np.ndarray, list[list[floa
     return lo, traces
 
 
-def derandomize_phase(
-    estimator: PhaseEstimator,
-    chunk_size: int = 512,
-    strict: bool = True,
-    compress: bool = True,
-) -> SeedChoice:
-    """Choose a good seed for one phase (Lemma 2.6).
-
-    Computes ``val1[s1]`` for all 2^m multiplicative seeds (in chunks, to
-    bound memory), greedily fixes the m bits of s1, then fixes the b bits
-    of σ by the exact per-level descent.  When ``strict``, internal
-    consistency (the descent's value over the whole σ range equals
-    ``val1`` at the chosen s1 exactly; Eq. (7) monotonicity; final ≤
-    initial expectation) is asserted.
-
-    Single-estimator view of :func:`derandomize_phase_group`.
-    """
-    return derandomize_phase_group([estimator], chunk_size, strict, compress)[0]
-
-
-def derandomize_phase_group(
-    estimators,
-    chunk_size: int = 512,
-    strict: bool = True,
-    compress: bool = True,
-) -> list:
-    """Derandomize one phase of many instances against one seed sweep.
+def derandomize_phase_group(estimators, strict: bool = True) -> list:
+    """Choose a good seed for one phase of many instances (Lemma 2.6).
 
     Every estimator must share the family parameters ``(a, b)`` and bucket
     count — the shared-seed fusion contract of the batched solver.  The
     ``val1[s1]`` conditional-expectation arrays of all estimators are
-    produced by a single chunked enumeration of the 2^m multiplicative
-    seeds — the dominant per-phase cost.  One
+    produced by a single enumeration of the 2^m multiplicative seeds in
+    blocks of :data:`CHUNK_SIZE` — the dominant per-phase cost.  One
     :class:`~repro.core.potential.SeedSweepWorkspace` is built for the
-    whole enumeration, so the concatenated edge arrays, the unique-column
-    decomposition, and the per-chunk work buffers are constructed once
-    instead of 2^m / chunk_size times; each chunk writes its columns
-    straight into the ``val1`` matrix.  Each instance then fixes its own
-    seed bits independently (segmented argmin over its own conditional
-    expectations, then one σ descent batched over the group), so the
-    returned :class:`SeedChoice` per estimator is identical to a standalone
-    :func:`derandomize_phase` call.  ``compress=False`` forces the
-    uncompressed reference columns of the s1 sweep (results are
-    bit-identical; used by tests and the benchmark guard).
+    whole enumeration, so the concatenated edge arrays and the
+    unique-column decomposition are constructed once; each block writes
+    its columns straight into the ``val1`` matrix.  Each instance then
+    fixes its own seed bits independently (greedy block means over its own
+    conditional expectations, then one σ descent batched over the group),
+    so the returned :class:`SeedChoice` per estimator is identical to a
+    group of one.  When ``strict``, internal consistency (the descent's
+    value over the whole σ range equals ``val1`` at the chosen s1 exactly;
+    Eq. (7) monotonicity; final ≤ initial expectation) is asserted.
     """
     estimators = list(estimators)
     if not estimators:
@@ -160,10 +125,10 @@ def derandomize_phase_group(
     m = estimators[0].family.m
     order = 1 << m
 
-    sweep = SeedSweepWorkspace(estimators, compress=compress)
+    sweep = SeedSweepWorkspace(estimators)
     val1 = np.empty((len(estimators), order), dtype=np.float64)
-    for start in range(0, order, chunk_size):
-        stop = min(order, start + chunk_size)
+    for start in range(0, order, CHUNK_SIZE):
+        stop = min(order, start + CHUNK_SIZE)
         sweep.expected_rows(
             np.arange(start, stop, dtype=np.int64), out=val1[:, start:stop]
         )

@@ -29,9 +29,10 @@ expectations (Lemma 2.6 / Eq. (7)) needs two things:
 bucket w — weighted by the endpoints' ``1/k_w``.  :class:`_WeightPlan`
 sums the counts into exact int64 ``S`` per (estimator, list size k) and
 only then forms ``(Σ_k S_k / k, k ascending) / block size``.  Every value
-is therefore a fixed function of exact integers: compression, chunking
-and worker count cannot change a bit, and the σ descent's root (the
-whole σ range) equals ``val1[s1]`` exactly.
+is therefore a fixed function of exact integers: chunking the seed range
+cannot change a bit, the σ descent's root (the whole σ range) equals
+``val1[s1]`` exactly, and its final value equals the realized potential
+:func:`potential_sums` forms from the same integers.
 
 **Unique-column compression.**  The s1 sweep only ever evaluates the hash
 on per-edge keys ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``;
@@ -49,13 +50,11 @@ column minimum, or its dense rank when its span exceeds the row count),
 and one 1-D ``np.unique`` of the ranks gives the distinct rows.  Ranks
 compare exactly as the rows compare lexicographically, so the unique
 columns come out in the order of a row-wise ``np.unique`` (``axis=0``),
-and the column layout, the kernel fingerprint and every value are those of
-that order.
+and the column layout and every value are those of that order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -78,18 +77,45 @@ __all__ = [
     "SweepCountKernel",
     "buckets_for_seed_grouped",
     "exact_by_sigma_grouped",
-    "expected_by_s1_grouped",
-    "potential_sum",
+    "potential_sums",
     "accuracy_bits",
 ]
 
 
-def potential_sum(conflict_degrees: np.ndarray, list_sizes: np.ndarray) -> float:
-    """Σ_u deg(u)/|L(u)| over all nodes (vectorized, exact in float64)."""
-    sizes = np.asarray(list_sizes, dtype=np.float64)
+def potential_sums(
+    conflict_degrees: np.ndarray,
+    list_sizes: np.ndarray,
+    node_instance: np.ndarray,
+    num_instances: int,
+) -> np.ndarray:
+    """Σ_u deg(u)/|L(u)| per instance, in one pass over every node.
+
+    ``node_instance[u]`` is the instance of node u.  Per instance the sum is
+    formed as ``Σ_k D_k / k`` with k ascending, where ``D_k`` is the exact
+    integer sum of conflict degrees over its nodes with list size k: the
+    formula (and term order) of :meth:`_WeightPlan.values` at block size 1,
+    so it equals the σ descent's final value bit for bit.
+    """
+    sizes = np.asarray(list_sizes, dtype=np.int64)
     if (sizes <= 0).any():
         raise ValueError("list sizes must be positive")
-    return float((np.asarray(conflict_degrees, dtype=np.float64) / sizes).sum())
+    degrees = np.asarray(conflict_degrees, dtype=np.int64)
+    has = degrees > 0
+    span = int(sizes.max(initial=0)) + 1
+    key = np.asarray(node_instance, dtype=np.int64)[has] * span + sizes[has]
+    keys, inverse = np.unique(key, return_inverse=True)
+    # Float sums of integers are exact while every partial sum stays below
+    # 2^53, which a sum of degrees does.
+    d_sums = np.bincount(inverse, weights=degrees[has], minlength=len(keys))
+    inst = keys // span
+    # Slot p of instance i holds its term of the p-th smallest k.
+    slot = np.arange(len(keys)) - np.searchsorted(inst, inst)
+    terms = np.zeros((num_instances, int(slot.max(initial=0)) + 1))
+    terms[inst, slot] = d_sums / (keys % span)
+    total = terms[:, 0].copy()
+    for p in range(1, terms.shape[1]):
+        total += terms[:, p]
+    return total
 
 
 def accuracy_bits(
@@ -167,8 +193,8 @@ class SweepCountKernel:
     """The pure-integer half of the ``E[Σ_e X_e | s1]`` seed sweep.
 
     Everything the 2^m enumeration computes *before* the first float is a
-    function of the (possibly unique-column-compressed) per-edge keys alone
-    and produces exact int64 counts.  Every count column ``c`` asks for one
+    function of the per-edge keys alone (the workspace passes its unique
+    columns) and produces exact int64 counts.  Every count column ``c`` asks for one
     ``N(d, ·)`` of :mod:`repro.core.counting` with ``d = top_b(s1 ⊙ δ_c)``
     and a *threshold row* that does not depend on the seed: ``(t_u, t_v)``
     of bucket 0 for 2-bucket (r = 1) phases, the interval quadruple
@@ -179,23 +205,14 @@ class SweepCountKernel:
 
         counts[s1, c] = table[row(c), g_values_many(s1, δ)[c]].
 
-    The table is derived state like the family: built lazily on the first
-    :meth:`count_rows` call (in row blocks of at most
-    ``_TABLE_BLOCK_ENTRIES`` DP entries), never pickled, never part of the
-    fingerprint.  It holds ``rows × 2^b ≤ count_width × 2^m`` entries, so at
-    4 bytes each it is at most half of the full int64 count matrix.  The
-    count matrix can be produced
-
-    * **chunk-boundary-stably**: ``count_rows`` over any partition of the
-      seed range concatenates to the same integers as one full-range call,
-      because no operation crosses seed rows — the property the chunked
-      2^m enumeration of :func:`~repro.core.derandomize.derandomize_phase_group`
-      relies on when it counts the seed rows block by block; and
-    * **picklably**: the kernel carries only the small unique-column arrays
-      plus the family parameters ``(a, b)``; the
-      :class:`~repro.hashing.pairwise.PairwiseFamily` (whose GF(2^m) log
-      tables are process-cached) and the count table are rebuilt lazily on
-      the receiving side.
+    The table is built lazily on the first :meth:`count_rows` call (in row
+    blocks of at most ``_TABLE_BLOCK_ENTRIES`` DP entries).  It holds
+    ``rows × 2^b ≤ count_width × 2^m`` entries, so at 4 bytes each it is at
+    most half of the full int64 count matrix.  ``count_rows`` over any
+    partition of the seed range concatenates to the same integers as one
+    full-range call, because no operation crosses seed rows — the property
+    the chunked 2^m enumeration of
+    :func:`~repro.core.derandomize.derandomize_phase_group` relies on.
 
     ``count_width`` is the number of integer columns per seed row:
     the (unique) edge-column count for 2-bucket (r = 1) phases, or the
@@ -203,28 +220,23 @@ class SweepCountKernel:
     block in bucket order; ``bucket_columns[w]`` is ``(alive, start)`` for
     bucket w's block (``alive`` masks the edge columns whose bucket-w
     interval is nonempty at both endpoints) or None when no column is
-    alive.  :attr:`fingerprint` identifies the kernel's exact inputs (a
-    stable sha256 over the family parameters and column arrays): same
-    fingerprint ⇒ same inputs ⇒ the same integer count matrix.
+    alive.
     """
 
     def __init__(
         self,
-        a: int,
-        b: int,
+        family: PairwiseFamily,
         num_buckets: int,
         psi_diff: np.ndarray,
         thr_u: np.ndarray,
         thr_v: np.ndarray,
     ):
-        self.a = int(a)
-        self.b = int(b)
+        self.family = family
+        self.b = family.b
         self.num_buckets = int(num_buckets)
         self.psi_diff = psi_diff
         self.thr_u = thr_u
         self.thr_v = thr_v
-        self._family = None
-        self._fingerprint: str | None = None
         self._lookup = None
         if self.num_buckets == 2:
             self.bucket_columns = None
@@ -244,40 +256,6 @@ class SweepCountKernel:
                 self.bucket_columns.append((alive, col))
                 col += int(alive.sum())
             self.count_width = col
-
-    @property
-    def family(self):
-        """The pairwise family, rebuilt lazily after unpickling (the GF
-        field behind it is ``lru_cache``d per process, so this is one dict
-        lookup after the first call in a worker)."""
-        if self._family is None:
-            from repro.hashing.pairwise import PairwiseFamily
-
-            self._family = PairwiseFamily(self.a, self.b)
-        return self._family
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable content hash of the kernel's defining inputs."""
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(
-                np.array(
-                    [self.a, self.b, self.num_buckets], dtype=np.int64
-                ).tobytes()
-            )
-            for arr in (self.psi_diff, self.thr_u, self.thr_v):
-                digest.update(repr(arr.shape).encode())
-                digest.update(np.ascontiguousarray(arr).tobytes())
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # Rebuilt lazily: GF tables and the count table are never pickled.
-        state["_family"] = None
-        state["_lookup"] = None
-        return state
 
     def _threshold_rows(self) -> tuple:
         """Per count column: its edge column (None for the identity) and
@@ -324,9 +302,7 @@ class SweepCountKernel:
             self._lookup = (table.reshape(-1), offsets, source)
         return self._lookup
 
-    def count_rows(
-        self, s1_values: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def count_rows(self, s1_values: np.ndarray) -> np.ndarray:
         """Integer count matrix for the given seeds; shape
         ``(len(s1_values), count_width)``.
 
@@ -336,22 +312,14 @@ class SweepCountKernel:
         produce bitwise-identical rows.
         """
         s1_values = np.asarray(s1_values, dtype=np.int64)
-        shape = (len(s1_values), self.count_width)
-        if out is None:
-            out = np.empty(shape, dtype=np.int64)
-        elif out.shape != shape or out.dtype != np.int64:
-            raise ValueError(
-                f"out must be int64 of shape {shape}, got {out.dtype} {out.shape}"
-            )
         if self.count_width == 0 or not len(s1_values):
-            return out
+            return np.zeros((len(s1_values), self.count_width), dtype=np.int64)
         table, offsets, source = self._count_table()
         d = self.family.g_values_many(s1_values, self.psi_diff)
         if source is not None:
             d = np.take(d, source, axis=1)
         d += offsets
-        out[...] = np.take(table, d)
-        return out
+        return np.take(table, d).astype(np.int64)
 
 
 class _WeightPlan:
@@ -469,9 +437,9 @@ class SeedSweepWorkspace:
 
     * the concatenated per-edge arrays (ψ-differences, endpoint threshold
       rows) are built once instead of once per chunk;
-    * with ``compress=True`` (the default), edge columns are deduplicated
-      by the key ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``, and the GF
-      multiply and count gather run on unique columns only.  The key's
+    * edge columns are deduplicated by the key ``(ψ_u ⊕ ψ_v,
+      thresholds(u), thresholds(v))``, and the GF multiply and count
+      gather run on unique columns only.  The key's
       1 + 2·(2^r + 1) columns are packed, most significant first, into one
       int64 mixed-radix rank per edge (:func:`_unique_rows`; for r = 1 the
       constant threshold columns 0 and 2^b drop out), and one 1-D
@@ -498,12 +466,9 @@ class SeedSweepWorkspace:
     own seed row.
     """
 
-    def __init__(self, estimators, compress: bool = True):
+    def __init__(self, estimators):
         self.estimators = list(estimators)
-        self.compress = bool(compress)
-        self._buffers: dict = {}
-        #: The picklable pure-integer count kernel (None when no estimator
-        #: has edges); its ``fingerprint`` identifies this workspace's sweep.
+        #: The pure-integer count kernel (None when no estimator has edges).
         self.kernel: SweepCountKernel | None = None
         if self.estimators:
             _check_group(self.estimators)
@@ -523,31 +488,19 @@ class SeedSweepWorkspace:
         self.thr_v = np.concatenate(
             [est.thresholds[est.edges_v] for est in live]
         )
-        if self.compress:
-            index, self.inverse = _unique_rows(
-                [self.psi_diff, *self.thr_u.T, *self.thr_v.T]
-            )
-            self.uniq_psi_diff = self.psi_diff[index]
-            self.uniq_thr_u = self.thr_u[index]
-            self.uniq_thr_v = self.thr_v[index]
-            self.kernel = SweepCountKernel(
-                self.family.a,
-                self.b,
-                self.num_buckets,
-                self.uniq_psi_diff,
-                self.uniq_thr_u,
-                self.uniq_thr_v,
-            )
-        else:
-            self.inverse = None
-            self.kernel = SweepCountKernel(
-                self.family.a,
-                self.b,
-                self.num_buckets,
-                self.psi_diff,
-                self.thr_u,
-                self.thr_v,
-            )
+        index, self.inverse = _unique_rows(
+            [self.psi_diff, *self.thr_u.T, *self.thr_v.T]
+        )
+        self.uniq_psi_diff = self.psi_diff[index]
+        self.uniq_thr_u = self.thr_u[index]
+        self.uniq_thr_v = self.thr_v[index]
+        self.kernel = SweepCountKernel(
+            self.family,
+            self.num_buckets,
+            self.uniq_psi_diff,
+            self.uniq_thr_u,
+            self.uniq_thr_v,
+        )
         self._plan_weighting()
 
     def _plan_weighting(self) -> None:
@@ -565,11 +518,7 @@ class SeedSweepWorkspace:
         )
         k_u = np.concatenate([est.counts[est.edges_u] for est in live])
         k_v = np.concatenate([est.counts[est.edges_v] for est in live])
-        column = (
-            self.inverse
-            if self.inverse is not None
-            else np.arange(len(est_id), dtype=np.int64)
-        )
+        column = self.inverse
         cols, ests, ks = [], [], []
         consts = None
         if self.num_buckets == 2:
@@ -609,43 +558,19 @@ class SeedSweepWorkspace:
             dtype=np.int64,
         )
 
-    # ------------------------------------------------------------------
-    def _buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[name] = buf
-        return buf
-
-    def count_rows(
-        self, s1_candidates: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Integer count rows for the candidates (see
-        :meth:`SweepCountKernel.count_rows`); reuses a workspace buffer
-        when ``out`` is not given."""
-        s1_candidates = np.asarray(s1_candidates, dtype=np.int64)
-        if out is None:
-            out = self._buf(
-                "counts",
-                (len(s1_candidates), self.kernel.count_width),
-                np.int64,
-            )
-        return self.kernel.count_rows(s1_candidates, out=out)
-
     def weight_rows(
         self, counts: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """The weighting step: count rows → expectation columns.
 
         ``counts`` is any contiguous block of seed rows as produced by
-        :meth:`count_rows` (equivalently, by the kernel in a worker
-        process); returns the (num estimators, num rows) expectation
-        matrix for that block.  Per row it forms the exact int64 sums
-        ``S[j, k]``, then ``(Σ_k S[j, k] / k) / 2^b`` with k ascending, so
-        every entry is a fixed function of exact integers of its own seed
-        row: the result is bit-identical for any chunking of the seed
-        range, any worker count, and with compression on or off (the sums
-        do not depend on how columns were deduplicated).
+        :meth:`SweepCountKernel.count_rows`; returns the (num estimators,
+        num rows) expectation matrix for that block.  Per row it forms the
+        exact int64 sums ``S[j, k]``, then ``(Σ_k S[j, k] / k) / 2^b`` with
+        k ascending, so every entry is a fixed function of exact integers
+        of its own seed row: the result is bit-identical for any chunking
+        of the seed range, and the sums do not depend on how columns were
+        deduplicated.
         """
         counts = np.asarray(counts)
         shape = (len(self.estimators), counts.shape[0])
@@ -675,9 +600,10 @@ class SeedSweepWorkspace:
     ) -> np.ndarray:
         """``E[Σ_e X_e | s1]`` as a (num estimators, num candidates) matrix.
 
-        Row j is exactly ``estimators[j].expected_by_s1(s1_candidates)``;
-        ``out``, when given, is filled in place (float64, matching shape).
-        Composition of the integer :meth:`count_rows` kernel and the
+        Row j is ``E[Σ_e X_e | s1]`` of ``estimators[j]`` (expectation over
+        σ); ``out``, when given, is filled in place (float64, matching
+        shape).  Composition of the integer
+        :meth:`SweepCountKernel.count_rows` kernel and the
         :meth:`weight_rows` step (exact integer sums, then one division per
         list size).
         """
@@ -693,30 +619,7 @@ class SeedSweepWorkspace:
         if not self.live:
             out[...] = 0.0
             return out
-        return self.weight_rows(self.count_rows(s1_candidates), out=out)
-
-
-def expected_by_s1_grouped(
-    estimators, s1_candidates: np.ndarray, compress: bool = True
-) -> list:
-    """``E[Σ_e X_e | s1]`` per estimator, with the seed sweep fused.
-
-    One-shot convenience wrapper around :class:`SeedSweepWorkspace`; callers
-    enumerating the seed space in chunks should build the workspace once
-    and call :meth:`SeedSweepWorkspace.expected_rows` per chunk instead.
-    ``compress=False`` forces the uncompressed reference evaluation (used
-    by the property tests and the benchmark guard — results are identical).
-
-    Returns a list of float64 arrays, one per estimator, each of length
-    ``len(s1_candidates)``.
-    """
-    estimators = list(estimators)
-    if not estimators:
-        return []
-    rows = SeedSweepWorkspace(estimators, compress=compress).expected_rows(
-        np.asarray(s1_candidates, dtype=np.int64)
-    )
-    return [rows[j] for j in range(len(estimators))]
+        return self.weight_rows(self.kernel.count_rows(s1_candidates), out=out)
 
 
 def _check_group(estimators) -> tuple:
@@ -914,9 +817,9 @@ def exact_by_sigma_grouped(estimators, s1_values) -> list:
 def buckets_for_seed_grouped(estimators, seeds) -> list:
     """Per estimator, the bucket chosen by each node under its own seed.
 
-    One GF multiply with per-node ``s1`` and one broadcast threshold
-    comparison over the concatenated nodes replace the per-estimator calls;
-    identical to :meth:`PhaseEstimator.buckets_for_seed` per estimator.
+    One GF multiply with per-node ``s1`` and one broadcast comparison of
+    every node's y value against its row of the threshold matrix serve the
+    whole group.
     """
     estimators = list(estimators)
     if not estimators:
@@ -1035,28 +938,3 @@ class PhaseEstimator:
     @property
     def num_edges(self) -> int:
         return len(self.edges_u)
-
-    # ------------------------------------------------------------------
-    def expected_by_s1(self, s1_candidates: np.ndarray) -> np.ndarray:
-        """E[Σ_e X_e | s1] for each candidate s1 (expectation over σ)."""
-        return expected_by_s1_grouped([self], s1_candidates)[0]
-
-    # ------------------------------------------------------------------
-    def buckets_for_seed(self, s1: int, sigma: int) -> np.ndarray:
-        """Bucket chosen by each node under the (deterministic) seed.
-
-        One broadcast comparison of every node's y value against its row of
-        the threshold matrix replaces the per-node ``searchsorted`` loop;
-        T[:, 2^r] = 2^b > y never counts, so every index is a bucket.
-        """
-        g = self.family.g_values(s1, self.psi)
-        y = g ^ np.int64(sigma)
-        buckets = (self.thresholds[:, 1:] <= y[:, None]).sum(
-            axis=1, dtype=np.int64
-        )
-        chosen = self.counts[np.arange(len(self.psi)), buckets]
-        if (chosen <= 0).any():
-            raise AssertionError(
-                "selected an empty bucket: threshold construction is broken"
-            )
-        return buckets

@@ -40,7 +40,7 @@ from repro.core.potential import (
     PhaseEstimator,
     accuracy_bits,
     buckets_for_seed_grouped,
-    potential_sum,
+    potential_sums,
 )
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -217,6 +217,7 @@ def extend_prefixes_batch(
     edges_u = graph.edges_u.copy()
     edges_v = graph.edges_v.copy()
     edge_inst = batch.edge_instance_ids()
+    node_inst = batch.node_instance_ids()
 
     def edge_bounds() -> np.ndarray:
         """Per-instance [start, stop) boundaries into the sorted edge
@@ -234,15 +235,13 @@ def extend_prefixes_batch(
     m_init = np.diff(bounds)
     deg = conflict_degrees()
     sizes = cand.sizes
-    phi = [0.0] * k
-    traces: list[list] = [[] for _ in range(k)]
+    phi = potential_sums(deg, sizes, node_inst, k).tolist()
+    traces: list[list] = [[value] for value in phi]
     records: list[list] = [[] for _ in range(k)]
     seed_bits_total = [0] * k
     bits_left = list(total_bits)
     phase_index = [0] * k
     for i in range(k):
-        phi[i] = potential_sum(deg[slices[i]], sizes[slices[i]])
-        traces[i].append(phi[i])
         if strict and phi[i] >= int(sizes_n[i]) + 1e-9:
             raise AssertionError(
                 f"initial potential {phi[i]} is not < n = {int(sizes_n[i])}"
@@ -369,8 +368,9 @@ def extend_prefixes_batch(
         bounds = edge_bounds()
 
         deg = conflict_degrees()
+        new_phis = potential_sums(deg, sizes, node_inst, k).tolist()
         for i in live:
-            new_phi = potential_sum(deg[slices[i]], sizes[slices[i]])
+            new_phi = new_phis[i]
             choice = choices[i]
             if strict and choice is not None and accuracy_override is None:
                 edges_before = (
@@ -384,7 +384,9 @@ def extend_prefixes_batch(
                         f"{choice.initial_expectation} exceeds "
                         f"Φ_prev + budget = {phi[i]} + {budget}"
                     )
-                if abs(choice.final_value - new_phi) > 1e-6 * max(1.0, new_phi):
+                # Both are Σ_k D_k / k, k ascending, over the same exact
+                # integers, so they agree bit for bit.
+                if choice.final_value != new_phi:
                     raise AssertionError(
                         f"phase {phase_index[i]}: estimator value "
                         f"{choice.final_value} does not match realized "

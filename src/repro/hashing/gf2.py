@@ -47,9 +47,8 @@ _LOG_TABLE_MAX_M = 20
 #: Module-level memo of the log/antilog tables keyed by ``(m, modulus)``.
 #: The tables are a pure function of the field parameters, but only
 #: :func:`get_field` instances were shared — every directly constructed
-#: ``GF2m`` (repeated small solves, benchmarks flipping ``use_tables``,
-#: worker processes rebuilding pickled kernels) paid the full generator
-#: search and table fill again.  Entries are read-only arrays shared by
+#: ``GF2m`` (repeated small solves, benchmarks flipping ``use_tables``)
+#: paid the full generator search and table fill again.  Entries are read-only arrays shared by
 #: every instance of the same field.
 _TABLE_CACHE: dict = {}
 

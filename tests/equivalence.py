@@ -1,10 +1,11 @@
 """Canonical byte-identity assertions for solver artifacts.
 
 The repo's load-bearing contract is that every execution strategy —
-sequential, batched, shared-seed fused, compressed-kernel, sharded
-multiprocess — produces *byte-identical* observable outputs: colorings,
-:class:`~repro.core.derandomize.SeedChoice` tuples, round ledgers
-(category totals AND the per-event charge stream) and potential traces.
+sequential, batched, shared-seed fused, sharded multiprocess — and the
+plain reference paths of :mod:`reference` produce *byte-identical*
+observable outputs: colorings, :class:`~repro.core.derandomize.SeedChoice`
+tuples, round ledgers (category totals AND the per-event charge stream)
+and potential traces.
 These helpers compare those artifacts exactly (floats are ``==``, never
 approx) and fail with a path into the structure plus the first diverging
 values, so a broken equivalence pinpoints the artifact instead of dumping

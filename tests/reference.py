@@ -11,19 +11,29 @@ tree, one validated ``ListColoringInstance`` per cluster, and a carving
 step that expands every alive blue node.
 
 :func:`unique_rows_reference` is the row-wise ``np.unique(axis=0)`` that
-the seed-sweep workspace's packed lexicographic key replaces.  The tests
-pin the engine against all of them.
+the seed-sweep workspace's packed lexicographic key replaces.
+
+The Lemma 2.6 kernel has plain twins too: :func:`expected_rows_reference`
+sweeps every edge column with no dedup and sums per (estimator, list size)
+by ``np.add.at``; :func:`fix_bits_greedily_reference` fixes one row's bits
+in a Python loop; :func:`buckets_for_seed_reference` finds one estimator's
+buckets node by node; :func:`count_xor_below_scalar` is the counting DP on
+one cell; and :func:`kernel_fingerprint` hashes a count kernel's inputs.
+The tests pin the engine against all of them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 
+from repro.core.counting import count_xor_below
 from repro.core.instances import BatchedListColoringInstance, ListColoringInstance
 from repro.core.list_coloring import solve_list_coloring_batch
 from repro.core.list_ops import prune_lists_against_colored
+from repro.core.potential import SweepCountKernel
 from repro.decomposition.decomposed_coloring import (
     ClassStats,
     DecomposedColoringResult,
@@ -35,8 +45,13 @@ from repro.engine.rounds import RoundLedger
 from repro.graphs.graph import Graph
 
 __all__ = [
+    "buckets_for_seed_reference",
     "carve_class_reference",
+    "count_xor_below_scalar",
     "decompose_reference",
+    "expected_rows_reference",
+    "fix_bits_greedily_reference",
+    "kernel_fingerprint",
     "solve_list_coloring_polylog_reference",
     "congestion_reference",
     "steiner_tree",
@@ -280,6 +295,126 @@ def unique_rows_reference(rows: np.ndarray) -> tuple:
         rows, axis=0, return_index=True, return_inverse=True
     )
     return uniq, index, inverse.reshape(-1)
+
+
+def expected_rows_reference(estimators, s1_values) -> np.ndarray:
+    """``E[Σ_e X_e | s1]`` as an (estimators × seeds) matrix, edge by edge.
+
+    One :class:`SweepCountKernel` over the raw edge columns of every
+    estimator with edges (no column dedup) gives, per seed and edge, the
+    number of σ putting both endpoints in bucket w (for r = 1, bucket 1 by
+    inclusion-exclusion, ``2^b − t_u − t_v + n_both0``).  Each (edge
+    endpoint x, bucket w) adds that count to the exact int64 sum of its
+    estimator's list size ``k_w(x)`` by ``np.add.at``; the value is
+    ``(Σ_k S_k / k, k ascending) / 2^b`` in float64.
+    """
+    s1_values = np.asarray(s1_values, dtype=np.int64)
+    rows = len(s1_values)
+    out = np.zeros((len(estimators), rows), dtype=np.float64)
+    live = [j for j, est in enumerate(estimators) if est.num_edges]
+    if not live:
+        return out
+    group = [estimators[j] for j in live]
+    first = group[0]
+    thr_u = np.concatenate([est.thresholds[est.edges_u] for est in group])
+    thr_v = np.concatenate([est.thresholds[est.edges_v] for est in group])
+    kernel = SweepCountKernel(
+        first.family,
+        first.num_buckets,
+        np.concatenate([est.psi_diff for est in group]),
+        thr_u,
+        thr_v,
+    )
+    counts = kernel.count_rows(s1_values)
+    scale = int(first.scale)
+    k_u = np.concatenate([est.counts[est.edges_u] for est in group])
+    k_v = np.concatenate([est.counts[est.edges_v] for est in group])
+    span = int(max(k_u.max(), k_v.max())) + 1
+    owner = np.repeat(
+        np.arange(len(group), dtype=np.int64), [est.num_edges for est in group]
+    )
+    sums = np.zeros((len(group) * span, rows), dtype=np.int64)
+    column = 0
+    for w in range(first.num_buckets):
+        if first.num_buckets == 2:
+            n0 = counts.T
+            both = n0 if w == 0 else (scale - thr_u[:, 1] - thr_v[:, 1])[:, None] + n0
+        else:
+            both = np.zeros((len(thr_u), rows), dtype=np.int64)
+            alive = (thr_u[:, w + 1] > thr_u[:, w]) & (thr_v[:, w + 1] > thr_v[:, w])
+            both[alive] = counts[:, column:column + int(alive.sum())].T
+            column += int(alive.sum())
+        for k_x in (k_u, k_v):
+            np.add.at(sums, owner * span + k_x[:, w], both)
+    sums = sums.reshape(len(group), span, rows)
+    for i, j in enumerate(live):
+        total = np.zeros(rows, dtype=np.float64)
+        for k in range(1, span):
+            total += sums[i, k] / k
+        out[j] = total / scale
+    return out
+
+
+def fix_bits_greedily_reference(values) -> tuple:
+    """``(index, trace)`` of greedy block means over one row, in Python.
+
+    Float prefix sums, then per bit the two halves' means from prefix
+    differences; the smaller mean wins and a tie keeps 0.
+    """
+    values = [float(v) for v in values]
+    size = len(values)
+    if size & (size - 1):
+        raise ValueError(f"length {size} is not a power of 2")
+    prefix = [0.0]
+    for value in values:
+        prefix.append(prefix[-1] + value)
+    lo, trace = 0, []
+    while size > 1:
+        half = size // 2
+        mean0 = (prefix[lo + half] - prefix[lo]) / half
+        mean1 = (prefix[lo + size] - prefix[lo + half]) / half
+        if mean1 < mean0:
+            lo += half
+            trace.append(mean1)
+        else:
+            trace.append(mean0)
+        size = half
+    return lo, trace
+
+
+def buckets_for_seed_reference(estimator, s1: int, sigma: int) -> np.ndarray:
+    """The bucket of every node of one estimator under seed (s1, σ): one
+    ``searchsorted`` of y = g ⊕ σ into the node's threshold row each."""
+    y = estimator.family.g_values(int(s1), estimator.psi) ^ int(sigma)
+    return np.array(
+        [
+            np.searchsorted(estimator.thresholds[u], y[u], side="right") - 1
+            for u in range(len(y))
+        ],
+        dtype=np.int64,
+    )
+
+
+def count_xor_below_scalar(d: int, t1: int, t2: int, b: int) -> int:
+    """``N(d, t1, t2)`` of :func:`count_xor_below` on one cell."""
+    cell = [np.array([x], dtype=np.int64) for x in (d, t1, t2)]
+    return int(count_xor_below(*cell, b)[0])
+
+
+def kernel_fingerprint(kernel: SweepCountKernel) -> str:
+    """sha256 over a count kernel's defining inputs: ``(a, b, buckets)`` as
+    int64, then each of ψ-differences and both threshold matrices as its
+    shape's ``repr`` and its C-order bytes."""
+    digest = hashlib.sha256()
+    digest.update(
+        np.array(
+            [kernel.family.a, kernel.b, kernel.num_buckets], dtype=np.int64
+        ).tobytes()
+    )
+    for arr in (kernel.psi_diff, kernel.thr_u, kernel.thr_v):
+        digest.update(repr(arr.shape).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
 
 
 def solve_list_coloring_polylog_reference(

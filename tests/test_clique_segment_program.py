@@ -42,12 +42,12 @@ class TestSegmentFixing:
         good as the engine's bit-by-bit greedy on the same values (both
         are valid derandomizations; the segment version is the clique's
         speedup and can only do better)."""
-        from repro.core.derandomize import fix_bits_greedily
+        from reference import fix_bits_greedily_reference
 
         rng = np.random.default_rng(2)
         per_node = rng.random((12, 8))
         totals = per_node.sum(axis=0)
-        greedy_choice, _trace = fix_bits_greedily(totals)
+        greedy_choice, _trace = fix_bits_greedily_reference(totals)
         protocol = run_segment_fixing(per_node)
         assert totals[protocol.chosen] <= totals[greedy_choice] + 1e-12
         assert protocol.chosen == int(np.argmin(totals))

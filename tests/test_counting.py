@@ -4,11 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counting import (
-    count_xor_below,
-    count_xor_below_scalar,
-    count_xor_in_intervals,
-)
+from reference import count_xor_below_scalar
+from repro.core.counting import count_xor_below, count_xor_in_intervals
 
 
 def brute_below(d: int, t1: int, t2: int, b: int) -> int:

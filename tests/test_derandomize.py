@@ -3,16 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.core.derandomize import derandomize_phase, fix_bits_greedily
-from repro.core.potential import PhaseEstimator
+from repro.core.derandomize import derandomize_phase_group, fix_bits_greedily_many
+from repro.core.potential import PhaseEstimator, SeedSweepWorkspace
 from repro.hashing.pairwise import PairwiseFamily
+from reference import fix_bits_greedily_reference
 from test_seed_sweep_compression import sigma_sweep_reference
+
+
+def greedy_one_row(values):
+    """``(index, trace)`` of the engine's greedy on one row, checked against
+    the per-row Python-loop oracle."""
+    lo, traces = fix_bits_greedily_many(np.asarray(values)[None, :])
+    idx, trace = fix_bits_greedily_reference(values)
+    assert (int(lo[0]), traces[0]) == (idx, trace)
+    return idx, trace
 
 
 class TestFixBitsGreedily:
     def test_finds_global_minimum_on_monotone_array(self):
         values = np.arange(16.0)
-        idx, trace = fix_bits_greedily(values)
+        idx, trace = greedy_one_row(values)
         assert idx == 0
         assert len(trace) == 4
 
@@ -20,13 +30,13 @@ class TestFixBitsGreedily:
         rng = np.random.default_rng(7)
         for _ in range(25):
             values = rng.random(32)
-            idx, trace = fix_bits_greedily(values)
+            idx, trace = greedy_one_row(values)
             assert values[idx] <= values.mean() + 1e-12
 
     def test_trace_is_monotone_nonincreasing(self):
         rng = np.random.default_rng(3)
         values = rng.random(64)
-        idx, trace = fix_bits_greedily(values)
+        idx, trace = greedy_one_row(values)
         previous = values.mean()
         for t in trace:
             assert t <= previous + 1e-12
@@ -35,12 +45,12 @@ class TestFixBitsGreedily:
 
     def test_ties_prefer_zero_bit(self):
         values = np.array([1.0, 1.0, 1.0, 1.0])
-        idx, _trace = fix_bits_greedily(values)
+        idx, _trace = greedy_one_row(values)
         assert idx == 0
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            fix_bits_greedily(np.arange(3.0))
+            fix_bits_greedily_many(np.arange(3.0)[None, :])
 
 
 def small_estimator(seed=0):
@@ -64,18 +74,18 @@ def small_estimator(seed=0):
 class TestDerandomizePhase:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_final_value_beats_expectation(self, seed):
-        choice = derandomize_phase(small_estimator(seed))
+        choice = derandomize_phase_group([small_estimator(seed)])[0]
         assert choice.final_value <= choice.initial_expectation + 1e-9
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_trace_length_is_seed_bits(self, seed):
         est = small_estimator(seed)
-        choice = derandomize_phase(est)
+        (choice,) = derandomize_phase_group([est])
         assert len(choice.conditional_trace) == est.family.m + est.b
         assert choice.seed_bits == est.family.m + est.b
 
     def test_trace_monotone(self):
-        choice = derandomize_phase(small_estimator(2))
+        choice = derandomize_phase_group([small_estimator(2)])[0]
         previous = choice.initial_expectation
         for value in choice.conditional_trace:
             assert value <= previous + 1e-9
@@ -83,7 +93,7 @@ class TestDerandomizePhase:
 
     def test_chosen_seed_realizes_final_value(self):
         est = small_estimator(4)
-        choice = derandomize_phase(est)
+        (choice,) = derandomize_phase_group([est])
         exact = sigma_sweep_reference(est, choice.s1)
         assert exact[choice.sigma] == pytest.approx(choice.final_value)
 
@@ -91,7 +101,7 @@ class TestDerandomizePhase:
         """The derandomized seed is at least as good as the average seed —
         the whole point of the method of conditional expectations."""
         est = small_estimator(6)
-        choice = derandomize_phase(est)
+        (choice,) = derandomize_phase_group([est])
         s1s = np.arange(1 << est.family.m, dtype=np.int64)
-        average = est.expected_by_s1(s1s).mean()
+        average = SeedSweepWorkspace([est]).expected_rows(s1s)[0].mean()
         assert choice.final_value <= average + 1e-9

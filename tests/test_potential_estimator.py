@@ -10,12 +10,14 @@ import pytest
 
 from repro.core.potential import (
     PhaseEstimator,
+    SeedSweepWorkspace,
     accuracy_bits,
+    buckets_for_seed_grouped,
     exact_by_sigma_grouped,
-    expected_by_s1_grouped,
-    potential_sum,
+    potential_sums,
 )
-from test_seed_sweep_compression import sigma_sweep_reference
+from reference import buckets_for_seed_reference
+from test_seed_sweep_compression import random_group, sigma_sweep_reference
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -79,7 +81,7 @@ class TestEstimatorExactness:
     def test_expected_by_s1_is_mean_over_sigma(self, buckets):
         est, *_ = make_estimator(buckets=buckets)
         s1s = np.arange(1 << est.family.m, dtype=np.int64)
-        expected = est.expected_by_s1(s1s)
+        (expected,) = SeedSweepWorkspace([est]).expected_rows(s1s)
         for s1 in (0, 3, 9, 15):
             exact = sigma_sweep_reference(est, int(s1))
             assert expected[s1] == pytest.approx(exact.mean(), rel=1e-12)
@@ -87,18 +89,19 @@ class TestEstimatorExactness:
     @pytest.mark.parametrize("buckets", [2, 4])
     def test_grouped_expectation_matches_individual(self, buckets):
         # Shared-seed fusion: one grouped sweep must reproduce each
-        # estimator's own expected_by_s1 exactly (bit-identical floats).
+        # estimator's sweep alone exactly (bit-identical floats).
         ests = [make_estimator(buckets=buckets, seed=s)[0] for s in (0, 1, 2)]
         s1s = np.arange(16, dtype=np.int64)
-        grouped = expected_by_s1_grouped(ests, s1s)
+        grouped = SeedSweepWorkspace(ests).expected_rows(s1s)
         for est, fused in zip(ests, grouped):
-            assert np.array_equal(est.expected_by_s1(s1s), fused)
+            alone = SeedSweepWorkspace([est]).expected_rows(s1s)[0]
+            assert np.array_equal(alone, fused)
 
     def test_grouped_expectation_rejects_mixed_parameters(self):
         a_small = make_estimator(a=3, b=4)[0]
         a_large = make_estimator(a=4, b=4)[0]
         with pytest.raises(ValueError):
-            expected_by_s1_grouped([a_small, a_large], np.arange(4))
+            SeedSweepWorkspace([a_small, a_large])
 
     def test_grouped_expectation_handles_edgeless_members(self):
         family = PairwiseFamily(3, 4)
@@ -109,9 +112,10 @@ class TestEstimatorExactness:
         )
         full = make_estimator()[0]
         s1s = np.arange(8, dtype=np.int64)
-        grouped = expected_by_s1_grouped([empty, full, empty], s1s)
+        grouped = SeedSweepWorkspace([empty, full, empty]).expected_rows(s1s)
         assert grouped[0].sum() == 0.0 and grouped[2].sum() == 0.0
-        assert np.array_equal(grouped[1], full.expected_by_s1(s1s))
+        alone = SeedSweepWorkspace([full]).expected_rows(s1s)[0]
+        assert np.array_equal(grouped[1], alone)
 
     def test_no_edges_gives_zero(self):
         family = PairwiseFamily(3, 4)
@@ -120,7 +124,7 @@ class TestEstimatorExactness:
         est = PhaseEstimator(
             family, psi, counts, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
-        assert est.expected_by_s1(np.arange(8)).sum() == 0.0
+        assert SeedSweepWorkspace([est]).expected_rows(np.arange(8)).sum() == 0.0
         assert exact_by_sigma_grouped([est], [0]) == [(0, [0.0] * 4, 0.0, 0.0)]
 
     def test_rejects_improper_input_coloring(self):
@@ -133,13 +137,57 @@ class TestEstimatorExactness:
             )
 
 
+class TestBucketsForSeed:
+    @pytest.mark.parametrize("buckets", [2, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grouped_matches_per_estimator_oracle(self, buckets, seed):
+        group = random_group(3, buckets=buckets, seed=seed, edgeless=(1,))
+        order = group[0].family.field.order
+        rng = np.random.default_rng(seed)
+        seeds = [
+            (int(rng.integers(0, order)), int(rng.integers(0, group[0].scale)))
+            for _ in group
+        ]
+        got = buckets_for_seed_grouped(group, seeds)
+        for est, (s1, sigma), buckets_of in zip(group, seeds, got):
+            want = buckets_for_seed_reference(est, s1, sigma)
+            assert np.array_equal(buckets_of, want)
+            assert (est.counts[np.arange(len(want)), want] > 0).all()
+
+
 class TestPotentialHelpers:
-    def test_potential_sum(self):
-        assert potential_sum(np.array([2, 3]), np.array([4, 6])) == pytest.approx(1.0)
+    def test_potential_sums(self):
+        degrees = np.array([2, 3, 0, 1, 4])
+        sizes = np.array([4, 6, 2, 3, 3])
+        node_instance = np.array([0, 0, 1, 2, 2])
+        got = potential_sums(degrees, sizes, node_instance, 4)
+        assert got.tolist() == pytest.approx([1.0, 0.0, 5 / 3, 0.0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_potential_sums_add_k_ascending(self, seed):
+        """Per instance Σ_k D_k / k, one term at a time with k ascending,
+        whatever order the nodes come in."""
+        rng = np.random.default_rng(seed)
+        n, num = 300, 5
+        degrees = rng.integers(0, 9, size=n)
+        sizes = rng.integers(1, 14, size=n)
+        node_instance = rng.integers(0, num, size=n)
+        want = []
+        for i in range(num):
+            mine = node_instance == i
+            total = 0.0
+            for k in range(1, 14):
+                d_k = int(degrees[mine & (sizes == k)].sum())
+                if d_k:
+                    total += d_k / k
+            want.append(total)
+        order = rng.permutation(n)
+        got = potential_sums(degrees[order], sizes[order], node_instance[order], num)
+        assert got.tolist() == want
 
     def test_potential_requires_positive_sizes(self):
         with pytest.raises(ValueError):
-            potential_sum(np.array([1]), np.array([0]))
+            potential_sums(np.array([1]), np.array([0]), np.array([0]), 1)
 
     def test_accuracy_bits_r1_matches_paper(self):
         # b = ceil(log2(10 · Δ · ⌈log C⌉)) for the CONGEST path.

@@ -1,8 +1,11 @@
 """The prefix-extension process (Algorithm 1 / Lemmas 2.1–2.3 invariants)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.core.prefix as prefix
 from repro.core.instances import ListColoringInstance, make_delta_plus_one_instance
 from repro.core.prefix import extend_prefixes
 from repro.graphs import generators as gen
@@ -36,6 +39,27 @@ class TestDerandomizedExtension:
         budget = graph.n / instance.color_bits
         for before, after in zip(result.potential_trace, result.potential_trace[1:]):
             assert after <= before + budget + 1e-9
+
+    def test_strict_check_rejects_a_final_value_one_ulp_off(self, monkeypatch):
+        """The realized ΣΦ and the σ descent's final value are both
+        Σ_k D_k / k, k ascending, over the same integers: one ulp apart
+        is a broken estimator."""
+        derandomize = prefix.derandomize_phase_group
+
+        def nudged(estimators, strict=True):
+            choices = derandomize(estimators, strict=strict)
+            return [
+                dataclasses.replace(
+                    choice, final_value=float(np.nextafter(choice.final_value, np.inf))
+                )
+                for choice in choices
+            ]
+
+        monkeypatch.setattr(prefix, "derandomize_phase_group", nudged)
+        graph = gen.random_regular_graph(16, 3, 4)
+        with pytest.raises(AssertionError, match="realized potential"):
+            run_on(graph)
+        run_on(graph, strict=False)
 
     def test_conflict_degree_consistency(self):
         graph = gen.random_regular_graph(16, 3, 4)

@@ -5,20 +5,21 @@ sweeps, the reusable sweep workspace) are pure speedups.  The E[·|s1]
 weighting forms exact integer sums per (estimator, list size) that do not
 depend on how columns were deduplicated or how the seed range was chunked,
 so expectations, seed choices and conditional traces are asserted
-*exactly* equal across those knobs, not approx.
+*exactly* equal to the per-edge sweep oracle
+(:func:`~reference.expected_rows_reference`, no dedup) and across chunkings,
+not approx.
 The integer weighting itself is checked against the original full-width
 float weighting (:func:`float_weight_reference`) within ``REFERENCE_RTOL``,
 and the table-driven count kernel bit for bit against the per-cell counting
 DP it replaced (:func:`dp_count_reference`).  The integer count / weight
-split is checked to be chunk-boundary stable and picklable
-(``TestKernelSplit``).  The bit-by-bit σ descent is checked against the
-full 2^b sweep it replaced (:func:`sigma_sweep_reference`): bit for bit
-against the oracle's exact integer sums under the same value formula, and
-against its float values up to exact ties (``TestSigmaDescent``).
+split is checked to be chunk-boundary stable (``TestKernelSplit``).  The
+bit-by-bit σ descent is checked against the full 2^b sweep it replaced
+(:func:`sigma_sweep_reference`): bit for bit against the oracle's exact
+integer sums under the same value formula, and against its float values
+up to exact ties (``TestSigmaDescent``).
 """
 
 import math
-import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +30,17 @@ from hypothesis import strategies as st
 import repro.core.potential as potential
 
 from equivalence import assert_seed_choices_equal
-from reference import unique_rows_reference
+from reference import (
+    expected_rows_reference,
+    fix_bits_greedily_reference,
+    kernel_fingerprint,
+    unique_rows_reference,
+)
 from repro.core.counting import count_xor_below, count_xor_in_intervals
 import repro.core.derandomize as derandomize
 from repro.core.derandomize import (
+    SeedChoice,
     derandomize_phase_group,
-    fix_bits_greedily,
     fix_bits_greedily_many,
 )
 from repro.core.potential import (
@@ -42,7 +48,6 @@ from repro.core.potential import (
     SeedSweepWorkspace,
     SweepCountKernel,
     exact_by_sigma_grouped,
-    expected_by_s1_grouped,
 )
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
@@ -99,11 +104,7 @@ def float_weight_reference(workspace, counts):
     weights = np.concatenate(
         [inv[est.edges_u] + inv[est.edges_v] for inv, est in zip(inverse, live)]
     )
-    column = (
-        workspace.inverse
-        if workspace.inverse is not None
-        else np.arange(len(weights))
-    )
+    column = workspace.inverse
     if workspace.num_buckets == 2:
         n_both0 = counts[:, column]
         n_both1 = (
@@ -251,9 +252,34 @@ def sigma_descent_reference(est, s1):
     return lo, trace, sums_value(ks, sums[lo], 1), root
 
 
-#: A fixed 4-bucket kernel, its fingerprint and its count-matrix sum over
-#: all 64 seeds as produced by the per-cell DP kernel.  The fingerprint
-#: hashes the kernel's column arrays, so it pins their layout.
+def derandomize_phase_reference(group) -> list:
+    """One :class:`SeedChoice` per member from the oracles alone: s1 by the
+    per-row greedy over the per-edge sweep, σ by the greedy over the σ
+    oracle's per-σ integer sums."""
+    m = group[0].family.m
+    val1 = expected_rows_reference(group, np.arange(1 << m, dtype=np.int64))
+    choices = []
+    for est, row in zip(group, val1):
+        s1, trace1 = fix_bits_greedily_reference(row)
+        sigma, trace2, final, _root = sigma_descent_reference(est, s1)
+        choices.append(
+            SeedChoice(
+                s1=s1,
+                sigma=sigma,
+                s1_bits=m,
+                sigma_bits=est.b,
+                initial_expectation=float(row.mean()),
+                final_value=final,
+                conditional_trace=trace1 + trace2,
+            )
+        )
+    return choices
+
+
+#: A fixed 4-bucket kernel, the fingerprint of its inputs and its
+#: count-matrix sum over all 64 seeds as produced by the per-cell DP
+#: kernel.  The fingerprint (:func:`~reference.kernel_fingerprint`) hashes
+#: the kernel's column arrays, so it pins their layout.
 PINNED_COUNTS = (
     np.array([[2, 0, 1, 3], [1, 1, 1, 1], [0, 4, 0, 1], [3, 3, 0, 0],
               [1, 0, 0, 6]]),
@@ -270,8 +296,7 @@ def pinned_kernel():
     psi_diff = np.array([1, 5, 6, 9, 12], dtype=np.int64)
     counts_u, counts_v = PINNED_COUNTS
     return SweepCountKernel(
-        4,
-        6,
+        PairwiseFamily(4, 6),
         4,
         psi_diff,
         bucket_thresholds(counts_u, 6),
@@ -295,7 +320,7 @@ def count_kernels(draw):
         counts[counts.sum(axis=1) == 0, 0] = 1
         ends.append(bucket_thresholds(counts, b))
     psi_diff = rng.integers(0, 1 << a, size=cols).astype(np.int64)
-    kernel = SweepCountKernel(a, b, num_buckets, psi_diff, *ends)
+    kernel = SweepCountKernel(PairwiseFamily(a, b), num_buckets, psi_diff, *ends)
     order = 1 << kernel.family.m
     seeds = rng.choice(order, size=min(order, 48), replace=False)
     seeds = np.concatenate([[0], seeds[seeds != 0]]).astype(np.int64)
@@ -307,41 +332,33 @@ class TestCountTable:
         count_kernels(),
         st.lists(st.integers(min_value=1, max_value=48), max_size=4),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_dp_reference(self, drawn, cuts, use_tables, pickled):
+    def test_matches_dp_reference(self, drawn, cuts, use_tables):
         kernel, seeds = drawn
         want = dp_count_reference(kernel, seeds)
         bounds = sorted({0, len(seeds), *(c for c in cuts if c < len(seeds))})
         field = kernel.family.field
         field.use_tables = use_tables
         try:
-            parts = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                parts.append(kernel.count_rows(seeds[lo:hi]).copy())
-                if pickled:
-                    kernel = pickle.loads(pickle.dumps(kernel))
+            parts = [
+                kernel.count_rows(seeds[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
         finally:
             field.use_tables = True
         got = np.concatenate(parts)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
-    def test_table_is_never_pickled(self):
-        kernel = pinned_kernel()
-        before = len(pickle.dumps(kernel))
-        kernel.count_rows(np.arange(64, dtype=np.int64))
-        assert len(pickle.dumps(kernel)) == before
-
     def test_pinned_fingerprint_and_counts(self):
         kernel = pinned_kernel()
-        assert kernel.fingerprint == PINNED_FINGERPRINT
+        assert kernel_fingerprint(kernel) == PINNED_FINGERPRINT
         counts = kernel.count_rows(np.arange(64, dtype=np.int64))
         assert int(counts.sum()) == PINNED_COUNT_SUM
         want = dp_count_reference(kernel, np.arange(64))
         assert np.array_equal(counts, want)
-        assert kernel.fingerprint == PINNED_FINGERPRINT
+        assert kernel_fingerprint(kernel) == PINNED_FINGERPRINT
 
 
 INT64_EXTREMES = np.array(
@@ -385,7 +402,7 @@ def int64_matrices(draw):
 class TestPackedUniqueRows:
     """The packed lexicographic key dedups exactly like the row-wise
     ``np.unique(axis=0)`` it replaced: same unique rows, same order, same
-    inverse, so the workspace's columns and fingerprints do not move."""
+    inverse, so the workspace's columns and kernel inputs do not move."""
 
     @staticmethod
     def assert_matches_oracle(rows):
@@ -409,12 +426,11 @@ class TestPackedUniqueRows:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         oracle = SweepCountKernel(
-            workspace.family.a,
-            workspace.b,
+            workspace.family,
             workspace.num_buckets,
             *(np.ascontiguousarray(part) for part in want),
         )
-        assert workspace.kernel.fingerprint == oracle.fingerprint
+        assert kernel_fingerprint(workspace.kernel) == kernel_fingerprint(oracle)
         # The count table dedups threshold rows the same way.
         _, offsets, _ = workspace.kernel._count_table()
         _, columns = workspace.kernel._threshold_rows()
@@ -478,17 +494,17 @@ class TestKernelSplit:
     ``weight_rows`` over it reproduces ``expected_rows`` bit for bit."""
 
     @pytest.mark.parametrize("buckets", [2, 4])
-    @pytest.mark.parametrize("compress", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_count_then_weight_matches_expected_rows(self, buckets, compress, seed):
+    def test_count_then_weight_matches_expected_rows(self, buckets, seed):
         group = random_group(3, buckets=buckets, seed=seed)
-        sweep = SeedSweepWorkspace(group, compress=compress)
+        sweep = SeedSweepWorkspace(group)
         order = 1 << group[0].family.m
         s1s = np.arange(order, dtype=np.int64)
         counts = sweep.kernel.count_rows(s1s)
         via_split = sweep.weight_rows(counts)
-        direct = SeedSweepWorkspace(group, compress=compress).expected_rows(s1s)
+        direct = SeedSweepWorkspace(group).expected_rows(s1s)
         assert np.array_equal(via_split, direct)
+        assert np.array_equal(direct, expected_rows_reference(group, s1s))
 
     @pytest.mark.parametrize("chunks", [2, 3, 5, 7])
     def test_counts_chunk_boundary_stable(self, chunks):
@@ -496,31 +512,22 @@ class TestKernelSplit:
         sweep = SeedSweepWorkspace(group)
         kernel = sweep.kernel
         order = 1 << group[0].family.m
-        whole = kernel.count_rows(np.arange(order, dtype=np.int64)).copy()
-        assembled = np.empty_like(whole)
+        whole = kernel.count_rows(np.arange(order, dtype=np.int64))
         edges = (order * np.arange(chunks + 1, dtype=np.int64)) // chunks
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            kernel.count_rows(
-                np.arange(lo, hi, dtype=np.int64), out=assembled[lo:hi]
-            )
+        assembled = np.concatenate(
+            [
+                kernel.count_rows(np.arange(lo, hi, dtype=np.int64))
+                for lo, hi in zip(edges[:-1], edges[1:])
+            ]
+        )
         assert np.array_equal(assembled, whole)
 
-    def test_kernel_pickles_without_field_tables(self):
-        group = random_group(1, seed=3)
-        kernel = SeedSweepWorkspace(group).kernel
-        _ = kernel.family  # force the lazy family
-        clone = pickle.loads(pickle.dumps(kernel))
-        assert clone._family is None  # tables rebuilt lazily in the worker
-        s1s = np.arange(16, dtype=np.int64)
-        assert np.array_equal(clone.count_rows(s1s), kernel.count_rows(s1s))
-        assert clone.fingerprint == kernel.fingerprint
-
     def test_fingerprint_distinguishes_workspaces(self):
-        a = SeedSweepWorkspace(random_group(2, seed=4)).kernel
-        b = SeedSweepWorkspace(random_group(2, seed=5)).kernel
-        assert a.fingerprint != b.fingerprint
+        a = kernel_fingerprint(SeedSweepWorkspace(random_group(2, seed=4)).kernel)
+        b = kernel_fingerprint(SeedSweepWorkspace(random_group(2, seed=5)).kernel)
+        assert a != b
         again = SeedSweepWorkspace(random_group(2, seed=4)).kernel
-        assert a.fingerprint == again.fingerprint
+        assert a == kernel_fingerprint(again)
 
     def test_weight_rows_rejects_bad_counts(self):
         group = random_group(2, seed=6)
@@ -536,13 +543,13 @@ class TestKernelSplit:
 
 
 class TestIntegerWeighting:
-    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("sweep", ["workspace", "per_edge_oracle"])
     @pytest.mark.parametrize("edgeless", [(), (0, 2)])
     @pytest.mark.parametrize("buckets", [2, 4, 8])
     @pytest.mark.parametrize("duplicate_heavy", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_float_reference(
-        self, compress, edgeless, buckets, duplicate_heavy, seed
+        self, sweep, edgeless, buckets, duplicate_heavy, seed
     ):
         group = random_group(
             4,
@@ -553,11 +560,13 @@ class TestIntegerWeighting:
         )
         # Empty buckets (k_w = 0) must be in play for the check to bite.
         assert any((est.counts == 0).any() for est in group)
-        workspace = SeedSweepWorkspace(group, compress=compress)
-        counts = workspace.count_rows(
-            np.arange(1 << group[0].family.m, dtype=np.int64)
-        )
-        got = workspace.weight_rows(counts)
+        workspace = SeedSweepWorkspace(group)
+        s1s = np.arange(1 << group[0].family.m, dtype=np.int64)
+        counts = workspace.kernel.count_rows(s1s)
+        if sweep == "workspace":
+            got = workspace.weight_rows(counts)
+        else:
+            got = expected_rows_reference(group, s1s)
         want = float_weight_reference(workspace, counts)
         np.testing.assert_allclose(got, want, rtol=REFERENCE_RTOL, atol=0.0)
         for j in edgeless:
@@ -568,11 +577,9 @@ class TestIntegerWeighting:
     def test_bitwise_across_chunks_and_compression(self, buckets, chunk):
         group = random_group(3, buckets=buckets, seed=11, edgeless=(1,))
         order = 1 << group[0].family.m
-        whole = SeedSweepWorkspace(group, compress=False).expected_rows(
-            np.arange(order, dtype=np.int64)
-        )
-        workspace = SeedSweepWorkspace(group, compress=True)
-        counts = workspace.count_rows(np.arange(order, dtype=np.int64)).copy()
+        whole = expected_rows_reference(group, np.arange(order, dtype=np.int64))
+        workspace = SeedSweepWorkspace(group)
+        counts = workspace.kernel.count_rows(np.arange(order, dtype=np.int64))
         chunked = np.empty_like(whole)
         for start in range(0, order, chunk):
             stop = min(order, start + chunk)
@@ -615,24 +622,23 @@ class TestExpectedSweepCompression:
             3, buckets=buckets, seed=seed, duplicate_heavy=duplicate_heavy
         )
         s1s = np.arange(1 << group[0].family.m, dtype=np.int64)
-        compressed = expected_by_s1_grouped(group, s1s, compress=True)
-        reference = expected_by_s1_grouped(group, s1s, compress=False)
-        for got, want in zip(compressed, reference):
-            assert np.array_equal(got, want)
+        compressed = SeedSweepWorkspace(group).expected_rows(s1s)
+        assert np.array_equal(compressed, expected_rows_reference(group, s1s))
 
-    def test_matches_per_estimator_method(self):
+    def test_matches_group_of_one(self):
         group = random_group(2, seed=3)
         s1s = np.arange(16, dtype=np.int64)
-        fused = expected_by_s1_grouped(group, s1s)
+        fused = SeedSweepWorkspace(group).expected_rows(s1s)
         for est, row in zip(group, fused):
-            assert np.array_equal(est.expected_by_s1(s1s), row)
+            alone = SeedSweepWorkspace([est]).expected_rows(s1s)[0]
+            assert np.array_equal(alone, row)
 
     @pytest.mark.parametrize("edgeless", [(0,), (1,), (0, 1, 2)])
     def test_edgeless_members(self, edgeless):
         group = random_group(3, seed=4, edgeless=edgeless)
         s1s = np.arange(8, dtype=np.int64)
-        compressed = expected_by_s1_grouped(group, s1s, compress=True)
-        reference = expected_by_s1_grouped(group, s1s, compress=False)
+        compressed = SeedSweepWorkspace(group).expected_rows(s1s)
+        reference = expected_rows_reference(group, s1s)
         for j, (got, want) in enumerate(zip(compressed, reference)):
             assert np.array_equal(got, want)
             if j in edgeless:
@@ -640,7 +646,7 @@ class TestExpectedSweepCompression:
 
     def test_workspace_reuse_across_chunks(self):
         # One workspace driven chunk-by-chunk must reproduce the one-shot
-        # evaluation exactly — buffer reuse can't leak state across chunks.
+        # evaluation exactly — no state leaks across chunks.
         group = random_group(3, buckets=4, seed=5)
         order = 1 << group[0].family.m
         workspace = SeedSweepWorkspace(group)
@@ -657,7 +663,8 @@ class TestExpectedSweepCompression:
         assert np.array_equal(chunked, whole)
 
     def test_empty_group(self):
-        assert expected_by_s1_grouped([], np.arange(4)) == []
+        rows = SeedSweepWorkspace([]).expected_rows(np.arange(4))
+        assert rows.shape == (0, 4)
 
     def test_expected_rows_rejects_bad_out_buffer(self):
         group = random_group(2, seed=6)
@@ -731,7 +738,7 @@ class TestSigmaDescent:
         got = exact_by_sigma_grouped(group, s1s)
         for est, s1, (sigma, _trace, final, root) in zip(group, s1s, got):
             values = sigma_sweep_reference(est, s1)
-            old, _ = fix_bits_greedily(values)
+            old, _ = fix_bits_greedily_reference(values)
             assert final == pytest.approx(values[sigma], rel=1e-12, abs=0.0)
             assert root == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
             if old == sigma:
@@ -797,19 +804,19 @@ class TestDerandomizeEquivalence:
     @pytest.mark.parametrize("buckets", [2, 4])
     def test_phase_group_choices_identical(self, buckets):
         group = random_group(3, buckets=buckets, seed=7, edgeless=(1,))
-        compressed = derandomize_phase_group(group, compress=True)
-        reference = derandomize_phase_group(group, compress=False)
+        compressed = derandomize_phase_group(group)
+        reference = derandomize_phase_reference(group)
         for i, (got, want) in enumerate(zip(compressed, reference)):
             assert_seed_choices_equal(got, want, f"seed[{i}]")
 
     def test_tables_off_reference_identical(self):
-        # The full pre-PR path: peasant GF multiplies + uncompressed sweep.
+        # Peasant GF multiplies + the per-edge sweep and per-row greedy.
         group = random_group(2, seed=8)
         field = group[0].family.field
         compressed = derandomize_phase_group(group)
         field.use_tables = False
         try:
-            reference = derandomize_phase_group(group, compress=False)
+            reference = derandomize_phase_reference(group)
         finally:
             field.use_tables = True
         for i, (got, want) in enumerate(zip(compressed, reference)):
@@ -830,7 +837,7 @@ class TestTraceVectorization:
         rows = rng.random((6, 32))
         lo, traces = fix_bits_greedily_many(rows)
         for j in range(6):
-            idx, trace = fix_bits_greedily(rows[j])
+            idx, trace = fix_bits_greedily_reference(rows[j])
             assert idx == int(lo[j])
             assert trace == traces[j]
 

@@ -8,8 +8,10 @@ nowhere else: no result is memoized between solves.  Four layers:
 1. **The chunk loop** — every seed is counted exactly once per phase, any
    chunk size gives the same choices, and repeated or rebuilt sweeps are
    identical to the first.
-2. **Kernel fingerprints** — still computed and pickled (the layout pin of
-   ``test_seed_sweep_compression`` uses them), stable across processes.
+2. **Kernel fingerprints** — the hash of a count kernel's inputs
+   (:func:`~reference.kernel_fingerprint`, the layout pin of
+   ``test_seed_sweep_compression``) is stable across processes and tells
+   inputs apart.
 3. **The inert ``repro.core.sweep_cache`` module** — kept only because the
    benchmark tracer wraps ``SweepResultCache.load`` / ``.store`` by name:
    it remembers nothing and no solve reaches it.
@@ -26,7 +28,6 @@ import inspect
 import io
 import multiprocessing as mp
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.core.derandomize as derandomize
 from repro.cli import main
 from repro.core.derandomize import derandomize_phase_group
 from repro.core.instances import (
@@ -46,11 +48,13 @@ from repro.core.potential import SeedSweepWorkspace, SweepCountKernel
 from repro.core.prefix import extend_prefixes_batch
 from repro.core.sweep_cache import SweepResultCache
 from repro.graphs import generators as gen
+from repro.hashing.pairwise import PairwiseFamily
 from repro.parallel import ProcessBackend, resolve_backend
 from repro.serving import ColoringService
 
 from equivalence import assert_batch_results_equal, assert_seed_choices_equal
 from faults import leaked_segments, shm_segments
+from reference import kernel_fingerprint
 from test_seed_sweep_compression import random_group
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
@@ -87,15 +91,16 @@ class TestOneSweepPath:
         assert_choices_equal(reference, rebuilt, "rebuilt")
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1 << 20])
-    def test_chunk_size_does_not_move_choices(self, chunk_size):
+    def test_chunk_size_does_not_move_choices(self, chunk_size, monkeypatch):
         group = random_group(3, buckets=4, seed=5)
         reference = derandomize_phase_group(group)
-        chunked = derandomize_phase_group(group, chunk_size=chunk_size)
+        monkeypatch.setattr(derandomize, "CHUNK_SIZE", chunk_size)
+        chunked = derandomize_phase_group(group)
         assert_choices_equal(reference, chunked, f"chunk={chunk_size}")
 
     def test_chunk_loop_counts_every_seed_once(self, monkeypatch):
         """One phase hands each of its 2^m seeds to ``expected_rows``
-        exactly once, in ascending chunks of at most ``chunk_size``."""
+        exactly once, in ascending chunks of at most ``CHUNK_SIZE``."""
         group = random_group(2, buckets=2, seed=6)
         order = 1 << group[0].family.m
         seen = []
@@ -106,7 +111,8 @@ class TestOneSweepPath:
             return expected_rows(self, s1_candidates, out=out)
 
         monkeypatch.setattr(SeedSweepWorkspace, "expected_rows", recording)
-        derandomize_phase_group(group, chunk_size=7)
+        monkeypatch.setattr(derandomize, "CHUNK_SIZE", 7)
+        derandomize_phase_group(group)
         assert all(1 <= len(chunk) <= 7 for chunk in seen)
         assert np.array_equal(np.concatenate(seen), np.arange(order))
 
@@ -114,45 +120,52 @@ class TestOneSweepPath:
 # ----------------------------------------------------------------------
 # 2. Kernel fingerprints
 # ----------------------------------------------------------------------
-def child_fingerprint(kernel: SweepCountKernel) -> str:
-    """Recompute the fingerprint in a worker (module-level: picklable)."""
-    rebuilt = SweepCountKernel(
-        kernel.a,
-        kernel.b,
+def kernel_inputs(kernel: SweepCountKernel) -> tuple:
+    """The arguments that rebuild ``kernel``, with the family as ``(a, b)``."""
+    return (
+        (kernel.family.a, kernel.b),
         kernel.num_buckets,
         kernel.psi_diff,
         kernel.thr_u,
         kernel.thr_v,
     )
-    return rebuilt.fingerprint
+
+
+def rebuild_kernel(family_args, *arrays) -> SweepCountKernel:
+    return SweepCountKernel(PairwiseFamily(*family_args), *arrays)
+
+
+def child_fingerprint(inputs: tuple) -> str:
+    """Rebuild a kernel and hash it in a worker (module-level: picklable)."""
+    return kernel_fingerprint(rebuild_kernel(*inputs))
 
 
 class TestFingerprintStability:
     def test_fingerprint_stable_across_processes(self):
         """spawn re-imports everything from scratch — a fingerprint that
         depended on process state (hash randomization, id(), dict order)
-        would differ in the child."""
+        would differ in the child, which rebuilds the kernel from its
+        inputs."""
         _, sweep, _order = make_sweep(seed=11)
         kernel = sweep.kernel
         ctx = mp.get_context("spawn" if "spawn" in mp.get_all_start_methods()
                              else START_METHODS[0])
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            remote = pool.submit(child_fingerprint, kernel).result()
-        assert remote == kernel.fingerprint
+            remote = pool.submit(child_fingerprint, kernel_inputs(kernel)).result()
+        assert remote == kernel_fingerprint(kernel)
 
     def test_fingerprint_distinguishes_inputs(self):
         _, sweep_a, _ = make_sweep(seed=12)
         _, sweep_b, _ = make_sweep(seed=13)
-        assert sweep_a.kernel.fingerprint != sweep_b.kernel.fingerprint
+        assert kernel_fingerprint(sweep_a.kernel) != kernel_fingerprint(sweep_b.kernel)
 
-    def test_pickled_kernel_keeps_fingerprint_and_counts(self):
+    def test_rebuilt_kernel_keeps_fingerprint_and_counts(self):
         _, sweep, order = make_sweep(seed=14, buckets=4)
         kernel = sweep.kernel
         seeds = np.arange(order, dtype=np.int64)
-        counts = kernel.count_rows(seeds).copy()
-        clone = pickle.loads(pickle.dumps(kernel))
-        assert clone.fingerprint == kernel.fingerprint
-        assert np.array_equal(clone.count_rows(seeds), counts)
+        clone = rebuild_kernel(*kernel_inputs(kernel))
+        assert kernel_fingerprint(clone) == kernel_fingerprint(kernel)
+        assert np.array_equal(clone.count_rows(seeds), kernel.count_rows(seeds))
 
 
 # ----------------------------------------------------------------------
