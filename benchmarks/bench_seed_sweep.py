@@ -50,6 +50,20 @@ Before timing, both constructions are asserted to give identical unique
 columns, inverse and kernel inputs (``kernel_fingerprint``); this leg is
 recorded, not guarded.
 
+A fourth leg times the count-table fill of
+:class:`~repro.core.potential.SweepCountKernel` on two kernels: the r = 1
+group's and an 8-bucket (interval-row) group's at b = 9 whose nodes draw
+their bucket counts from 8 rows, as a clique phase's lists split alike:
+
+* **count_table_reference** — the digit DP over every (row, d) cell that
+  the doubling fill replaced (``count_table_reference`` in the tests);
+* **count_table** — the default: the top-bit doubling fill
+  (:func:`~repro.core.counting.count_xor_table`), interval rows from four
+  deduplicated prefix tables.
+
+Before timing, both tables are asserted equal on each kernel; this leg is
+recorded, not guarded.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_seed_sweep.py \
@@ -73,6 +87,7 @@ from repro.core.derandomize import (
 from repro.core.potential import (
     PhaseEstimator,
     SeedSweepWorkspace,
+    SweepCountKernel,
     exact_by_sigma_grouped,
 )
 from repro.hashing.pairwise import PairwiseFamily
@@ -84,6 +99,7 @@ from _perf_json import add_json_arg, write_perf_json  # noqa: E402
 # The oracles live next to the tests that pin the engine against them.
 sys.path.insert(0, os.path.join(HERE, "..", "tests"))
 from reference import (  # noqa: E402
+    count_table_reference,
     expected_rows_reference,
     kernel_fingerprint,
     unique_rows_reference,
@@ -98,19 +114,33 @@ CHUNK = 512
 
 
 def build_group(
-    num_instances: int, n: int, deg: int, colors: int = 12, b: int = 10, seed: int = 0
+    num_instances: int,
+    n: int,
+    deg: int,
+    colors: int = 12,
+    b: int = 10,
+    seed: int = 0,
+    buckets: int = 2,
+    list_kinds: int = 0,
 ) -> list:
-    """A shared-seed phase group shaped like a real Theorem 1.1 phase."""
+    """A shared-seed phase group shaped like a real Theorem 1.1 phase
+    (``buckets = 2^r`` for an r-bit phase).  With ``list_kinds`` every
+    node's bucket counts are one of that many rows, as in a clique phase
+    whose lists split alike, so the kernel has few distinct interval rows."""
     rng = np.random.default_rng(seed)
     a = max(1, int(colors - 1).bit_length())
     family = PairwiseFamily(a, b)
+    kinds = rng.integers(0, 3, size=(list_kinds, buckets)).astype(np.int64)
     members = []
     for _ in range(num_instances):
         psi = rng.integers(0, colors, size=n).astype(np.int64)
         u = rng.integers(0, n, size=n * deg)
         v = rng.integers(0, n, size=n * deg)
         keep = psi[u] != psi[v]
-        counts = rng.integers(0, 3, size=(n, 2)).astype(np.int64)
+        if list_kinds:
+            counts = kinds[rng.integers(0, list_kinds, size=n)]
+        else:
+            counts = rng.integers(0, 3, size=(n, buckets)).astype(np.int64)
         counts[:, 0] += 1
         members.append(PhaseEstimator(family, psi, counts, u[keep], v[keep]))
     return members
@@ -184,6 +214,21 @@ def assert_workspace_matches_reference(estimators: list) -> None:
     )
 
 
+def fresh_kernel(kernel: SweepCountKernel) -> SweepCountKernel:
+    """A kernel on the same inputs with no table built yet."""
+    return SweepCountKernel(
+        kernel.family, kernel.num_buckets, kernel.psi_diff, kernel.thr_u, kernel.thr_v
+    )
+
+
+def assert_tables_match_reference(kernels: list) -> None:
+    for kernel in kernels:
+        table = fresh_kernel(kernel)._count_table()[0]
+        assert np.array_equal(
+            table.reshape(-1, 1 << kernel.b), count_table_reference(kernel)
+        ), "count table diverged from the digit DP"
+
+
 def best_of(fn, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -231,6 +276,14 @@ def main() -> int:
     s1s = np.array([choice.s1 for choice in choices_new], dtype=np.int64)
     assert_descent_matches_oracle(estimators, s1s)
     assert_workspace_matches_reference(estimators)
+    interval_group = build_group(
+        args.instances, args.n, args.deg, b=9, buckets=8, list_kinds=8
+    )
+    kernels = [
+        SeedSweepWorkspace(group).kernel for group in (estimators, interval_group)
+    ]
+    assert_tables_match_reference(kernels)
+    table_rows = [len(count_table_reference(kernel)) for kernel in kernels]
 
     t_new = best_of(lambda: optimized_sweep(estimators, order))
     field.use_tables = False
@@ -241,6 +294,13 @@ def main() -> int:
     t_sigma = best_of(lambda: exact_by_sigma_grouped(estimators, s1s))
     t_ws_ref = best_of(lambda: reference_workspace(estimators), repeats=7)
     t_ws = best_of(lambda: SeedSweepWorkspace(estimators), repeats=7)
+    t_table_ref = best_of(
+        lambda: [count_table_reference(kernel) for kernel in kernels], repeats=7
+    )
+    t_table = best_of(
+        lambda: [fresh_kernel(kernel)._count_table() for kernel in kernels],
+        repeats=7,
+    )
 
     print(
         f"instances={args.instances} edges={edges} unique-columns={unique} "
@@ -261,6 +321,12 @@ def main() -> int:
     print(
         f"{'workspace, packed lexicographic key:':<43}{t_ws * 1000:8.1f} ms"
         f"   ({t_ws_ref / t_ws:.1f}x, not guarded)"
+    )
+    label = f"count tables ({' + '.join(map(str, table_rows))} rows), digit DP:"
+    print(f"{label:<43}{t_table_ref * 1000:8.1f} ms")
+    print(
+        f"{'count tables, top-bit doubling:':<43}{t_table * 1000:8.1f} ms"
+        f"   ({t_table_ref / t_table:.1f}x, not guarded)"
     )
 
     guard = "ok"
@@ -284,6 +350,7 @@ def main() -> int:
                 "deg": args.deg,
                 "edges": edges,
                 "unique_columns": unique,
+                "count_table_rows": table_rows,
             },
             timings_seconds={
                 "reference": t_ref,
@@ -292,6 +359,8 @@ def main() -> int:
                 "sigma_descent": t_sigma,
                 "workspace_reference": t_ws_ref,
                 "workspace": t_ws,
+                "count_table_reference": t_table_ref,
+                "count_table": t_table,
             },
             speedup=speedup,
             min_speedup=args.min_speedup,

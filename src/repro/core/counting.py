@@ -9,24 +9,30 @@ multiplicative seed s1, the probability (over the uniform additive seed
 with y_u uniform in [2^b).  All survival probabilities of Lemmas 2.2/2.3
 therefore reduce to the combinatorial quantity
 
-    N(d, t1, t2) = #{ z ∈ [0, 2^b) : z < t1  and  z ⊕ d < t2 } ,
+    N(d, t1, t2) = #{ z ∈ [0, 2^b) : z < t1  and  z ⊕ d < t2 } .
 
-computed here with an O(b) branch-free digit DP, fully vectorized over numpy
-arrays of ``(d, t1, t2)`` triples.  Interval versions follow by
-inclusion-exclusion.  Brute-force cross-checks live in the test suite.
+Two vectorized routes compute it, and interval versions follow from either
+by inclusion-exclusion:
 
-The seed sweep does not run the DP per (seed, column) cell: a phase has few
-distinct threshold rows ``(t1, t2)`` (or interval quadruples) but 2^m seeds,
-so :class:`~repro.core.potential.SweepCountKernel` runs these functions once
-per distinct row over every ``d ∈ [0, 2^b)`` to fill a count table, and
-answers each cell with one table gather.
+* :func:`count_xor_below` is an O(b) branch-free digit DP on arrays of
+  ``(d, t1, t2)`` triples.  It serves per-cell counts (the σ descent of
+  :func:`~repro.core.potential.exact_by_sigma_grouped`, one cell per alive
+  edge and level) and is the test suite's oracle for the table below.
+* :func:`count_xor_table` fills ``N(·, t1, t2)`` over every d ∈ [0, 2^b)
+  for a batch of threshold rows, doubling the table from width 0 by the
+  top bit in O(2^b) per row.  The seed sweep needs exactly this: a phase
+  has few distinct threshold rows (or interval quadruples) but 2^m seeds,
+  so :class:`~repro.core.potential.SweepCountKernel` fills one table per
+  distinct row and answers each (seed, column) cell with one gather.
+
+Brute-force cross-checks of both live in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["count_xor_below", "count_xor_in_intervals"]
+__all__ = ["count_xor_below", "count_xor_table"]
 
 
 def count_xor_below(
@@ -65,19 +71,49 @@ def count_xor_below(
     return total
 
 
-def count_xor_in_intervals(
-    d: np.ndarray,
-    lo1: np.ndarray,
-    hi1: np.ndarray,
-    lo2: np.ndarray,
-    hi2: np.ndarray,
-    b: int,
-) -> np.ndarray:
-    """``#{z : z ∈ [lo1, hi1) and z⊕d ∈ [lo2, hi2)}`` by inclusion-exclusion."""
-    return (
-        count_xor_below(d, hi1, hi2, b)
-        - count_xor_below(d, lo1, hi2, b)
-        - count_xor_below(d, hi1, lo2, b)
-        + count_xor_below(d, lo1, lo2, b)
-    )
+def count_xor_table(t1: np.ndarray, t2: np.ndarray, b: int) -> np.ndarray:
+    """The (rows × 2^b) int64 table ``N(d, t1[i], t2[i])``, d ∈ [0, 2^b).
 
+    Thresholds lie in ``[0, 2^b]``.  Split z and d on their top bit at
+    width L, h = 2^(L−1): each threshold has one trivial half (full or
+    empty) and one partial half of at most h values.  Threshold t1 is
+    partial in its upper half when ``t1 ≥ h`` and t2 when ``t2 > h`` (at
+    t = h either side is exact: the lower half is full, the upper empty),
+    and removing that half's offset gives reduced thresholds t1', t2' in
+    ``[0, h]``.  Then for d in the half ``(t1 ≥ h) ⊕ (t2 > h)`` the
+    partial halves meet, so
+
+        N_L(d, t1, t2) = N_{L−1}(d mod h, t1', t2') + off,
+
+    with ``off = h`` when both thresholds are high (their lower halves
+    meet in full) and 0 otherwise.  In the other half of d each partial
+    half meets the other threshold's trivial half, which gives a per-row
+    constant: 0, t1, t2 or ``t1 + t2 − 2h``.  So the thresholds are
+    reduced once from width b down to 0, where ``N_0 = min(t1, t2)``, and
+    the table doubles back up with two row-wise writes per level.
+    """
+    t1 = np.asarray(t1, dtype=np.int64)
+    t2 = np.asarray(t2, dtype=np.int64)
+    levels = []
+    for width in range(b, 0, -1):
+        h = 1 << (width - 1)
+        high1 = t1 >= h
+        high2 = t2 > h
+        t1 = np.where(high1, t1 - h, t1)
+        t2 = np.where(high2, t2 - h, t2)
+        levels.append(
+            (
+                (high1 ^ high2).astype(np.int64),
+                np.where(high1 & high2, h, 0),
+                np.where(high2, t1, 0) + np.where(high1, t2, 0),
+            )
+        )
+    rows = np.arange(len(t1))
+    table = np.minimum(t1, t2)[:, None]
+    for half, off, const in reversed(levels):
+        h = table.shape[1]
+        doubled = np.empty((len(rows), 2, h), dtype=np.int64)
+        doubled[rows, half] = table + off[:, None]
+        doubled[rows, 1 - half] = const[:, None]
+        table = doubled.reshape(len(rows), 2 * h)
+    return table

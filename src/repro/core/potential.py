@@ -17,8 +17,8 @@ expectations (Lemma 2.6 / Eq. (7)) needs two things:
 * ``E[Σ_e X_e | s1]`` for every multiplicative seed s1 (expectation over
   the uniform additive seed σ) — the ``val1`` array the s1 bits are fixed
   from by greedy block means.  :class:`SeedSweepWorkspace` produces it
-  from count tables filled by the exact counting DP of
-  :mod:`repro.core.counting`;
+  from exact count tables filled by
+  :func:`~repro.core.counting.count_xor_table`;
 * once s1 is fixed, the conditional expectation of every dyadic block of
   σ values, one level per σ bit.  :func:`exact_by_sigma_grouped` fixes σ
   bit by bit from exact counts on the block (see its docstring) and never
@@ -39,18 +39,19 @@ on per-edge keys ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``;
 everything a column contributes is a function of that key, and real
 instances collapse to a handful of distinct keys.
 :class:`SeedSweepWorkspace` deduplicates columns and runs the GF(2^m)
-multiply on unique columns only.  The counting DP runs on even fewer
-inputs: :class:`SweepCountKernel` deduplicates the columns' threshold rows
-once more, fills one count table per distinct row over every hash
-difference d ∈ [0, 2^b), and turns each (seed, column) count into one
-gather from that table.  Both dedups pack each row into one int64
-lexicographic rank (:func:`_unique_rows`): every non-constant key column,
-most significant first, becomes one mixed-radix digit (its value minus the
-column minimum, or its dense rank when its span exceeds the row count),
-and one 1-D ``np.unique`` of the ranks gives the distinct rows.  Ranks
-compare exactly as the rows compare lexicographically, so the unique
-columns come out in the order of a row-wise ``np.unique`` (``axis=0``),
-and the column layout and every value are those of that order.
+multiply on unique columns only.  The counts need even fewer inputs:
+:class:`SweepCountKernel` deduplicates the columns' threshold rows once
+more, fills one count table per distinct row over every hash difference
+d ∈ [0, 2^b) by top-bit doubling (O(2^b) per row), and turns each (seed,
+column) count into one gather from that table.  Both dedups pack each row
+into one int64 lexicographic rank (:func:`_unique_rows`): every
+non-constant key column, most significant first, becomes one mixed-radix
+digit (its value minus the column minimum, or its dense rank when its
+span exceeds the row count), and one 1-D ``np.unique`` of the ranks gives
+the distinct rows.  Ranks compare exactly as the rows compare
+lexicographically, so the unique columns come out in the order of a
+row-wise ``np.unique`` (``axis=0``), and the column layout and every value
+are those of that order.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import math
 
 import numpy as np
 
-from repro.core.counting import count_xor_below, count_xor_in_intervals
+from repro.core.counting import count_xor_below, count_xor_table
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -67,8 +68,8 @@ from repro.hashing.pairwise import PairwiseFamily
 #: int64 then cannot wrap and the conversion to float64 is exact.
 _EXACT_INT_LIMIT = 1 << 53
 
-#: Entry budget of one row block of the count-table build: the counting DP
-#: runs on (rows × 2^b) int64 temporaries of at most this many entries.
+#: Entry budget of one row block of the count-table build: the doubling
+#: fill's per-level int64 temporaries hold at most this many entries.
 _TABLE_BLOCK_ENTRIES = 1 << 18
 
 __all__ = [
@@ -200,18 +201,20 @@ class SweepCountKernel:
     of bucket 0 for 2-bucket (r = 1) phases, the interval quadruple
     ``(lo_u, hi_u, lo_v, hi_v)`` of the column's bucket otherwise.  A phase
     has few distinct threshold rows but 2^m × count_width cells, so the
-    kernel runs the counting DP once per (distinct row, d ∈ [0, 2^b)) into
-    an int32 count table and answers every cell with one gather:
+    kernel fills ``N(d, ·)`` once per (distinct row, d ∈ [0, 2^b)) into an
+    int64 count table (:func:`~repro.core.counting.count_xor_table`; an
+    interval row by inclusion–exclusion over four prefix rows) and answers
+    every cell with one gather:
 
         counts[s1, c] = table[row(c), g_values_many(s1, δ)[c]].
 
     The table is built lazily on the first :meth:`count_rows` call (in row
-    blocks of at most ``_TABLE_BLOCK_ENTRIES`` DP entries).  It holds
-    ``rows × 2^b ≤ count_width × 2^m`` entries, so at 4 bytes each it is at
-    most half of the full int64 count matrix.  ``count_rows`` over any
-    partition of the seed range concatenates to the same integers as one
-    full-range call, because no operation crosses seed rows — the property
-    the chunked 2^m enumeration of
+    blocks of at most ``_TABLE_BLOCK_ENTRIES`` entries).  It holds
+    ``rows × 2^b ≤ count_width × 2^m`` entries, at most the size of the
+    full int64 count matrix, and the gather yields int64 counts directly.
+    ``count_rows`` over any partition of the seed range concatenates to the
+    same integers as one full-range call, because no operation crosses seed
+    rows — the property the chunked 2^m enumeration of
     :func:`~repro.core.derandomize.derandomize_phase_group` relies on.
 
     ``count_width`` is the number of integer columns per seed row:
@@ -280,27 +283,46 @@ class SweepCountKernel:
         return np.concatenate(sources), [np.concatenate(c) for c in zip(*parts)]
 
     def _count_table(self) -> tuple:
-        """``(table, offsets, source)``: the flat int32 count table over
+        """``(table, offsets, source)``: the flat int64 count table over
         (distinct threshold row, d), each count column's row offset into
-        it, and the column → edge column map (None for r = 1)."""
+        it, and the column → edge column map (None for r = 1).
+
+        An interval row ``(lo_u, hi_u, lo_v, hi_v)`` counts by
+        inclusion–exclusion over the prefix rows (hi_u, hi_v), (lo_u, hi_v),
+        (hi_u, lo_v) and (lo_u, lo_v).  Adjacent buckets share bounds, so
+        the prefix rows are deduplicated once more and each distinct one is
+        filled once."""
         if self._lookup is None:
             source, columns = self._threshold_rows()
             index, row_of_col = _unique_rows(columns)
             keys = [col[index] for col in columns]
-            size = 1 << self.b
-            table = np.empty((len(index), size), dtype=np.int32)
-            d = np.arange(size, dtype=np.int64)[None, :]
-            step = max(1, _TABLE_BLOCK_ENTRIES >> self.b)
-            for lo in range(0, len(index), step):
-                bounds = [col[lo:lo + step, None] for col in keys]
-                if self.bucket_columns is None:
-                    block = count_xor_below(d, *bounds, self.b)
-                else:
-                    block = count_xor_in_intervals(d, *bounds, self.b)
-                table[lo:lo + step] = block
+            if self.bucket_columns is None:
+                table = self._fill(*keys)
+            else:
+                lo_u, hi_u, lo_v, hi_v = keys
+                t1 = np.concatenate([hi_u, lo_u, hi_u, lo_u])
+                t2 = np.concatenate([hi_v, hi_v, lo_v, lo_v])
+                prefix_index, prefix_of = _unique_rows([t1, t2])
+                prefix = self._fill(t1[prefix_index], t2[prefix_index])
+                both_hi, lo_hi, hi_lo, both_lo = prefix_of.reshape(4, -1)
+                table = prefix[both_hi]
+                table -= prefix[lo_hi]
+                table -= prefix[hi_lo]
+                table += prefix[both_lo]
             offsets = row_of_col.astype(np.int64) << self.b
             self._lookup = (table.reshape(-1), offsets, source)
         return self._lookup
+
+    def _fill(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+        """:func:`count_xor_table` of the rows ``(t1[i], t2[i])``, in row
+        blocks of at most ``_TABLE_BLOCK_ENTRIES`` entries."""
+        table = np.empty((len(t1), 1 << self.b), dtype=np.int64)
+        step = max(1, _TABLE_BLOCK_ENTRIES >> self.b)
+        for lo in range(0, len(t1), step):
+            table[lo:lo + step] = count_xor_table(
+                t1[lo:lo + step], t2[lo:lo + step], self.b
+            )
+        return table
 
     def count_rows(self, s1_values: np.ndarray) -> np.ndarray:
         """Integer count matrix for the given seeds; shape
@@ -319,7 +341,7 @@ class SweepCountKernel:
         if source is not None:
             d = np.take(d, source, axis=1)
         d += offsets
-        return np.take(table, d).astype(np.int64)
+        return np.take(table, d)
 
 
 class _WeightPlan:

@@ -18,8 +18,11 @@ sweeps every edge column with no dedup and sums per (estimator, list size)
 by ``np.add.at``; :func:`fix_bits_greedily_reference` fixes one row's bits
 in a Python loop; :func:`buckets_for_seed_reference` finds one estimator's
 buckets node by node; :func:`count_xor_below_scalar` is the counting DP on
-one cell; and :func:`kernel_fingerprint` hashes a count kernel's inputs.
-The tests pin the engine against all of them.
+one cell; :func:`count_xor_in_intervals` is the DP's interval count by
+inclusion-exclusion; :func:`count_table_reference` fills a count kernel's
+table with the digit DP, one pass per bit over every (row, d) cell, as the
+kernel did before the doubling fill; and :func:`kernel_fingerprint` hashes
+a count kernel's inputs.  The tests pin the engine against all of them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.core.counting import count_xor_below
 from repro.core.instances import BatchedListColoringInstance, ListColoringInstance
 from repro.core.list_coloring import solve_list_coloring_batch
 from repro.core.list_ops import prune_lists_against_colored
-from repro.core.potential import SweepCountKernel
+from repro.core.potential import SweepCountKernel, _unique_rows
 from repro.decomposition.decomposed_coloring import (
     ClassStats,
     DecomposedColoringResult,
@@ -47,7 +50,9 @@ from repro.graphs.graph import Graph
 __all__ = [
     "buckets_for_seed_reference",
     "carve_class_reference",
+    "count_table_reference",
     "count_xor_below_scalar",
+    "count_xor_in_intervals",
     "decompose_reference",
     "expected_rows_reference",
     "fix_bits_greedily_reference",
@@ -399,6 +404,38 @@ def count_xor_below_scalar(d: int, t1: int, t2: int, b: int) -> int:
     """``N(d, t1, t2)`` of :func:`count_xor_below` on one cell."""
     cell = [np.array([x], dtype=np.int64) for x in (d, t1, t2)]
     return int(count_xor_below(*cell, b)[0])
+
+
+def count_xor_in_intervals(
+    d: np.ndarray,
+    lo1: np.ndarray,
+    hi1: np.ndarray,
+    lo2: np.ndarray,
+    hi2: np.ndarray,
+    b: int,
+) -> np.ndarray:
+    """``#{z : z ∈ [lo1, hi1) and z⊕d ∈ [lo2, hi2)}`` by inclusion-exclusion
+    over four :func:`count_xor_below` calls."""
+    return (
+        count_xor_below(d, hi1, hi2, b)
+        - count_xor_below(d, lo1, hi2, b)
+        - count_xor_below(d, hi1, lo2, b)
+        + count_xor_below(d, lo1, lo2, b)
+    )
+
+
+def count_table_reference(kernel: SweepCountKernel) -> np.ndarray:
+    """A count kernel's (distinct threshold row × 2^b) table by the digit
+    DP: :func:`count_xor_below` (r = 1) or :func:`count_xor_in_intervals`
+    (r > 1) over every d ∈ [0, 2^b), rows in the kernel's
+    ``_unique_rows`` order."""
+    _, columns = kernel._threshold_rows()
+    index, _ = _unique_rows(columns)
+    bounds = [col[index, None] for col in columns]
+    d = np.arange(1 << kernel.b, dtype=np.int64)[None, :]
+    if kernel.bucket_columns is None:
+        return count_xor_below(d, *bounds, kernel.b)
+    return count_xor_in_intervals(d, *bounds, kernel.b)
 
 
 def kernel_fingerprint(kernel: SweepCountKernel) -> str:

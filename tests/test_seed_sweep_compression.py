@@ -31,12 +31,13 @@ import repro.core.potential as potential
 
 from equivalence import assert_seed_choices_equal
 from reference import (
+    count_xor_in_intervals,
     expected_rows_reference,
     fix_bits_greedily_reference,
     kernel_fingerprint,
     unique_rows_reference,
 )
-from repro.core.counting import count_xor_below, count_xor_in_intervals
+from repro.core.counting import count_xor_below
 import repro.core.derandomize as derandomize
 from repro.core.derandomize import (
     SeedChoice,
