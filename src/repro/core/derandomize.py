@@ -103,9 +103,10 @@ def fix_bits_greedily_many(rows: np.ndarray) -> tuple[np.ndarray, list[list[floa
 def derandomize_phase_group(estimators, strict: bool = True) -> list:
     """Choose a good seed for one phase of many instances (Lemma 2.6).
 
-    Every estimator must share the family parameters ``(a, b)`` and bucket
-    count — the shared-seed fusion contract of the batched solver.  The
-    ``val1[s1]`` conditional-expectation arrays of all estimators are
+    Every estimator must share the seed space ``(m, b, num_buckets)`` —
+    the shared-seed fusion contract of the batched solver; the ψ-domain
+    bits a may differ, since s1 ranges over GF(2^m) with m = max(a, b).
+    The ``val1[s1]`` conditional-expectation arrays of all estimators are
     produced by a single enumeration of the 2^m multiplicative seeds in
     blocks of :data:`CHUNK_SIZE` — the dominant per-phase cost.  One
     :class:`~repro.core.potential.SeedSweepWorkspace` is built for the

@@ -446,13 +446,16 @@ class SeedSweepWorkspace:
     """Seed-independent state for the fused ``E[Σ_e X_e | s1]`` sweep.
 
     This is the shared-seed phase fusion of the batched solver: all
-    estimators must share the family parameters ``(a, b)`` and the bucket
-    count (i.e. they evaluate the same seed space), but may carry different
-    conflict graphs and input colorings ψ.  The dominant
-    (candidates × edges) work — the GF(2^m) multiply of ``g_values_many``
-    and the count-table gather — runs ONCE over the concatenated edge
-    arrays of all estimators, and the weighting recovers every estimator's
-    expectation from exact per-(estimator, list size) integer sums.
+    estimators must share the seed space ``(m, b, num_buckets)`` — the
+    field GF(2^m), m = max(a, b), the coin accuracy and the bucket count —
+    but may carry different conflict graphs, input colorings ψ and
+    ψ-domain bits a.  Each member's counts and weighting are functions of
+    its own integers, so its rows equal those of a group of one.  The
+    dominant (candidates × edges) work — the GF(2^m) multiply of
+    ``g_values_many`` and the count-table gather — runs ONCE over the
+    concatenated edge arrays of all estimators, and the weighting recovers
+    every estimator's expectation from exact per-(estimator, list size)
+    integer sums.
 
     Constructing the workspace once per phase hoists everything that does
     not depend on the s1 candidates out of the chunked 2^m enumeration:
@@ -645,13 +648,17 @@ class SeedSweepWorkspace:
 
 
 def _check_group(estimators) -> tuple:
+    """The group's seed-space key ``(m, b, num_buckets)``; raises
+    ``ValueError`` unless every estimator has it.  The ψ-domain bits ``a``
+    may differ: ``top_b(s1 ⊙ ψ)`` only uses GF(2^m) and b."""
     first = estimators[0]
-    key = (first.family.a, first.family.b, first.num_buckets)
+    key = (first.family.m, first.family.b, first.num_buckets)
     for est in estimators[1:]:
-        if (est.family.a, est.family.b, est.num_buckets) != key:
+        if (est.family.m, est.family.b, est.num_buckets) != key:
             raise ValueError(
-                "grouped estimators must share (a, b, num_buckets); got "
-                f"{(est.family.a, est.family.b, est.num_buckets)} vs {key}"
+                "grouped estimators must share the seed space "
+                "(m, b, num_buckets); got "
+                f"{(est.family.m, est.family.b, est.num_buckets)} vs {key}"
             )
     return key
 

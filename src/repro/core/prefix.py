@@ -13,14 +13,18 @@ Lemmas 2.2/2.3, kept as a baseline and for statistical tests).
 
 The engine is *batched*: :func:`extend_prefixes_batch` runs the phase loop
 over every instance of a :class:`BatchedListColoringInstance` at once.  The
-data plane (bucket counting, threshold selection, list shrinking) operates
-on the flat union arrays — one ``np.bincount`` over instance-aware
-``node·W + bucket`` keys, one boolean mask over the flat values — while
-seed derandomization groups instances sharing the ``(a, b)`` family
-parameters so one 2^m seed enumeration is amortized across the group
-(:func:`~repro.core.derandomize.derandomize_phase_group`).  Instances with
-differing ψ domains or accuracies still derandomize independently; each
-per-instance outcome is numerically identical to a standalone
+per-instance phase geometry (r, b, m, bits left, phase index) is kept as
+int64 columns and broadcast to the nodes with one ``np.repeat``; the data
+plane (bucket counting, threshold selection, list shrinking) operates on
+the flat union arrays — one ``np.bincount`` over instance-aware
+``node·W + bucket`` keys, one boolean mask over the flat values.  Seed
+derandomization groups instances by their seed space ``(m, b, 2^r)``:
+Theorem 2.4's reduced seed (s1, σ) ranges over GF(2^m) × [2^b] with
+m = max(a, b), so instances whose ψ-domain bits a differ but whose m
+agrees share one 2^m seed enumeration
+(:func:`~repro.core.derandomize.derandomize_phase_group`).  A live
+instance without alive edges has Φ ≡ 0 and takes its seed in closed form.
+Each per-instance outcome is numerically identical to a standalone
 :func:`extend_prefixes` call.
 """
 
@@ -168,6 +172,25 @@ def extend_prefixes(
     )[0]
 
 
+def _edgeless_choice(m: int, b: int) -> SeedChoice:
+    """The Lemma 2.6 choice of a phase with no alive edge, in closed form.
+
+    Φ ≡ 0 on every seed, so every conditional expectation is 0.0 and
+    Eq. (7) keeps bit 0 at every step (an exact tie keeps 0): exactly what
+    :func:`~repro.core.derandomize.derandomize_phase_group` returns for an
+    edgeless estimator.
+    """
+    return SeedChoice(
+        s1=0,
+        sigma=0,
+        s1_bits=m,
+        sigma_bits=b,
+        initial_expectation=0.0,
+        final_value=0.0,
+        conditional_trace=[0.0] * (m + b),
+    )
+
+
 def extend_prefixes_batch(
     batch: BatchedListColoringInstance,
     psis: np.ndarray,
@@ -203,15 +226,18 @@ def extend_prefixes_batch(
 
     slices = [batch.instance_slice(i) for i in range(k)]
     sizes_n = batch.instance_sizes
-    total_bits = [
-        max(1, ceil_log2(int(batch.color_spaces[i]))) for i in range(k)
-    ]
-    deltas = [
-        int(graph.degrees[slices[i]].max()) if sizes_n[i] else 0 for i in range(k)
-    ]
-    a_bits = [
-        max(1, ceil_log2(max(2, int(nums_input_colors[i])))) for i in range(k)
-    ]
+    # Per-instance constants and phase geometry are int64 columns.
+    total_bits = np.array(
+        [max(1, ceil_log2(int(c))) for c in batch.color_spaces], dtype=np.int64
+    )
+    deltas = graph.block_max_degrees(offs)
+    a_bits = np.array(
+        [max(1, ceil_log2(max(2, int(c)))) for c in nums_input_colors],
+        dtype=np.int64,
+    )
+    strengthens = np.array([int(s) for s in strengthens], dtype=np.int64)
+    # accuracy_bits per distinct (Δ, ⌈log C⌉, r, strengthen).
+    accuracies: dict[tuple, int] = {}
 
     cand = batch.copy_lists()
     edges_u = graph.edges_u.copy()
@@ -232,15 +258,14 @@ def extend_prefixes_batch(
         )
 
     bounds = edge_bounds()
-    m_init = np.diff(bounds)
     deg = conflict_degrees()
     sizes = cand.sizes
     phi = potential_sums(deg, sizes, node_inst, k).tolist()
     traces: list[list] = [[value] for value in phi]
     records: list[list] = [[] for _ in range(k)]
-    seed_bits_total = [0] * k
-    bits_left = list(total_bits)
-    phase_index = [0] * k
+    seed_bits_total = np.zeros(k, dtype=np.int64)
+    bits_left = total_bits.copy()
+    phase_index = np.zeros(k, dtype=np.int64)
     for i in range(k):
         if strict and phi[i] >= int(sizes_n[i]) + 1e-9:
             raise AssertionError(
@@ -248,96 +273,119 @@ def extend_prefixes_batch(
             )
 
     while True:
-        live = [i for i in range(k) if bits_left[i] > 0]
-        if not live:
+        live = np.flatnonzero(bits_left > 0)
+        if not len(live):
             break
 
-        # Per-instance phase geometry, broadcast to per-node arrays so the
-        # bucket extraction is one vectorized pass over the flat values.
-        phase_r: dict[int, int] = {}
-        phase_b: dict[int, int] = {}
-        families: dict[int, PairwiseFamily] = {}
-        shift_node = np.zeros(n_total, dtype=np.int64)
-        mask_node = np.zeros(n_total, dtype=np.int64)
-        live_node = np.zeros(n_total, dtype=bool)
-        width_max = 1
-        for i in live:
-            r = 1 if r_schedule is None else int(r_schedule(phase_index[i], bits_left[i]))
-            r = max(1, min(r, bits_left[i]))
-            phase_r[i] = r
-            shift_node[slices[i]] = bits_left[i] - r
-            mask_node[slices[i]] = (1 << r) - 1
-            live_node[slices[i]] = True
-            width_max = max(width_max, 1 << r)
-            if accuracy_override is not None:
-                phase_b[i] = max(1, int(accuracy_override))
-            else:
-                phase_b[i] = accuracy_bits(
-                    deltas[i], total_bits[i], r=r, strengthen=strengthens[i]
+        # Phase geometry of the live instances: r, b and m = max(a, b).
+        left = bits_left[live]
+        if r_schedule is None:
+            r = np.ones(len(live), dtype=np.int64)
+        else:
+            r = np.array(
+                [
+                    int(r_schedule(int(p), int(q)))
+                    for p, q in zip(phase_index[live], left)
+                ],
+                dtype=np.int64,
+            )
+        r = np.clip(r, 1, left)
+        if accuracy_override is not None:
+            b = np.full(len(live), max(1, int(accuracy_override)), dtype=np.int64)
+        else:
+            keys = list(
+                zip(
+                    deltas[live].tolist(),
+                    total_bits[live].tolist(),
+                    r.tolist(),
+                    strengthens[live].tolist(),
                 )
-            families[i] = PairwiseFamily(a_bits[i], phase_b[i])
+            )
+            for key in set(keys).difference(accuracies):
+                accuracies[key] = accuracy_bits(*key)
+            b = np.array([accuracies[key] for key in keys], dtype=np.int64)
+        m = np.maximum(a_bits[live], b)
+        edges_before = np.diff(bounds)[live]
 
+        # Broadcast to per-node arrays so the bucket extraction is one
+        # vectorized pass over the flat values; finished instances get
+        # shift 0 and mask 0.
+        live_inst = np.zeros(k, dtype=bool)
+        live_inst[live] = True
+        shift = np.zeros(k, dtype=np.int64)
+        shift[live] = left - r
+        mask = np.zeros(k, dtype=np.int64)
+        mask[live] = np.left_shift(1, r) - 1
+        live_node = np.repeat(live_inst, sizes_n)
         node_ids = cand.node_ids()
         flat_live = live_node[node_ids]
-        flat_buckets = (cand.values >> shift_node[node_ids]) & mask_node[node_ids]
+        flat_buckets = (cand.values >> np.repeat(shift, sizes_n)[node_ids]) & (
+            np.repeat(mask, sizes_n)[node_ids]
+        )
         # One instance-aware bincount at the widest live bucket count; rows
         # of narrower instances keep zero tail columns and are sliced back
         # to their own width below.  (A schedule mixing very different r
         # values in one batch would over-allocate here — all shipped
         # schedules use a uniform r per phase.)
+        width_max = 1 << int(r.max())
         counts = np.bincount(
             node_ids * width_max + flat_buckets, minlength=n_total * width_max
         ).reshape(n_total, width_max)
 
-        # Instances sharing (a, b, 2^r) evaluate the same seed space: their
-        # estimators are built together and their seed enumerations fused.
-        groups: dict[tuple, list[int]] = {}
-        for i in live:
-            key = (a_bits[i], phase_b[i], 1 << phase_r[i])
-            groups.setdefault(key, []).append(i)
+        # A live instance without alive edges has Φ ≡ 0: its derandomized
+        # seed is (0, 0) in closed form and y = 0 picks every node's lowest
+        # nonempty bucket, so it builds no estimator.  Random seeds are
+        # drawn for every live instance, in instance order.
+        buckets_node = np.argmax(counts > 0, axis=1)
+        choices: dict[int, SeedChoice | None] = {}
+        seeds: dict[int, tuple[int, int]] = {}
+        live_list, r_list, b_list, m_list = (
+            live.tolist(), r.tolist(), b.tolist(), m.tolist()
+        )
+        if rng is None:
+            fused = np.flatnonzero(edges_before > 0)
+            for j in np.flatnonzero(edges_before == 0).tolist():
+                choices[live_list[j]] = _edgeless_choice(m_list[j], b_list[j])
+        else:
+            fused = np.arange(len(live))
+            for i, mj, bj in zip(live_list, m_list, b_list):
+                seeds[i] = (
+                    int(rng.integers(0, 1 << mj)),
+                    int(rng.integers(0, 1 << bj)),
+                )
+                choices[i] = None
 
-        estimators: dict[int, PhaseEstimator] = {}
-        for members in groups.values():
-            built = PhaseEstimator.build_group(
-                families[members[0]],
+        # Instances sharing the seed space (m, b, 2^r) — GF(2^m), the coin
+        # accuracy and the bucket count — are fused whatever their ψ-domain
+        # bits: their estimators are built together, their 2^m seed
+        # enumerations run as one, and each fixes its own seed bits.
+        groups: dict[tuple, list[int]] = {}
+        for j in fused.tolist():
+            groups.setdefault((m_list[j], b_list[j], r_list[j]), []).append(
+                live_list[j]
+            )
+        for (mj, bj, rj), members in groups.items():
+            family = PairwiseFamily(mj, bj)
+            width = 1 << rj
+            estimators = PhaseEstimator.build_group(
+                family,
                 [
                     (
                         psis[slices[i]],
-                        counts[slices[i], : 1 << phase_r[i]],
+                        counts[slices[i], :width],
                         edges_u[int(bounds[i]):int(bounds[i + 1])] - offs[i],
                         edges_v[int(bounds[i]):int(bounds[i + 1])] - offs[i],
                     )
                     for i in members
                 ],
             )
-            for i, estimator in zip(members, built):
-                estimators[i] = estimator
-
-        # Seed selection: fuse the 2^m enumeration across instances whose
-        # seed spaces coincide; fix each instance's bits independently.
-        seeds: dict[int, tuple[int, int]] = {}
-        choices: dict[int, SeedChoice | None] = {}
-        if rng is None:
-            for members in groups.values():
-                group_choices = derandomize_phase_group(
-                    [estimators[i] for i in members],
-                    strict=strict,
-                )
+            if rng is None:
+                group_choices = derandomize_phase_group(estimators, strict=strict)
                 for i, choice in zip(members, group_choices):
                     choices[i] = choice
                     seeds[i] = (choice.s1, choice.sigma)
-        else:
-            for i in live:
-                seeds[i] = (
-                    int(rng.integers(0, families[i].field.order)),
-                    int(rng.integers(0, 1 << phase_b[i])),
-                )
-                choices[i] = None
-
-        buckets_node = np.zeros(n_total, dtype=np.int64)
-        for members in groups.values():
             member_buckets = buckets_for_seed_grouped(
-                [estimators[i] for i in members], [seeds[i] for i in members]
+                estimators, [seeds[i] for i in members]
             )
             for i, buckets in zip(members, member_buckets):
                 buckets_node[slices[i]] = buckets
@@ -347,14 +395,14 @@ def extend_prefixes_batch(
         # their (size-1) lists untouched.
         cand = cand.select((flat_buckets == buckets_node[node_ids]) | ~flat_live)
         sizes = cand.sizes
-        for i in live:
-            empty = sizes[slices[i]] == 0
-            if empty.any():
-                v = int(np.argmax(empty))
-                raise AssertionError(
-                    f"candidate list of node {v} became empty "
-                    f"(instance {i}, phase {phase_index[i]})"
-                )
+        empty = np.flatnonzero((sizes == 0) & live_node)
+        if len(empty):
+            v = int(empty[0])
+            i = int(node_inst[v])
+            raise AssertionError(
+                f"candidate list of node {v - int(offs[i])} became empty "
+                f"(instance {i}, phase {int(phase_index[i])})"
+            )
 
         # Conflict edges survive only when both endpoints chose the bucket;
         # edges of finished instances are frozen.
@@ -366,21 +414,27 @@ def extend_prefixes_batch(
             edges_v = edges_v[alive]
             edge_inst = edge_inst[alive]
         bounds = edge_bounds()
+        edges_after = np.diff(bounds)[live]
 
         deg = conflict_degrees()
         new_phis = potential_sums(deg, sizes, node_inst, k).tolist()
-        for i in live:
+        for i, rj, bj, mj, before, after, index in zip(
+            live_list,
+            r_list,
+            b_list,
+            m_list,
+            edges_before.tolist(),
+            edges_after.tolist(),
+            phase_index[live].tolist(),
+        ):
             new_phi = new_phis[i]
             choice = choices[i]
             if strict and choice is not None and accuracy_override is None:
-                edges_before = (
-                    int(records[i][-1].alive_edges) if records[i] else m_init[i]
-                )
-                budget = _phase_budget(phi[i], edges_before, phase_b[i], phase_r[i])
+                budget = _phase_budget(phi[i], before, bj, rj)
                 tolerance = 1e-6 * max(1.0, phi[i])
                 if choice.initial_expectation > phi[i] + budget + tolerance:
                     raise AssertionError(
-                        f"phase {phase_index[i]}: E[Φ] = "
+                        f"phase {index}: E[Φ] = "
                         f"{choice.initial_expectation} exceeds "
                         f"Φ_prev + budget = {phi[i]} + {budget}"
                     )
@@ -388,39 +442,36 @@ def extend_prefixes_batch(
                 # integers, so they agree bit for bit.
                 if choice.final_value != new_phi:
                     raise AssertionError(
-                        f"phase {phase_index[i]}: estimator value "
+                        f"phase {index}: estimator value "
                         f"{choice.final_value} does not match realized "
                         f"potential {new_phi}"
                     )
 
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
             records[i].append(
                 PhaseRecord(
-                    r=phase_r[i],
-                    b=phase_b[i],
-                    seed_bits=families[i].m + phase_b[i],
+                    r=rj,
+                    b=bj,
+                    seed_bits=mj + bj,
                     initial_expectation=(
                         choice.initial_expectation if choice else float("nan")
                     ),
                     final_value=choice.final_value if choice else float("nan"),
                     potential_after=new_phi,
-                    alive_edges=hi - lo,
+                    alive_edges=after,
                     seed=choice,
                 )
             )
-            seed_bits_total[i] += families[i].m + phase_b[i]
             traces[i].append(new_phi)
             phi[i] = new_phi
-            bits_left[i] -= phase_r[i]
-            phase_index[i] += 1
+        seed_bits_total[live] += m + b
+        bits_left[live] -= r
+        phase_index[live] += 1
 
     sizes = cand.sizes
     if strict:
+        if (sizes != 1).any():
+            raise AssertionError("a candidate list has size != 1 after all phases")
         for i in range(k):
-            if (sizes[slices[i]] != 1).any():
-                raise AssertionError(
-                    "a candidate list has size != 1 after all phases"
-                )
             bound = int(sizes_n[i]) if strengthens[i] > 1 else 2 * int(sizes_n[i])
             if rng is None and accuracy_override is None and phi[i] > bound + 1e-6:
                 raise AssertionError(
@@ -442,7 +493,7 @@ def extend_prefixes_batch(
                 conflict_edges_v=edges_v[lo:hi] - offs[i],
                 potential_trace=traces[i],
                 phases=records[i],
-                total_seed_bits=seed_bits_total[i],
+                total_seed_bits=int(seed_bits_total[i]),
             )
         )
     return results

@@ -10,14 +10,16 @@ shared-seed fusion engine — so *any* contiguous partition of the instance
 range merges back byte-identically.  The planner therefore only optimizes
 throughput: shard boundaries prefer the boundaries of fusion *runs* —
 maximal stretches of instances sharing a static seed-space signature — so
-the shared-seed ``(a, b, 2^r)`` sweep fusion inside each shard is
-preserved rather than split across workers.
+the shared-seed sweep fusion inside each shard is preserved rather than
+split across workers.
 
-The signature is a static proxy: the true per-phase fusion key
-``(a, b, 2^r)`` depends on Linial's input-coloring size, which is only
-known mid-solve, but instances agreeing on ``(⌈log C⌉, Δ)`` agree on the
-accuracy bits ``b`` of every phase and (for like-sized graphs) on the
-ψ-domain bits ``a`` as well.
+The signature is a static proxy: the true per-phase fusion key is the
+seed space ``(m, b, 2^r)`` with m = max(a, b), and the ψ-domain bits
+``a`` depend on Linial's input-coloring size, which is only known
+mid-solve.  Instances agreeing on ``(⌈log C⌉, Δ)`` agree on the accuracy
+bits ``b`` of every phase, so the proxy only has to predict m: it is
+exact whenever a ≤ b (then m = b), and for like-sized graphs a agrees
+as well.
 """
 
 from __future__ import annotations

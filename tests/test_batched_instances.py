@@ -42,7 +42,14 @@ from repro.graphs.graph import Graph
 
 def heterogeneous_instances():
     """Instances with differing Δ, color spaces and ψ domains — they land
-    in different (a, b) fusion groups, plus two that share one."""
+    in different seed spaces (m, b, 2^r), plus two that share one — and
+    two that run edgeless phases: isolated nodes only, and a matching
+    whose lists split on the top color bit, so every edge dies in phase 1."""
+    split = ListColoringInstance(
+        Graph(6, [(0, 1), (2, 3), (4, 5)]),
+        8,
+        ColorListStore.from_lists([[0, 2, 3], [4, 7]] * 3, 6),
+    )
     return [
         make_delta_plus_one_instance(gen.cycle_graph(12)),
         make_delta_plus_one_instance(gen.cycle_graph(10)),  # shares (ψ, b) shape
@@ -54,6 +61,10 @@ def heterogeneous_instances():
             slack=2,
         ),
         make_delta_plus_one_instance(gen.star_graph(7)),
+        make_random_lists_instance(
+            Graph(5, []), 16, np.random.default_rng(2), slack=3
+        ),
+        split,
     ]
 
 
@@ -230,3 +241,56 @@ class TestGroupedDerandomization:
         for i, (est, fused) in enumerate(zip(estimators, grouped)):
             alone = derandomize_phase_group([est])[0]
             assert_seed_choices_equal(alone, fused, f"seed[{i}]")
+
+    def test_one_derandomization_per_seed_space_and_phase(self, monkeypatch):
+        """Instances whose ψ-domain bits a differ but whose m = max(a, b)
+        agree are fused: each phase runs ``derandomize_phase_group`` once
+        per distinct (m, b, 2^r) among the instances with alive edges, and
+        edgeless instances never enter it."""
+        from repro.core import prefix
+
+        cycle = make_delta_plus_one_instance(gen.cycle_graph(12))
+        instances = [cycle] * 4 + heterogeneous_instances()[2:]
+        psis = [np.arange(12, dtype=np.int64) % K for K in (2, 3, 4, 6)] + [
+            np.arange(inst.n, dtype=np.int64) for inst in instances[4:]
+        ]
+        nums = [2, 3, 4, 6] + [max(2, inst.n) for inst in instances[4:]]
+        sequential = [
+            extend_prefixes(inst, psi, num)
+            for inst, psi, num in zip(instances, psis, nums)
+        ]
+
+        calls = []
+        derandomize = prefix.derandomize_phase_group
+
+        def counting(estimators, strict=True):
+            calls.append(
+                {(est.family.m, est.b, est.num_buckets) for est in estimators}
+            )
+            return derandomize(estimators, strict=strict)
+
+        monkeypatch.setattr(prefix, "derandomize_phase_group", counting)
+        batch = BatchedListColoringInstance.from_instances(instances)
+        batched = extend_prefixes_batch(batch, np.concatenate(psis), nums)
+
+        expected, by_domain = [], 0
+        for t in range(max(len(res.phases) for res in batched)):
+            keys, domain_keys = set(), set()
+            for inst, num, res in zip(instances, nums, batched):
+                if t >= len(res.phases):
+                    continue
+                before = res.phases[t - 1].alive_edges if t else inst.graph.m
+                if before:
+                    rec = res.phases[t]
+                    keys.add((rec.seed_bits - rec.b, rec.b, 1 << rec.r))
+                    a = max(1, int(max(2, num) - 1).bit_length())
+                    domain_keys.add((a, rec.b, 1 << rec.r))
+            expected += sorted(keys)
+            by_domain += len(domain_keys)
+        assert all(len(keys) == 1 for keys in calls)
+        assert sorted(key for keys in calls for key in keys) == sorted(expected)
+        # The batch does exercise the fusion: keyed by (a, b, 2^r) it
+        # would take more calls.
+        assert len(calls) < by_domain
+        for i, (seq, bat) in enumerate(zip(sequential, batched)):
+            assert_prefix_results_equal(seq, bat, f"instance[{i}]")

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from equivalence import assert_seed_choices_equal
 from repro.core.derandomize import derandomize_phase_group, fix_bits_greedily_many
-from repro.core.potential import PhaseEstimator, SeedSweepWorkspace
+from repro.core.potential import (
+    PhaseEstimator,
+    SeedSweepWorkspace,
+    buckets_for_seed_grouped,
+)
+from repro.core.prefix import _edgeless_choice
 from repro.hashing.pairwise import PairwiseFamily
 from reference import fix_bits_greedily_reference
 from test_seed_sweep_compression import sigma_sweep_reference
@@ -105,3 +111,24 @@ class TestDerandomizePhase:
         s1s = np.arange(1 << est.family.m, dtype=np.int64)
         average = SeedSweepWorkspace([est]).expected_rows(s1s)[0].mean()
         assert choice.final_value <= average + 1e-9
+
+    @pytest.mark.parametrize("buckets", [2, 4, 8])
+    def test_edgeless_phase_takes_the_closed_form(self, buckets):
+        """Without edges Φ ≡ 0: the derandomized choice is s1 = σ = 0 with
+        an all-zero trace (the shortcut the phase loop takes instead of
+        building an estimator), and y = 0 picks every node's lowest
+        nonempty bucket."""
+        rng = np.random.default_rng(buckets)
+        none = np.empty(0, dtype=np.int64)
+        for n in (0, 1, 5, 12):
+            a, b = (int(x) for x in rng.integers(1, 7, size=2))
+            counts = rng.integers(0, 3, size=(n, buckets)).astype(np.int64)
+            counts[:, -1] += 1  # nonempty lists; leading buckets may be empty
+            psi = rng.integers(0, 1 << a, size=n).astype(np.int64)
+            est = PhaseEstimator(PairwiseFamily(a, b), psi, counts, none, none)
+            (choice,) = derandomize_phase_group([est])
+            assert_seed_choices_equal(
+                _edgeless_choice(est.family.m, b), choice, f"n={n}"
+            )
+            (chosen,) = buckets_for_seed_grouped([est], [(0, 0)])
+            assert np.array_equal(chosen, np.argmax(counts > 0, axis=1))

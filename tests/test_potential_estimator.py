@@ -8,6 +8,8 @@ enumeration of the randomized process of Algorithm 1.
 import numpy as np
 import pytest
 
+from equivalence import assert_seed_choices_equal
+from repro.core.derandomize import derandomize_phase_group
 from repro.core.potential import (
     PhaseEstimator,
     SeedSweepWorkspace,
@@ -97,11 +99,56 @@ class TestEstimatorExactness:
             alone = SeedSweepWorkspace([est]).expected_rows(s1s)[0]
             assert np.array_equal(alone, fused)
 
-    def test_grouped_expectation_rejects_mixed_parameters(self):
-        a_small = make_estimator(a=3, b=4)[0]
-        a_large = make_estimator(a=4, b=4)[0]
-        with pytest.raises(ValueError):
-            SeedSweepWorkspace([a_small, a_large])
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((3, 4, 2), (5, 4, 2)),  # m = 4 vs 5
+            ((5, 4, 2), (5, 5, 2)),  # b = 4 vs 5 at m = 5
+            ((3, 4, 2), (3, 4, 4)),  # 2 vs 4 buckets
+        ],
+        ids=["m", "b", "buckets"],
+    )
+    def test_grouped_estimators_reject_another_seed_space(self, first, second):
+        """A group is one seed space (m, b, num_buckets): a mismatch in any
+        of the three is rejected by every grouped entry point."""
+        ests = [
+            make_estimator(a=a, b=b, buckets=w, seed=s)[0]
+            for s, (a, b, w) in enumerate((first, second))
+        ]
+        with pytest.raises(ValueError, match="seed space"):
+            SeedSweepWorkspace(ests)
+        with pytest.raises(ValueError, match="seed space"):
+            exact_by_sigma_grouped(ests, [1, 1])
+        with pytest.raises(ValueError, match="seed space"):
+            buckets_for_seed_grouped(ests, [(1, 0), (1, 0)])
+        with pytest.raises(ValueError, match="seed space"):
+            derandomize_phase_group(ests)
+
+    @pytest.mark.parametrize("buckets", [2, 4])
+    @pytest.mark.parametrize("b, domains", [(4, (3, 4, 3)), (5, (3, 5, 4))])
+    def test_mixed_psi_domains_fuse_at_equal_m(self, buckets, b, domains):
+        """Estimators whose ψ-domain bits a differ but whose m = max(a, b)
+        agree share one seed space: each member's sweep rows, σ descent
+        and seed choice in the fused group equal its group of one."""
+        ests = [
+            make_estimator(a=a, b=b, buckets=buckets, seed=s)[0]
+            for s, a in enumerate(domains)
+        ]
+        assert len({est.family.a for est in ests}) > 1
+        assert len({est.family.m for est in ests}) == 1
+        s1s = np.arange(1 << ests[0].family.m, dtype=np.int64)
+        rows = SeedSweepWorkspace(ests).expected_rows(s1s)
+        picks = [3, 0, 11]
+        descents = exact_by_sigma_grouped(ests, picks)
+        choices = derandomize_phase_group(ests)
+        for j, est in enumerate(ests):
+            assert np.array_equal(
+                rows[j], SeedSweepWorkspace([est]).expected_rows(s1s)[0]
+            )
+            assert descents[j] == exact_by_sigma_grouped([est], [picks[j]])[0]
+            assert_seed_choices_equal(
+                derandomize_phase_group([est])[0], choices[j], f"seed[{j}]"
+            )
 
     def test_grouped_expectation_handles_edgeless_members(self):
         family = PairwiseFamily(3, 4)
