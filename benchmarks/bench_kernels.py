@@ -23,7 +23,7 @@ from repro.hashing.gf2 import GF2m, get_field
 from repro.hashing.pairwise import PairwiseFamily
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from reference import expected_rows_reference  # noqa: E402
+from reference import expected_rows_reference, stack_group  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +100,15 @@ def sweep_group():
         keep = psi[u] != psi[v]
         counts = rng.integers(0, 3, size=(n, 2)).astype(np.int64)
         counts[:, 0] += 1
-        members.append(PhaseEstimator(family, psi, counts, u[keep], v[keep]))
-    return members
+        members.append((psi, counts, u[keep], v[keep]))
+    return stack_group(family, members)
 
 
 def test_kernel_sweep_compressed(benchmark, sweep_group):
     candidates = np.arange(256, dtype=np.int64)
     workspace = SeedSweepWorkspace(sweep_group)
     rows = benchmark(workspace.expected_rows, candidates)
-    assert rows.shape == (len(sweep_group), 256)
+    assert rows.shape == (sweep_group.num_members, 256)
 
 
 def test_kernel_sweep_uncompressed(benchmark, sweep_group):
@@ -125,14 +125,14 @@ def test_kernel_expected_by_s1(benchmark, estimator):
     # One-shot: the workspace build is part of the timed call.
     candidates = np.arange(256, dtype=np.int64)
     values = benchmark(
-        lambda: SeedSweepWorkspace([estimator]).expected_rows(candidates)
+        lambda: SeedSweepWorkspace(estimator).expected_rows(candidates)
     )
     assert values.shape == (1, 256)
 
 
 def test_kernel_sigma_descent(benchmark, estimator):
-    ((sigma, trace, final, root),) = benchmark(
-        exact_by_sigma_grouped, [estimator], [37]
+    (sigma,), (trace,), (final,), (root,) = benchmark(
+        exact_by_sigma_grouped, estimator, [37]
     )
     assert 0 <= sigma < 1 << estimator.b
     assert len(trace) == estimator.b
@@ -141,6 +141,6 @@ def test_kernel_sigma_descent(benchmark, estimator):
 
 def test_kernel_full_phase_derandomization(benchmark, estimator):
     choice = benchmark.pedantic(
-        lambda: derandomize_phase_group([estimator])[0], rounds=3, iterations=1
+        lambda: derandomize_phase_group(estimator)[0], rounds=3, iterations=1
     )
     assert choice.final_value <= choice.initial_expectation + 1e-9

@@ -9,16 +9,15 @@ one complete ``derandomize_phase_group`` twice:
 * **reference** — the pre-table / pre-compression path: GF(2^m) multiplies
   via the shift-and-add peasant kernel (``use_tables = False``) and the
   tests' per-edge sweep oracle (``expected_rows_reference``: the count
-  gather over every edge column, exact sums per estimator and list size by
-  ``np.add.at``), rebuilt per chunk (the old per-chunk concatenation
-  cost); the reference choices come from the oracles alone
+  gather over every edge column, exact sums per member and list size by
+  ``np.add.at``), rebuilt per chunk; the reference choices come from the oracles alone
   (``derandomize_phase_reference``);
 * **optimized** — the default path: log/antilog table multiplies, the
   unique-column compressed sweep, and one
   :class:`~repro.core.potential.SeedSweepWorkspace` reused across chunks.
 
 Both paths count in exact integers and form the same exact integer sums
-per estimator and list size (which do not depend on column
+per member and list size (which do not depend on column
 deduplication), so the val1 matrices and every :class:`SeedChoice` (seed
 bits, conditional traces, final potentials) are asserted
 **bit-identical** before timing.
@@ -85,7 +84,6 @@ from repro.core.derandomize import (
     fix_bits_greedily_many,
 )
 from repro.core.potential import (
-    PhaseEstimator,
     SeedSweepWorkspace,
     SweepCountKernel,
     exact_by_sigma_grouped,
@@ -101,7 +99,9 @@ sys.path.insert(0, os.path.join(HERE, "..", "tests"))
 from reference import (  # noqa: E402
     count_table_reference,
     expected_rows_reference,
+    group_members,
     kernel_fingerprint,
+    stack_group,
     unique_rows_reference,
 )
 from test_seed_sweep_compression import (  # noqa: E402
@@ -122,8 +122,8 @@ def build_group(
     seed: int = 0,
     buckets: int = 2,
     list_kinds: int = 0,
-) -> list:
-    """A shared-seed phase group shaped like a real Theorem 1.1 phase
+):
+    """A fusion group shaped like a real Theorem 1.1 phase
     (``buckets = 2^r`` for an r-bit phase).  With ``list_kinds`` every
     node's bucket counts are one of that many rows, as in a clique phase
     whose lists split alike, so the kernel has few distinct interval rows."""
@@ -142,14 +142,14 @@ def build_group(
         else:
             counts = rng.integers(0, 3, size=(n, buckets)).astype(np.int64)
         counts[:, 0] += 1
-        members.append(PhaseEstimator(family, psi, counts, u[keep], v[keep]))
-    return members
+        members.append((psi, counts, u[keep], v[keep]))
+    return stack_group(family, members)
 
 
-def optimized_sweep(estimators: list, order: int) -> np.ndarray:
+def optimized_sweep(group, order: int) -> np.ndarray:
     """One workspace for the whole enumeration; compressed columns."""
-    workspace = SeedSweepWorkspace(estimators)
-    val1 = np.empty((len(estimators), order), dtype=np.float64)
+    workspace = SeedSweepWorkspace(group)
+    val1 = np.empty((group.num_members, order), dtype=np.float64)
     for start in range(0, order, CHUNK):
         stop = min(order, start + CHUNK)
         workspace.expected_rows(
@@ -158,28 +158,30 @@ def optimized_sweep(estimators: list, order: int) -> np.ndarray:
     return val1
 
 
-def reference_sweep(estimators: list, order: int) -> np.ndarray:
+def reference_sweep(group, order: int) -> np.ndarray:
     """The pre-workspace shape: re-fused from scratch every chunk."""
-    val1 = np.empty((len(estimators), order), dtype=np.float64)
+    val1 = np.empty((group.num_members, order), dtype=np.float64)
     for start in range(0, order, CHUNK):
         stop = min(order, start + CHUNK)
         val1[:, start:stop] = expected_rows_reference(
-            estimators, np.arange(start, stop, dtype=np.int64)
+            group, np.arange(start, stop, dtype=np.int64)
         )
     return val1
 
 
-def sigma_sweep(estimators: list, s1s: np.ndarray) -> np.ndarray:
-    """σ by greedy block means over each member's full 2^b float sweep."""
+def sigma_sweep(members: list, s1s: np.ndarray) -> np.ndarray:
+    """σ by greedy block means over each member's full 2^b float sweep
+    (``members`` are the group's members as groups of one)."""
     values = np.stack(
-        [sigma_sweep_reference(est, s1) for est, s1 in zip(estimators, s1s)]
+        [sigma_sweep_reference(est, s1) for est, s1 in zip(members, s1s)]
     )
     return fix_bits_greedily_many(values)[0]
 
 
-def assert_descent_matches_oracle(estimators: list, s1s: np.ndarray) -> None:
-    got = exact_by_sigma_grouped(estimators, s1s)
-    for est, s1, (sigma, trace, final, root) in zip(estimators, s1s, got):
+def assert_descent_matches_oracle(group, s1s: np.ndarray) -> None:
+    sigmas, traces, finals, roots = exact_by_sigma_grouped(group, s1s)
+    got = zip(sigmas, traces.tolist(), finals, roots)
+    for est, s1, (sigma, trace, final, root) in zip(group_members(group), s1s, got):
         want_sigma, want_trace, want_final, want_root = sigma_descent_reference(
             est, s1
         )
@@ -190,21 +192,21 @@ def assert_descent_matches_oracle(estimators: list, s1s: np.ndarray) -> None:
         )
 
 
-def reference_workspace(estimators: list) -> SeedSweepWorkspace:
+def reference_workspace(group) -> SeedSweepWorkspace:
     """The workspace built with the row-wise column dedup."""
     packed = potential._unique_rows
     potential._unique_rows = lambda columns: unique_rows_reference(
         np.stack(columns, axis=1)
     )[1:]
     try:
-        return SeedSweepWorkspace(estimators)
+        return SeedSweepWorkspace(group)
     finally:
         potential._unique_rows = packed
 
 
-def assert_workspace_matches_reference(estimators: list) -> None:
-    new = SeedSweepWorkspace(estimators)
-    ref = reference_workspace(estimators)
+def assert_workspace_matches_reference(group) -> None:
+    new = SeedSweepWorkspace(group)
+    ref = reference_workspace(group)
     for name in ("inverse", "uniq_psi_diff", "uniq_thr_u", "uniq_thr_v"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), (
             f"workspace {name} diverged"
@@ -257,43 +259,44 @@ def main() -> int:
     add_json_arg(parser, "seed_sweep")
     args = parser.parse_args()
 
-    estimators = build_group(args.instances, args.n, args.deg)
-    field = estimators[0].family.field
-    order = 1 << estimators[0].family.m
-    edges = sum(est.num_edges for est in estimators)
-    unique = len(SeedSweepWorkspace(estimators).uniq_psi_diff)
+    group = build_group(args.instances, args.n, args.deg)
+    field = group.family.field
+    order = 1 << group.family.m
+    edges = group.num_edges
+    unique = len(SeedSweepWorkspace(group).uniq_psi_diff)
 
     # Byte-identity of the sweep and of the full phase derandomization
     # against the pre-table / pre-compression reference path.
-    val1_new = optimized_sweep(estimators, order)
-    choices_new = derandomize_phase_group(estimators)
+    val1_new = optimized_sweep(group, order)
+    choices_new = derandomize_phase_group(group)
     field.use_tables = False
-    val1_ref = reference_sweep(estimators, order)
-    choices_ref = derandomize_phase_reference(estimators)
+    val1_ref = reference_sweep(group, order)
+    choices_ref = derandomize_phase_reference(group)
     field.use_tables = True
     assert np.array_equal(val1_new, val1_ref), "val1 sweep diverged"
     assert_choices_identical(choices_new, choices_ref)
     s1s = np.array([choice.s1 for choice in choices_new], dtype=np.int64)
-    assert_descent_matches_oracle(estimators, s1s)
-    assert_workspace_matches_reference(estimators)
+    assert_descent_matches_oracle(group, s1s)
+    assert_workspace_matches_reference(group)
     interval_group = build_group(
         args.instances, args.n, args.deg, b=9, buckets=8, list_kinds=8
     )
     kernels = [
-        SeedSweepWorkspace(group).kernel for group in (estimators, interval_group)
+        SeedSweepWorkspace(each).kernel for each in (group, interval_group)
     ]
     assert_tables_match_reference(kernels)
     table_rows = [len(count_table_reference(kernel)) for kernel in kernels]
 
-    t_new = best_of(lambda: optimized_sweep(estimators, order))
+    t_new = best_of(lambda: optimized_sweep(group, order))
     field.use_tables = False
-    t_ref = best_of(lambda: reference_sweep(estimators, order))
+    t_ref = best_of(lambda: reference_sweep(group, order))
     field.use_tables = True
     speedup = t_ref / t_new
-    t_sigma_ref = best_of(lambda: sigma_sweep(estimators, s1s))
-    t_sigma = best_of(lambda: exact_by_sigma_grouped(estimators, s1s))
-    t_ws_ref = best_of(lambda: reference_workspace(estimators), repeats=7)
-    t_ws = best_of(lambda: SeedSweepWorkspace(estimators), repeats=7)
+    members = group_members(group)
+    t_sigma_ref = best_of(lambda: sigma_sweep(members, s1s))
+    t_sigma = best_of(lambda: exact_by_sigma_grouped(group, s1s))
+    t_ws_ref = best_of(lambda: reference_workspace(group), repeats=7)
+    t_ws = best_of(lambda: SeedSweepWorkspace(group), repeats=7)
     t_table_ref = best_of(
         lambda: [count_table_reference(kernel) for kernel in kernels], repeats=7
     )
@@ -304,14 +307,14 @@ def main() -> int:
 
     print(
         f"instances={args.instances} edges={edges} unique-columns={unique} "
-        f"seeds=2^{estimators[0].family.m} (byte-identical outputs)"
+        f"seeds=2^{group.family.m} (byte-identical outputs)"
     )
     print(f"reference sweep (peasant GF, per-edge):    {t_ref * 1000:8.1f} ms")
     print(
         f"table/compressed sweep:                    {t_new * 1000:8.1f} ms"
         f"   ({speedup:.1f}x)"
     )
-    label = f"σ full 2^{estimators[0].b} sweep + greedy:"
+    label = f"σ full 2^{group.b} sweep + greedy:"
     print(f"{label:<43}{t_sigma_ref * 1000:8.1f} ms")
     print(
         f"{'σ bit-by-bit descent:':<43}{t_sigma * 1000:8.1f} ms"

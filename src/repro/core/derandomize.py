@@ -100,78 +100,95 @@ def fix_bits_greedily_many(rows: np.ndarray) -> tuple[np.ndarray, list[list[floa
     return lo, traces
 
 
-def derandomize_phase_group(estimators, strict: bool = True) -> list:
-    """Choose a good seed for one phase of many instances (Lemma 2.6).
+def derandomize_phase_group(group, strict: bool = True) -> list:
+    """Choose a good seed for one phase of a fusion group (Lemma 2.6).
 
-    Every estimator must share the seed space ``(m, b, num_buckets)`` —
-    the shared-seed fusion contract of the batched solver; the ψ-domain
-    bits a may differ, since s1 ranges over GF(2^m) with m = max(a, b).
-    The ``val1[s1]`` conditional-expectation arrays of all estimators are
-    produced by a single enumeration of the 2^m multiplicative seeds in
-    blocks of :data:`CHUNK_SIZE` — the dominant per-phase cost.  One
+    ``group`` is a :class:`~repro.core.potential.PhaseEstimator`: its
+    members share the group's seed space ``(m, b, num_buckets)`` — the
+    shared-seed fusion contract of the batched solver; the ψ-domain bits a
+    may differ, since s1 ranges over GF(2^m) with m = max(a, b).  The
+    ``val1[s1]`` conditional-expectation rows of all members are produced
+    by a single enumeration of the 2^m multiplicative seeds in blocks of
+    :data:`CHUNK_SIZE` — the dominant per-phase cost.  One
     :class:`~repro.core.potential.SeedSweepWorkspace` is built for the
-    whole enumeration, so the concatenated edge arrays and the
-    unique-column decomposition are constructed once; each block writes
-    its columns straight into the ``val1`` matrix.  Each instance then
-    fixes its own seed bits independently (greedy block means over its own
-    conditional expectations, then one σ descent batched over the group),
-    so the returned :class:`SeedChoice` per estimator is identical to a
-    group of one.  When ``strict``, internal consistency (the descent's
-    value over the whole σ range equals ``val1`` at the chosen s1 exactly;
-    Eq. (7) monotonicity; final ≤ initial expectation) is asserted.
+    whole enumeration, so the per-edge arrays and the unique-column
+    decomposition are constructed once; each block writes its columns
+    straight into the ``val1`` matrix.  Each member then fixes its own
+    seed bits independently (greedy block means over its own conditional
+    expectations, then one σ descent batched over the group), so the
+    returned :class:`SeedChoice` per member is identical to a group of
+    one.  When ``strict``, internal consistency (the descent's value over
+    the whole σ range equals ``val1`` at the chosen s1 exactly; Eq. (7)
+    monotonicity; final ≤ initial expectation) is asserted over the whole
+    group at once, and a failure names the first offending member.
     """
-    estimators = list(estimators)
-    if not estimators:
-        return []
-    m = estimators[0].family.m
+    m = group.family.m
     order = 1 << m
 
-    sweep = SeedSweepWorkspace(estimators)
-    val1 = np.empty((len(estimators), order), dtype=np.float64)
+    sweep = SeedSweepWorkspace(group)
+    val1 = np.empty((group.num_members, order), dtype=np.float64)
     for start in range(0, order, CHUNK_SIZE):
         stop = min(order, start + CHUNK_SIZE)
         sweep.expected_rows(
             np.arange(start, stop, dtype=np.int64), out=val1[:, start:stop]
         )
 
-    # Fix every instance's s1 bits first (one vectorized greedy descent over
+    # Fix every member's s1 bits first (one vectorized greedy descent over
     # all rows), then descend σ for the whole group at once.
     s1s, traces1 = fix_bits_greedily_many(val1)
-    descents = exact_by_sigma_grouped(estimators, s1s)
+    sigmas, traces2, finals, roots = exact_by_sigma_grouped(group, s1s)
+    initials = val1.mean(axis=1)
 
-    choices = []
-    for j, estimator in enumerate(estimators):
-        row = val1[j]
-        initial = float(row.mean())
-        s1, trace1 = int(s1s[j]), traces1[j]
-        sigma, trace2, final, root = descents[j]
-        if strict and root != row[s1]:
+    if strict:
+        picked = val1[np.arange(len(s1s)), s1s]
+        bad = np.flatnonzero(roots != picked)
+        if len(bad):
+            j = int(bad[0])
             raise AssertionError(
-                f"estimator inconsistency: σ-descent root {root!r} vs "
-                f"val1[s1]={float(row[s1])!r}"
+                f"estimator inconsistency (member {j}): σ-descent root "
+                f"{float(roots[j])!r} vs val1[s1]={float(picked[j])!r}"
             )
-
-        trace = trace1 + trace2
-        if strict:
-            previous = initial
-            for value in trace:
-                if value > previous + 1e-9 * max(1.0, abs(previous)):
-                    raise AssertionError(
-                        "Eq. (7) violated: conditional expectation increased"
-                    )
-                previous = value
-            if final > initial + 1e-9 * max(1.0, abs(initial)):
-                raise AssertionError("final potential exceeds its expectation")
-
-        choices.append(
-            SeedChoice(
-                s1=int(s1),
-                sigma=int(sigma),
-                s1_bits=m,
-                sigma_bits=estimator.b,
-                initial_expectation=initial,
-                final_value=final,
-                conditional_trace=trace,
-            )
+        # Eq. (7): each conditional expectation, starting from the initial
+        # one, is at most its predecessor (up to float noise).
+        stacked = np.hstack(
+            [
+                initials[:, None],
+                np.array(traces1, dtype=np.float64).reshape(len(s1s), m),
+                traces2,
+            ]
         )
-    return choices
+        previous = stacked[:, :-1]
+        rises = stacked[:, 1:] > previous + 1e-9 * np.maximum(1.0, np.abs(previous))
+        bad = np.flatnonzero(rises.any(axis=1))
+        if len(bad):
+            raise AssertionError(
+                f"Eq. (7) violated (member {int(bad[0])}): conditional "
+                "expectation increased"
+            )
+        bad = np.flatnonzero(
+            finals > initials + 1e-9 * np.maximum(1.0, np.abs(initials))
+        )
+        if len(bad):
+            raise AssertionError(
+                f"final potential exceeds its expectation (member {int(bad[0])})"
+            )
+
+    return [
+        SeedChoice(
+            s1=s1,
+            sigma=sigma,
+            s1_bits=m,
+            sigma_bits=group.b,
+            initial_expectation=initial,
+            final_value=final,
+            conditional_trace=trace1 + trace2,
+        )
+        for s1, sigma, initial, final, trace1, trace2 in zip(
+            s1s.tolist(),
+            sigmas.tolist(),
+            initials.tolist(),
+            finals.tolist(),
+            traces1,
+            traces2.tolist(),
+        )
+    ]

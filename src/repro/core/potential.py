@@ -24,10 +24,22 @@ expectations (Lemma 2.6 / Eq. (7)) needs two things:
   bit by bit from exact counts on the block (see its docstring) and never
   builds a per-σ array.
 
+**One object per fusion group.**  The batched solver fuses the instances
+that share a seed space ``(m, b, 2^r)`` into one derandomization, and a
+:class:`PhaseEstimator` describes that whole group: flat ψ, bucket counts
+and thresholds over the members' nodes, the alive edges in group-local
+node ids with their ψ-differences, and ``node_offsets`` / ``edge_offsets``
+(length members + 1) that cut them into members.  The single-instance
+constructor is a group of one.  Every consumer reads the flat arrays and
+maps an edge to its member through ``edge_member``; each member's values
+are functions of its own integers, so they equal those of its group of
+one.  A member without edges has no incidences and gets exactly 0.0
+everywhere, which the tie rules turn into seed (0, 0).
+
 **Exact-integer weighting.**  Both halves reduce to integer counts ``n_w``
 — the number of seeds in a block that put both endpoints of an edge in
 bucket w — weighted by the endpoints' ``1/k_w``.  :class:`_WeightPlan`
-sums the counts into exact int64 ``S`` per (estimator, list size k) and
+sums the counts into exact int64 ``S`` per (member, list size k) and
 only then forms ``(Σ_k S_k / k, k ascending) / block size``.  Every value
 is therefore a fixed function of exact integers: chunking the seed range
 cannot change a bit, the σ descent's root (the whole σ range) equals
@@ -347,17 +359,18 @@ class SweepCountKernel:
 class _WeightPlan:
     """The exact-integer weighting shared by the s1 sweep and the σ descent.
 
-    An *incidence* is one (edge endpoint x, bucket w) pair of estimator j:
+    An *incidence* is one (edge endpoint x, bucket w) pair of member j:
     it adds the count in integer column ``col`` (the number of seeds of a
     block putting both endpoints in bucket w) to the group ``(j, k)`` with
     ``k = k_w(x)``; k = 0 carries weight 0 and is dropped.  Groups are
-    numbered in (estimator, ascending k) order, and the plan keeps a sparse
-    (column, group, multiplicity) list sorted by group, so fused groups of
-    hundreds of estimators never build a dense (columns × groups) matrix.
+    numbered in (member, ascending k) order, and the plan keeps a sparse
+    (column, group, multiplicity) list sorted by group, so fusion groups of
+    hundreds of members never build a dense (columns × groups) matrix.
 
     :meth:`sums` forms the int64 sums ``S`` per group (plus an optional
     integer constant per incidence); :meth:`values` turns them into
-    ``(Σ_k S_k / k, k ascending) / scale`` per estimator.  Groups whose
+    ``(Σ_k S_k / k, k ascending) / scale`` per member; a member without
+    incidences gets exactly 0.0.  Groups whose
     ``S`` is 0 add an exact 0.0, so two plans over the same nonzero sums
     give the same floats.  The exactness guard checks once that no ``S``
     can reach 2^53 when every count lies in [0, ``scale``] (and every
@@ -408,7 +421,7 @@ class _WeightPlan:
                 f"seed-sweep sums may reach {self.sum_bound} >= 2^53: "
                 "the integer weighting would not be exact"
             )
-        # Sequential ascending-k summation order: slot p of estimator j
+        # Sequential ascending-k summation order: slot p of member j
         # holds its p-th smallest k; missing slots point at a zero column.
         first_group = np.searchsorted(self.group_est, np.arange(num_est))
         slot = np.arange(num_groups) - first_group[self.group_est]
@@ -429,10 +442,10 @@ class _WeightPlan:
         return sums
 
     def values(self, sums: np.ndarray, scale: int) -> np.ndarray:
-        """(rows × estimators) ``(Σ_k S_k / k, k ascending) / scale``."""
+        """(rows × members) ``(Σ_k S_k / k, k ascending) / scale``."""
         num_groups = len(self.group_k)
         # One float per (row, group): S / k, plus a zero column that the
-        # padding slots of estimators with fewer distinct k point at.
+        # padding slots of members with fewer distinct k point at.
         quotients = np.zeros((len(sums), num_groups + 1), dtype=np.float64)
         np.divide(sums, self.group_k, out=quotients[:, :num_groups])
         total = quotients[:, self.slots[:, 0]]
@@ -443,25 +456,25 @@ class _WeightPlan:
 
 
 class SeedSweepWorkspace:
-    """Seed-independent state for the fused ``E[Σ_e X_e | s1]`` sweep.
+    """Seed-independent state for the ``E[Σ_e X_e | s1]`` sweep of one
+    fusion group.
 
-    This is the shared-seed phase fusion of the batched solver: all
-    estimators must share the seed space ``(m, b, num_buckets)`` — the
-    field GF(2^m), m = max(a, b), the coin accuracy and the bucket count —
-    but may carry different conflict graphs, input colorings ψ and
-    ψ-domain bits a.  Each member's counts and weighting are functions of
-    its own integers, so its rows equal those of a group of one.  The
-    dominant (candidates × edges) work — the GF(2^m) multiply of
-    ``g_values_many`` and the count-table gather — runs ONCE over the
-    concatenated edge arrays of all estimators, and the weighting recovers
-    every estimator's expectation from exact per-(estimator, list size)
-    integer sums.
+    ``group`` is a :class:`PhaseEstimator`.  Its members share the seed
+    space ``(m, b, num_buckets)`` — the field GF(2^m), m = max(a, b), the
+    coin accuracy and the bucket count — but carry their own conflict
+    graphs, input colorings ψ and ψ-domain bits a.  Each member's counts
+    and weighting are functions of its own integers, so its rows equal
+    those of a group of one.  The dominant (candidates × edges) work — the
+    GF(2^m) multiply of ``g_values_many`` and the count-table gather — runs
+    ONCE over the group's flat edge arrays, and the weighting recovers
+    every member's expectation from exact per-(member, list size) integer
+    sums.
 
     Constructing the workspace once per phase hoists everything that does
     not depend on the s1 candidates out of the chunked 2^m enumeration:
 
-    * the concatenated per-edge arrays (ψ-differences, endpoint threshold
-      rows) are built once instead of once per chunk;
+    * the per-edge arrays (ψ-differences, endpoint threshold rows) are
+      read from the group once instead of once per chunk;
     * edge columns are deduplicated by the key ``(ψ_u ⊕ ψ_v,
       thresholds(u), thresholds(v))``, and the GF multiply and count
       gather run on unique columns only.  The key's
@@ -472,7 +485,7 @@ class SeedSweepWorkspace:
       A rank compares as its row compares lexicographically, so the
       unique columns are in a row-wise ``np.unique``'s order: sorted by
       ψ-difference, then by the thresholds of u, then by those of v;
-    * the weighting plan: every edge endpoint x of estimator j contributes
+    * the weighting plan: every edge endpoint x of member j contributes
       ``n_w / k_w(x)`` for each bucket w, where ``n_w`` is the number of σ
       putting both endpoints in bucket w.  Grouping endpoints by
       ``(j, k = k_w(x))`` gives
@@ -488,37 +501,28 @@ class SeedSweepWorkspace:
 
     The plan's exactness guard checks once that no ``S`` can reach 2^53,
     so each ``val1`` entry is a fixed function of exact integers of its
-    own seed row.
+    own seed row.  A member without edges has no incidences, so its rows
+    are exactly 0.0.
     """
 
-    def __init__(self, estimators):
-        self.estimators = list(estimators)
-        #: The pure-integer count kernel (None when no estimator has edges).
-        self.kernel: SweepCountKernel | None = None
-        if self.estimators:
-            _check_group(self.estimators)
-        live = [est for est in self.estimators if est.num_edges]
-        self.live = live
-        if not live:
-            return
-        first = live[0]
-        self.family = first.family
-        self.b = first.b
-        self.scale = first.scale
-        self.num_buckets = first.num_buckets
-        self.psi_diff = np.concatenate([est.psi_diff for est in live])
-        self.thr_u = np.concatenate(
-            [est.thresholds[est.edges_u] for est in live]
-        )
-        self.thr_v = np.concatenate(
-            [est.thresholds[est.edges_v] for est in live]
-        )
+    def __init__(self, group: PhaseEstimator):
+        self.group = group
+        self.family = group.family
+        self.b = group.b
+        self.scale = group.scale
+        self.num_buckets = group.num_buckets
+        #: Whether any member has an edge (every row is 0.0 otherwise).
+        self.live = group.num_edges > 0
+        self.psi_diff = group.psi_diff
+        self.thr_u = group.thresholds[group.edges_u]
+        self.thr_v = group.thresholds[group.edges_v]
         index, self.inverse = _unique_rows(
             [self.psi_diff, *self.thr_u.T, *self.thr_v.T]
         )
         self.uniq_psi_diff = self.psi_diff[index]
         self.uniq_thr_u = self.thr_u[index]
         self.uniq_thr_v = self.thr_v[index]
+        #: The pure-integer count kernel.
         self.kernel = SweepCountKernel(
             self.family,
             self.num_buckets,
@@ -536,15 +540,15 @@ class SeedSweepWorkspace:
         ``n_both0`` column, plus the constant ``2^b − t_u − t_v`` for
         bucket 1).
         """
-        live = self.live
-        est_id = np.repeat(
-            np.arange(len(live), dtype=np.int64),
-            [est.num_edges for est in live],
-        )
-        k_u = np.concatenate([est.counts[est.edges_u] for est in live])
-        k_v = np.concatenate([est.counts[est.edges_v] for est in live])
+        group = self.group
+        est_id = group.edge_member
+        k_u = group.counts[group.edges_u]
+        k_v = group.counts[group.edges_v]
         column = self.inverse
-        cols, ests, ks = [], [], []
+        # Each list starts empty-but-typed, so a group whose buckets hold no
+        # alive column still concatenates (to no incidence).
+        none = np.zeros(0, dtype=np.int64)
+        cols, ests, ks = [none], [none], [none]
         consts = None
         if self.num_buckets == 2:
             # Both buckets weight the n_both0 column; bucket 1 also adds
@@ -572,16 +576,12 @@ class SeedSweepWorkspace:
             np.concatenate(cols),
             np.concatenate(ests),
             np.concatenate(ks),
-            len(live),
+            group.num_members,
             self.kernel.count_width,
             int(self.scale),
             consts,
         )
         self.sum_bound = self.plan.sum_bound
-        self._live_rows = np.array(
-            [i for i, est in enumerate(self.estimators) if est.num_edges],
-            dtype=np.int64,
-        )
 
     def weight_rows(
         self, counts: np.ndarray, out: np.ndarray | None = None
@@ -589,7 +589,7 @@ class SeedSweepWorkspace:
         """The weighting step: count rows → expectation columns.
 
         ``counts`` is any contiguous block of seed rows as produced by
-        :meth:`SweepCountKernel.count_rows`; returns the (num estimators,
+        :meth:`SweepCountKernel.count_rows`; returns the (num members,
         num rows) expectation matrix for that block.  Per row it forms the
         exact int64 sums ``S[j, k]``, then ``(Σ_k S[j, k] / k) / 2^b`` with
         k ascending, so every entry is a fixed function of exact integers
@@ -598,7 +598,7 @@ class SeedSweepWorkspace:
         deduplicated.
         """
         counts = np.asarray(counts)
-        shape = (len(self.estimators), counts.shape[0])
+        shape = (self.group.num_members, counts.shape[0])
         if out is None:
             out = np.empty(shape, dtype=np.float64)
         elif out.shape != shape or out.dtype != np.float64:
@@ -606,61 +606,27 @@ class SeedSweepWorkspace:
                 f"out must be float64 of shape {shape}, got "
                 f"{out.dtype} {out.shape}"
             )
-        if not self.live:
-            out[...] = 0.0
-            return out
         if counts.shape[1] != self.kernel.count_width or counts.dtype != np.int64:
             raise ValueError(
                 f"counts must be int64 with {self.kernel.count_width} "
                 f"columns, got {counts.dtype} {counts.shape}"
             )
-        out[...] = 0.0
-        if len(counts):
-            total = self.plan.values(self.plan.sums(counts), int(self.scale))
-            out[self._live_rows, :] = total.T
+        out[...] = self.plan.values(self.plan.sums(counts), int(self.scale)).T
         return out
 
     def expected_rows(
         self, s1_candidates: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """``E[Σ_e X_e | s1]`` as a (num estimators, num candidates) matrix.
+        """``E[Σ_e X_e | s1]`` as a (num members, num candidates) matrix.
 
-        Row j is ``E[Σ_e X_e | s1]`` of ``estimators[j]`` (expectation over
-        σ); ``out``, when given, is filled in place (float64, matching
-        shape).  Composition of the integer
-        :meth:`SweepCountKernel.count_rows` kernel and the
-        :meth:`weight_rows` step (exact integer sums, then one division per
-        list size).
+        Row j is ``E[Σ_e X_e | s1]`` of member j (expectation over σ);
+        ``out``, when given, is filled in place (float64, matching shape).
+        Composition of the integer :meth:`SweepCountKernel.count_rows`
+        kernel and the :meth:`weight_rows` step (exact integer sums, then
+        one division per list size).
         """
         s1_candidates = np.asarray(s1_candidates, dtype=np.int64)
-        shape = (len(self.estimators), len(s1_candidates))
-        if out is None:
-            out = np.empty(shape, dtype=np.float64)
-        elif out.shape != shape or out.dtype != np.float64:
-            raise ValueError(
-                f"out must be float64 of shape {shape}, got "
-                f"{out.dtype} {out.shape}"
-            )
-        if not self.live:
-            out[...] = 0.0
-            return out
         return self.weight_rows(self.kernel.count_rows(s1_candidates), out=out)
-
-
-def _check_group(estimators) -> tuple:
-    """The group's seed-space key ``(m, b, num_buckets)``; raises
-    ``ValueError`` unless every estimator has it.  The ψ-domain bits ``a``
-    may differ: ``top_b(s1 ⊙ ψ)`` only uses GF(2^m) and b."""
-    first = estimators[0]
-    key = (first.family.m, first.family.b, first.num_buckets)
-    for est in estimators[1:]:
-        if (est.family.m, est.family.b, est.num_buckets) != key:
-            raise ValueError(
-                "grouped estimators must share the seed space "
-                "(m, b, num_buckets); got "
-                f"{(est.family.m, est.family.b, est.num_buckets)} vs {key}"
-            )
-    return key
 
 
 def _count_below_block(
@@ -679,29 +645,19 @@ def _count_below_block(
 
 
 class _SigmaDescent:
-    """Per-level exact counts of a fused group's σ descent (see
-    :func:`exact_by_sigma_grouped`).  Holds the alive edges of every member
-    with edges: hash values under the member's own s1, thresholds and the
-    weighting plan, all O(edges · 2^r)."""
+    """Per-level exact counts of a fusion group's σ descent (see
+    :func:`exact_by_sigma_grouped`).  Holds the group's alive edges: hash
+    values under each member's own s1, thresholds and the weighting plan,
+    all O(edges · 2^r)."""
 
-    def __init__(self, members, s1_values: np.ndarray):
-        first = members[0]
-        sizes = np.array([len(est.psi) for est in members], dtype=np.int64)
-        node_offsets = np.zeros(len(members), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=node_offsets[1:])
-        num_edges = [est.num_edges for est in members]
-        edge_est = np.repeat(np.arange(len(members), dtype=np.int64), num_edges)
-        eu = np.concatenate([est.edges_u for est in members])
-        ev = np.concatenate([est.edges_v for est in members])
-        eu += node_offsets[edge_est]
-        ev += node_offsets[edge_est]
-        psi = np.concatenate([est.psi for est in members])
-        g = first.family.field.mul_vec(np.repeat(s1_values, sizes), psi) >> (
-            first.family.m - first.b
+    def __init__(self, group: PhaseEstimator, s1_values: np.ndarray):
+        eu, ev = group.edges_u, group.edges_v
+        s1_node = np.repeat(s1_values, np.diff(group.node_offsets))
+        g = group.family.field.mul_vec(s1_node, group.psi) >> (
+            group.family.m - group.b
         )
-        thresholds = np.concatenate([est.thresholds for est in members])
-        counts = np.concatenate([est.counts for est in members])
-        if first.num_buckets == 2:
+        thresholds = group.thresholds
+        if group.num_buckets == 2:
             # Items are edges; the level counts are [n_both0 | n_both1].
             item_edge = np.arange(len(eu), dtype=np.int64)
             num_cols = 2 * len(eu)
@@ -726,17 +682,17 @@ class _SigmaDescent:
             idx = np.arange(num_cols, dtype=np.int64)
             inc_col = np.concatenate([idx, idx])
             ends = [(iu, item_w), (iv, item_w)]
-        self.item_est = edge_est[item_edge]
+        self.item_est = group.edge_member[item_edge]
         self.g_u = g[eu[item_edge]]
         self.g_v = g[ev[item_edge]]
         self.d = self.g_u ^ self.g_v
         self.plan = _WeightPlan(
             inc_col,
             np.tile(self.item_est, len(ends)),
-            np.concatenate([counts[x, w] for x, w in ends]),
-            len(members),
+            np.concatenate([group.counts[x, w] for x, w in ends]),
+            group.num_members,
             num_cols,
-            int(first.scale),
+            int(group.scale),
         )
 
     def block_sums(self, width: int, prefix: np.ndarray) -> np.ndarray:
@@ -774,8 +730,8 @@ class _SigmaDescent:
         return self.plan.sums(counts[None, :])[0]
 
 
-def exact_by_sigma_grouped(estimators, s1_values) -> list:
-    """Fix σ bit by bit for every member of a fused group (Lemma 2.6).
+def exact_by_sigma_grouped(group: PhaseEstimator, s1_values) -> tuple:
+    """Fix σ bit by bit for every member of a fusion group (Lemma 2.6).
 
     Once s1 is fixed, Eq. (7) fixes σ's b bits most significant first:
     with the prefix p of i bits fixed, each child ``c`` is the dyadic
@@ -793,37 +749,28 @@ def exact_by_sigma_grouped(estimators, s1_values) -> list:
     keeps the 0 branch.  Every level runs once over the whole group, and
     no array indexed by σ is built: memory is O(edges · 2^r) per level.
 
-    Keeps the name the derandomizer calls once per group for σ.  Returns,
-    per estimator, ``(sigma, trace, final, root)``: the chosen σ, the
-    chosen child's value after each bit (Eq. (7) trace), the value of the
-    single σ left (the exact potential at (s1, σ)), and the value of the
-    whole σ range — the same function of the same integers as
-    ``val1[s1]``, so the two agree bit for bit.  Members without edges get
-    σ = 0 and all-zero values.  Raises ``ValueError`` for an s1 outside
-    GF(2^m).
+    ``s1_values`` holds one s1 per member.  Returns the arrays ``(sigma,
+    traces, finals, roots)``, one row per member: the chosen σ, the chosen
+    child's value after each bit (the Eq. (7) trace, members × b), the
+    value of the single σ left (the exact potential at (s1, σ)), and the
+    value of the whole σ range — the same function of the same integers as
+    ``val1[s1]``, so the two agree bit for bit.  A member without edges
+    gets σ = 0 and all-zero values.  Raises ``ValueError`` for an s1
+    outside GF(2^m).
     """
-    estimators = list(estimators)
-    if not estimators:
-        return []
-    _check_group(estimators)
-    first = estimators[0]
-    b = first.b
+    b = group.b
     s1_values = np.asarray(s1_values, dtype=np.int64).reshape(-1)
-    if len(s1_values) != len(estimators):
+    if len(s1_values) != group.num_members:
         raise ValueError(
-            f"need one s1 per estimator, got {len(s1_values)} for "
-            f"{len(estimators)}"
+            f"need one s1 per member, got {len(s1_values)} for "
+            f"{group.num_members}"
         )
-    outside = (s1_values < 0) | (s1_values >= first.family.field.order)
+    outside = (s1_values < 0) | (s1_values >= group.family.field.order)
     if outside.any():
-        first.family.field._check(int(s1_values[outside][0]))
-    results = [(0, [0.0] * b, 0.0, 0.0) for _ in estimators]
-    live = [j for j, est in enumerate(estimators) if est.num_edges]
-    if not live:
-        return results
-    descent = _SigmaDescent([estimators[j] for j in live], s1_values[live])
+        group.family.field._check(int(s1_values[outside][0]))
+    descent = _SigmaDescent(group, s1_values)
     plan = descent.plan
-    prefix = np.zeros(len(live), dtype=np.int64)
+    prefix = np.zeros(group.num_members, dtype=np.int64)
     parent = descent.block_sums(b, prefix)
     root = plan.values(parent[None, :], 1 << b)[0]
     chosen = []
@@ -834,56 +781,57 @@ def exact_by_sigma_grouped(estimators, s1_values) -> list:
         prefix = (prefix << 1) | take1
         parent = np.where(take1[plan.group_est], parent - zero, zero)
         chosen.append(np.where(take1, values[1], values[0]))
-    traces = (
-        np.stack(chosen, axis=1).tolist() if chosen else [[] for _ in live]
-    )
-    finals = chosen[-1] if chosen else root
-    for i, j in enumerate(live):
-        results[j] = (int(prefix[i]), traces[i], float(finals[i]), float(root[i]))
-    return results
+    return prefix, np.stack(chosen, axis=1), chosen[-1], root
 
 
-def buckets_for_seed_grouped(estimators, seeds) -> list:
-    """Per estimator, the bucket chosen by each node under its own seed.
+def buckets_for_seed_grouped(
+    group: PhaseEstimator, s1_values, sigma_values
+) -> np.ndarray:
+    """The bucket each node of a fusion group chooses under its member's
+    seed ``(s1_values[j], sigma_values[j])``, flat in the group's node
+    order.
 
     One GF multiply with per-node ``s1`` and one broadcast comparison of
     every node's y value against its row of the threshold matrix serve the
     whole group.
     """
-    estimators = list(estimators)
-    if not estimators:
-        return []
-    _check_group(estimators)
-    first = estimators[0]
-    sizes = np.array([len(est.psi) for est in estimators], dtype=np.int64)
-    psi = np.concatenate([est.psi for est in estimators])
-    s1_node = np.repeat(
-        np.array([int(seed[0]) for seed in seeds], dtype=np.int64), sizes
+    sizes = np.diff(group.node_offsets)
+    s1_node = np.repeat(np.asarray(s1_values, dtype=np.int64), sizes)
+    sigma_node = np.repeat(np.asarray(sigma_values, dtype=np.int64), sizes)
+    g = group.family.field.mul_vec(s1_node, group.psi) >> (
+        group.family.m - group.b
     )
-    sigma_node = np.repeat(
-        np.array([int(seed[1]) for seed in seeds], dtype=np.int64), sizes
-    )
-    g = first.family.field.mul_vec(s1_node, psi) >> (first.family.m - first.b)
     y = g ^ sigma_node
-    thresholds = np.concatenate([est.thresholds for est in estimators])
     # T[:, 2^r] = 2^b > y never counts, so buckets < num_buckets.
-    buckets = (thresholds[:, 1:] <= y[:, None]).sum(axis=1, dtype=np.int64)
-    counts = np.concatenate([est.counts for est in estimators])
-    chosen = counts[np.arange(len(psi)), buckets]
-    if (chosen <= 0).any():
+    buckets = (group.thresholds[:, 1:] <= y[:, None]).sum(axis=1, dtype=np.int64)
+    if (group.counts[np.arange(len(y)), buckets] <= 0).any():
         raise AssertionError(
             "selected an empty bucket: threshold construction is broken"
         )
-    offsets = np.zeros(len(estimators) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return [
-        buckets[int(offsets[i]):int(offsets[i + 1])]
-        for i in range(len(estimators))
-    ]
+    return buckets
+
+
+def _segment_offsets(owner: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Where each member's run starts in the sorted ``owner`` ids, then
+    ``len(owner)``: the member offsets, length members + 1."""
+    return np.append(np.searchsorted(owner, members), len(owner))
 
 
 class PhaseEstimator:
-    """Exact survival/potential arithmetic for one r-bit extension phase.
+    """Exact survival/potential arithmetic of one r-bit extension phase,
+    for one fusion group: instances that share the seed space
+    ``(m, b, 2^r)``.
+
+    The members' arrays are flat, member after member:
+
+    * ``psi``, ``counts`` (the ``(n, 2^r)`` bucket counts k_w) and
+      ``thresholds`` (:func:`~repro.hashing.coins.bucket_thresholds`) are
+      per node;
+    * ``edges_u`` / ``edges_v`` are the alive conflict edges E_{ℓ-1} in
+      group-local node ids, and ``psi_diff`` is ψ_u ⊕ ψ_v per edge;
+    * member j owns nodes ``node_offsets[j]:node_offsets[j + 1]`` and edges
+      ``edge_offsets[j]:edge_offsets[j + 1]`` (both arrays have length
+      members + 1).
 
     Parameters
     ----------
@@ -896,6 +844,9 @@ class PhaseEstimator:
         ``(n, 2^r)`` — candidate colors of each node per r-bit bucket.
     edges_u, edges_v:
         Endpoints of the *alive* conflict edges E_{ℓ-1}.
+
+    The constructor builds a group of one; :meth:`build_group` gathers a
+    group from a batch's union arrays.
     """
 
     def __init__(
@@ -905,7 +856,6 @@ class PhaseEstimator:
         bucket_counts: np.ndarray,
         edges_u: np.ndarray,
         edges_v: np.ndarray,
-        _thresholds: np.ndarray | None = None,
     ):
         self.family = family
         self.b = family.b
@@ -913,57 +863,68 @@ class PhaseEstimator:
         self.psi = np.asarray(psi, dtype=np.int64)
         self.counts = np.asarray(bucket_counts, dtype=np.int64)
         self.num_buckets = self.counts.shape[1]
-        self.thresholds = (
-            bucket_thresholds(self.counts, self.b)
-            if _thresholds is None
-            else _thresholds
-        )
+        self.thresholds = bucket_thresholds(self.counts, self.b)
         self.edges_u = np.asarray(edges_u, dtype=np.int64)
         self.edges_v = np.asarray(edges_v, dtype=np.int64)
-        if len(self.edges_u):
-            diff = self.psi[self.edges_u] ^ self.psi[self.edges_v]
-            if (diff == 0).any():
-                raise ValueError(
-                    "input coloring is not proper on the conflict graph"
-                )
-            self.psi_diff = diff
-        else:
-            self.psi_diff = np.empty(0, dtype=np.int64)
+        self.psi_diff = self.psi[self.edges_u] ^ self.psi[self.edges_v]
+        if (self.psi_diff == 0).any():
+            raise ValueError("input coloring is not proper on the conflict graph")
+        self.node_offsets = np.array([0, len(self.psi)], dtype=np.int64)
+        self.edge_offsets = np.array([0, len(self.edges_u)], dtype=np.int64)
 
     @classmethod
     def build_group(
-        cls, family: PairwiseFamily, members
-    ) -> list["PhaseEstimator"]:
-        """Construct estimators for many instances sharing one family.
+        cls,
+        family: PairwiseFamily,
+        selected: np.ndarray,
+        node_inst: np.ndarray,
+        edge_inst: np.ndarray,
+        psi: np.ndarray,
+        bucket_counts: np.ndarray,
+        edges_u: np.ndarray,
+        edges_v: np.ndarray,
+    ) -> "PhaseEstimator":
+        """The fusion group of the batch instances flagged in ``selected``
+        (one bool per instance), gathered from the batch's union arrays.
 
-        ``members`` is a sequence of ``(psi, bucket_counts, edges_u,
-        edges_v)`` tuples whose count matrices share a width.  The integer
-        threshold construction — the row-independent part of ``__init__`` —
-        runs once on the stacked count rows and is sliced back per member,
-        so each estimator is identical to a direct construction.
+        ``psi`` and ``bucket_counts`` are per union node, ``edges_u`` /
+        ``edges_v`` are the alive edges in union node ids, and
+        ``node_inst`` / ``edge_inst`` give the instance of every node and
+        edge (non-decreasing, as in the union layout).  The masks
+        ``selected[node_inst]`` and ``selected[edge_inst]`` pick the
+        members' nodes and edges, already in member order; the edges are
+        renumbered to group-local ids, and the thresholds and
+        ψ-differences are computed once for the whole group.
         """
-        members = list(members)
-        if not members:
-            return []
-        counts = np.concatenate(
-            [np.asarray(m[1], dtype=np.int64) for m in members]
+        selected = np.asarray(selected, dtype=bool)
+        members = np.flatnonzero(selected)
+        nodes = selected[node_inst]
+        edges = selected[edge_inst]
+        # The group-local id of each selected union node.
+        local = np.cumsum(nodes) - 1
+        group = cls(
+            family,
+            np.asarray(psi)[nodes],
+            np.asarray(bucket_counts)[nodes],
+            local[edges_u[edges]],
+            local[edges_v[edges]],
         )
-        thresholds = bucket_thresholds(counts, family.b)
-        offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum([len(m[0]) for m in members], out=offsets[1:])
-        return [
-            cls(
-                family,
-                psi,
-                counts[offsets[i]:offsets[i + 1]],
-                eu,
-                ev,
-                _thresholds=thresholds[offsets[i]:offsets[i + 1]],
-            )
-            for i, (psi, _counts, eu, ev) in enumerate(members)
-        ]
+        group.node_offsets = _segment_offsets(node_inst[nodes], members)
+        group.edge_offsets = _segment_offsets(edge_inst[edges], members)
+        return group
 
     # ------------------------------------------------------------------
     @property
+    def num_members(self) -> int:
+        return len(self.node_offsets) - 1
+
+    @property
     def num_edges(self) -> int:
         return len(self.edges_u)
+
+    @property
+    def edge_member(self) -> np.ndarray:
+        """The member of each edge."""
+        return np.repeat(
+            np.arange(self.num_members, dtype=np.int64), np.diff(self.edge_offsets)
+        )

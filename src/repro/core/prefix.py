@@ -22,10 +22,13 @@ derandomization groups instances by their seed space ``(m, b, 2^r)``:
 Theorem 2.4's reduced seed (s1, σ) ranges over GF(2^m) × [2^b] with
 m = max(a, b), so instances whose ψ-domain bits a differ but whose m
 agrees share one 2^m seed enumeration
-(:func:`~repro.core.derandomize.derandomize_phase_group`).  A live
-instance without alive edges has Φ ≡ 0 and takes its seed in closed form.
-Each per-instance outcome is numerically identical to a standalone
-:func:`extend_prefixes` call.
+(:func:`~repro.core.derandomize.derandomize_phase_group`).  Each group is
+one :class:`~repro.core.potential.PhaseEstimator`, gathered straight from
+the union arrays by masks over the node and edge instance ids, and its
+chosen buckets come back as one flat array written to the group's nodes
+in one assignment.  A live instance without alive edges has Φ ≡ 0 and
+takes its seed in closed form.  Each per-instance outcome is numerically
+identical to a standalone :func:`extend_prefixes` call.
 """
 
 from __future__ import annotations
@@ -260,17 +263,21 @@ def extend_prefixes_batch(
     bounds = edge_bounds()
     deg = conflict_degrees()
     sizes = cand.sizes
-    phi = potential_sums(deg, sizes, node_inst, k).tolist()
+    phi = potential_sums(deg, sizes, node_inst, k)
+    if strict:
+        over = np.flatnonzero(phi >= sizes_n + 1e-9)
+        if len(over):
+            i = int(over[0])
+            raise AssertionError(
+                f"initial potential {phi[i]} is not < n = {int(sizes_n[i])} "
+                f"(instance {i})"
+            )
+    phi = phi.tolist()
     traces: list[list] = [[value] for value in phi]
     records: list[list] = [[] for _ in range(k)]
     seed_bits_total = np.zeros(k, dtype=np.int64)
     bits_left = total_bits.copy()
     phase_index = np.zeros(k, dtype=np.int64)
-    for i in range(k):
-        if strict and phi[i] >= int(sizes_n[i]) + 1e-9:
-            raise AssertionError(
-                f"initial potential {phi[i]} is not < n = {int(sizes_n[i])}"
-            )
 
     while True:
         live = np.flatnonzero(bits_left > 0)
@@ -338,7 +345,7 @@ def extend_prefixes_batch(
         # drawn for every live instance, in instance order.
         buckets_node = np.argmax(counts > 0, axis=1)
         choices: dict[int, SeedChoice | None] = {}
-        seeds: dict[int, tuple[int, int]] = {}
+        seeds = np.zeros((k, 2), dtype=np.int64)  # (s1, σ) per instance
         live_list, r_list, b_list, m_list = (
             live.tolist(), r.tolist(), b.tolist(), m.tolist()
         )
@@ -357,38 +364,32 @@ def extend_prefixes_batch(
 
         # Instances sharing the seed space (m, b, 2^r) — GF(2^m), the coin
         # accuracy and the bucket count — are fused whatever their ψ-domain
-        # bits: their estimators are built together, their 2^m seed
-        # enumerations run as one, and each fixes its own seed bits.
-        groups: dict[tuple, list[int]] = {}
-        for j in fused.tolist():
-            groups.setdefault((m_list[j], b_list[j], r_list[j]), []).append(
-                live_list[j]
-            )
-        for (mj, bj, rj), members in groups.items():
-            family = PairwiseFamily(mj, bj)
-            width = 1 << rj
-            estimators = PhaseEstimator.build_group(
-                family,
-                [
-                    (
-                        psis[slices[i]],
-                        counts[slices[i], :width],
-                        edges_u[int(bounds[i]):int(bounds[i + 1])] - offs[i],
-                        edges_v[int(bounds[i]):int(bounds[i + 1])] - offs[i],
-                    )
-                    for i in members
-                ],
+        # bits: they form one PhaseEstimator, gathered from the union
+        # arrays, their 2^m seed enumerations run as one, and each member
+        # fixes its own seed bits.  The key packs (m, b, r), each < 2^16.
+        seed_space = ((m << 32) | (b << 16) | r)[fused]
+        for key in np.unique(seed_space).tolist():
+            mj, bj, rj = key >> 32, (key >> 16) & 0xFFFF, key & 0xFFFF
+            members = live[fused[seed_space == key]]
+            selected = np.zeros(k, dtype=bool)
+            selected[members] = True
+            group = PhaseEstimator.build_group(
+                PairwiseFamily(mj, bj),
+                selected,
+                node_inst,
+                edge_inst,
+                psis,
+                counts[:, :1 << rj],
+                edges_u,
+                edges_v,
             )
             if rng is None:
-                group_choices = derandomize_phase_group(estimators, strict=strict)
-                for i, choice in zip(members, group_choices):
-                    choices[i] = choice
-                    seeds[i] = (choice.s1, choice.sigma)
-            member_buckets = buckets_for_seed_grouped(
-                estimators, [seeds[i] for i in members]
+                group_choices = derandomize_phase_group(group, strict=strict)
+                choices.update(zip(members.tolist(), group_choices))
+                seeds[members] = [(c.s1, c.sigma) for c in group_choices]
+            buckets_node[selected[node_inst]] = buckets_for_seed_grouped(
+                group, *seeds[members].T
             )
-            for i, buckets in zip(members, member_buckets):
-                buckets_node[slices[i]] = buckets
 
         # Shrink candidate lists to the chosen bucket: one boolean mask on
         # the flat values array; never empty.  Finished instances keep
@@ -429,15 +430,17 @@ def extend_prefixes_batch(
         ):
             new_phi = new_phis[i]
             choice = choices[i]
-            if strict and choice is not None and accuracy_override is None:
-                budget = _phase_budget(phi[i], before, bj, rj)
-                tolerance = 1e-6 * max(1.0, phi[i])
-                if choice.initial_expectation > phi[i] + budget + tolerance:
-                    raise AssertionError(
-                        f"phase {index}: E[Φ] = "
-                        f"{choice.initial_expectation} exceeds "
-                        f"Φ_prev + budget = {phi[i]} + {budget}"
-                    )
+            if strict and choice is not None:
+                # The budget is Lemma 2.6's for the default accuracy only.
+                if accuracy_override is None:
+                    budget = _phase_budget(phi[i], before, bj, rj)
+                    tolerance = 1e-6 * max(1.0, phi[i])
+                    if choice.initial_expectation > phi[i] + budget + tolerance:
+                        raise AssertionError(
+                            f"phase {index}: E[Φ] = "
+                            f"{choice.initial_expectation} exceeds "
+                            f"Φ_prev + budget = {phi[i]} + {budget}"
+                        )
                 # Both are Σ_k D_k / k, k ascending, over the same exact
                 # integers, so they agree bit for bit.
                 if choice.final_value != new_phi:
@@ -471,11 +474,14 @@ def extend_prefixes_batch(
     if strict:
         if (sizes != 1).any():
             raise AssertionError("a candidate list has size != 1 after all phases")
-        for i in range(k):
-            bound = int(sizes_n[i]) if strengthens[i] > 1 else 2 * int(sizes_n[i])
-            if rng is None and accuracy_override is None and phi[i] > bound + 1e-6:
+        if rng is None and accuracy_override is None:
+            bound = np.where(strengthens > 1, sizes_n, 2 * sizes_n)
+            over = np.flatnonzero(np.array(phi) > bound + 1e-6)
+            if len(over):
+                i = int(over[0])
                 raise AssertionError(
-                    f"final potential {phi[i]} exceeds the Lemma 2.1 bound {bound}"
+                    f"final potential {phi[i]} exceeds the Lemma 2.1 bound "
+                    f"{int(bound[i])} (instance {i})"
                 )
 
     results = []

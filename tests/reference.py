@@ -13,12 +13,16 @@ step that expands every alive blue node.
 :func:`unique_rows_reference` is the row-wise ``np.unique(axis=0)`` that
 the seed-sweep workspace's packed lexicographic key replaces.
 
-The Lemma 2.6 kernel has plain twins too: :func:`expected_rows_reference`
-sweeps every edge column with no dedup and sums per (estimator, list size)
-by ``np.add.at``; :func:`fix_bits_greedily_reference` fixes one row's bits
-in a Python loop; :func:`buckets_for_seed_reference` finds one estimator's
-buckets node by node; :func:`count_xor_below_scalar` is the counting DP on
-one cell; :func:`count_xor_in_intervals` is the DP's interval count by
+The Lemma 2.6 kernel has plain twins too, over a fusion group
+(:func:`stack_group` builds one from per-member tuples through the
+solver's union-array gather; :func:`group_members` cuts one back into
+groups of one): :func:`expected_rows_reference` sweeps every edge column
+with no dedup and sums per (member, list size) by ``np.add.at``, member by
+member along the group's offsets; :func:`fix_bits_greedily_reference`
+fixes one row's bits in a Python loop; :func:`buckets_for_seed_reference`
+finds the group's buckets member by member and node by node;
+:func:`count_xor_below_scalar` is the counting DP on one cell;
+:func:`count_xor_in_intervals` is the DP's interval count by
 inclusion-exclusion; :func:`count_table_reference` fills a count kernel's
 table with the digit DP, one pass per bit over every (row, d) cell, as the
 kernel did before the doubling fill; and :func:`kernel_fingerprint` hashes
@@ -36,7 +40,7 @@ from repro.core.counting import count_xor_below
 from repro.core.instances import BatchedListColoringInstance, ListColoringInstance
 from repro.core.list_coloring import solve_list_coloring_batch
 from repro.core.list_ops import prune_lists_against_colored
-from repro.core.potential import SweepCountKernel, _unique_rows
+from repro.core.potential import PhaseEstimator, SweepCountKernel, _unique_rows
 from repro.decomposition.decomposed_coloring import (
     ClassStats,
     DecomposedColoringResult,
@@ -56,8 +60,10 @@ __all__ = [
     "decompose_reference",
     "expected_rows_reference",
     "fix_bits_greedily_reference",
+    "group_members",
     "kernel_fingerprint",
     "solve_list_coloring_polylog_reference",
+    "stack_group",
     "congestion_reference",
     "steiner_tree",
     "unique_rows_reference",
@@ -302,60 +308,103 @@ def unique_rows_reference(rows: np.ndarray) -> tuple:
     return uniq, index, inverse.reshape(-1)
 
 
-def expected_rows_reference(estimators, s1_values) -> np.ndarray:
-    """``E[Σ_e X_e | s1]`` as an (estimators × seeds) matrix, edge by edge.
+def stack_group(family, members) -> PhaseEstimator:
+    """A fusion group built as the solver builds one: the members'
+    ``(psi, bucket_counts, edges_u, edges_v)`` tuples laid out as a batch's
+    union arrays (member i's nodes after those of members < i, its edges
+    shifted to union ids), then gathered by
+    :meth:`PhaseEstimator.build_group`."""
+    members = list(members)
+    ids = np.arange(len(members), dtype=np.int64)
+    sizes = [len(m[0]) for m in members]
+    starts = np.cumsum([0] + sizes)
 
-    One :class:`SweepCountKernel` over the raw edge columns of every
-    estimator with edges (no column dedup) gives, per seed and edge, the
-    number of σ putting both endpoints in bucket w (for r = 1, bucket 1 by
-    inclusion-exclusion, ``2^b − t_u − t_v + n_both0``).  Each (edge
-    endpoint x, bucket w) adds that count to the exact int64 sum of its
-    estimator's list size ``k_w(x)`` by ``np.add.at``; the value is
-    ``(Σ_k S_k / k, k ascending) / 2^b`` in float64.
+    def flat(parts, empty_shape):
+        return np.concatenate(parts) if parts else np.zeros(empty_shape, np.int64)
+
+    return PhaseEstimator.build_group(
+        family,
+        np.ones(len(members), dtype=bool),
+        np.repeat(ids, sizes),
+        np.repeat(ids, [len(m[2]) for m in members]),
+        flat([m[0] for m in members], 0),
+        flat([m[1] for m in members], (0, 2)),
+        flat([np.asarray(m[2]) + s for m, s in zip(members, starts)], 0),
+        flat([np.asarray(m[3]) + s for m, s in zip(members, starts)], 0),
+    )
+
+
+def group_members(group) -> list:
+    """Each member of a fusion group as its own group of one, cut from the
+    flat arrays at the group's offsets."""
+    out = []
+    for j in range(group.num_members):
+        lo, hi = (int(x) for x in group.node_offsets[j:j + 2])
+        elo, ehi = (int(x) for x in group.edge_offsets[j:j + 2])
+        out.append(
+            PhaseEstimator(
+                group.family,
+                group.psi[lo:hi],
+                group.counts[lo:hi],
+                group.edges_u[elo:ehi] - lo,
+                group.edges_v[elo:ehi] - lo,
+            )
+        )
+    return out
+
+
+def expected_rows_reference(group, s1_values) -> np.ndarray:
+    """``E[Σ_e X_e | s1]`` as a (members × seeds) matrix, edge by edge.
+
+    One :class:`SweepCountKernel` over the raw edge columns of the whole
+    group (no column dedup) gives, per seed and edge, the number of σ
+    putting both endpoints in bucket w (for r = 1, bucket 1 by
+    inclusion-exclusion, ``2^b − t_u − t_v + n_both0``).  Walking the
+    members by ``edge_offsets``, each (edge endpoint x, bucket w) of
+    member j adds that count to the exact int64 sum of j's list size
+    ``k_w(x)`` by ``np.add.at``; the value is ``(Σ_k S_k / k, k
+    ascending) / 2^b`` in float64.
     """
     s1_values = np.asarray(s1_values, dtype=np.int64)
     rows = len(s1_values)
-    out = np.zeros((len(estimators), rows), dtype=np.float64)
-    live = [j for j, est in enumerate(estimators) if est.num_edges]
-    if not live:
+    out = np.zeros((group.num_members, rows), dtype=np.float64)
+    if not group.num_edges:
         return out
-    group = [estimators[j] for j in live]
-    first = group[0]
-    thr_u = np.concatenate([est.thresholds[est.edges_u] for est in group])
-    thr_v = np.concatenate([est.thresholds[est.edges_v] for est in group])
+    thr_u = group.thresholds[group.edges_u]
+    thr_v = group.thresholds[group.edges_v]
     kernel = SweepCountKernel(
-        first.family,
-        first.num_buckets,
-        np.concatenate([est.psi_diff for est in group]),
-        thr_u,
-        thr_v,
+        group.family, group.num_buckets, group.psi_diff, thr_u, thr_v
     )
     counts = kernel.count_rows(s1_values)
-    scale = int(first.scale)
-    k_u = np.concatenate([est.counts[est.edges_u] for est in group])
-    k_v = np.concatenate([est.counts[est.edges_v] for est in group])
+    scale = int(group.scale)
+    k_u = group.counts[group.edges_u]
+    k_v = group.counts[group.edges_v]
     span = int(max(k_u.max(), k_v.max())) + 1
-    owner = np.repeat(
-        np.arange(len(group), dtype=np.int64), [est.num_edges for est in group]
-    )
-    sums = np.zeros((len(group) * span, rows), dtype=np.int64)
+    both = []
     column = 0
-    for w in range(first.num_buckets):
-        if first.num_buckets == 2:
+    for w in range(group.num_buckets):
+        if group.num_buckets == 2:
             n0 = counts.T
-            both = n0 if w == 0 else (scale - thr_u[:, 1] - thr_v[:, 1])[:, None] + n0
+            both.append(
+                n0 if w == 0 else (scale - thr_u[:, 1] - thr_v[:, 1])[:, None] + n0
+            )
         else:
-            both = np.zeros((len(thr_u), rows), dtype=np.int64)
+            block = np.zeros((len(thr_u), rows), dtype=np.int64)
             alive = (thr_u[:, w + 1] > thr_u[:, w]) & (thr_v[:, w + 1] > thr_v[:, w])
-            both[alive] = counts[:, column:column + int(alive.sum())].T
+            block[alive] = counts[:, column:column + int(alive.sum())].T
             column += int(alive.sum())
-        for k_x in (k_u, k_v):
-            np.add.at(sums, owner * span + k_x[:, w], both)
-    sums = sums.reshape(len(group), span, rows)
-    for i, j in enumerate(live):
+            both.append(block)
+    for j in range(group.num_members):
+        lo, hi = (int(x) for x in group.edge_offsets[j:j + 2])
+        if lo == hi:
+            continue
+        sums = np.zeros((span, rows), dtype=np.int64)
+        for w in range(group.num_buckets):
+            for k_x in (k_u, k_v):
+                np.add.at(sums, k_x[lo:hi, w], both[w][lo:hi])
         total = np.zeros(rows, dtype=np.float64)
         for k in range(1, span):
-            total += sums[i, k] / k
+            total += sums[k] / k
         out[j] = total / scale
     return out
 
@@ -387,17 +436,21 @@ def fix_bits_greedily_reference(values) -> tuple:
     return lo, trace
 
 
-def buckets_for_seed_reference(estimator, s1: int, sigma: int) -> np.ndarray:
-    """The bucket of every node of one estimator under seed (s1, σ): one
-    ``searchsorted`` of y = g ⊕ σ into the node's threshold row each."""
-    y = estimator.family.g_values(int(s1), estimator.psi) ^ int(sigma)
-    return np.array(
-        [
-            np.searchsorted(estimator.thresholds[u], y[u], side="right") - 1
-            for u in range(len(y))
-        ],
-        dtype=np.int64,
-    )
+def buckets_for_seed_reference(group, s1_values, sigma_values) -> np.ndarray:
+    """The bucket of every node of a fusion group, flat, under its
+    member's seed ``(s1_values[j], sigma_values[j])``: walking the members
+    by ``node_offsets``, one ``searchsorted`` of y = g ⊕ σ into each node's
+    threshold row."""
+    out = []
+    for j in range(group.num_members):
+        lo, hi = (int(x) for x in group.node_offsets[j:j + 2])
+        y = group.family.g_values(int(s1_values[j]), group.psi[lo:hi])
+        y ^= int(sigma_values[j])
+        out += [
+            np.searchsorted(group.thresholds[lo + u], y[u], side="right") - 1
+            for u in range(hi - lo)
+        ]
+    return np.array(out, dtype=np.int64)
 
 
 def count_xor_below_scalar(d: int, t1: int, t2: int, b: int) -> int:

@@ -38,6 +38,7 @@ from repro.core.prefix import extend_prefixes, extend_prefixes_batch
 from repro.core.validation import verify_proper_list_coloring
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
+from reference import stack_group
 
 
 def heterogeneous_instances():
@@ -222,24 +223,18 @@ class TestGroupedDerandomization:
         from repro.hashing.pairwise import PairwiseFamily
 
         rng = np.random.default_rng(0)
-        estimators = []
+        members = []
         for seed in range(4):
             n = 8
             counts = rng.integers(1, 4, size=(n, 2)).astype(np.int64)
             eu = np.arange(n - 1, dtype=np.int64)
             ev = eu + 1
-            estimators.append(
-                PhaseEstimator(
-                    PairwiseFamily(4, 5),
-                    np.arange(n, dtype=np.int64) + seed,
-                    counts,
-                    eu,
-                    ev,
-                )
-            )
-        grouped = derandomize_phase_group(estimators)
-        for i, (est, fused) in enumerate(zip(estimators, grouped)):
-            alone = derandomize_phase_group([est])[0]
+            members.append((np.arange(n, dtype=np.int64) + seed, counts, eu, ev))
+        family = PairwiseFamily(4, 5)
+        grouped = derandomize_phase_group(stack_group(family, members))
+        assert len(grouped) == len(members)
+        for i, (member, fused) in enumerate(zip(members, grouped)):
+            alone = derandomize_phase_group(PhaseEstimator(family, *member))[0]
             assert_seed_choices_equal(alone, fused, f"seed[{i}]")
 
     def test_one_derandomization_per_seed_space_and_phase(self, monkeypatch):
@@ -263,11 +258,9 @@ class TestGroupedDerandomization:
         calls = []
         derandomize = prefix.derandomize_phase_group
 
-        def counting(estimators, strict=True):
-            calls.append(
-                {(est.family.m, est.b, est.num_buckets) for est in estimators}
-            )
-            return derandomize(estimators, strict=strict)
+        def counting(group, strict=True):
+            calls.append((group.family.m, group.b, group.num_buckets))
+            return derandomize(group, strict=strict)
 
         monkeypatch.setattr(prefix, "derandomize_phase_group", counting)
         batch = BatchedListColoringInstance.from_instances(instances)
@@ -287,8 +280,7 @@ class TestGroupedDerandomization:
                     domain_keys.add((a, rec.b, 1 << rec.r))
             expected += sorted(keys)
             by_domain += len(domain_keys)
-        assert all(len(keys) == 1 for keys in calls)
-        assert sorted(key for keys in calls for key in keys) == sorted(expected)
+        assert sorted(calls) == sorted(expected)
         # The batch does exercise the fusion: keyed by (a, b, 2^r) it
         # would take more calls.
         assert len(calls) < by_domain

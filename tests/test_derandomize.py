@@ -80,18 +80,18 @@ def small_estimator(seed=0):
 class TestDerandomizePhase:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_final_value_beats_expectation(self, seed):
-        choice = derandomize_phase_group([small_estimator(seed)])[0]
+        choice = derandomize_phase_group(small_estimator(seed))[0]
         assert choice.final_value <= choice.initial_expectation + 1e-9
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_trace_length_is_seed_bits(self, seed):
         est = small_estimator(seed)
-        (choice,) = derandomize_phase_group([est])
+        (choice,) = derandomize_phase_group(est)
         assert len(choice.conditional_trace) == est.family.m + est.b
         assert choice.seed_bits == est.family.m + est.b
 
     def test_trace_monotone(self):
-        choice = derandomize_phase_group([small_estimator(2)])[0]
+        choice = derandomize_phase_group(small_estimator(2))[0]
         previous = choice.initial_expectation
         for value in choice.conditional_trace:
             assert value <= previous + 1e-9
@@ -99,7 +99,7 @@ class TestDerandomizePhase:
 
     def test_chosen_seed_realizes_final_value(self):
         est = small_estimator(4)
-        (choice,) = derandomize_phase_group([est])
+        (choice,) = derandomize_phase_group(est)
         exact = sigma_sweep_reference(est, choice.s1)
         assert exact[choice.sigma] == pytest.approx(choice.final_value)
 
@@ -107,9 +107,9 @@ class TestDerandomizePhase:
         """The derandomized seed is at least as good as the average seed —
         the whole point of the method of conditional expectations."""
         est = small_estimator(6)
-        (choice,) = derandomize_phase_group([est])
+        (choice,) = derandomize_phase_group(est)
         s1s = np.arange(1 << est.family.m, dtype=np.int64)
-        average = SeedSweepWorkspace([est]).expected_rows(s1s)[0].mean()
+        average = SeedSweepWorkspace(est).expected_rows(s1s)[0].mean()
         assert choice.final_value <= average + 1e-9
 
     @pytest.mark.parametrize("buckets", [2, 4, 8])
@@ -126,9 +126,9 @@ class TestDerandomizePhase:
             counts[:, -1] += 1  # nonempty lists; leading buckets may be empty
             psi = rng.integers(0, 1 << a, size=n).astype(np.int64)
             est = PhaseEstimator(PairwiseFamily(a, b), psi, counts, none, none)
-            (choice,) = derandomize_phase_group([est])
+            (choice,) = derandomize_phase_group(est)
             assert_seed_choices_equal(
                 _edgeless_choice(est.family.m, b), choice, f"n={n}"
             )
-            (chosen,) = buckets_for_seed_grouped([est], [(0, 0)])
+            chosen = buckets_for_seed_grouped(est, [0], [0])
             assert np.array_equal(chosen, np.argmax(counts > 0, axis=1))

@@ -56,7 +56,7 @@ class TestNodeValuesMatchEstimator:
             family, psi, counts, graph.edges_u, graph.edges_v
         )
         for s1, sigma in [(0, 0), (2, 5), (7, 15)]:
-            (engine_buckets,) = buckets_for_seed_grouped([estimator], [(s1, sigma)])
+            engine_buckets = buckets_for_seed_grouped(estimator, [s1], [sigma])
             for u in range(graph.n):
                 _values, buckets = _node_seed_values(
                     family, family.b, int(psi[u]), counts[u], {}, {}

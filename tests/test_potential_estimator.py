@@ -18,7 +18,7 @@ from repro.core.potential import (
     exact_by_sigma_grouped,
     potential_sums,
 )
-from reference import buckets_for_seed_reference
+from reference import buckets_for_seed_reference, stack_group
 from test_seed_sweep_compression import random_group, sigma_sweep_reference
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
@@ -56,6 +56,16 @@ def make_estimator(a=3, b=4, buckets=2, seed=0):
     return PhaseEstimator(family, psi, counts, eu, ev), edges, psi, counts, family
 
 
+def fuse(estimators):
+    """The fusion group of single-instance estimators sharing a seed space,
+    with the solver's family for it, ``PairwiseFamily(m, b)``."""
+    first = estimators[0]
+    return stack_group(
+        PairwiseFamily(first.family.m, first.b),
+        [(e.psi, e.counts, e.edges_u, e.edges_v) for e in estimators],
+    )
+
+
 class TestEstimatorExactness:
     @pytest.mark.parametrize("buckets", [2, 4])
     def test_sigma_oracle_matches_brute_force(self, buckets):
@@ -70,7 +80,7 @@ class TestEstimatorExactness:
     def test_sigma_descent_matches_brute_force(self, buckets):
         est, edges, psi, counts, family = make_estimator(buckets=buckets)
         for s1 in (0, 1, 7, 11):
-            ((sigma, trace, final, root),) = exact_by_sigma_grouped([est], [s1])
+            (sigma,), (trace,), (final,), (root,) = exact_by_sigma_grouped(est, [s1])
             brute = [
                 brute_force_potential(family, psi, counts, edges, s1, x)
                 for x in range(16)
@@ -83,7 +93,7 @@ class TestEstimatorExactness:
     def test_expected_by_s1_is_mean_over_sigma(self, buckets):
         est, *_ = make_estimator(buckets=buckets)
         s1s = np.arange(1 << est.family.m, dtype=np.int64)
-        (expected,) = SeedSweepWorkspace([est]).expected_rows(s1s)
+        (expected,) = SeedSweepWorkspace(est).expected_rows(s1s)
         for s1 in (0, 3, 9, 15):
             exact = sigma_sweep_reference(est, int(s1))
             assert expected[s1] == pytest.approx(exact.mean(), rel=1e-12)
@@ -94,35 +104,10 @@ class TestEstimatorExactness:
         # estimator's sweep alone exactly (bit-identical floats).
         ests = [make_estimator(buckets=buckets, seed=s)[0] for s in (0, 1, 2)]
         s1s = np.arange(16, dtype=np.int64)
-        grouped = SeedSweepWorkspace(ests).expected_rows(s1s)
+        grouped = SeedSweepWorkspace(fuse(ests)).expected_rows(s1s)
         for est, fused in zip(ests, grouped):
-            alone = SeedSweepWorkspace([est]).expected_rows(s1s)[0]
+            alone = SeedSweepWorkspace(est).expected_rows(s1s)[0]
             assert np.array_equal(alone, fused)
-
-    @pytest.mark.parametrize(
-        "first, second",
-        [
-            ((3, 4, 2), (5, 4, 2)),  # m = 4 vs 5
-            ((5, 4, 2), (5, 5, 2)),  # b = 4 vs 5 at m = 5
-            ((3, 4, 2), (3, 4, 4)),  # 2 vs 4 buckets
-        ],
-        ids=["m", "b", "buckets"],
-    )
-    def test_grouped_estimators_reject_another_seed_space(self, first, second):
-        """A group is one seed space (m, b, num_buckets): a mismatch in any
-        of the three is rejected by every grouped entry point."""
-        ests = [
-            make_estimator(a=a, b=b, buckets=w, seed=s)[0]
-            for s, (a, b, w) in enumerate((first, second))
-        ]
-        with pytest.raises(ValueError, match="seed space"):
-            SeedSweepWorkspace(ests)
-        with pytest.raises(ValueError, match="seed space"):
-            exact_by_sigma_grouped(ests, [1, 1])
-        with pytest.raises(ValueError, match="seed space"):
-            buckets_for_seed_grouped(ests, [(1, 0), (1, 0)])
-        with pytest.raises(ValueError, match="seed space"):
-            derandomize_phase_group(ests)
 
     @pytest.mark.parametrize("buckets", [2, 4])
     @pytest.mark.parametrize("b, domains", [(4, (3, 4, 3)), (5, (3, 5, 4))])
@@ -136,18 +121,21 @@ class TestEstimatorExactness:
         ]
         assert len({est.family.a for est in ests}) > 1
         assert len({est.family.m for est in ests}) == 1
-        s1s = np.arange(1 << ests[0].family.m, dtype=np.int64)
-        rows = SeedSweepWorkspace(ests).expected_rows(s1s)
+        group = fuse(ests)
+        s1s = np.arange(1 << group.family.m, dtype=np.int64)
+        rows = SeedSweepWorkspace(group).expected_rows(s1s)
         picks = [3, 0, 11]
-        descents = exact_by_sigma_grouped(ests, picks)
-        choices = derandomize_phase_group(ests)
+        descents = exact_by_sigma_grouped(group, picks)
+        choices = derandomize_phase_group(group)
         for j, est in enumerate(ests):
             assert np.array_equal(
-                rows[j], SeedSweepWorkspace([est]).expected_rows(s1s)[0]
+                rows[j], SeedSweepWorkspace(est).expected_rows(s1s)[0]
             )
-            assert descents[j] == exact_by_sigma_grouped([est], [picks[j]])[0]
+            alone = exact_by_sigma_grouped(est, [picks[j]])
+            for got, want in zip(descents, alone):
+                assert np.asarray(got[j]).tobytes() == np.asarray(want[0]).tobytes()
             assert_seed_choices_equal(
-                derandomize_phase_group([est])[0], choices[j], f"seed[{j}]"
+                derandomize_phase_group(est)[0], choices[j], f"seed[{j}]"
             )
 
     def test_grouped_expectation_handles_edgeless_members(self):
@@ -159,9 +147,9 @@ class TestEstimatorExactness:
         )
         full = make_estimator()[0]
         s1s = np.arange(8, dtype=np.int64)
-        grouped = SeedSweepWorkspace([empty, full, empty]).expected_rows(s1s)
+        grouped = SeedSweepWorkspace(fuse([empty, full, empty])).expected_rows(s1s)
         assert grouped[0].sum() == 0.0 and grouped[2].sum() == 0.0
-        alone = SeedSweepWorkspace([full]).expected_rows(s1s)[0]
+        alone = SeedSweepWorkspace(full).expected_rows(s1s)[0]
         assert np.array_equal(grouped[1], alone)
 
     def test_no_edges_gives_zero(self):
@@ -171,8 +159,10 @@ class TestEstimatorExactness:
         est = PhaseEstimator(
             family, psi, counts, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
-        assert SeedSweepWorkspace([est]).expected_rows(np.arange(8)).sum() == 0.0
-        assert exact_by_sigma_grouped([est], [0]) == [(0, [0.0] * 4, 0.0, 0.0)]
+        assert SeedSweepWorkspace(est).expected_rows(np.arange(8)).sum() == 0.0
+        sigmas, traces, finals, roots = exact_by_sigma_grouped(est, [0])
+        assert sigmas.tolist() == [0] and traces.tolist() == [[0.0] * 4]
+        assert finals.tolist() == roots.tolist() == [0.0]
 
     def test_rejects_improper_input_coloring(self):
         family = PairwiseFamily(3, 4)
@@ -189,17 +179,93 @@ class TestBucketsForSeed:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grouped_matches_per_estimator_oracle(self, buckets, seed):
         group = random_group(3, buckets=buckets, seed=seed, edgeless=(1,))
-        order = group[0].family.field.order
+        order = group.family.field.order
         rng = np.random.default_rng(seed)
-        seeds = [
-            (int(rng.integers(0, order)), int(rng.integers(0, group[0].scale)))
-            for _ in group
-        ]
-        got = buckets_for_seed_grouped(group, seeds)
-        for est, (s1, sigma), buckets_of in zip(group, seeds, got):
-            want = buckets_for_seed_reference(est, s1, sigma)
-            assert np.array_equal(buckets_of, want)
-            assert (est.counts[np.arange(len(want)), want] > 0).all()
+        s1s = rng.integers(0, order, size=group.num_members)
+        sigmas = rng.integers(0, group.scale, size=group.num_members)
+        got = buckets_for_seed_grouped(group, s1s, sigmas)
+        want = buckets_for_seed_reference(group, s1s, sigmas)
+        assert got.shape == (len(group.psi),)
+        assert np.array_equal(got, want)
+        assert (group.counts[np.arange(len(want)), want] > 0).all()
+
+
+def union_batch(buckets, seed):
+    """Union arrays of six instances laid out as a batch: instance 1 has
+    nodes but no edge, instance 3 has no node, the others have edges.
+    Returns ``(parts, node_inst, edge_inst, psi, counts, edges_u,
+    edges_v)`` with ``parts[i] = (psi, counts, edges_u, edges_v)`` of
+    instance i in its own node ids."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for n, with_edges in ((7, True), (4, False), (5, True), (0, False),
+                          (6, True), (8, True)):
+        psi = rng.integers(0, 16, size=n).astype(np.int64)
+        counts = rng.integers(0, 3, size=(n, buckets)).astype(np.int64)
+        counts[:, 0] += 1
+        u = rng.integers(0, max(n, 1), size=3 * n if with_edges else 0)
+        v = rng.integers(0, max(n, 1), size=len(u))
+        keep = psi[u] != psi[v]
+        parts.append((psi, counts, u[keep], v[keep]))
+    sizes = [len(p[0]) for p in parts]
+    starts = np.cumsum([0] + sizes)
+    ids = np.arange(len(parts))
+    return (
+        parts,
+        np.repeat(ids, sizes),
+        np.repeat(ids, [len(p[2]) for p in parts]),
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+        np.concatenate([p[2] + s for p, s in zip(parts, starts)]),
+        np.concatenate([p[3] + s for p, s in zip(parts, starts)]),
+    )
+
+
+class TestBuildGroup:
+    """``build_group`` gathers non-contiguous members straight from the
+    union arrays; every member's segment, seed choice and buckets equal
+    those of a group of one built from that instance alone."""
+
+    @pytest.mark.parametrize("buckets", [2, 4])
+    @pytest.mark.parametrize("members", [(0, 2, 5), (0, 1, 3, 5), (3,)])
+    def test_segments_equal_groups_of_one(self, buckets, members):
+        parts, node_inst, edge_inst, psi, counts, eu, ev = union_batch(buckets, 1)
+        family = PairwiseFamily(4, 5)
+        selected = np.isin(np.arange(len(parts)), members)
+        group = PhaseEstimator.build_group(
+            family, selected, node_inst, edge_inst, psi, counts, eu, ev
+        )
+        assert group.num_members == len(members)
+        assert group.node_offsets.tolist() == np.cumsum(
+            [0] + [len(parts[i][0]) for i in members]
+        ).tolist()
+        assert group.edge_offsets.tolist() == np.cumsum(
+            [0] + [len(parts[i][2]) for i in members]
+        ).tolist()
+        alone = [PhaseEstimator(family, *parts[i]) for i in members]
+        for j, est in enumerate(alone):
+            lo, hi = group.node_offsets[j:j + 2]
+            elo, ehi = group.edge_offsets[j:j + 2]
+            for name in ("psi", "counts", "thresholds"):
+                assert np.array_equal(getattr(group, name)[lo:hi], getattr(est, name))
+            assert np.array_equal(group.edges_u[elo:ehi] - lo, est.edges_u)
+            assert np.array_equal(group.edges_v[elo:ehi] - lo, est.edges_v)
+            assert np.array_equal(group.psi_diff[elo:ehi], est.psi_diff)
+
+        choices = derandomize_phase_group(group)
+        rng = np.random.default_rng(len(members))
+        s1s = rng.integers(0, family.field.order, size=len(members))
+        sigmas = rng.integers(0, group.scale, size=len(members))
+        buckets_of = buckets_for_seed_grouped(group, s1s, sigmas)
+        for j, est in enumerate(alone):
+            assert_seed_choices_equal(
+                derandomize_phase_group(est)[0], choices[j], f"seed[{j}]"
+            )
+            lo, hi = group.node_offsets[j:j + 2]
+            assert np.array_equal(
+                buckets_of[lo:hi],
+                buckets_for_seed_grouped(est, s1s[j:j + 1], sigmas[j:j + 1]),
+            )
 
 
 class TestPotentialHelpers:

@@ -61,6 +61,27 @@ class TestDerandomizedExtension:
             run_on(graph)
         run_on(graph, strict=False)
 
+    def test_accuracy_override_keeps_the_exact_check(self, monkeypatch):
+        """``accuracy_override`` turns off only the potential budget
+        checks: the estimator's final value must still equal the realized
+        potential exactly."""
+        derandomize = prefix.derandomize_phase_group
+
+        def nudged(group, strict=True):
+            choices = derandomize(group, strict=strict)
+            return [
+                dataclasses.replace(
+                    choice, final_value=float(np.nextafter(choice.final_value, np.inf))
+                )
+                for choice in choices
+            ]
+
+        graph = gen.random_regular_graph(16, 3, 4)
+        run_on(graph, accuracy_override=2)
+        monkeypatch.setattr(prefix, "derandomize_phase_group", nudged)
+        with pytest.raises(AssertionError, match="realized potential"):
+            run_on(graph, accuracy_override=2)
+
     def test_conflict_degree_consistency(self):
         graph = gen.random_regular_graph(16, 3, 4)
         _instance, result = run_on(graph)

@@ -34,7 +34,9 @@ from reference import (
     count_xor_in_intervals,
     expected_rows_reference,
     fix_bits_greedily_reference,
+    group_members,
     kernel_fingerprint,
+    stack_group,
     unique_rows_reference,
 )
 from repro.core.counting import count_xor_below
@@ -45,7 +47,6 @@ from repro.core.derandomize import (
     fix_bits_greedily_many,
 )
 from repro.core.potential import (
-    PhaseEstimator,
     SeedSweepWorkspace,
     SweepCountKernel,
     exact_by_sigma_grouped,
@@ -57,7 +58,8 @@ from repro.hashing.pairwise import PairwiseFamily
 def random_group(
     num, buckets=2, seed=0, n=30, a=4, b=5, duplicate_heavy=True, edgeless=()
 ):
-    """Random shared-seed estimator group; proper ψ by construction.
+    """Random fusion group (a segmented PhaseEstimator built through the
+    union-array gather); proper ψ by construction.
 
     ``duplicate_heavy`` draws ψ and the bucket counts from tiny palettes so
     many edges share a ``(ψ_u⊕ψ_v, thresholds)`` key — the regime the
@@ -79,8 +81,8 @@ def random_group(
             eu, ev = u[keep], v[keep]
         counts = rng.integers(0, hi, size=(n, buckets)).astype(np.int64)
         counts[:, 0] += 1
-        members.append(PhaseEstimator(family, psi, counts, eu, ev))
-    return members
+        members.append((psi, counts, eu, ev))
+    return stack_group(family, members)
 
 
 #: Relative tolerance of the integer weighting against the float reference,
@@ -92,19 +94,18 @@ def float_weight_reference(workspace, counts):
     """The full-width float weighting the integer sums replaced.
 
     Scatters the integer counts out to every edge column, multiplies by
-    the per-edge weights ``1/k_w(u) + 1/k_w(v)`` and sums each
-    estimator's edge segment — the original ``val1`` evaluation, kept as
-    an independent reference for :meth:`SeedSweepWorkspace.weight_rows`.
+    the per-edge weights ``1/k_w(u) + 1/k_w(v)`` and sums each member's
+    edge segment, walking the group's ``edge_offsets`` — the original
+    ``val1`` evaluation, kept as an independent reference for
+    :meth:`SeedSweepWorkspace.weight_rows`.
     """
-    live = workspace.live
+    group = workspace.group
     rows = counts.shape[0]
-    out = np.zeros((len(workspace.estimators), rows))
-    if not live:
+    out = np.zeros((group.num_members, rows))
+    if not group.num_edges:
         return out
-    inverse = [inverse_counts(est) for est in live]
-    weights = np.concatenate(
-        [inv[est.edges_u] + inv[est.edges_v] for inv, est in zip(inverse, live)]
-    )
+    inv = inverse_counts(group)
+    weights = inv[group.edges_u] + inv[group.edges_v]
     column = workspace.inverse
     if workspace.num_buckets == 2:
         n_both0 = counts[:, column]
@@ -125,11 +126,10 @@ def float_weight_reference(workspace, counts):
             total[:, alive_edge] += (
                 counts[:, position[column[alive_edge]]] * weights[alive_edge, w]
             )
-    bounds = np.cumsum([0] + [est.num_edges for est in live])
-    live_rows = [i for i, est in enumerate(workspace.estimators) if est.num_edges]
-    for j, i in enumerate(live_rows):
-        segment = total[:, bounds[j]:bounds[j + 1]]
-        out[i] = segment.sum(axis=1) / float(workspace.scale)
+    for j in range(group.num_members):
+        lo, hi = group.edge_offsets[j:j + 2]
+        if lo < hi:
+            out[j] = total[:, lo:hi].sum(axis=1) / float(workspace.scale)
     return out
 
 
@@ -257,10 +257,10 @@ def derandomize_phase_reference(group) -> list:
     """One :class:`SeedChoice` per member from the oracles alone: s1 by the
     per-row greedy over the per-edge sweep, σ by the greedy over the σ
     oracle's per-σ integer sums."""
-    m = group[0].family.m
+    m = group.family.m
     val1 = expected_rows_reference(group, np.arange(1 << m, dtype=np.int64))
     choices = []
-    for est, row in zip(group, val1):
+    for est, row in zip(group_members(group), val1):
         s1, trace1 = fix_bits_greedily_reference(row)
         sigma, trace2, final, _root = sigma_descent_reference(est, s1)
         choices.append(
@@ -484,7 +484,7 @@ class TestPackedUniqueRows:
             duplicate_heavy=duplicate_heavy,
             edgeless=(0,) if num > 2 else (),
         )
-        if not any(est.num_edges for est in group):
+        if not group.num_edges:
             return
         self.assert_workspace_matches_oracle(group)
 
@@ -499,7 +499,7 @@ class TestKernelSplit:
     def test_count_then_weight_matches_expected_rows(self, buckets, seed):
         group = random_group(3, buckets=buckets, seed=seed)
         sweep = SeedSweepWorkspace(group)
-        order = 1 << group[0].family.m
+        order = 1 << group.family.m
         s1s = np.arange(order, dtype=np.int64)
         counts = sweep.kernel.count_rows(s1s)
         via_split = sweep.weight_rows(counts)
@@ -512,7 +512,7 @@ class TestKernelSplit:
         group = random_group(3, buckets=4, seed=2)
         sweep = SeedSweepWorkspace(group)
         kernel = sweep.kernel
-        order = 1 << group[0].family.m
+        order = 1 << group.family.m
         whole = kernel.count_rows(np.arange(order, dtype=np.int64))
         edges = (order * np.arange(chunks + 1, dtype=np.int64)) // chunks
         assembled = np.concatenate(
@@ -560,9 +560,9 @@ class TestIntegerWeighting:
             edgeless=edgeless,
         )
         # Empty buckets (k_w = 0) must be in play for the check to bite.
-        assert any((est.counts == 0).any() for est in group)
+        assert (group.counts == 0).any()
         workspace = SeedSweepWorkspace(group)
-        s1s = np.arange(1 << group[0].family.m, dtype=np.int64)
+        s1s = np.arange(1 << group.family.m, dtype=np.int64)
         counts = workspace.kernel.count_rows(s1s)
         if sweep == "workspace":
             got = workspace.weight_rows(counts)
@@ -577,7 +577,7 @@ class TestIntegerWeighting:
     @pytest.mark.parametrize("chunk", [1, 5, 16, 64])
     def test_bitwise_across_chunks_and_compression(self, buckets, chunk):
         group = random_group(3, buckets=buckets, seed=11, edgeless=(1,))
-        order = 1 << group[0].family.m
+        order = 1 << group.family.m
         whole = expected_rows_reference(group, np.arange(order, dtype=np.int64))
         workspace = SeedSweepWorkspace(group)
         counts = workspace.kernel.count_rows(np.arange(order, dtype=np.int64))
@@ -594,7 +594,7 @@ class TestIntegerWeighting:
         # The bound is 2^b times the largest (estimator, k) incidence
         # count: every (edge endpoint, bucket) pair with that k > 0.
         incidences = 0
-        for est in group:
+        for est in group_members(group):
             ends = np.concatenate([est.counts[est.edges_u], est.counts[est.edges_v]])
             if buckets > 2:
                 # The interval DP only counts buckets whose threshold
@@ -604,7 +604,7 @@ class TestIntegerWeighting:
                 ends = np.where(np.concatenate([alive, alive]), ends, 0)
             _, multiplicity = np.unique(ends[ends > 0], return_counts=True)
             incidences = max(incidences, int(multiplicity.max()))
-        assert bound == int(group[0].scale) * incidences
+        assert bound == int(group.scale) * incidences
         monkeypatch.setattr(potential, "_EXACT_INT_LIMIT", bound + 1)
         SeedSweepWorkspace(group)
         monkeypatch.setattr(potential, "_EXACT_INT_LIMIT", bound)
@@ -622,7 +622,7 @@ class TestExpectedSweepCompression:
         group = random_group(
             3, buckets=buckets, seed=seed, duplicate_heavy=duplicate_heavy
         )
-        s1s = np.arange(1 << group[0].family.m, dtype=np.int64)
+        s1s = np.arange(1 << group.family.m, dtype=np.int64)
         compressed = SeedSweepWorkspace(group).expected_rows(s1s)
         assert np.array_equal(compressed, expected_rows_reference(group, s1s))
 
@@ -630,8 +630,8 @@ class TestExpectedSweepCompression:
         group = random_group(2, seed=3)
         s1s = np.arange(16, dtype=np.int64)
         fused = SeedSweepWorkspace(group).expected_rows(s1s)
-        for est, row in zip(group, fused):
-            alone = SeedSweepWorkspace([est]).expected_rows(s1s)[0]
+        for est, row in zip(group_members(group), fused):
+            alone = SeedSweepWorkspace(est).expected_rows(s1s)[0]
             assert np.array_equal(alone, row)
 
     @pytest.mark.parametrize("edgeless", [(0,), (1,), (0, 1, 2)])
@@ -649,7 +649,7 @@ class TestExpectedSweepCompression:
         # One workspace driven chunk-by-chunk must reproduce the one-shot
         # evaluation exactly — no state leaks across chunks.
         group = random_group(3, buckets=4, seed=5)
-        order = 1 << group[0].family.m
+        order = 1 << group.family.m
         workspace = SeedSweepWorkspace(group)
         chunked = np.empty((3, order), dtype=np.float64)
         for start in range(0, order, 7):  # deliberately ragged chunks
@@ -664,7 +664,8 @@ class TestExpectedSweepCompression:
         assert np.array_equal(chunked, whole)
 
     def test_empty_group(self):
-        rows = SeedSweepWorkspace([]).expected_rows(np.arange(4))
+        empty = stack_group(PairwiseFamily(4, 5), [])
+        rows = SeedSweepWorkspace(empty).expected_rows(np.arange(4))
         assert rows.shape == (0, 4)
 
     def test_expected_rows_rejects_bad_out_buffer(self):
@@ -704,9 +705,9 @@ def sigma_groups(draw):
         u = rng.integers(0, n, size=int(rng.integers(0, 3 * n + 1)))
         v = rng.integers(0, n, size=len(u))
         keep = psi[u] != psi[v]
-        group.append(PhaseEstimator(family, psi, counts, u[keep], v[keep]))
+        group.append((psi, counts, u[keep], v[keep]))
     s1s = rng.integers(0, family.field.order, size=num)
-    return group, s1s
+    return stack_group(family, group), s1s
 
 
 def first_split(sigma_a, sigma_b, b):
@@ -719,25 +720,26 @@ class TestSigmaDescent:
     @settings(max_examples=120, deadline=None)
     def test_matches_integer_oracle_bitwise(self, drawn):
         group, s1s = drawn
-        got = exact_by_sigma_grouped(group, s1s)
-        assert len(got) == len(group)
-        for est, s1, (sigma, trace, final, root) in zip(group, s1s, got):
+        sigmas, traces, finals, roots = exact_by_sigma_grouped(group, s1s)
+        assert traces.shape == (group.num_members, group.b)
+        assert traces.dtype == finals.dtype == roots.dtype == np.float64
+        got = zip(sigmas, traces, finals, roots)
+        for est, s1, (sigma, trace, final, root) in zip(group_members(group), s1s, got):
             want_sigma, want_trace, want_final, want_root = (
                 sigma_descent_reference(est, s1)
             )
             assert sigma == want_sigma
-            assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+            assert trace.tobytes() == np.array(want_trace).tobytes()
             assert np.float64(final).tobytes() == np.float64(want_final).tobytes()
             assert np.float64(root).tobytes() == np.float64(want_root).tobytes()
-            assert len(trace) == est.b
-            assert all(type(t) is float for t in trace)
 
     @given(sigma_groups())
     @settings(max_examples=150, deadline=None)
     def test_float_sweep_differs_only_on_exact_ties(self, drawn):
         group, s1s = drawn
-        got = exact_by_sigma_grouped(group, s1s)
-        for est, s1, (sigma, _trace, final, root) in zip(group, s1s, got):
+        sigmas, _traces, finals, roots = exact_by_sigma_grouped(group, s1s)
+        got = zip(sigmas.tolist(), finals, roots)
+        for est, s1, (sigma, final, root) in zip(group_members(group), s1s, got):
             values = sigma_sweep_reference(est, s1)
             old, _ = fix_bits_greedily_reference(values)
             assert final == pytest.approx(values[sigma], rel=1e-12, abs=0.0)
@@ -757,18 +759,18 @@ class TestSigmaDescent:
     @pytest.mark.parametrize("buckets", [2, 4])
     def test_root_equals_val1_at_every_s1(self, buckets):
         group = random_group(3, buckets=buckets, seed=13, edgeless=(1,))
-        order = 1 << group[0].family.m
+        order = 1 << group.family.m
         val1 = SeedSweepWorkspace(group).expected_rows(
             np.arange(order, dtype=np.int64)
         )
         for s1 in range(order):
-            got = exact_by_sigma_grouped(group, [s1] * len(group))
-            for j, (_sigma, _trace, _final, root) in enumerate(got):
+            *_, roots = exact_by_sigma_grouped(group, [s1] * group.num_members)
+            for j, root in enumerate(roots):
                 assert root == val1[j, s1]
 
     def test_rejects_out_of_range_s1(self):
         group = random_group(2, seed=6)
-        order = group[0].family.field.order
+        order = group.family.field.order
         with pytest.raises(ValueError):
             exact_by_sigma_grouped(group, [0, order])
         with pytest.raises(ValueError):
@@ -778,25 +780,53 @@ class TestSigmaDescent:
 
     def test_edgeless_members_choose_zero(self):
         group = random_group(3, seed=14, edgeless=(0, 1, 2))
-        b = group[0].b
-        for got in exact_by_sigma_grouped(group, [1, 2, 3]):
-            assert got == (0, [0.0] * b, 0.0, 0.0)
+        sigmas, traces, finals, roots = exact_by_sigma_grouped(group, [1, 2, 3])
+        assert sigmas.tolist() == [0] * 3
+        assert traces.tolist() == [[0.0] * group.b] * 3
+        assert finals.tolist() == roots.tolist() == [0.0] * 3
 
     def test_empty_group(self):
-        assert exact_by_sigma_grouped([], []) == []
+        empty = stack_group(PairwiseFamily(4, 5), [])
+        sigmas, traces, finals, roots = exact_by_sigma_grouped(empty, [])
+        assert len(sigmas) == len(finals) == len(roots) == 0
+        assert traces.shape == (0, 5)
 
     def test_strict_check_rejects_a_root_off_val1(self, monkeypatch):
         group = random_group(2, seed=15)
         descend = derandomize.exact_by_sigma_grouped
 
-        def nudged(estimators, s1_values):
-            out = descend(estimators, s1_values)
-            sigma, trace, final, root = out[0]
-            out[0] = (sigma, trace, final, np.nextafter(root, np.inf))
-            return out
+        def nudged(group, s1_values):
+            sigmas, traces, finals, roots = descend(group, s1_values)
+            roots = roots.copy()
+            roots[1] = np.nextafter(roots[1], np.inf)
+            return sigmas, traces, finals, roots
 
         monkeypatch.setattr(derandomize, "exact_by_sigma_grouped", nudged)
-        with pytest.raises(AssertionError, match="inconsistency"):
+        with pytest.raises(AssertionError, match=r"inconsistency \(member 1\)"):
+            derandomize_phase_group(group)
+        derandomize_phase_group(group, strict=False)
+
+    @pytest.mark.parametrize(
+        "part, message",
+        [(1, r"Eq\. \(7\) violated \(member 1\)"),
+         (2, r"exceeds its expectation \(member 1\)")],
+        ids=["trace", "final"],
+    )
+    def test_strict_checks_name_the_offending_member(
+        self, monkeypatch, part, message
+    ):
+        """A σ trace that rises, or a final value above the initial
+        expectation, fails the group's strict check at that member."""
+        group = random_group(3, seed=15)
+        descend = derandomize.exact_by_sigma_grouped
+
+        def raised(group, s1_values):
+            out = [x.copy() for x in descend(group, s1_values)]
+            out[part][1] = 1e9
+            return tuple(out)
+
+        monkeypatch.setattr(derandomize, "exact_by_sigma_grouped", raised)
+        with pytest.raises(AssertionError, match=message):
             derandomize_phase_group(group)
         derandomize_phase_group(group, strict=False)
 
@@ -807,13 +837,15 @@ class TestDerandomizeEquivalence:
         group = random_group(3, buckets=buckets, seed=7, edgeless=(1,))
         compressed = derandomize_phase_group(group)
         reference = derandomize_phase_reference(group)
+        assert len(compressed) == len(reference) == group.num_members
         for i, (got, want) in enumerate(zip(compressed, reference)):
             assert_seed_choices_equal(got, want, f"seed[{i}]")
+            assert all(type(t) is float for t in got.conditional_trace)
 
     def test_tables_off_reference_identical(self):
         # Peasant GF multiplies + the per-edge sweep and per-row greedy.
         group = random_group(2, seed=8)
-        field = group[0].family.field
+        field = group.family.field
         compressed = derandomize_phase_group(group)
         field.use_tables = False
         try:

@@ -65,7 +65,7 @@ SRC = Path(repro.__file__).resolve().parent
 def make_sweep(seed: int = 0, buckets: int = 2, n: int = 30):
     group = random_group(3, buckets=buckets, seed=seed, n=n)
     sweep = SeedSweepWorkspace(group)
-    order = 1 << group[0].family.m
+    order = 1 << group.family.m
     return group, sweep, order
 
 
@@ -102,7 +102,7 @@ class TestOneSweepPath:
         """One phase hands each of its 2^m seeds to ``expected_rows``
         exactly once, in ascending chunks of at most ``CHUNK_SIZE``."""
         group = random_group(2, buckets=2, seed=6)
-        order = 1 << group[0].family.m
+        order = 1 << group.family.m
         seen = []
         expected_rows = SeedSweepWorkspace.expected_rows
 
