@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.counting import count_xor_below, count_xor_table
-from repro.core.derandomize import derandomize_phase_group
+from repro.core.derandomize import CHUNK_SIZE, derandomize_phase_group
 from repro.core.potential import (
     PhaseEstimator,
     SeedSweepWorkspace,
@@ -105,29 +105,24 @@ def sweep_group():
 
 
 def test_kernel_sweep_compressed(benchmark, sweep_group):
-    candidates = np.arange(256, dtype=np.int64)
+    # The log-order sweep over every s1, on one reused workspace.
     workspace = SeedSweepWorkspace(sweep_group)
-    rows = benchmark(workspace.expected_rows, candidates)
-    assert rows.shape == (sweep_group.num_members, 256)
+    rows = benchmark(workspace.val1, CHUNK_SIZE)
+    assert rows.shape == (sweep_group.num_members, sweep_group.family.field.order)
 
 
 def test_kernel_sweep_uncompressed(benchmark, sweep_group):
-    # The tests' per-edge sweep oracle (no column dedup); must match the
-    # compressed rows exactly.
-    candidates = np.arange(256, dtype=np.int64)
+    # The tests' natural-order per-edge sweep oracle (no column dedup);
+    # must match the log-order rows exactly.
+    candidates = np.arange(sweep_group.family.field.order, dtype=np.int64)
     rows = benchmark(expected_rows_reference, sweep_group, candidates)
-    assert np.array_equal(
-        rows, SeedSweepWorkspace(sweep_group).expected_rows(candidates)
-    )
+    assert np.array_equal(rows, SeedSweepWorkspace(sweep_group).val1(CHUNK_SIZE))
 
 
 def test_kernel_expected_by_s1(benchmark, estimator):
     # One-shot: the workspace build is part of the timed call.
-    candidates = np.arange(256, dtype=np.int64)
-    values = benchmark(
-        lambda: SeedSweepWorkspace(estimator).expected_rows(candidates)
-    )
-    assert values.shape == (1, 256)
+    values = benchmark(lambda: SeedSweepWorkspace(estimator).val1(CHUNK_SIZE))
+    assert values.shape == (1, estimator.family.field.order)
 
 
 def test_kernel_sigma_descent(benchmark, estimator):

@@ -12,9 +12,10 @@ one complete ``derandomize_phase_group`` twice:
   gather over every edge column, exact sums per member and list size by
   ``np.add.at``), rebuilt per chunk; the reference choices come from the oracles alone
   (``derandomize_phase_reference``);
-* **optimized** — the default path: log/antilog table multiplies, the
-  unique-column compressed sweep, and one
-  :class:`~repro.core.potential.SeedSweepWorkspace` reused across chunks.
+* **optimized** — the default path: the unique-column compressed sweep in
+  discrete-log order (:meth:`~repro.core.potential.SeedSweepWorkspace.val1`:
+  count windows, one matrix product per block), one workspace for the
+  whole enumeration.
 
 Both paths count in exact integers and form the same exact integer sums
 per member and list size (which do not depend on column
@@ -63,6 +64,22 @@ their bucket counts from 8 rows, as a clique phase's lists split alike:
 Before timing, both tables are asserted equal on each kernel; this leg is
 recorded, not guarded.
 
+A fifth leg times the s1 sweep on two real kernels, the ones a
+Theorem 1.3 clique solve of ``random_regular_graph(600, 8, seed=1)``
+(clique-multibit's seed-1 input) derandomizes: its largest r = 1, b = 11
+group and its b = 9, 8-bucket group:
+
+* **natural_order** — the count path the discrete-log windows replaced:
+  one GF multiply and one count-table gather per (seed, column)
+  (``count_rows_reference`` in the tests, seeds 0, 1, 2, … with the table
+  built once), weighted by the workspace block by block;
+* **log_order** — :meth:`~repro.core.potential.SeedSweepWorkspace.val1`,
+  workspace build included.
+
+Before timing, both ``val1`` matrices are asserted bit-identical on each
+kernel.  The r = 1 leg is guarded at ``MIN_LOG_SPEEDUP`` (3×); the
+8-bucket leg is recorded, not guarded.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_seed_sweep.py \
@@ -79,15 +96,19 @@ import time
 import numpy as np
 
 import repro.core.potential as potential
+import repro.core.prefix as prefix
+from repro.cliquemodel.coloring import solve_list_coloring_clique
 from repro.core.derandomize import (
     derandomize_phase_group,
     fix_bits_greedily_many,
 )
+from repro.core.instances import make_delta_plus_one_instance
 from repro.core.potential import (
     SeedSweepWorkspace,
     SweepCountKernel,
     exact_by_sigma_grouped,
 )
+from repro.graphs.generators import random_regular_graph
 from repro.hashing.pairwise import PairwiseFamily
 
 HERE = os.path.dirname(__file__)
@@ -97,6 +118,7 @@ from _perf_json import add_json_arg, write_perf_json  # noqa: E402
 # The oracles live next to the tests that pin the engine against them.
 sys.path.insert(0, os.path.join(HERE, "..", "tests"))
 from reference import (  # noqa: E402
+    count_rows_reference,
     count_table_reference,
     expected_rows_reference,
     group_members,
@@ -111,6 +133,10 @@ from test_seed_sweep_compression import (  # noqa: E402
 )
 
 CHUNK = 512
+
+#: The log-order sweep must beat the natural-order count path by this
+#: factor on clique-multibit's r = 1, b = 11 kernel.
+MIN_LOG_SPEEDUP = 3.0
 
 
 def build_group(
@@ -146,16 +172,51 @@ def build_group(
     return stack_group(family, members)
 
 
-def optimized_sweep(group, order: int) -> np.ndarray:
-    """One workspace for the whole enumeration; compressed columns."""
+def optimized_sweep(group) -> np.ndarray:
+    """One workspace for the whole enumeration; compressed columns, swept
+    in discrete-log order."""
+    return SeedSweepWorkspace(group).val1(CHUNK)
+
+
+def natural_order_sweep(group) -> np.ndarray:
+    """The compressed sweep with the natural-order count path: per seed
+    and column one GF multiply and one count-table gather, the table
+    built once."""
     workspace = SeedSweepWorkspace(group)
+    order = group.family.field.order
+    counts = count_rows_reference(
+        workspace.kernel, np.arange(order, dtype=np.int64)
+    )
     val1 = np.empty((group.num_members, order), dtype=np.float64)
     for start in range(0, order, CHUNK):
         stop = min(order, start + CHUNK)
-        workspace.expected_rows(
-            np.arange(start, stop, dtype=np.int64), out=val1[:, start:stop]
-        )
+        val1[:, start:stop] = workspace.weight_rows(counts[start:stop])
     return val1
+
+
+def clique_kernels() -> tuple:
+    """The largest r = 1, b = 11 group and the b = 9, 8-bucket group that a
+    clique solve of ``random_regular_graph(600, 8, seed=1)`` derandomizes."""
+    groups = []
+    derandomize = prefix.derandomize_phase_group
+
+    def recording(group, *args, **kwargs):
+        groups.append(group)
+        return derandomize(group, *args, **kwargs)
+
+    prefix.derandomize_phase_group = recording
+    try:
+        solve_list_coloring_clique(
+            make_delta_plus_one_instance(random_regular_graph(600, 8, 1))
+        )
+    finally:
+        prefix.derandomize_phase_group = derandomize
+    r1 = max(
+        (g for g in groups if g.num_buckets == 2 and g.b == 11),
+        key=lambda g: g.num_edges,
+    )
+    interval = next(g for g in groups if g.num_buckets == 8 and g.b == 9)
+    return r1, interval
 
 
 def reference_sweep(group, order: int) -> np.ndarray:
@@ -267,7 +328,7 @@ def main() -> int:
 
     # Byte-identity of the sweep and of the full phase derandomization
     # against the pre-table / pre-compression reference path.
-    val1_new = optimized_sweep(group, order)
+    val1_new = optimized_sweep(group)
     choices_new = derandomize_phase_group(group)
     field.use_tables = False
     val1_ref = reference_sweep(group, order)
@@ -286,8 +347,13 @@ def main() -> int:
     ]
     assert_tables_match_reference(kernels)
     table_rows = [len(count_table_reference(kernel)) for kernel in kernels]
+    clique = clique_kernels()
+    for each in clique:
+        assert (
+            natural_order_sweep(each).tobytes() == optimized_sweep(each).tobytes()
+        ), "log-order val1 diverged from the natural-order count path"
 
-    t_new = best_of(lambda: optimized_sweep(group, order))
+    t_new = best_of(lambda: optimized_sweep(group))
     field.use_tables = False
     t_ref = best_of(lambda: reference_sweep(group, order))
     field.use_tables = True
@@ -304,6 +370,11 @@ def main() -> int:
         lambda: [fresh_kernel(kernel)._count_table() for kernel in kernels],
         repeats=7,
     )
+    t_natural, t_log = [], []
+    for each in clique:
+        t_natural.append(best_of(lambda: natural_order_sweep(each), repeats=7))
+        t_log.append(best_of(lambda: optimized_sweep(each), repeats=7))
+    log_speedups = [n / lg for n, lg in zip(t_natural, t_log)]
 
     print(
         f"instances={args.instances} edges={edges} unique-columns={unique} "
@@ -331,6 +402,15 @@ def main() -> int:
         f"{'count tables, top-bit doubling:':<43}{t_table * 1000:8.1f} ms"
         f"   ({t_table_ref / t_table:.1f}x, not guarded)"
     )
+    for each, t_n, t_l, ratio, note in zip(
+        clique, t_natural, t_log, log_speedups, ("guarded", "not guarded")
+    ):
+        label = f"clique {each.num_buckets}-bucket b={each.b} sweep, natural order:"
+        print(f"{label:<43}{t_n * 1000:8.1f} ms")
+        print(
+            f"{'  the same, discrete-log windows:':<43}{t_l * 1000:8.1f} ms"
+            f"   ({ratio:.1f}x, {note})"
+        )
 
     guard = "ok"
     if speedup < args.min_speedup:
@@ -342,6 +422,18 @@ def main() -> int:
         )
     else:
         print(f"OK: speedup {speedup:.1f}x >= {args.min_speedup:.1f}x")
+    if log_speedups[0] < MIN_LOG_SPEEDUP:
+        guard = "fail"
+        print(
+            f"FAIL: log-order sweep speedup {log_speedups[0]:.1f}x < "
+            f"required {MIN_LOG_SPEEDUP:.1f}x",
+            file=sys.stderr,
+        )
+    else:
+        print(
+            f"OK: log-order speedup {log_speedups[0]:.1f}x >= "
+            f"{MIN_LOG_SPEEDUP:.1f}x"
+        )
 
     if args.json:
         write_perf_json(
@@ -354,6 +446,17 @@ def main() -> int:
                 "edges": edges,
                 "unique_columns": unique,
                 "count_table_rows": table_rows,
+                "clique_kernels": [
+                    {
+                        "buckets": each.num_buckets,
+                        "b": each.b,
+                        "m": each.family.m,
+                        "edges": each.num_edges,
+                    }
+                    for each in clique
+                ],
+                "log_order_speedups": log_speedups,
+                "min_log_order_speedup": MIN_LOG_SPEEDUP,
             },
             timings_seconds={
                 "reference": t_ref,
@@ -364,6 +467,10 @@ def main() -> int:
                 "workspace": t_ws,
                 "count_table_reference": t_table_ref,
                 "count_table": t_table,
+                "natural_order_r1": t_natural[0],
+                "log_order_r1": t_log[0],
+                "natural_order_interval": t_natural[1],
+                "log_order_interval": t_log[1],
             },
             speedup=speedup,
             min_speedup=args.min_speedup,

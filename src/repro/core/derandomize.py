@@ -8,7 +8,9 @@ already-fixed prefix and either value of the next bit is computed, and the
 smaller branch is kept — Eq. (7) of the paper.
 
 The multiplicative seed s1 is fixed from the full array ``val1[s1]`` =
-E[potential | s1] (one fused sweep over all 2^m seeds): the conditional
+E[potential | s1] (one fused sweep over all 2^m seeds, counted in
+discrete-log order — s1 = 0, then g^0, g^1, … for the generator g of
+GF(2^m)^* — and written back to each seed's own index): the conditional
 expectation after fixing any bit prefix of s1 is the mean of a contiguous
 block of ``val1``.  σ is then fixed level by level, never from a per-σ
 array: :func:`~repro.core.potential.exact_by_sigma_grouped` evaluates each
@@ -36,8 +38,10 @@ __all__ = [
     "derandomize_phase_group",
 ]
 
-#: Seeds per block of the 2^m enumeration: bounds the (seeds × columns)
-#: count block.  Any value gives the same bits (each row is exact).
+#: Seeds per block of the 2^m enumeration, consecutive in discrete-log
+#: order: bounds the (seeds × columns) count block, and pads the count
+#: kernel's per-row sequences by one block.  Any value gives the same bits
+#: (each row is exact).
 CHUNK_SIZE = 512
 
 
@@ -108,14 +112,17 @@ def derandomize_phase_group(group, strict: bool = True) -> list:
     shared-seed fusion contract of the batched solver; the ψ-domain bits a
     may differ, since s1 ranges over GF(2^m) with m = max(a, b).  The
     ``val1[s1]`` conditional-expectation rows of all members are produced
-    by a single enumeration of the 2^m multiplicative seeds in blocks of
-    :data:`CHUNK_SIZE` — the dominant per-phase cost.  One
+    by a single enumeration of the 2^m multiplicative seeds in discrete-log
+    order, in blocks of :data:`CHUNK_SIZE` — the dominant per-phase cost
+    (:meth:`~repro.core.potential.SeedSweepWorkspace.val1`).  One
     :class:`~repro.core.potential.SeedSweepWorkspace` is built for the
-    whole enumeration, so the per-edge arrays and the unique-column
-    decomposition are constructed once; each block writes its columns
-    straight into the ``val1`` matrix.  Each member then fixes its own
-    seed bits independently (greedy block means over its own conditional
-    expectations, then one σ descent batched over the group), so the
+    whole enumeration, so the per-edge arrays, the unique-column
+    decomposition and the phase's (member, list size) grouping are
+    constructed once; each block writes its columns to its seeds' indices
+    of the ``val1`` matrix.  Each member then fixes its own seed bits
+    independently (greedy block means over its own conditional
+    expectations, then one σ descent batched over the group on the
+    sweep's grouping), so the
     returned :class:`SeedChoice` per member is identical to a group of
     one.  When ``strict``, internal consistency (the descent's value over
     the whole σ range equals ``val1`` at the chosen s1 exactly; Eq. (7)
@@ -123,20 +130,17 @@ def derandomize_phase_group(group, strict: bool = True) -> list:
     group at once, and a failure names the first offending member.
     """
     m = group.family.m
-    order = 1 << m
 
     sweep = SeedSweepWorkspace(group)
-    val1 = np.empty((group.num_members, order), dtype=np.float64)
-    for start in range(0, order, CHUNK_SIZE):
-        stop = min(order, start + CHUNK_SIZE)
-        sweep.expected_rows(
-            np.arange(start, stop, dtype=np.int64), out=val1[:, start:stop]
-        )
+    val1 = sweep.val1(CHUNK_SIZE)
 
     # Fix every member's s1 bits first (one vectorized greedy descent over
-    # all rows), then descend σ for the whole group at once.
+    # all rows), then descend σ for the whole group at once, on the sweep's
+    # (member, list size) grouping.
     s1s, traces1 = fix_bits_greedily_many(val1)
-    sigmas, traces2, finals, roots = exact_by_sigma_grouped(group, s1s)
+    sigmas, traces2, finals, roots = exact_by_sigma_grouped(
+        group, s1s, sweep.weighting
+    )
     initials = val1.mean(axis=1)
 
     if strict:

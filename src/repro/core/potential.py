@@ -17,7 +17,7 @@ expectations (Lemma 2.6 / Eq. (7)) needs two things:
 * ``E[Σ_e X_e | s1]`` for every multiplicative seed s1 (expectation over
   the uniform additive seed σ) — the ``val1`` array the s1 bits are fixed
   from by greedy block means.  :class:`SeedSweepWorkspace` produces it
-  from exact count tables filled by
+  in discrete-log order of s1 from exact count tables filled by
   :func:`~repro.core.counting.count_xor_table`;
 * once s1 is fixed, the conditional expectation of every dyadic block of
   σ values, one level per σ bit.  :func:`exact_by_sigma_grouped` fixes σ
@@ -38,24 +38,25 @@ everywhere, which the tie rules turn into seed (0, 0).
 
 **Exact-integer weighting.**  Both halves reduce to integer counts ``n_w``
 — the number of seeds in a block that put both endpoints of an edge in
-bucket w — weighted by the endpoints' ``1/k_w``.  :class:`_WeightPlan`
-sums the counts into exact int64 ``S`` per (member, list size k) and
-only then forms ``(Σ_k S_k / k, k ascending) / block size``.  Every value
-is therefore a fixed function of exact integers: chunking the seed range
-cannot change a bit, the σ descent's root (the whole σ range) equals
-``val1[s1]`` exactly, and its final value equals the realized potential
-:func:`potential_sums` forms from the same integers.
+bucket w — weighted by the endpoints' ``1/k_w``.  One :class:`_Weighting`
+per phase numbers the (member, list size k) groups, and both halves sum
+the counts into exact ``S`` per group — integers below 2^53, held in
+float64, where every partial sum of nonnegative integers is exact in any
+order — and only then form ``(Σ_k S_k / k, k ascending) / block size``.
+Every value is therefore a fixed function of exact integers: blocking
+the seed range cannot change a bit, the σ descent's root (the whole σ
+range) equals ``val1[s1]`` exactly, and its final value equals the
+realized potential :func:`potential_sums` forms from the same integers.
 
 **Unique-column compression.**  The s1 sweep only ever evaluates the hash
 on per-edge keys ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``;
 everything a column contributes is a function of that key, and real
 instances collapse to a handful of distinct keys.
-:class:`SeedSweepWorkspace` deduplicates columns and runs the GF(2^m)
-multiply on unique columns only.  The counts need even fewer inputs:
-:class:`SweepCountKernel` deduplicates the columns' threshold rows once
-more, fills one count table per distinct row over every hash difference
-d ∈ [0, 2^b) by top-bit doubling (O(2^b) per row), and turns each (seed,
-column) count into one gather from that table.  Both dedups pack each row
+:class:`SeedSweepWorkspace` deduplicates columns and counts unique
+columns only.  The counts need even fewer inputs: :class:`SweepCountKernel`
+deduplicates the columns' threshold rows once more and fills one count
+table per distinct row over every hash difference d ∈ [0, 2^b) by top-bit
+doubling (O(2^b) per row).  Both dedups pack each row
 into one int64 lexicographic rank (:func:`_unique_rows`): every
 non-constant key column, most significant first, becomes one mixed-radix
 digit (its value minus the column minimum, or its dense rank when its
@@ -64,6 +65,18 @@ the distinct rows.  Ranks compare exactly as the rows compare
 lexicographically, so the unique columns come out in the order of a
 row-wise ``np.unique`` (``axis=0``), and the column layout and every value
 are those of that order.
+
+**Discrete-log order.**  GF(2^m)^* is cyclic: with s1 = g^i,
+s1 ⊙ δ = g^(i + log δ), so multiplying by s1 is a shift of the exponent.
+The sweep enumerates s1 = 0 and then g^0, g^1, …, g^(2^m − 2), and the
+counts of a column over consecutive exponents are one contiguous window
+of a per-threshold-row sequence built once from its count table: no GF
+multiply and no per-cell table index runs per seed (when those sequences
+would outgrow the count table, m ≫ b, the windows are cut from the one
+sequence ``top_b(g^j)`` and gathered from the table instead).  The
+weighting is dense per block of members, so each block of seeds is
+contracted by one matrix product (:meth:`SeedSweepWorkspace.weight_rows`),
+and each seed's values are written back to its own index of ``val1``.
 """
 
 from __future__ import annotations
@@ -106,7 +119,7 @@ def potential_sums(
     ``node_instance[u]`` is the instance of node u.  Per instance the sum is
     formed as ``Σ_k D_k / k`` with k ascending, where ``D_k`` is the exact
     integer sum of conflict degrees over its nodes with list size k: the
-    formula (and term order) of :meth:`_WeightPlan.values` at block size 1,
+    formula (and term order) of :meth:`_Weighting.values` at block size 1,
     so it equals the σ descent's final value bit for bit.
     """
     sizes = np.asarray(list_sizes, dtype=np.int64)
@@ -203,31 +216,47 @@ def _unique_rows(columns) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SweepCountKernel:
-    """The pure-integer half of the ``E[Σ_e X_e | s1]`` seed sweep.
+    """The pure-integer half of the ``E[Σ_e X_e | s1]`` seed sweep, in
+    discrete-log order.
 
     Everything the 2^m enumeration computes *before* the first float is a
     function of the per-edge keys alone (the workspace passes its unique
-    columns) and produces exact int64 counts.  Every count column ``c`` asks for one
-    ``N(d, ·)`` of :mod:`repro.core.counting` with ``d = top_b(s1 ⊙ δ_c)``
-    and a *threshold row* that does not depend on the seed: ``(t_u, t_v)``
-    of bucket 0 for 2-bucket (r = 1) phases, the interval quadruple
-    ``(lo_u, hi_u, lo_v, hi_v)`` of the column's bucket otherwise.  A phase
-    has few distinct threshold rows but 2^m × count_width cells, so the
-    kernel fills ``N(d, ·)`` once per (distinct row, d ∈ [0, 2^b)) into an
-    int64 count table (:func:`~repro.core.counting.count_xor_table`; an
-    interval row by inclusion–exclusion over four prefix rows) and answers
-    every cell with one gather:
+    columns) and produces exact integer counts.  Every count column ``c``
+    asks for one ``N(d, ·)`` of :mod:`repro.core.counting` with
+    ``d = top_b(s1 ⊙ δ_c)`` and a *threshold row* ρ(c) that does not depend
+    on the seed: ``(t_u, t_v)`` of bucket 0 for 2-bucket (r = 1) phases,
+    the interval quadruple ``(lo_u, hi_u, lo_v, hi_v)`` of the column's
+    bucket otherwise.  A phase has few distinct threshold rows, so the
+    kernel fills ``N(d, ·)`` once per (distinct row, d ∈ [0, 2^b)) into a
+    count table T (:func:`~repro.core.counting.count_xor_table`; an
+    interval row by inclusion–exclusion over four prefix rows).
 
-        counts[s1, c] = table[row(c), g_values_many(s1, δ)[c]].
+    The seeds are enumerated in discrete-log order (:attr:`s1_order`):
+    position 0 is s1 = 0 and position 1 + i is s1 = g^i, g the generator of
+    the cyclic group GF(2^m)^*.  Since g^i ⊙ δ_c = g^(i + log δ_c), the
+    counts of column c over log indices [i0, i0 + B) are one contiguous
+    window, starting at (i0 + log δ_c) mod (2^m − 1), of its row's sequence
 
-    The table is built lazily on the first :meth:`count_rows` call (in row
-    blocks of at most ``_TABLE_BLOCK_ENTRIES`` entries).  It holds
-    ``rows × 2^b ≤ count_width × 2^m`` entries, at most the size of the
-    full int64 count matrix, and the gather yields int64 counts directly.
-    ``count_rows`` over any partition of the seed range concatenates to the
-    same integers as one full-range call, because no operation crosses seed
-    rows — the property the chunked 2^m enumeration of
-    :func:`~repro.core.derandomize.derandomize_phase_group` relies on.
+        U[ρ, j] = T[ρ, top_b(g^(j mod (2^m − 1)))],
+
+    and s1 = 0 reads ``T[ρ, 0]`` (0 ⊙ δ = 0).  U is built once per kernel,
+    on the first :meth:`count_rows` call, with length 2^m − 1 + B − 1 for
+    the largest block B asked for so far, in :attr:`dtype`, the narrowest
+    unsigned type that holds 2^b.  Each count is then a copy: no GF
+    multiply and no per-cell table index runs per seed.
+
+    U is kept only while it takes no more bytes than the int64 count
+    table it is gathered from (or than one ``_TABLE_BLOCK_ENTRIES`` block
+    of int64 when that is larger): when the ψ-domain bits a exceed b,
+    m = a and U's length 2^m outgrows T's 2^b columns.  Past that bound
+    the kernel keeps T and the sequence ``top_b(g^j)`` alone, and a block's
+    counts are T gathered at the windows of that sequence — still log
+    order and no GF multiply, one table index per cell — so the sweep's
+    memory stays that of T plus one O(2^m) sequence.  ``count_rows``
+    over any partition of the positions concatenates to the same integers
+    as one full-range call, because no operation crosses seed rows — the
+    property the blocked enumeration of :meth:`SeedSweepWorkspace.val1`
+    relies on.
 
     ``count_width`` is the number of integer columns per seed row:
     the (unique) edge-column count for 2-bucket (r = 1) phases, or the
@@ -235,7 +264,8 @@ class SweepCountKernel:
     block in bucket order; ``bucket_columns[w]`` is ``(alive, start)`` for
     bucket w's block (``alive`` masks the edge columns whose bucket-w
     interval is nonempty at both endpoints) or None when no column is
-    alive.
+    alive.  ψ-differences must be nonzero: a zero one is an improper input
+    coloring and has no discrete log.
     """
 
     def __init__(
@@ -252,7 +282,15 @@ class SweepCountKernel:
         self.psi_diff = psi_diff
         self.thr_u = thr_u
         self.thr_v = thr_v
-        self._lookup = None
+        if (psi_diff == 0).any():
+            raise ValueError("ψ-differences must be nonzero (proper input coloring)")
+        #: dtype of the counts: the narrowest unsigned type holding 2^b.
+        self.dtype = np.min_scalar_type(1 << self.b)
+        exp, log = family.field.power_tables()
+        #: The s1 at each position of the enumeration: 0, then g^i.
+        self.s1_order = np.concatenate([np.zeros(1, dtype=np.int64), exp])
+        self._log_delta = log[psi_diff]
+        self._windows = None
         if self.num_buckets == 2:
             self.bucket_columns = None
             self.count_width = len(psi_diff)
@@ -295,8 +333,8 @@ class SweepCountKernel:
         return np.concatenate(sources), [np.concatenate(c) for c in zip(*parts)]
 
     def _count_table(self) -> tuple:
-        """``(table, offsets, source)``: the flat int64 count table over
-        (distinct threshold row, d), each count column's row offset into
+        """``(table, row_of_col, source)``: the int64 count table T over
+        (distinct threshold row, d ∈ [0, 2^b)), each count column's row in
         it, and the column → edge column map (None for r = 1).
 
         An interval row ``(lo_u, hi_u, lo_v, hi_v)`` counts by
@@ -304,26 +342,22 @@ class SweepCountKernel:
         (hi_u, lo_v) and (lo_u, lo_v).  Adjacent buckets share bounds, so
         the prefix rows are deduplicated once more and each distinct one is
         filled once."""
-        if self._lookup is None:
-            source, columns = self._threshold_rows()
-            index, row_of_col = _unique_rows(columns)
-            keys = [col[index] for col in columns]
-            if self.bucket_columns is None:
-                table = self._fill(*keys)
-            else:
-                lo_u, hi_u, lo_v, hi_v = keys
-                t1 = np.concatenate([hi_u, lo_u, hi_u, lo_u])
-                t2 = np.concatenate([hi_v, hi_v, lo_v, lo_v])
-                prefix_index, prefix_of = _unique_rows([t1, t2])
-                prefix = self._fill(t1[prefix_index], t2[prefix_index])
-                both_hi, lo_hi, hi_lo, both_lo = prefix_of.reshape(4, -1)
-                table = prefix[both_hi]
-                table -= prefix[lo_hi]
-                table -= prefix[hi_lo]
-                table += prefix[both_lo]
-            offsets = row_of_col.astype(np.int64) << self.b
-            self._lookup = (table.reshape(-1), offsets, source)
-        return self._lookup
+        source, columns = self._threshold_rows()
+        index, row_of_col = _unique_rows(columns)
+        keys = [col[index] for col in columns]
+        if self.bucket_columns is None:
+            return self._fill(*keys), row_of_col, source
+        lo_u, hi_u, lo_v, hi_v = keys
+        t1 = np.concatenate([hi_u, lo_u, hi_u, lo_u])
+        t2 = np.concatenate([hi_v, hi_v, lo_v, lo_v])
+        prefix_index, prefix_of = _unique_rows([t1, t2])
+        prefix = self._fill(t1[prefix_index], t2[prefix_index])
+        both_hi, lo_hi, hi_lo, both_lo = prefix_of.reshape(4, -1)
+        table = prefix[both_hi]
+        table -= prefix[lo_hi]
+        table -= prefix[hi_lo]
+        table += prefix[both_lo]
+        return table, row_of_col, source
 
     def _fill(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
         """:func:`count_xor_table` of the rows ``(t1[i], t2[i])``, in row
@@ -336,121 +370,154 @@ class SweepCountKernel:
             )
         return table
 
-    def count_rows(self, s1_values: np.ndarray) -> np.ndarray:
-        """Integer count matrix for the given seeds; shape
-        ``(len(s1_values), count_width)``.
+    def _build_windows(self, span: int) -> tuple:
+        """``(sequences, table, row, start)`` long enough for blocks of up
+        to ``span`` positions: the per-row sequences U (2-D), or the top-bit
+        sequence ``top_b(g^j)`` alone (1-D) when U would outgrow its bound;
+        the count table in :attr:`dtype`; and the row and the log-order
+        offset ``log δ`` of every count column."""
+        cycle = len(self.s1_order) - 1
+        length = cycle + min(span, cycle) - 1
+        if self._windows is None or self._windows[0].shape[-1] < length:
+            table, row, source = self._count_table()
+            narrow = table.astype(self.dtype)
+            top = np.resize(self.s1_order[1:], length) >> (self.family.m - self.b)
+            top = top.astype(np.min_scalar_type((1 << self.b) - 1))
+            start = self._log_delta if source is None else self._log_delta[source]
+            bound = max(table.nbytes, 8 * _TABLE_BLOCK_ENTRIES)
+            if len(narrow) * length * narrow.itemsize <= bound:
+                sequences = np.take(narrow, top, axis=1)
+            else:
+                sequences = top
+            self._windows = (sequences, narrow, row, start)
+        return self._windows
 
-        One GF multiply per (seed, edge column) and one count-table gather
-        per (seed, count column).  Row ``i`` depends only on
-        ``s1_values[i]``, so calls over any chunking of the seed range
-        produce bitwise-identical rows.
+    def count_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Integer count matrix of the seeds at positions ``[lo, hi)`` of
+        :attr:`s1_order`; shape ``(hi − lo, count_width)``, :attr:`dtype`.
+
+        One sliding-window gather: column c's counts are its row's window
+        at ``(i0 + log δ_c) mod (2^m − 1)`` for the block's first log index
+        i0 (T gathered at that window of ``top_b(g^j)`` when U is not
+        kept), preceded by ``T[ρ(c), 0]`` when the block holds s1 = 0.  The
+        result is the transpose of a C-contiguous (columns × seeds) block,
+        the layout :meth:`SeedSweepWorkspace.weight_rows` contracts.  Row
+        ``i`` depends only on its own seed, so calls over any partition of
+        the positions produce bitwise-identical rows.
         """
-        s1_values = np.asarray(s1_values, dtype=np.int64)
-        if self.count_width == 0 or not len(s1_values):
-            return np.zeros((len(s1_values), self.count_width), dtype=np.int64)
-        table, offsets, source = self._count_table()
-        d = self.family.g_values_many(s1_values, self.psi_diff)
-        if source is not None:
-            d = np.take(d, source, axis=1)
-        d += offsets
-        return np.take(table, d)
+        lo, hi = int(lo), int(hi)
+        if not 0 <= lo < hi <= len(self.s1_order):
+            raise ValueError(
+                f"positions [{lo}, {hi}) outside [0, {len(self.s1_order)})"
+            )
+        if self.count_width == 0:
+            return np.zeros((hi - lo, 0), dtype=self.dtype)
+        sequences, table, row, start = self._build_windows(hi - lo)
+        first = max(lo, 1)  # the position of the block's first g^i
+        windows = np.lib.stride_tricks.sliding_window_view(
+            sequences, hi - first, axis=-1
+        )
+        offset = (start + (first - 1)) % (len(self.s1_order) - 1)
+        if sequences.ndim == 2:
+            block = windows[row, offset]
+        else:
+            block = table[row[:, None], windows[offset]]
+        if lo == 0:
+            block = np.concatenate([table[row, 0][:, None], block], axis=1)
+        return block.T
 
 
-class _WeightPlan:
-    """The exact-integer weighting shared by the s1 sweep and the σ descent.
+class _Weighting:
+    """The exact-integer weighting of one fusion group's phase, shared by
+    the s1 sweep and the σ descent: one (member, list size) grouping per
+    phase.
 
-    An *incidence* is one (edge endpoint x, bucket w) pair of member j:
-    it adds the count in integer column ``col`` (the number of seeds of a
-    block putting both endpoints in bucket w) to the group ``(j, k)`` with
-    ``k = k_w(x)``; k = 0 carries weight 0 and is dropped.  Groups are
-    numbered in (member, ascending k) order, and the plan keeps a sparse
-    (column, group, multiplicity) list sorted by group, so fusion groups of
-    hundreds of members never build a dense (columns × groups) matrix.
+    An *item* is one (edge, bucket w) pair whose count enters the
+    weighting: for r = 1 every (edge, w), w ∈ {0, 1}, bucket-major (item
+    ``w·E + e``); for r > 1 the pairs whose bucket-w interval is nonempty
+    at both endpoints, edge-major.  Each item has two *incidences*, its
+    endpoints x, which add the item's count — the number of seeds of a
+    block putting both endpoints in bucket w — to the group ``(j, k)`` of
+    its member j with ``k = k_w(x)``; k = 0 carries weight 0 and is
+    dropped.  Groups are numbered in (member, ascending k) order
+    (``group_offsets`` cuts them into members), and ``inc_item`` /
+    ``inc_group`` list the incidences.
 
-    :meth:`sums` forms the int64 sums ``S`` per group (plus an optional
-    integer constant per incidence); :meth:`values` turns them into
-    ``(Σ_k S_k / k, k ascending) / scale`` per member; a member without
-    incidences gets exactly 0.0.  Groups whose
-    ``S`` is 0 add an exact 0.0, so two plans over the same nonzero sums
-    give the same floats.  The exactness guard checks once that no ``S``
-    can reach 2^53 when every count lies in [0, ``scale``] (and every
-    constant in [−``scale``, ``scale``]): below that int64 cannot wrap and
-    every ``S`` converts to float64 exactly.
+    :meth:`sums` forms the exact sums ``S`` per group of one row of item
+    counts; :meth:`values` turns ``S`` into ``(Σ_k S_k / k, k ascending) /
+    scale`` per member; a member without incidences gets exactly 0.0.
+    Groups whose ``S`` is 0 add an exact 0.0.  The exactness guard checks
+    once that no ``S`` can reach 2^53 when every count lies in [0,
+    ``scale``] (and every constant in [−``scale``, ``scale``]): below that
+    every partial sum of nonnegative integers is an integer that float64
+    holds exactly, in any summation order.
     """
 
-    def __init__(
-        self,
-        inc_col: np.ndarray,
-        inc_est: np.ndarray,
-        inc_k: np.ndarray,
-        num_est: int,
-        width: int,
-        scale: int,
-        inc_const: np.ndarray | None = None,
-    ):
-        keep = inc_k > 0
-        span = int(inc_k.max(initial=0)) + 1
+    def __init__(self, group: PhaseEstimator):
+        eu, ev = group.edges_u, group.edges_v
+        if group.num_buckets == 2:
+            self.item_edge = np.tile(np.arange(len(eu), dtype=np.int64), 2)
+            self.item_w = np.repeat(np.arange(2, dtype=np.int64), len(eu))
+        else:
+            width = np.diff(group.thresholds, axis=1) > 0
+            self.item_edge, self.item_w = np.nonzero(width[eu] & width[ev])
+        ie, iw = self.item_edge, self.item_w
+        item_member = group.edge_member[ie]
+        ks = np.concatenate([group.counts[eu[ie], iw], group.counts[ev[ie], iw]])
+        keep = ks > 0
+        self.inc_item = np.tile(np.arange(len(ie), dtype=np.int64), 2)[keep]
+        span = int(ks.max(initial=0)) + 1
+        key = np.tile(item_member, 2)[keep] * span + ks[keep]
         # Groups are the present keys in ascending order, numbered by rank:
         # the same numbering as a sorted unique, without the sort.
-        key = (inc_est * span + inc_k)[keep]
         present = np.bincount(key) > 0
         groups = np.flatnonzero(present)
-        inc_group = (np.cumsum(present) - 1)[key]
+        self.inc_group = (np.cumsum(present) - 1)[key]
         num_groups = len(groups)
-        width = max(1, int(width))
-        entries, mult = np.unique(
-            inc_group * width + inc_col[keep], return_counts=True
-        )
-        self.entry_col = entries % width
-        self.entry_mult = mult.astype(np.int64)
-        self.group_start = np.searchsorted(
-            entries // width, np.arange(num_groups)
-        )
-        self.group_est = groups // span
+        self.group_member = groups // span
         self.group_k = (groups % span).astype(np.float64)
-        self.const = None
-        if inc_const is not None:
-            self.const = np.zeros(num_groups, dtype=np.int64)
-            np.add.at(self.const, inc_group, inc_const[keep])
+        self.group_offsets = np.searchsorted(
+            self.group_member, np.arange(group.num_members + 1)
+        )
         # |S| and every partial sum are at most scale times the group's
         # number of incidences.
-        per_group = np.bincount(inc_group, minlength=num_groups)
-        self.sum_bound = int(scale) * int(per_group.max(initial=0))
+        per_group = np.bincount(self.inc_group, minlength=num_groups)
+        self.sum_bound = int(group.scale) * int(per_group.max(initial=0))
         if self.sum_bound >= _EXACT_INT_LIMIT:
             raise ValueError(
                 f"seed-sweep sums may reach {self.sum_bound} >= 2^53: "
                 "the integer weighting would not be exact"
             )
         # Sequential ascending-k summation order: slot p of member j
-        # holds its p-th smallest k; missing slots point at a zero column.
-        first_group = np.searchsorted(self.group_est, np.arange(num_est))
-        slot = np.arange(num_groups) - first_group[self.group_est]
+        # holds its p-th smallest k; missing slots point at a zero row.
+        slot = np.arange(num_groups) - self.group_offsets[self.group_member]
         self.slots = np.full(
-            (num_est, int(slot.max(initial=0)) + 1), num_groups, dtype=np.int64
+            (group.num_members, int(slot.max(initial=0)) + 1),
+            num_groups,
+            dtype=np.int64,
         )
-        self.slots[self.group_est, slot] = np.arange(num_groups)
+        self.slots[self.group_member, slot] = np.arange(num_groups)
 
-    def sums(self, counts: np.ndarray) -> np.ndarray:
-        """(rows × groups) int64 sums ``S`` of a (rows × width) count block."""
-        if not len(self.group_k):
-            return np.zeros((len(counts), 0), dtype=np.int64)
-        terms = np.take(counts, self.entry_col, axis=1)
-        terms *= self.entry_mult
-        sums = np.add.reduceat(terms, self.group_start, axis=1)
-        if self.const is not None:
-            sums += self.const
-        return sums
+    def sums(self, item_counts: np.ndarray) -> np.ndarray:
+        """float64 ``S`` per group of one row of nonnegative item counts,
+        exact (see the class docstring)."""
+        return np.bincount(
+            self.inc_group,
+            weights=item_counts[self.inc_item],
+            minlength=len(self.group_k),
+        )
 
     def values(self, sums: np.ndarray, scale: int) -> np.ndarray:
-        """(rows × members) ``(Σ_k S_k / k, k ascending) / scale``."""
+        """(members × rows) ``(Σ_k S_k / k, k ascending) / scale`` of the
+        (groups × rows) exact sums ``S``."""
         num_groups = len(self.group_k)
-        # One float per (row, group): S / k, plus a zero column that the
+        # One float per (group, row): S / k, plus a zero row that the
         # padding slots of members with fewer distinct k point at.
-        quotients = np.zeros((len(sums), num_groups + 1), dtype=np.float64)
-        np.divide(sums, self.group_k, out=quotients[:, :num_groups])
-        total = quotients[:, self.slots[:, 0]]
+        quotients = np.zeros((num_groups + 1, sums.shape[1]), dtype=np.float64)
+        np.divide(sums, self.group_k[:, None], out=quotients[:num_groups])
+        total = quotients[self.slots[:, 0]]
         for p in range(1, self.slots.shape[1]):
-            total += quotients[:, self.slots[:, p]]
+            total += quotients[self.slots[:, p]]
         total /= float(scale)
         return total
 
@@ -464,20 +531,19 @@ class SeedSweepWorkspace:
     coin accuracy and the bucket count — but carry their own conflict
     graphs, input colorings ψ and ψ-domain bits a.  Each member's counts
     and weighting are functions of its own integers, so its rows equal
-    those of a group of one.  The dominant (candidates × edges) work — the
-    GF(2^m) multiply of ``g_values_many`` and the count-table gather — runs
-    ONCE over the group's flat edge arrays, and the weighting recovers
-    every member's expectation from exact per-(member, list size) integer
-    sums.
+    those of a group of one.  The dominant (seeds × columns) work — the
+    count windows and their contraction — runs ONCE over the group's flat
+    edge arrays.
 
     Constructing the workspace once per phase hoists everything that does
-    not depend on the s1 candidates out of the chunked 2^m enumeration:
+    not depend on the seeds out of the blocked 2^m enumeration
+    (:meth:`val1`):
 
     * the per-edge arrays (ψ-differences, endpoint threshold rows) are
-      read from the group once instead of once per chunk;
+      read from the group once instead of once per block;
     * edge columns are deduplicated by the key ``(ψ_u ⊕ ψ_v,
-      thresholds(u), thresholds(v))``, and the GF multiply and count
-      gather run on unique columns only.  The key's
+      thresholds(u), thresholds(v))``, and the count windows are cut for
+      unique columns only.  The key's
       1 + 2·(2^r + 1) columns are packed, most significant first, into one
       int64 mixed-radix rank per edge (:func:`_unique_rows`; for r = 1 the
       constant threshold columns 0 and 2^b drop out), and one 1-D
@@ -485,24 +551,31 @@ class SeedSweepWorkspace:
       A rank compares as its row compares lexicographically, so the
       unique columns are in a row-wise ``np.unique``'s order: sorted by
       ψ-difference, then by the thresholds of u, then by those of v;
-    * the weighting plan: every edge endpoint x of member j contributes
+    * the weighting (:class:`_Weighting`, kept as ``weighting`` for the σ
+      descent): every edge endpoint x of member j contributes
       ``n_w / k_w(x)`` for each bucket w, where ``n_w`` is the number of σ
       putting both endpoints in bucket w.  Grouping endpoints by
       ``(j, k = k_w(x))`` gives
 
           2^b · E[Σ_e X_e | s1] = Σ_k S[s1, j, k] / k,
-          S[s1, j, k] = Σ_c counts[s1, c] · mult[c, j, k] (+ const[j, k]),
+          S[s1, j, k] = Σ_c mult[(j, k), c] · counts[s1, c] (+ const[j, k]).
 
-      an int64 sum over the count columns, kept as a :class:`_WeightPlan`.
       For r = 1 the bucket-1 count follows by inclusion-exclusion,
       ``n_both1 = 2^b − t_u − t_v + n_both0``, so bucket-1 endpoints add
       multiplicity to the ``n_both0`` column and their ``2^b − t_u − t_v``
-      to ``const``.
+      to ``const``.  ``mult`` is kept dense, as float64 (groups × count
+      columns) matrices, one per *member block*: the members are cut into
+      consecutive blocks of at most ``_TABLE_BLOCK_ENTRIES`` (groups ×
+      columns) entries, a block's columns being the ones its members read
+      (a one-member block is always allowed).  :meth:`weight_rows` forms
+      each block's ``S`` as one matrix product with the count windows.
 
-    The plan's exactness guard checks once that no ``S`` can reach 2^53,
-    so each ``val1`` entry is a fixed function of exact integers of its
-    own seed row.  A member without edges has no incidences, so its rows
-    are exactly 0.0.
+    The weighting's exactness guard checks once that no ``S`` can reach
+    2^53; every partial sum of the product is a nonnegative integer below
+    that, so the product is exact in any summation order, and each
+    ``val1`` entry is a fixed function of exact integers of its own seed
+    row.  A member without edges has no incidences, so its rows are
+    exactly 0.0.
     """
 
     def __init__(self, group: PhaseEstimator):
@@ -530,103 +603,147 @@ class SeedSweepWorkspace:
             self.uniq_thr_u,
             self.uniq_thr_v,
         )
-        self._plan_weighting()
+        self.weighting = _Weighting(group)
+        self.sum_bound = self.weighting.sum_bound
+        self._plan_contraction()
 
-    def _plan_weighting(self) -> None:
-        """Build the weighting plan over the count columns.
+    def _plan_contraction(self) -> None:
+        """The dense multiplicity matrices, one per member block, and the
+        r = 1 constants.
 
-        Each incidence is one (edge endpoint, bucket) pair; it reads the
-        count column holding that edge's bucket count (for r = 1 the
-        ``n_both0`` column, plus the constant ``2^b − t_u − t_v`` for
-        bucket 1).
-        """
-        group = self.group
-        est_id = group.edge_member
-        k_u = group.counts[group.edges_u]
-        k_v = group.counts[group.edges_v]
-        column = self.inverse
-        # Each list starts empty-but-typed, so a group whose buckets hold no
-        # alive column still concatenates (to no incidence).
-        none = np.zeros(0, dtype=np.int64)
-        cols, ests, ks = [none], [none], [none]
-        consts = None
+        Each item reads the count column holding its edge's bucket count
+        (for r = 1 the ``n_both0`` column, plus the constant ``2^b − t_u −
+        t_v`` for bucket 1)."""
+        weighting = self.weighting
+        edge_col = self.inverse[weighting.item_edge]
+        num_groups = len(weighting.group_k)
+        self.const = None
         if self.num_buckets == 2:
-            # Both buckets weight the n_both0 column; bucket 1 also adds
-            # its inclusion-exclusion constant 2^b - t_u - t_v.
-            const = int(self.scale) - self.thr_u[:, 1] - self.thr_v[:, 1]
-            zero = np.zeros_like(const)
-            consts = np.concatenate([zero, zero, const, const])
-            for w in (0, 1):
-                for k in (k_u[:, w], k_v[:, w]):
-                    cols.append(column)
-                    ests.append(est_id)
-                    ks.append(k)
+            item_col = edge_col
+            edge = weighting.item_edge
+            item_const = np.where(
+                weighting.item_w == 1,
+                int(self.scale) - self.thr_u[edge, 1] - self.thr_v[edge, 1],
+                0,
+            )
+            self.const = np.bincount(
+                weighting.inc_group,
+                weights=item_const[weighting.inc_item],
+                minlength=num_groups,
+            )[:, None]
         else:
+            col_of = np.zeros(
+                (self.num_buckets, len(self.uniq_psi_diff)), dtype=np.int64
+            )
             for w, block in enumerate(self.kernel.bucket_columns):
-                if block is None:
-                    continue
-                alive, start = block
-                position = start + np.cumsum(alive) - 1
-                alive_edge = alive[column]
-                for k in (k_u[alive_edge, w], k_v[alive_edge, w]):
-                    cols.append(position[column[alive_edge]])
-                    ests.append(est_id[alive_edge])
-                    ks.append(k)
-        self.plan = _WeightPlan(
-            np.concatenate(cols),
-            np.concatenate(ests),
-            np.concatenate(ks),
-            group.num_members,
-            self.kernel.count_width,
-            int(self.scale),
-            consts,
-        )
-        self.sum_bound = self.plan.sum_bound
+                if block is not None:
+                    alive, start = block
+                    col_of[w] = start + np.cumsum(alive) - 1
+            item_col = col_of[weighting.item_w, edge_col]
+        inc_col = item_col[weighting.inc_item]
+        inc_group = weighting.inc_group
+        width = self.kernel.count_width
+        if num_groups * width <= _TABLE_BLOCK_ENTRIES:
+            bounds = [0, self.group.num_members]
+        else:
+            bounds = self._member_blocks(inc_group, inc_col)
+        #: ``(first group, end group, columns or None for all, matrix)``.
+        self.blocks = []
+        offsets = weighting.group_offsets
+        for lo, hi in zip(bounds, bounds[1:]):
+            g0, g1 = int(offsets[lo]), int(offsets[hi])
+            if g0 == g1:
+                continue
+            if len(bounds) == 2:
+                cols, local, group_ids = None, inc_col, inc_group
+            else:
+                mine = (inc_group >= g0) & (inc_group < g1)
+                cols, local = np.unique(inc_col[mine], return_inverse=True)
+                group_ids = inc_group[mine] - g0
+            num_cols = width if cols is None else len(cols)
+            matrix = np.bincount(
+                group_ids * num_cols + local, minlength=(g1 - g0) * num_cols
+            ).reshape(g1 - g0, num_cols)
+            self.blocks.append((g0, g1, cols, matrix.astype(np.float64)))
 
-    def weight_rows(
-        self, counts: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _member_blocks(self, inc_group, inc_col) -> list:
+        """Member bounds of consecutive blocks whose groups times the sum of
+        their members' distinct columns (at least the block's columns) stay
+        within ``_TABLE_BLOCK_ENTRIES``; a block holds at least one member."""
+        weighting = self.weighting
+        num_members = self.group.num_members
+        width = max(1, self.kernel.count_width)
+        member = weighting.group_member[inc_group]
+        pairs = np.unique(member * width + inc_col)
+        cols = np.zeros(num_members + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // width, minlength=num_members), out=cols[1:])
+        groups = weighting.group_offsets
+        bounds = [0]
+        while bounds[-1] < num_members:
+            lo = bounds[-1]
+            entries = (groups[lo + 1:] - groups[lo]) * (cols[lo + 1:] - cols[lo])
+            fit = int(np.searchsorted(entries, _TABLE_BLOCK_ENTRIES, side="right"))
+            bounds.append(lo + max(1, fit))
+        return bounds
+
+    def weight_rows(self, counts: np.ndarray) -> np.ndarray:
         """The weighting step: count rows → expectation columns.
 
-        ``counts`` is any contiguous block of seed rows as produced by
-        :meth:`SweepCountKernel.count_rows`; returns the (num members,
-        num rows) expectation matrix for that block.  Per row it forms the
-        exact int64 sums ``S[j, k]``, then ``(Σ_k S[j, k] / k) / 2^b`` with
-        k ascending, so every entry is a fixed function of exact integers
-        of its own seed row: the result is bit-identical for any chunking
-        of the seed range, and the sums do not depend on how columns were
-        deduplicated.
+        ``counts`` is any block of seed rows as produced by
+        :meth:`SweepCountKernel.count_rows` (any integer dtype); returns the
+        (num members, num rows) expectation matrix for that block.  Each
+        member block's exact sums ``S`` are one float64 matrix product of
+        its multiplicity matrix with the block's count columns, the r = 1
+        constants are added after it, and each entry is then ``(Σ_k S[j, k]
+        / k) / 2^b`` with k ascending — a fixed function of exact integers
+        of its own seed row, so the result is bit-identical for any
+        blocking of the seeds, and the sums do not depend on how columns
+        were deduplicated.
+
+        The product is ``np.einsum``, numpy's own single-threaded loops,
+        not a BLAS ``matmul``: BLAS is faster alone but splits products
+        of this size over threads, and on a 2-core host with one other
+        busy process its calls stalled 10–30× waiting for a core.
         """
         counts = np.asarray(counts)
-        shape = (self.group.num_members, counts.shape[0])
-        if out is None:
-            out = np.empty(shape, dtype=np.float64)
-        elif out.shape != shape or out.dtype != np.float64:
+        if counts.shape[1] != self.kernel.count_width or not np.issubdtype(
+            counts.dtype, np.integer
+        ):
             raise ValueError(
-                f"out must be float64 of shape {shape}, got "
-                f"{out.dtype} {out.shape}"
-            )
-        if counts.shape[1] != self.kernel.count_width or counts.dtype != np.int64:
-            raise ValueError(
-                f"counts must be int64 with {self.kernel.count_width} "
+                f"counts must be integers with {self.kernel.count_width} "
                 f"columns, got {counts.dtype} {counts.shape}"
             )
-        out[...] = self.plan.values(self.plan.sums(counts), int(self.scale)).T
-        return out
+        weighting = self.weighting
+        sums = np.empty((len(weighting.group_k), counts.shape[0]), dtype=np.float64)
+        columns = counts.T.astype(np.float64)
+        for g0, g1, cols, matrix in self.blocks:
+            np.einsum(
+                "gc,cb->gb",
+                matrix,
+                columns if cols is None else columns[cols],
+                out=sums[g0:g1],
+            )
+        if self.const is not None:
+            sums += self.const
+        return weighting.values(sums, int(self.scale))
 
-    def expected_rows(
-        self, s1_candidates: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``E[Σ_e X_e | s1]`` as a (num members, num candidates) matrix.
+    def val1(self, block: int) -> np.ndarray:
+        """``E[Σ_e X_e | s1]`` for every s1 ∈ GF(2^m), as a (num members,
+        2^m) matrix indexed by s1.
 
-        Row j is ``E[Σ_e X_e | s1]`` of member j (expectation over σ);
-        ``out``, when given, is filled in place (float64, matching shape).
-        Composition of the integer :meth:`SweepCountKernel.count_rows`
-        kernel and the :meth:`weight_rows` step (exact integer sums, then
-        one division per list size).
+        The seeds are counted in blocks of ``block`` consecutive positions
+        of the kernel's discrete-log order (:meth:`SweepCountKernel.count_rows`
+        then :meth:`weight_rows`), and each block's columns are written to
+        the seeds' own indices.
         """
-        s1_candidates = np.asarray(s1_candidates, dtype=np.int64)
-        return self.weight_rows(self.kernel.count_rows(s1_candidates), out=out)
+        order = len(self.kernel.s1_order)
+        val1 = np.empty((self.group.num_members, order), dtype=np.float64)
+        for lo in range(0, order, block):
+            hi = min(order, lo + block)
+            val1[:, self.kernel.s1_order[lo:hi]] = self.weight_rows(
+                self.kernel.count_rows(lo, hi)
+            )
+        return val1
 
 
 def _count_below_block(
@@ -646,11 +763,13 @@ def _count_below_block(
 
 class _SigmaDescent:
     """Per-level exact counts of a fusion group's σ descent (see
-    :func:`exact_by_sigma_grouped`).  Holds the group's alive edges: hash
-    values under each member's own s1, thresholds and the weighting plan,
-    all O(edges · 2^r)."""
+    :func:`exact_by_sigma_grouped`).  Holds the group's weighted items:
+    hash values under each member's own s1, thresholds and the phase's
+    :class:`_Weighting`, all O(edges · 2^r)."""
 
-    def __init__(self, group: PhaseEstimator, s1_values: np.ndarray):
+    def __init__(
+        self, group: PhaseEstimator, s1_values: np.ndarray, weighting: _Weighting
+    ):
         eu, ev = group.edges_u, group.edges_v
         s1_node = np.repeat(s1_values, np.diff(group.node_offsets))
         g = group.family.field.mul_vec(s1_node, group.psi) >> (
@@ -658,19 +777,13 @@ class _SigmaDescent:
         )
         thresholds = group.thresholds
         if group.num_buckets == 2:
-            # Items are edges; the level counts are [n_both0 | n_both1].
+            # The level counts are per edge, [n_both0 | n_both1]: the
+            # weighting's bucket-major items.
             item_edge = np.arange(len(eu), dtype=np.int64)
-            num_cols = 2 * len(eu)
             self.bounds = (thresholds[eu, 1], thresholds[ev, 1])
-            inc_col = np.concatenate(
-                [item_edge, item_edge, item_edge + len(eu), item_edge + len(eu)]
-            )
-            ends = [(eu, 0), (ev, 0), (eu, 1), (ev, 1)]
         else:
-            # Items are the (edge, bucket) pairs whose bucket interval is
-            # nonempty at both endpoints; the level counts are per item.
-            width = np.diff(thresholds, axis=1) > 0
-            item_edge, item_w = np.nonzero(width[eu] & width[ev])
+            # The level counts are per item.
+            item_edge, item_w = weighting.item_edge, weighting.item_w
             iu, iv = eu[item_edge], ev[item_edge]
             self.bounds = (
                 thresholds[iu, item_w],
@@ -678,26 +791,15 @@ class _SigmaDescent:
                 thresholds[iv, item_w],
                 thresholds[iv, item_w + 1],
             )
-            num_cols = len(item_edge)
-            idx = np.arange(num_cols, dtype=np.int64)
-            inc_col = np.concatenate([idx, idx])
-            ends = [(iu, item_w), (iv, item_w)]
         self.item_est = group.edge_member[item_edge]
         self.g_u = g[eu[item_edge]]
         self.g_v = g[ev[item_edge]]
         self.d = self.g_u ^ self.g_v
-        self.plan = _WeightPlan(
-            inc_col,
-            np.tile(self.item_est, len(ends)),
-            np.concatenate([group.counts[x, w] for x, w in ends]),
-            group.num_members,
-            num_cols,
-            int(group.scale),
-        )
+        self.weighting = weighting
 
     def block_sums(self, width: int, prefix: np.ndarray) -> np.ndarray:
-        """int64 sums ``S`` per group over the σ block of each member whose
-        top ``b − width`` bits are its ``prefix``.
+        """Exact float64 sums ``S`` per group over the σ block of each
+        member whose top ``b − width`` bits are its ``prefix``.
 
         On that block y_x = g_x ⊕ σ sweeps one dyadic block of 2^width
         values from ``base_x`` while y_u and y_v differ by ``d`` in their
@@ -727,10 +829,12 @@ class _SigmaDescent:
                 width,
             ).reshape(4, -1)
             counts = n[0] - n[1] - n[2] + n[3]
-        return self.plan.sums(counts[None, :])[0]
+        return self.weighting.sums(counts)
 
 
-def exact_by_sigma_grouped(group: PhaseEstimator, s1_values) -> tuple:
+def exact_by_sigma_grouped(
+    group: PhaseEstimator, s1_values, weighting: _Weighting | None = None
+) -> tuple:
     """Fix σ bit by bit for every member of a fusion group (Lemma 2.6).
 
     Once s1 is fixed, Eq. (7) fixes σ's b bits most significant first:
@@ -742,14 +846,17 @@ def exact_by_sigma_grouped(group: PhaseEstimator, s1_values) -> tuple:
     counting DP on width L with clipped thresholds
     (:meth:`_SigmaDescent.block_sums`; for r = 1 the bucket-1 count follows
     by inclusion-exclusion).  Per level the c = 0 child's counts are summed
-    into exact int64 ``S`` per (member, list size k); the c = 1 child is
-    the parent's ``S`` minus that, exactly; each child's value is
-    ``(Σ_k S_k / k, k ascending) / 2^L`` (:meth:`_WeightPlan.values`, the
+    into exact ``S`` per (member, list size k); the c = 1 child is the
+    parent's ``S`` minus that, exactly; each child's value is
+    ``(Σ_k S_k / k, k ascending) / 2^L`` (:meth:`_Weighting.values`, the
     formula of ``val1``); and ``v1 < v0`` picks bit 1, so an exact tie
     keeps the 0 branch.  Every level runs once over the whole group, and
     no array indexed by σ is built: memory is O(edges · 2^r) per level.
 
-    ``s1_values`` holds one s1 per member.  Returns the arrays ``(sigma,
+    ``s1_values`` holds one s1 per member.  ``weighting`` is the phase's
+    (member, k) grouping, as the s1 sweep built it
+    (:attr:`SeedSweepWorkspace.weighting`); it is built from ``group``
+    when not given.  Returns the arrays ``(sigma,
     traces, finals, roots)``, one row per member: the chosen σ, the chosen
     child's value after each bit (the Eq. (7) trace, members × b), the
     value of the single σ left (the exact potential at (s1, σ)), and the
@@ -768,19 +875,20 @@ def exact_by_sigma_grouped(group: PhaseEstimator, s1_values) -> tuple:
     outside = (s1_values < 0) | (s1_values >= group.family.field.order)
     if outside.any():
         group.family.field._check(int(s1_values[outside][0]))
-    descent = _SigmaDescent(group, s1_values)
-    plan = descent.plan
+    if weighting is None:
+        weighting = _Weighting(group)
+    descent = _SigmaDescent(group, s1_values, weighting)
     prefix = np.zeros(group.num_members, dtype=np.int64)
     parent = descent.block_sums(b, prefix)
-    root = plan.values(parent[None, :], 1 << b)[0]
+    root = weighting.values(parent[:, None], 1 << b)[:, 0]
     chosen = []
     for width in range(b - 1, -1, -1):
         zero = descent.block_sums(width, prefix << 1)
-        values = plan.values(np.stack([zero, parent - zero]), 1 << width)
-        take1 = values[1] < values[0]
+        values = weighting.values(np.stack([zero, parent - zero], axis=1), 1 << width)
+        take1 = values[:, 1] < values[:, 0]
         prefix = (prefix << 1) | take1
-        parent = np.where(take1[plan.group_est], parent - zero, zero)
-        chosen.append(np.where(take1, values[1], values[0]))
+        parent = np.where(take1[weighting.group_member], parent - zero, zero)
+        chosen.append(np.where(take1, values[:, 1], values[:, 0]))
     return prefix, np.stack(chosen, axis=1), chosen[-1], root
 
 

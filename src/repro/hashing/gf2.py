@@ -29,6 +29,11 @@ values for every seed candidate at once.  Two vectorized kernels exist:
 Both kernels are exact integer arithmetic over the same modulus, so they
 agree bit-for-bit on every operand pair — switching kernels can never
 change a hash value, a seed choice, or a coloring downstream.
+
+:meth:`GF2m.power_tables` returns the discrete-log order itself (g^i and
+log).  The seed sweep enumerates s1 in that order, whichever multiply
+kernel is selected: up to ``_LOG_TABLE_MAX_M`` it reads the shared tables,
+above it the order is built afresh for each call.
 """
 
 from __future__ import annotations
@@ -228,31 +233,14 @@ class GF2m:
             f"no generator found for GF(2^{self.m})"
         )  # pragma: no cover
 
-    def _ensure_tables(self) -> None:
-        """Build the discrete-log / antilog tables (lazily, once).
-
-        ``exp[i] = g^i`` for i in [0, 2·(2^m - 1)) — doubled so the index
-        ``log[a] + log[b] <= 2·(2^m - 2)`` never needs a modular reduction —
-        and ``log[exp[i]] = i`` for i in [0, 2^m - 1).  The exp table is
-        filled by repeated block doubling (``exp[k:2k] = exp[:k] · g^k``)
-        using the peasant kernel, so the tables inherit its exactness.
-        """
-        if self._exp is not None:
-            return
-        # Re-checked here (not just in __init__) because `use_tables` is a
-        # plain mutable flag the benchmarks flip at runtime.
-        if self.m > _LOG_TABLE_MAX_M:
-            raise ValueError(
-                f"log/antilog tables need O(2^m) memory and are only "
-                f"supported for m <= {_LOG_TABLE_MAX_M}, got m={self.m}"
-            )
-        cached = _TABLE_CACHE.get((self.m, self.modulus))
-        if cached is not None:
-            self.generator, self._exp, self._log = cached
-            return
+    def _build_tables(self) -> tuple:
+        """``(g, exp, log)``: the smallest generator g, ``exp[i] = g^i`` for
+        i in [0, 2^m - 1) and ``log[exp[i]] = i``.  The exp table is filled
+        by repeated block doubling (``exp[k:2k] = exp[:k] · g^k``) using the
+        peasant kernel, so the tables inherit its exactness."""
         group_order = self.order - 1
         g = self._find_generator()
-        exp = np.empty(max(2 * group_order, 1), dtype=np.int64)
+        exp = np.empty(group_order, dtype=np.int64)
         exp[0] = 1
         filled = 1
         power = g  # g^filled, maintained across doublings
@@ -264,17 +252,50 @@ class GF2m:
             filled += take
             if filled < group_order:
                 power = self.mul(power, power)
-        exp[group_order:2 * group_order] = exp[:group_order]
         log = np.zeros(self.order, dtype=np.int64)
-        log[exp[:group_order]] = np.arange(group_order, dtype=np.int64)
-        # Shared read-only across all instances of this field — mul_vec
-        # only ever gathers from the tables.
-        exp.setflags(write=False)
-        log.setflags(write=False)
-        _TABLE_CACHE[(self.m, self.modulus)] = (g, exp, log)
-        self.generator = g
-        self._exp = exp
-        self._log = log
+        log[exp] = np.arange(group_order, dtype=np.int64)
+        return g, exp, log
+
+    def _ensure_tables(self) -> None:
+        """Build the discrete-log / antilog tables (lazily, once).
+
+        ``exp[i] = g^i`` for i in [0, 2·(2^m - 1)) — doubled so the index
+        ``log[a] + log[b] <= 2·(2^m - 2)`` never needs a modular reduction —
+        and ``log[exp[i]] = i`` for i in [0, 2^m - 1).
+        """
+        if self._exp is not None:
+            return
+        # Re-checked here (not just in __init__) because `use_tables` is a
+        # plain mutable flag the benchmarks flip at runtime.
+        if self.m > _LOG_TABLE_MAX_M:
+            raise ValueError(
+                f"log/antilog tables need O(2^m) memory and are only "
+                f"supported for m <= {_LOG_TABLE_MAX_M}, got m={self.m}"
+            )
+        cached = _TABLE_CACHE.get((self.m, self.modulus))
+        if cached is None:
+            g, exp, log = self._build_tables()
+            exp = np.concatenate([exp, exp])
+            # Shared read-only across all instances of this field — mul_vec
+            # only ever gathers from the tables.
+            exp.setflags(write=False)
+            log.setflags(write=False)
+            cached = _TABLE_CACHE[(self.m, self.modulus)] = (g, exp, log)
+        self.generator, self._exp, self._log = cached
+
+    def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(exp, log)`` with ``exp[i] = g^i`` for i in [0, 2^m - 1) and
+        ``log[exp[i]] = i``: the discrete-log order of GF(2^m)^*.
+
+        For ``m <= _LOG_TABLE_MAX_M`` these are views of the shared tables,
+        whatever ``use_tables`` says (the multiply kernel is a separate
+        choice); above it they are built afresh and not kept, O(2^m) each.
+        """
+        if self.m > _LOG_TABLE_MAX_M:
+            self.generator, exp, log = self._build_tables()
+            return exp, log
+        self._ensure_tables()
+        return self._exp[:self.order - 1], self._log
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Element-wise field multiplication of numpy int64 arrays.

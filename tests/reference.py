@@ -16,8 +16,11 @@ the seed-sweep workspace's packed lexicographic key replaces.
 The Lemma 2.6 kernel has plain twins too, over a fusion group
 (:func:`stack_group` builds one from per-member tuples through the
 solver's union-array gather; :func:`group_members` cuts one back into
-groups of one): :func:`expected_rows_reference` sweeps every edge column
-with no dedup and sums per (member, list size) by ``np.add.at``, member by
+groups of one): :func:`count_rows_reference` counts given seeds in their
+own order, one GF multiply and one count-table gather per cell, as the
+kernel did before it swept s1 in discrete-log windows;
+:func:`expected_rows_reference` sweeps every edge column through it with
+no dedup and sums per (member, list size) by ``np.add.at``, member by
 member along the group's offsets; :func:`fix_bits_greedily_reference`
 fixes one row's bits in a Python loop; :func:`buckets_for_seed_reference`
 finds the group's buckets member by member and node by node;
@@ -54,6 +57,7 @@ from repro.graphs.graph import Graph
 __all__ = [
     "buckets_for_seed_reference",
     "carve_class_reference",
+    "count_rows_reference",
     "count_table_reference",
     "count_xor_below_scalar",
     "count_xor_in_intervals",
@@ -353,11 +357,28 @@ def group_members(group) -> list:
     return out
 
 
+def count_rows_reference(kernel: SweepCountKernel, s1_values) -> np.ndarray:
+    """A count kernel's int64 (seeds × count columns) counts of the given
+    seeds, in their order, cell by cell: one GF multiply per (seed, edge
+    column) and one gather ``T[row(c), top_b(s1 ⊙ δ_c)]`` per (seed, count
+    column) from the kernel's count table — the natural-order path the
+    discrete-log windows replaced."""
+    s1_values = np.asarray(s1_values, dtype=np.int64)
+    if kernel.count_width == 0:
+        return np.zeros((len(s1_values), 0), dtype=np.int64)
+    table, row_of_col, source = kernel._count_table()
+    d = kernel.family.g_values_many(s1_values, kernel.psi_diff)
+    if source is not None:
+        d = d[:, source]
+    return table[row_of_col, d]
+
+
 def expected_rows_reference(group, s1_values) -> np.ndarray:
     """``E[Σ_e X_e | s1]`` as a (members × seeds) matrix, edge by edge.
 
     One :class:`SweepCountKernel` over the raw edge columns of the whole
-    group (no column dedup) gives, per seed and edge, the number of σ
+    group (no column dedup) gives, through :func:`count_rows_reference`,
+    per seed and edge, the number of σ
     putting both endpoints in bucket w (for r = 1, bucket 1 by
     inclusion-exclusion, ``2^b − t_u − t_v + n_both0``).  Walking the
     members by ``edge_offsets``, each (edge endpoint x, bucket w) of
@@ -375,7 +396,7 @@ def expected_rows_reference(group, s1_values) -> np.ndarray:
     kernel = SweepCountKernel(
         group.family, group.num_buckets, group.psi_diff, thr_u, thr_v
     )
-    counts = kernel.count_rows(s1_values)
+    counts = count_rows_reference(kernel, s1_values)
     scale = int(group.scale)
     k_u = group.counts[group.edges_u]
     k_v = group.counts[group.edges_v]

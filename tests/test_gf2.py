@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hashing.gf2 as gf2
 from repro.hashing.gf2 import GF2m, find_irreducible, get_field, is_irreducible
 
 
@@ -140,6 +141,26 @@ class TestLogTables:
                 seen.add(x)
                 x = field.mul(x, g)
             assert x == 1 and len(seen) == field.order - 1
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_power_tables_are_the_discrete_log_order(self, m):
+        field = GF2m(m)
+        exp, log = field.power_tables()
+        g = field.generator
+        assert exp.tolist() == [field.pow(g, i) for i in range(field.order - 1)]
+        assert np.array_equal(log[exp], np.arange(field.order - 1))
+        # The shared tables back them below the cap.
+        assert np.shares_memory(exp, field._exp)
+
+    def test_power_tables_above_the_cap_are_built_and_not_kept(self, monkeypatch):
+        monkeypatch.setattr(gf2, "_LOG_TABLE_MAX_M", 4)
+        field = GF2m(6)
+        assert not field.use_tables
+        exp, log = field.power_tables()
+        assert field._exp is None and field._log is None
+        g = field.generator
+        assert exp.tolist() == [field.pow(g, i) for i in range(field.order - 1)]
+        assert np.array_equal(log[exp], np.arange(field.order - 1))
 
     def test_fallback_boundary(self):
         from repro.hashing.gf2 import _LOG_TABLE_MAX_M

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from equivalence import assert_seed_choices_equal
-from repro.core.derandomize import derandomize_phase_group
+from repro.core.derandomize import CHUNK_SIZE, derandomize_phase_group
 from repro.core.potential import (
     PhaseEstimator,
     SeedSweepWorkspace,
@@ -92,8 +92,7 @@ class TestEstimatorExactness:
     @pytest.mark.parametrize("buckets", [2, 4])
     def test_expected_by_s1_is_mean_over_sigma(self, buckets):
         est, *_ = make_estimator(buckets=buckets)
-        s1s = np.arange(1 << est.family.m, dtype=np.int64)
-        (expected,) = SeedSweepWorkspace(est).expected_rows(s1s)
+        (expected,) = SeedSweepWorkspace(est).val1(CHUNK_SIZE)
         for s1 in (0, 3, 9, 15):
             exact = sigma_sweep_reference(est, int(s1))
             assert expected[s1] == pytest.approx(exact.mean(), rel=1e-12)
@@ -103,10 +102,9 @@ class TestEstimatorExactness:
         # Shared-seed fusion: one grouped sweep must reproduce each
         # estimator's sweep alone exactly (bit-identical floats).
         ests = [make_estimator(buckets=buckets, seed=s)[0] for s in (0, 1, 2)]
-        s1s = np.arange(16, dtype=np.int64)
-        grouped = SeedSweepWorkspace(fuse(ests)).expected_rows(s1s)
+        grouped = SeedSweepWorkspace(fuse(ests)).val1(CHUNK_SIZE)
         for est, fused in zip(ests, grouped):
-            alone = SeedSweepWorkspace(est).expected_rows(s1s)[0]
+            alone = SeedSweepWorkspace(est).val1(CHUNK_SIZE)[0]
             assert np.array_equal(alone, fused)
 
     @pytest.mark.parametrize("buckets", [2, 4])
@@ -122,14 +120,13 @@ class TestEstimatorExactness:
         assert len({est.family.a for est in ests}) > 1
         assert len({est.family.m for est in ests}) == 1
         group = fuse(ests)
-        s1s = np.arange(1 << group.family.m, dtype=np.int64)
-        rows = SeedSweepWorkspace(group).expected_rows(s1s)
+        rows = SeedSweepWorkspace(group).val1(CHUNK_SIZE)
         picks = [3, 0, 11]
         descents = exact_by_sigma_grouped(group, picks)
         choices = derandomize_phase_group(group)
         for j, est in enumerate(ests):
             assert np.array_equal(
-                rows[j], SeedSweepWorkspace(est).expected_rows(s1s)[0]
+                rows[j], SeedSweepWorkspace(est).val1(CHUNK_SIZE)[0]
             )
             alone = exact_by_sigma_grouped(est, [picks[j]])
             for got, want in zip(descents, alone):
@@ -146,10 +143,9 @@ class TestEstimatorExactness:
             family, psi, counts, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
         full = make_estimator()[0]
-        s1s = np.arange(8, dtype=np.int64)
-        grouped = SeedSweepWorkspace(fuse([empty, full, empty])).expected_rows(s1s)
+        grouped = SeedSweepWorkspace(fuse([empty, full, empty])).val1(CHUNK_SIZE)
         assert grouped[0].sum() == 0.0 and grouped[2].sum() == 0.0
-        alone = SeedSweepWorkspace(full).expected_rows(s1s)[0]
+        alone = SeedSweepWorkspace(full).val1(CHUNK_SIZE)[0]
         assert np.array_equal(grouped[1], alone)
 
     def test_no_edges_gives_zero(self):
@@ -159,7 +155,7 @@ class TestEstimatorExactness:
         est = PhaseEstimator(
             family, psi, counts, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
-        assert SeedSweepWorkspace(est).expected_rows(np.arange(8)).sum() == 0.0
+        assert SeedSweepWorkspace(est).val1(CHUNK_SIZE).sum() == 0.0
         sigmas, traces, finals, roots = exact_by_sigma_grouped(est, [0])
         assert sigmas.tolist() == [0] and traces.tolist() == [[0.0] * 4]
         assert finals.tolist() == roots.tolist() == [0.0]

@@ -31,6 +31,7 @@ import repro.core.potential as potential
 
 from equivalence import assert_seed_choices_equal
 from reference import (
+    count_rows_reference,
     count_xor_in_intervals,
     expected_rows_reference,
     fix_bits_greedily_reference,
@@ -51,8 +52,14 @@ from repro.core.potential import (
     SweepCountKernel,
     exact_by_sigma_grouped,
 )
+import repro.hashing.gf2 as gf2
 from repro.hashing.coins import bucket_thresholds
+from repro.hashing.gf2 import GF2m
 from repro.hashing.pairwise import PairwiseFamily
+
+
+#: Positions per block of the log-order sweep in these tests.
+CHUNK = derandomize.CHUNK_SIZE
 
 
 def random_group(
@@ -307,9 +314,11 @@ def pinned_kernel():
 
 @st.composite
 def count_kernels(draw):
-    """A random kernel: b in [1, 14] on either side of the domain bits a,
+    """A random kernel and a block of at most 48 positions of its
+    discrete-log order: b in [1, 14] on either side of the domain bits a,
     r in {1, 2, 3}, bucket counts with empty buckets (so thresholds hit 0
-    and 2^b), and seeds that always include the s1 = 0 row."""
+    and 2^b), nonzero ψ-differences (a zero one is an improper coloring),
+    and blocks that start at the s1 = 0 row or anywhere else."""
     b = draw(st.integers(min_value=1, max_value=14))
     a = draw(st.integers(min_value=1, max_value=14))
     num_buckets = draw(st.sampled_from([2, 4, 8]))
@@ -320,12 +329,11 @@ def count_kernels(draw):
         counts = rng.integers(0, 3, size=(cols, num_buckets))
         counts[counts.sum(axis=1) == 0, 0] = 1
         ends.append(bucket_thresholds(counts, b))
-    psi_diff = rng.integers(0, 1 << a, size=cols).astype(np.int64)
+    psi_diff = rng.integers(1, 1 << a, size=cols).astype(np.int64)
     kernel = SweepCountKernel(PairwiseFamily(a, b), num_buckets, psi_diff, *ends)
     order = 1 << kernel.family.m
-    seeds = rng.choice(order, size=min(order, 48), replace=False)
-    seeds = np.concatenate([[0], seeds[seeds != 0]]).astype(np.int64)
-    return kernel, seeds
+    lo = int(rng.integers(0, order)) if draw(st.booleans()) else 0
+    return kernel, lo, min(order, lo + 48)
 
 
 class TestCountTable:
@@ -336,28 +344,85 @@ class TestCountTable:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_dp_reference(self, drawn, cuts, use_tables):
-        kernel, seeds = drawn
-        want = dp_count_reference(kernel, seeds)
-        bounds = sorted({0, len(seeds), *(c for c in cuts if c < len(seeds))})
+        """The log-order windows over any cut of a block of positions give
+        the per-cell DP's counts of the seeds at those positions, and the
+        natural-order gather's, with the oracles' GF multiplies on the
+        table or the peasant kernel."""
+        kernel, first, last = drawn
+        seeds = kernel.s1_order[first:last]
+        bounds = sorted(
+            {first, last, *(first + c for c in cuts if first + c < last)}
+        )
+        got = np.concatenate(
+            [kernel.count_rows(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        )
         field = kernel.family.field
         field.use_tables = use_tables
         try:
-            parts = [
-                kernel.count_rows(seeds[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
+            want = dp_count_reference(kernel, seeds)
+            natural = count_rows_reference(kernel, seeds)
         finally:
             field.use_tables = True
-        got = np.concatenate(parts)
-        assert got.dtype == np.int64
+        assert got.dtype == kernel.dtype == np.min_scalar_type(1 << kernel.b)
         assert np.array_equal(got, want)
+        assert np.array_equal(got, natural)
+
+    def test_s1_order_is_zero_then_generator_powers(self):
+        field = PairwiseFamily(5, 4).field
+        kernel = SweepCountKernel(
+            PairwiseFamily(5, 4), 2, np.array([3], dtype=np.int64),
+            np.array([[0, 5, 16]]), np.array([[0, 9, 16]]),
+        )
+        g = field.generator
+        want = [0] + [field.pow(g, i) for i in range(field.order - 1)]
+        assert kernel.s1_order.tolist() == want
+        assert sorted(want) == list(range(field.order))
+
+    def test_rejects_a_zero_psi_difference(self):
+        thresholds = np.array([[0, 5, 16], [0, 9, 16]])
+        with pytest.raises(ValueError, match="nonzero"):
+            SweepCountKernel(
+                PairwiseFamily(3, 4), 2, np.array([4, 0], dtype=np.int64),
+                thresholds, thresholds,
+            )
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (0, 65)])
+    def test_rejects_positions_outside_the_order(self, lo, hi):
+        with pytest.raises(ValueError, match="positions"):
+            pinned_kernel().count_rows(lo, hi)
+
+    def test_windows_stay_within_the_table_far_above_b(self):
+        """At m = 20 and b = 9 the per-row sequences U of an 8-bucket
+        kernel would hold 2^20 counts per threshold row; the kernel keeps
+        the count table and one top-bit sequence instead, and its counts
+        (wrap-around block included) still equal the per-cell DP's."""
+        rng = np.random.default_rng(11)
+        b, cols = 9, 200
+        ends = []
+        for _ in range(2):
+            counts = rng.integers(0, 4, size=(cols, 8))
+            counts[:, 0] += 1
+            ends.append(bucket_thresholds(counts, b))
+        psi_diff = rng.integers(1, 1 << 20, size=cols).astype(np.int64)
+        kernel = SweepCountKernel(PairwiseFamily(20, b), 8, psi_diff, *ends)
+        order = len(kernel.s1_order)
+        for lo, hi in ((0, CHUNK), (order - CHUNK, order)):
+            got = kernel.count_rows(lo, hi)
+            assert np.array_equal(
+                got, dp_count_reference(kernel, kernel.s1_order[lo:hi])
+            )
+        sequences, table, _, _ = kernel._windows
+        rows = len(table)
+        assert rows > 100 and sequences.ndim == 1
+        assert sequences.nbytes <= 2 * (order + CHUNK)
+        assert table.nbytes <= 8 * rows << b
 
     def test_pinned_fingerprint_and_counts(self):
         kernel = pinned_kernel()
         assert kernel_fingerprint(kernel) == PINNED_FINGERPRINT
-        counts = kernel.count_rows(np.arange(64, dtype=np.int64))
-        assert int(counts.sum()) == PINNED_COUNT_SUM
-        want = dp_count_reference(kernel, np.arange(64))
+        counts = kernel.count_rows(0, 64)
+        assert int(counts.sum(dtype=np.int64)) == PINNED_COUNT_SUM
+        want = dp_count_reference(kernel, kernel.s1_order)
         assert np.array_equal(counts, want)
         assert kernel_fingerprint(kernel) == PINNED_FINGERPRINT
 
@@ -433,10 +498,10 @@ class TestPackedUniqueRows:
         )
         assert kernel_fingerprint(workspace.kernel) == kernel_fingerprint(oracle)
         # The count table dedups threshold rows the same way.
-        _, offsets, _ = workspace.kernel._count_table()
+        _, rows, _ = workspace.kernel._count_table()
         _, columns = workspace.kernel._threshold_rows()
         _, _, row_of_col = unique_rows_reference(np.stack(columns, axis=1))
-        assert np.array_equal(offsets >> workspace.b, row_of_col)
+        assert np.array_equal(rows, row_of_col)
 
     @given(int64_matrices())
     @settings(max_examples=200, deadline=None)
@@ -491,8 +556,8 @@ class TestPackedUniqueRows:
 
 class TestKernelSplit:
     """``count_rows`` is elementwise per (seed row, count column), so any
-    partition of the seed range assembles the same integer matrix, and
-    ``weight_rows`` over it reproduces ``expected_rows`` bit for bit."""
+    partition of the positions assembles the same integer matrix, and
+    ``weight_rows`` over it reproduces ``val1`` bit for bit."""
 
     @pytest.mark.parametrize("buckets", [2, 4])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -500,12 +565,12 @@ class TestKernelSplit:
         group = random_group(3, buckets=buckets, seed=seed)
         sweep = SeedSweepWorkspace(group)
         order = 1 << group.family.m
-        s1s = np.arange(order, dtype=np.int64)
-        counts = sweep.kernel.count_rows(s1s)
+        counts = sweep.kernel.count_rows(0, order)
         via_split = sweep.weight_rows(counts)
-        direct = SeedSweepWorkspace(group).expected_rows(s1s)
-        assert np.array_equal(via_split, direct)
-        assert np.array_equal(direct, expected_rows_reference(group, s1s))
+        direct = SeedSweepWorkspace(group).val1(CHUNK)
+        assert np.array_equal(via_split, direct[:, sweep.kernel.s1_order])
+        want = expected_rows_reference(group, np.arange(order, dtype=np.int64))
+        assert np.array_equal(direct, want)
 
     @pytest.mark.parametrize("chunks", [2, 3, 5, 7])
     def test_counts_chunk_boundary_stable(self, chunks):
@@ -513,13 +578,10 @@ class TestKernelSplit:
         sweep = SeedSweepWorkspace(group)
         kernel = sweep.kernel
         order = 1 << group.family.m
-        whole = kernel.count_rows(np.arange(order, dtype=np.int64))
+        whole = kernel.count_rows(0, order)
         edges = (order * np.arange(chunks + 1, dtype=np.int64)) // chunks
         assembled = np.concatenate(
-            [
-                kernel.count_rows(np.arange(lo, hi, dtype=np.int64))
-                for lo, hi in zip(edges[:-1], edges[1:])
-            ]
+            [kernel.count_rows(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         )
         assert np.array_equal(assembled, whole)
 
@@ -533,14 +595,14 @@ class TestKernelSplit:
     def test_weight_rows_rejects_bad_counts(self):
         group = random_group(2, seed=6)
         sweep = SeedSweepWorkspace(group)
-        with pytest.raises(ValueError):
-            sweep.weight_rows(
-                np.zeros((4, sweep.kernel.count_width + 1), dtype=np.int64)
-            )
-        with pytest.raises(ValueError):
-            sweep.weight_rows(
-                np.zeros((4, sweep.kernel.count_width), dtype=np.float64)
-            )
+        width = sweep.kernel.count_width
+        for bad in (
+            np.zeros((4, width + 1), dtype=np.int64),
+            np.zeros((4, width - 1), dtype=np.uint16),
+            np.zeros((4, width), dtype=np.float64),
+        ):
+            with pytest.raises(ValueError, match="counts must be integers"):
+                sweep.weight_rows(bad)
 
 
 class TestIntegerWeighting:
@@ -562,8 +624,8 @@ class TestIntegerWeighting:
         # Empty buckets (k_w = 0) must be in play for the check to bite.
         assert (group.counts == 0).any()
         workspace = SeedSweepWorkspace(group)
-        s1s = np.arange(1 << group.family.m, dtype=np.int64)
-        counts = workspace.kernel.count_rows(s1s)
+        s1s = workspace.kernel.s1_order
+        counts = workspace.kernel.count_rows(0, len(s1s))
         if sweep == "workspace":
             got = workspace.weight_rows(counts)
         else:
@@ -580,12 +642,13 @@ class TestIntegerWeighting:
         order = 1 << group.family.m
         whole = expected_rows_reference(group, np.arange(order, dtype=np.int64))
         workspace = SeedSweepWorkspace(group)
-        counts = workspace.kernel.count_rows(np.arange(order, dtype=np.int64))
+        counts = workspace.kernel.count_rows(0, order)
         chunked = np.empty_like(whole)
         for start in range(0, order, chunk):
             stop = min(order, start + chunk)
-            workspace.weight_rows(counts[start:stop], out=chunked[:, start:stop])
-        assert np.array_equal(chunked, whole)
+            chunked[:, start:stop] = workspace.weight_rows(counts[start:stop])
+        assert np.array_equal(chunked, whole[:, workspace.kernel.s1_order])
+        assert np.array_equal(workspace.val1(chunk), whole)
 
     @pytest.mark.parametrize("buckets", [2, 4])
     def test_exactness_guard(self, monkeypatch, buckets):
@@ -623,22 +686,21 @@ class TestExpectedSweepCompression:
             3, buckets=buckets, seed=seed, duplicate_heavy=duplicate_heavy
         )
         s1s = np.arange(1 << group.family.m, dtype=np.int64)
-        compressed = SeedSweepWorkspace(group).expected_rows(s1s)
+        compressed = SeedSweepWorkspace(group).val1(CHUNK)
         assert np.array_equal(compressed, expected_rows_reference(group, s1s))
 
     def test_matches_group_of_one(self):
         group = random_group(2, seed=3)
-        s1s = np.arange(16, dtype=np.int64)
-        fused = SeedSweepWorkspace(group).expected_rows(s1s)
+        fused = SeedSweepWorkspace(group).val1(CHUNK)
         for est, row in zip(group_members(group), fused):
-            alone = SeedSweepWorkspace(est).expected_rows(s1s)[0]
+            alone = SeedSweepWorkspace(est).val1(CHUNK)[0]
             assert np.array_equal(alone, row)
 
     @pytest.mark.parametrize("edgeless", [(0,), (1,), (0, 1, 2)])
     def test_edgeless_members(self, edgeless):
         group = random_group(3, seed=4, edgeless=edgeless)
-        s1s = np.arange(8, dtype=np.int64)
-        compressed = SeedSweepWorkspace(group).expected_rows(s1s)
+        s1s = np.arange(1 << group.family.m, dtype=np.int64)
+        compressed = SeedSweepWorkspace(group).val1(CHUNK)
         reference = expected_rows_reference(group, s1s)
         for j, (got, want) in enumerate(zip(compressed, reference)):
             assert np.array_equal(got, want)
@@ -648,36 +710,143 @@ class TestExpectedSweepCompression:
     def test_workspace_reuse_across_chunks(self):
         # One workspace driven chunk-by-chunk must reproduce the one-shot
         # evaluation exactly — no state leaks across chunks.
+        # The first blocks are the smallest, so the count windows are
+        # rebuilt longer on the way.
         group = random_group(3, buckets=4, seed=5)
-        order = 1 << group.family.m
         workspace = SeedSweepWorkspace(group)
-        chunked = np.empty((3, order), dtype=np.float64)
-        for start in range(0, order, 7):  # deliberately ragged chunks
-            stop = min(order, start + 7)
-            workspace.expected_rows(
-                np.arange(start, stop, dtype=np.int64),
-                out=chunked[:, start:stop],
-            )
-        whole = SeedSweepWorkspace(group).expected_rows(
-            np.arange(order, dtype=np.int64)
-        )
-        assert np.array_equal(chunked, whole)
+        ragged = workspace.val1(7)  # deliberately ragged blocks
+        again = workspace.val1(CHUNK)
+        whole = SeedSweepWorkspace(group).val1(CHUNK)
+        assert np.array_equal(ragged, whole)
+        assert np.array_equal(again, whole)
 
     def test_empty_group(self):
         empty = stack_group(PairwiseFamily(4, 5), [])
-        rows = SeedSweepWorkspace(empty).expected_rows(np.arange(4))
-        assert rows.shape == (0, 4)
+        rows = SeedSweepWorkspace(empty).val1(CHUNK)
+        assert rows.shape == (0, 32)
 
-    def test_expected_rows_rejects_bad_out_buffer(self):
-        group = random_group(2, seed=6)
-        workspace = SeedSweepWorkspace(group)
-        candidates = np.arange(4, dtype=np.int64)
-        with pytest.raises(ValueError):
-            workspace.expected_rows(
-                candidates, out=np.empty((2, 4), dtype=np.int64)
-            )
-        with pytest.raises(ValueError):
-            workspace.expected_rows(candidates, out=np.empty((3, 4)))
+
+@st.composite
+def sweep_groups(draw):
+    """A random fused group for the log-order sweep: r in {1, 2, 3}, b in
+    [1, 8] and domain bits a on either side of it (m = b or m > b), one to
+    five members with edgeless ones mixed in (sometimes every member), and
+    bucket counts with empty buckets."""
+    b = draw(st.integers(min_value=1, max_value=8))
+    a = draw(st.integers(min_value=1, max_value=9))
+    num_buckets = draw(st.sampled_from([2, 4, 8]))
+    num = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(num):
+        n = int(rng.integers(1, 12))
+        psi = rng.integers(0, 1 << a, size=n).astype(np.int64)
+        counts = rng.integers(0, 3, size=(n, num_buckets)).astype(np.int64)
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        edgeless = rng.random() < 0.25
+        u = rng.integers(0, n, size=0 if edgeless else int(rng.integers(1, 3 * n + 1)))
+        v = rng.integers(0, n, size=len(u))
+        keep = psi[u] != psi[v]
+        members.append((psi, counts, u[keep], v[keep]))
+    return a, b, members
+
+
+def natural_order_forbidden(*_args, **_kwargs):
+    raise AssertionError("the sweep fell back to a natural-order multiply")
+
+
+class TestLogOrderSweep:
+    """``val1`` from the discrete-log windows equals the natural-order
+    per-edge oracle bit for bit, whatever the field kernel, the block size
+    or the member blocking, and no GF multiply of a natural-order path
+    runs on the way."""
+
+    @given(
+        sweep_groups(),
+        st.sampled_from(["tables", "peasant", "above_table_cap"]),
+        st.sampled_from([None, 1, "half"]),
+        st.sampled_from([1, 7, CHUNK]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_val1_matches_natural_order_oracle(self, drawn, field_kind, budget, block):
+        a, b, members = drawn
+        family = PairwiseFamily(a, b)
+        m = family.m
+        with pytest.MonkeyPatch.context() as patch:
+            if field_kind == "peasant":
+                family.field = GF2m(m, use_tables=False)
+            elif field_kind == "above_table_cap":
+                patch.setattr(gf2, "_LOG_TABLE_MAX_M", m - 1)
+                family.field = GF2m(m)
+                assert not family.field.use_tables
+            group = stack_group(family, members)
+            want = expected_rows_reference(group, np.arange(1 << m, dtype=np.int64))
+            if budget is not None:
+                entries = sum(mat.size for *_, mat in SeedSweepWorkspace(group).blocks)
+                limit = 1 if budget == 1 else max(1, entries // 2)
+                patch.setattr(potential, "_TABLE_BLOCK_ENTRIES", limit)
+            patch.setattr(PairwiseFamily, "g_values_many", natural_order_forbidden)
+            patch.setattr(GF2m, "mul_outer", natural_order_forbidden)
+            sweep = SeedSweepWorkspace(group)
+            got = sweep.val1(block)
+        if field_kind == "above_table_cap":
+            # The power sequence was built for this sweep, not kept.
+            assert family.field._exp is None
+        live = np.diff(sweep.weighting.group_offsets) > 0
+        if budget == 1 and live.sum() >= 2:
+            assert len(sweep.blocks) >= 2
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_member_blocks_split_a_group_with_identical_bytes(self, monkeypatch):
+        group = random_group(5, buckets=4, seed=21, edgeless=(2,))
+        whole = SeedSweepWorkspace(group)
+        assert len(whole.blocks) == 1 and whole.blocks[0][2] is None
+        val1 = whole.val1(CHUNK)
+        choices = derandomize_phase_group(group)
+        budget = whole.blocks[0][3].size // 3
+        monkeypatch.setattr(potential, "_TABLE_BLOCK_ENTRIES", budget)
+        split = SeedSweepWorkspace(group)
+        assert len(split.blocks) >= 2
+        offsets = split.weighting.group_offsets
+        for g0, g1, cols, matrix in split.blocks:
+            assert cols is not None and matrix.shape == (g1 - g0, len(cols))
+            members = np.searchsorted(offsets, [g0, g1])
+            assert matrix.size <= budget or members[1] - members[0] == 1
+        # The blocks tile the groups in member order.
+        spans = [(g0, g1) for g0, g1, *_ in split.blocks]
+        assert spans[0][0] == 0 and spans[-1][1] == offsets[-1]
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert split.val1(CHUNK).tobytes() == val1.tobytes()
+        for i, (got, want) in enumerate(zip(derandomize_phase_group(group), choices)):
+            assert_seed_choices_equal(got, want, f"seed[{i}]")
+
+    def test_table_gather_path_keeps_val1_bytes(self, monkeypatch):
+        """Past the window bound (forced here by a tiny block budget, with
+        m = 12 ≫ b = 3) the counts are gathered from the table at the
+        windows of the top-bit sequence, with the same bytes."""
+        group = random_group(3, buckets=4, seed=23, a=12, b=3, edgeless=(1,))
+        windowed = SeedSweepWorkspace(group)
+        val1 = windowed.val1(CHUNK)
+        assert windowed.kernel._windows[0].ndim == 2
+        want = expected_rows_reference(group, np.arange(1 << 12, dtype=np.int64))
+        assert val1.tobytes() == want.tobytes()
+        monkeypatch.setattr(potential, "_TABLE_BLOCK_ENTRIES", 1)
+        gathered = SeedSweepWorkspace(group)
+        for block in (1, 7, CHUNK):
+            assert gathered.val1(block).tobytes() == val1.tobytes()
+        assert gathered.kernel._windows[0].ndim == 1
+
+    def test_one_member_block_may_exceed_the_budget(self, monkeypatch):
+        group = random_group(3, buckets=2, seed=22)
+        val1 = SeedSweepWorkspace(group).val1(CHUNK)
+        monkeypatch.setattr(potential, "_TABLE_BLOCK_ENTRIES", 1)
+        split = SeedSweepWorkspace(group)
+        assert [g1 - g0 for g0, g1, *_ in split.blocks] == list(
+            np.diff(split.weighting.group_offsets)
+        )
+        assert all(matrix.size > 1 for *_, matrix in split.blocks)
+        assert split.val1(CHUNK).tobytes() == val1.tobytes()
 
 
 @st.composite
@@ -760,9 +929,7 @@ class TestSigmaDescent:
     def test_root_equals_val1_at_every_s1(self, buckets):
         group = random_group(3, buckets=buckets, seed=13, edgeless=(1,))
         order = 1 << group.family.m
-        val1 = SeedSweepWorkspace(group).expected_rows(
-            np.arange(order, dtype=np.int64)
-        )
+        val1 = SeedSweepWorkspace(group).val1(CHUNK)
         for s1 in range(order):
             *_, roots = exact_by_sigma_grouped(group, [s1] * group.num_members)
             for j, root in enumerate(roots):
@@ -791,12 +958,35 @@ class TestSigmaDescent:
         assert len(sigmas) == len(finals) == len(roots) == 0
         assert traces.shape == (0, 5)
 
+    def test_one_grouping_per_phase(self, monkeypatch):
+        """The σ descent sums through the s1 sweep's (member, list size)
+        grouping: a phase builds one, and it gives the same bytes as the
+        descent's own."""
+        built = []
+        weighting = potential._Weighting
+
+        class Counting(weighting):
+            def __init__(self, group):
+                built.append(group)
+                super().__init__(group)
+
+        group = random_group(3, buckets=4, seed=16, edgeless=(1,))
+        alone = exact_by_sigma_grouped(group, [5, 0, 9])
+        monkeypatch.setattr(potential, "_Weighting", Counting)
+        derandomize_phase_group(group)
+        assert built == [group]
+        shared = exact_by_sigma_grouped(
+            group, [5, 0, 9], SeedSweepWorkspace(group).weighting
+        )
+        for got, want in zip(shared, alone):
+            assert got.tobytes() == want.tobytes()
+
     def test_strict_check_rejects_a_root_off_val1(self, monkeypatch):
         group = random_group(2, seed=15)
         descend = derandomize.exact_by_sigma_grouped
 
-        def nudged(group, s1_values):
-            sigmas, traces, finals, roots = descend(group, s1_values)
+        def nudged(group, s1_values, *weighting):
+            sigmas, traces, finals, roots = descend(group, s1_values, *weighting)
             roots = roots.copy()
             roots[1] = np.nextafter(roots[1], np.inf)
             return sigmas, traces, finals, roots
@@ -820,8 +1010,8 @@ class TestSigmaDescent:
         group = random_group(3, seed=15)
         descend = derandomize.exact_by_sigma_grouped
 
-        def raised(group, s1_values):
-            out = [x.copy() for x in descend(group, s1_values)]
+        def raised(group, s1_values, *weighting):
+            out = [x.copy() for x in descend(group, s1_values, *weighting)]
             out[part][1] = 1e9
             return tuple(out)
 

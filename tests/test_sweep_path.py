@@ -1,13 +1,15 @@
 """Tests for the one seed-sweep path and the names kept around it.
 
 Every phase counts its 2^m seed rows through
-:meth:`~repro.core.potential.SeedSweepWorkspace.expected_rows` inside the
-chunk loop of :func:`~repro.core.derandomize.derandomize_phase_group`, and
-nowhere else: no result is memoized between solves.  Four layers:
+:meth:`~repro.core.potential.SweepCountKernel.count_rows` inside the
+block loop of :meth:`~repro.core.potential.SeedSweepWorkspace.val1`, which
+:func:`~repro.core.derandomize.derandomize_phase_group` runs with
+``CHUNK_SIZE``, and nowhere else: no result is memoized between solves.
+Four layers:
 
-1. **The chunk loop** — every seed is counted exactly once per phase, any
-   chunk size gives the same choices, and repeated or rebuilt sweeps are
-   identical to the first.
+1. **The chunk loop** — every seed is counted exactly once per phase, in
+   discrete-log order, any chunk size gives the same choices, and
+   repeated or rebuilt sweeps are identical to the first.
 2. **Kernel fingerprints** — the hash of a count kernel's inputs
    (:func:`~reference.kernel_fingerprint`, the layout pin of
    ``test_seed_sweep_compression``) is stable across processes and tells
@@ -99,22 +101,30 @@ class TestOneSweepPath:
         assert_choices_equal(reference, chunked, f"chunk={chunk_size}")
 
     def test_chunk_loop_counts_every_seed_once(self, monkeypatch):
-        """One phase hands each of its 2^m seeds to ``expected_rows``
-        exactly once, in ascending chunks of at most ``CHUNK_SIZE``."""
+        """One phase hands each of its 2^m seeds to ``count_rows`` exactly
+        once, in discrete-log order: s1 = 0 once, then g^i once for every
+        i ∈ [0, 2^m − 1), in blocks of at most ``CHUNK_SIZE`` seeds, each
+        counted in one row."""
         group = random_group(2, buckets=2, seed=6)
-        order = 1 << group.family.m
+        field = group.family.field
         seen = []
-        expected_rows = SeedSweepWorkspace.expected_rows
+        count_rows = SweepCountKernel.count_rows
 
-        def recording(self, s1_candidates, out=None):
-            seen.append(np.array(s1_candidates, copy=True))
-            return expected_rows(self, s1_candidates, out=out)
+        def recording(self, lo, hi):
+            rows = count_rows(self, lo, hi)
+            seen.append((self.s1_order[lo:hi].copy(), len(rows)))
+            return rows
 
-        monkeypatch.setattr(SeedSweepWorkspace, "expected_rows", recording)
+        monkeypatch.setattr(SweepCountKernel, "count_rows", recording)
         monkeypatch.setattr(derandomize, "CHUNK_SIZE", 7)
         derandomize_phase_group(group)
-        assert all(1 <= len(chunk) <= 7 for chunk in seen)
-        assert np.array_equal(np.concatenate(seen), np.arange(order))
+        assert len(seen) > 1
+        assert all(1 <= len(block) <= 7 and rows == len(block) for block, rows in seen)
+        s1s = np.concatenate([block for block, _ in seen])
+        assert s1s[0] == 0 and (s1s == 0).sum() == 1
+        powers = [field.pow(field.generator, i) for i in range(field.order - 1)]
+        assert len(set(powers)) == field.order - 1
+        assert s1s[1:].tolist() == powers
 
 
 # ----------------------------------------------------------------------
@@ -162,10 +172,9 @@ class TestFingerprintStability:
     def test_rebuilt_kernel_keeps_fingerprint_and_counts(self):
         _, sweep, order = make_sweep(seed=14, buckets=4)
         kernel = sweep.kernel
-        seeds = np.arange(order, dtype=np.int64)
         clone = rebuild_kernel(*kernel_inputs(kernel))
         assert kernel_fingerprint(clone) == kernel_fingerprint(kernel)
-        assert np.array_equal(clone.count_rows(seeds), kernel.count_rows(seeds))
+        assert np.array_equal(clone.count_rows(0, order), kernel.count_rows(0, order))
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +188,7 @@ class TestInertCacheModule:
     def test_store_remembers_nothing(self):
         _, sweep, order = make_sweep()
         stub = SweepResultCache()
-        counts = sweep.kernel.count_rows(np.arange(order, dtype=np.int64))
+        counts = sweep.kernel.count_rows(0, order)
         assert stub.store(sweep.kernel, counts) is None
         assert stub.load(sweep.kernel, order) is None
         assert vars(stub) == {}
