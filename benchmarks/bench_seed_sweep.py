@@ -31,15 +31,18 @@ A second leg times the σ half of a phase at the s1 each member chose:
 * **sigma_reference** — the full 2^b sweep the σ descent replaced
   (``sigma_sweep_reference`` in the tests: a (nodes × 2^b) bucket matrix,
   per-edge float contributions, then greedy block means);
-* **sigma_descent** — :func:`~repro.core.potential.exact_by_sigma_grouped`,
-  b levels of exact clipped-threshold counts over the whole group.
+* **sigma_descent** — :func:`~repro.core.potential.exact_by_sigma_grouped`
+  on the sweep's workspace, as the solver runs it: b levels of exact
+  clipped-threshold counts over the whole group, gathered from the levels
+  of the sweep's count tables.
 
 Before timing, every member's σ, σ trace, final value and root value from
 the descent are asserted bit-identical to the tests' exact-integer oracle
 (``sigma_descent_reference``); the σ leg is recorded, not guarded.
 
 A third leg times :class:`~repro.core.potential.SeedSweepWorkspace`
-construction, whose largest step is the column dedup:
+construction, whose steps include the column dedup and the count kernel's
+table fill (both sides fill the same tables):
 
 * **workspace_reference** — the row-wise ``np.unique(axis=0)`` over the
   stacked E × (1 + 2·(2^r + 1)) key matrix that the packed key replaced;
@@ -58,8 +61,9 @@ their bucket counts from 8 rows, as a clique phase's lists split alike:
 * **count_table_reference** — the digit DP over every (row, d) cell that
   the doubling fill replaced (``count_table_reference`` in the tests);
 * **count_table** — the default: the top-bit doubling fill
-  (:func:`~repro.core.counting.count_xor_table`), interval rows from four
-  deduplicated prefix tables.
+  (:func:`~repro.core.counting.count_xor_table`) keeping every level in
+  the kernel's narrow dtype (the σ descent reads them), interval rows
+  from four deduplicated prefix tables.
 
 Before timing, both tables are asserted equal on each kernel; this leg is
 recorded, not guarded.
@@ -103,11 +107,7 @@ from repro.core.derandomize import (
     fix_bits_greedily_many,
 )
 from repro.core.instances import make_delta_plus_one_instance
-from repro.core.potential import (
-    SeedSweepWorkspace,
-    SweepCountKernel,
-    exact_by_sigma_grouped,
-)
+from repro.core.potential import SeedSweepWorkspace, exact_by_sigma_grouped
 from repro.graphs.generators import random_regular_graph
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -240,7 +240,9 @@ def sigma_sweep(members: list, s1s: np.ndarray) -> np.ndarray:
 
 
 def assert_descent_matches_oracle(group, s1s: np.ndarray) -> None:
-    sigmas, traces, finals, roots = exact_by_sigma_grouped(group, s1s)
+    sigmas, traces, finals, roots = exact_by_sigma_grouped(
+        group, s1s, SeedSweepWorkspace(group)
+    )
     got = zip(sigmas, traces.tolist(), finals, roots)
     for est, s1, (sigma, trace, final, root) in zip(group_members(group), s1s, got):
         want_sigma, want_trace, want_final, want_root = sigma_descent_reference(
@@ -277,18 +279,10 @@ def assert_workspace_matches_reference(group) -> None:
     )
 
 
-def fresh_kernel(kernel: SweepCountKernel) -> SweepCountKernel:
-    """A kernel on the same inputs with no table built yet."""
-    return SweepCountKernel(
-        kernel.family, kernel.num_buckets, kernel.psi_diff, kernel.thr_u, kernel.thr_v
-    )
-
-
 def assert_tables_match_reference(kernels: list) -> None:
     for kernel in kernels:
-        table = fresh_kernel(kernel)._count_table()[0]
         assert np.array_equal(
-            table.reshape(-1, 1 << kernel.b), count_table_reference(kernel)
+            kernel.table.reshape(-1, 1 << kernel.b), count_table_reference(kernel)
         ), "count table diverged from the digit DP"
 
 
@@ -360,15 +354,15 @@ def main() -> int:
     speedup = t_ref / t_new
     members = group_members(group)
     t_sigma_ref = best_of(lambda: sigma_sweep(members, s1s))
-    t_sigma = best_of(lambda: exact_by_sigma_grouped(group, s1s))
+    sweep = SeedSweepWorkspace(group)
+    t_sigma = best_of(lambda: exact_by_sigma_grouped(group, s1s, sweep))
     t_ws_ref = best_of(lambda: reference_workspace(group), repeats=7)
     t_ws = best_of(lambda: SeedSweepWorkspace(group), repeats=7)
     t_table_ref = best_of(
         lambda: [count_table_reference(kernel) for kernel in kernels], repeats=7
     )
     t_table = best_of(
-        lambda: [fresh_kernel(kernel)._count_table() for kernel in kernels],
-        repeats=7,
+        lambda: [kernel._count_table() for kernel in kernels], repeats=7
     )
     t_natural, t_log = [], []
     for each in clique:
@@ -388,7 +382,7 @@ def main() -> int:
     label = f"σ full 2^{group.b} sweep + greedy:"
     print(f"{label:<43}{t_sigma_ref * 1000:8.1f} ms")
     print(
-        f"{'σ bit-by-bit descent:':<43}{t_sigma * 1000:8.1f} ms"
+        f"{'σ descent on the sweep tables:':<43}{t_sigma * 1000:8.1f} ms"
         f"   ({t_sigma_ref / t_sigma:.1f}x, not guarded)"
     )
     print(f"{'workspace, row-wise np.unique(axis=0):':<43}{t_ws_ref * 1000:8.1f} ms")
@@ -399,7 +393,7 @@ def main() -> int:
     label = f"count tables ({' + '.join(map(str, table_rows))} rows), digit DP:"
     print(f"{label:<43}{t_table_ref * 1000:8.1f} ms")
     print(
-        f"{'count tables, top-bit doubling:':<43}{t_table * 1000:8.1f} ms"
+        f"{'count tables, doubling, every level:':<43}{t_table * 1000:8.1f} ms"
         f"   ({t_table_ref / t_table:.1f}x, not guarded)"
     )
     for each, t_n, t_l, ratio, note in zip(

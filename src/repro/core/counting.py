@@ -11,68 +11,32 @@ therefore reduce to the combinatorial quantity
 
     N(d, t1, t2) = #{ z ∈ [0, 2^b) : z < t1  and  z ⊕ d < t2 } .
 
-Two vectorized routes compute it, and interval versions follow from either
-by inclusion-exclusion:
+:func:`count_xor_table` fills ``N(·, t1, t2)`` over every d ∈ [0, 2^b) for
+a batch of threshold rows, doubling the table from width 0 by the top bit
+in O(2^b) per row, and keeps every width it doubles through.  It is the
+one counting route of the derandomizer, and it serves both halves of
+Lemma 2.6: :class:`~repro.core.potential.SweepCountKernel` fills it once
+per distinct threshold row of a phase (interval rows follow by
+inclusion-exclusion) and answers the s1 sweep's (seed, column) cells from
+the full-width level, and the σ descent of
+:func:`~repro.core.potential.exact_by_sigma_grouped` reads its width-L
+blocks from level L of the same table.
 
-* :func:`count_xor_below` is an O(b) branch-free digit DP on arrays of
-  ``(d, t1, t2)`` triples.  It serves per-cell counts (the σ descent of
-  :func:`~repro.core.potential.exact_by_sigma_grouped`, one cell per alive
-  edge and level) and is the test suite's oracle for the table below.
-* :func:`count_xor_table` fills ``N(·, t1, t2)`` over every d ∈ [0, 2^b)
-  for a batch of threshold rows, doubling the table from width 0 by the
-  top bit in O(2^b) per row.  The seed sweep needs exactly this: a phase
-  has few distinct threshold rows (or interval quadruples) but 2^m seeds,
-  so :class:`~repro.core.potential.SweepCountKernel` fills one table per
-  distinct row and answers each (seed, column) cell with one gather.
-
-Brute-force cross-checks of both live in the test suite.
+The test suite keeps an O(b) per-cell digit DP as the oracle for every
+level, next to brute-force cross-checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["count_xor_below", "count_xor_table"]
+__all__ = ["count_xor_table"]
 
 
-def count_xor_below(
-    d: np.ndarray,
-    t1: np.ndarray,
-    t2: np.ndarray,
-    b: int,
-) -> np.ndarray:
-    """Vectorized ``N(d, t1, t2)`` for thresholds in ``[0, 2^b]``.
-
-    Decomposes ``{z < t1}`` into dyadic blocks: for every bit position i
-    where t1 has a 1, the block fixes z's bits above i to t1's, forces bit i
-    of z to 0 and leaves i low bits free.  Within a block, the high bits of
-    ``y = z ⊕ d`` are determined, so comparison against t2 either accepts the
-    whole block (2^i points), rejects it, or reduces to the low bits of t2
-    (where ``z_low ↦ z_low ⊕ d_low`` is a bijection).  Position ``i = b``
-    uniformly handles the inclusive threshold ``t1 = 2^b``.
-    """
-    d = np.asarray(d, dtype=np.int64)
-    t1 = np.asarray(t1, dtype=np.int64)
-    t2 = np.asarray(t2, dtype=np.int64)
-    d, t1, t2 = np.broadcast_arrays(d, t1, t2)
-    total = np.zeros(d.shape, dtype=np.int64)
-    for i in range(b, -1, -1):
-        bit_set = ((t1 >> i) & 1).astype(bool)
-        # Value of y's bits b..i inside this block, shifted down by i.
-        yy = (((t1 >> (i + 1)) ^ (d >> (i + 1))) << 1) | ((d >> i) & 1)
-        tt = t2 >> i
-        low_mask = (np.int64(1) << i) - 1
-        block = np.where(
-            yy < tt,
-            np.int64(1) << i,
-            np.where(yy == tt, t2 & low_mask, np.int64(0)),
-        )
-        total += np.where(bit_set, block, np.int64(0))
-    return total
-
-
-def count_xor_table(t1: np.ndarray, t2: np.ndarray, b: int) -> np.ndarray:
-    """The (rows × 2^b) int64 table ``N(d, t1[i], t2[i])``, d ∈ [0, 2^b).
+def count_xor_table(t1: np.ndarray, t2: np.ndarray, b: int) -> list:
+    """Every level of the doubling fill of ``N(d, t1[i], t2[i])``: a list
+    whose entry L ∈ [0, b] is the (rows × 2^L) int64 table of width L, so
+    entry b is the full table over d ∈ [0, 2^b).
 
     Thresholds lie in ``[0, 2^b]``.  Split z and d on their top bit at
     width L, h = 2^(L−1): each threshold has one trivial half (full or
@@ -91,6 +55,13 @@ def count_xor_table(t1: np.ndarray, t2: np.ndarray, b: int) -> np.ndarray:
     constant: 0, t1, t2 or ``t1 + t2 − 2h``.  So the thresholds are
     reduced once from width b down to 0, where ``N_0 = min(t1, t2)``, and
     the table doubles back up with two row-wise writes per level.
+
+    Level L therefore holds ``N_L(d, t1_L, t2_L)`` over d ∈ [0, 2^L), for
+    z ∈ [0, 2^L), at the thresholds reduced to width L: ``t1_L = t1 mod
+    2^L`` (2^L when t1 = 2^b) and ``t2_L = t2 mod 2^L`` (2^L when that is 0
+    but t2 is not).  Whenever neither threshold is a multiple of 2^L, that
+    is exactly ``N_L(d, t1 mod 2^L, t2 mod 2^L)``: the count of a dyadic
+    block of 2^L values that both thresholds cut strictly inside.
     """
     t1 = np.asarray(t1, dtype=np.int64)
     t2 = np.asarray(t2, dtype=np.int64)
@@ -109,11 +80,12 @@ def count_xor_table(t1: np.ndarray, t2: np.ndarray, b: int) -> np.ndarray:
             )
         )
     rows = np.arange(len(t1))
-    table = np.minimum(t1, t2)[:, None]
+    tables = [np.minimum(t1, t2)[:, None]]
     for half, off, const in reversed(levels):
+        table = tables[-1]
         h = table.shape[1]
         doubled = np.empty((len(rows), 2, h), dtype=np.int64)
         doubled[rows, half] = table + off[:, None]
         doubled[rows, 1 - half] = const[:, None]
-        table = doubled.reshape(len(rows), 2 * h)
-    return table
+        tables.append(doubled.reshape(len(rows), 2 * h))
+    return tables

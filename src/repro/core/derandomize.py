@@ -15,8 +15,11 @@ expectation after fixing any bit prefix of s1 is the mean of a contiguous
 block of ``val1``.  σ is then fixed level by level, never from a per-σ
 array: :func:`~repro.core.potential.exact_by_sigma_grouped` evaluates each
 level's two candidate blocks of σ from exact integer counts and keeps the
-smaller.  Both choices are exact — no sampling, no approximation beyond
-the coin rounding that Lemma 2.3 already accounts for.
+smaller.  Both halves read their counts from one table per phase, the
+sweep's: the σ descent gathers each level's counts from the levels the
+sweep's doubling fill kept.  Both choices are exact — no sampling, no
+approximation beyond the coin rounding that Lemma 2.3 already accounts
+for.
 
 In the CONGEST model each bit costs one aggregation + one broadcast over a
 BFS tree (O(D) rounds); in the CONGESTED CLIQUE / MPC models whole λ-bit
@@ -122,12 +125,14 @@ def derandomize_phase_group(group, strict: bool = True) -> list:
     of the ``val1`` matrix.  Each member then fixes its own seed bits
     independently (greedy block means over its own conditional
     expectations, then one σ descent batched over the group on the
-    sweep's grouping), so the
+    sweep's workspace: its count tables and its grouping), so the
     returned :class:`SeedChoice` per member is identical to a group of
     one.  When ``strict``, internal consistency (the descent's value over
-    the whole σ range equals ``val1`` at the chosen s1 exactly; Eq. (7)
-    monotonicity; final ≤ initial expectation) is asserted over the whole
-    group at once, and a failure names the first offending member.
+    the whole σ range equals ``val1`` at the chosen s1 exactly — the same
+    table counts contracted two ways, by the sweep's matrix product and by
+    the descent's ``np.bincount``; Eq. (7) monotonicity; final ≤ initial
+    expectation) is asserted over the whole group at once, and a failure
+    names the first offending member.
     """
     m = group.family.m
 
@@ -136,11 +141,9 @@ def derandomize_phase_group(group, strict: bool = True) -> list:
 
     # Fix every member's s1 bits first (one vectorized greedy descent over
     # all rows), then descend σ for the whole group at once, on the sweep's
-    # (member, list size) grouping.
+    # count tables and (member, list size) grouping.
     s1s, traces1 = fix_bits_greedily_many(val1)
-    sigmas, traces2, finals, roots = exact_by_sigma_grouped(
-        group, s1s, sweep.weighting
-    )
+    sigmas, traces2, finals, roots = exact_by_sigma_grouped(group, s1s, sweep)
     initials = val1.mean(axis=1)
 
     if strict:

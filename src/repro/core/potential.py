@@ -24,6 +24,14 @@ expectations (Lemma 2.6 / Eq. (7)) needs two things:
   bit by bit from exact counts on the block (see its docstring) and never
   builds a per-σ array.
 
+**One count table for both halves.**  The doubling fill builds the counts
+of every width L on its way to width b, and the sweep's
+:class:`SweepCountKernel` keeps them all, once per phase: the s1 sweep
+reads the full width, and the σ descent reads width L at level L, where
+every count that is not a closed form is one of that level's entries.
+There is no second counting algorithm, and the descent's root reads the
+sweep's own table entries.
+
 **One object per fusion group.**  The batched solver fuses the instances
 that share a seed space ``(m, b, 2^r)`` into one derandomization, and a
 :class:`PhaseEstimator` describes that whole group: flat ψ, bucket counts
@@ -45,8 +53,10 @@ float64, where every partial sum of nonnegative integers is exact in any
 order — and only then form ``(Σ_k S_k / k, k ascending) / block size``.
 Every value is therefore a fixed function of exact integers: blocking
 the seed range cannot change a bit, the σ descent's root (the whole σ
-range) equals ``val1[s1]`` exactly, and its final value equals the
-realized potential :func:`potential_sums` forms from the same integers.
+range: the same table counts, summed by one ``np.bincount`` instead of
+the sweep's matrix product) equals ``val1[s1]`` exactly, and its final
+value equals the realized potential :func:`potential_sums` forms from the
+same integers.
 
 **Unique-column compression.**  The s1 sweep only ever evaluates the hash
 on per-edge keys ``(ψ_u ⊕ ψ_v, thresholds(u), thresholds(v))``;
@@ -85,8 +95,8 @@ import math
 
 import numpy as np
 
-from repro.core.counting import count_xor_below, count_xor_table
-from repro.hashing.coins import bucket_thresholds
+from repro.core.counting import count_xor_table
+from repro.hashing.coins import bucket_thresholds, select_buckets
 from repro.hashing.pairwise import PairwiseFamily
 
 #: Every integer sum the seed-sweep weighting forms must stay below this:
@@ -229,7 +239,11 @@ class SweepCountKernel:
     bucket otherwise.  A phase has few distinct threshold rows, so the
     kernel fills ``N(d, ·)`` once per (distinct row, d ∈ [0, 2^b)) into a
     count table T (:func:`~repro.core.counting.count_xor_table`; an
-    interval row by inclusion–exclusion over four prefix rows).
+    interval row by inclusion–exclusion over four prefix rows).  The fill
+    runs once, at construction, and the kernel keeps every level of it in
+    :attr:`dtype`: :attr:`levels` (per distinct prefix row) and
+    :attr:`column_rows` (each count column's prefix rows) are what the σ
+    descent of :func:`exact_by_sigma_grouped` reads.
 
     The seeds are enumerated in discrete-log order (:attr:`s1_order`):
     position 0 is s1 = 0 and position 1 + i is s1 = g^i, g the generator of
@@ -245,18 +259,18 @@ class SweepCountKernel:
     unsigned type that holds 2^b.  Each count is then a copy: no GF
     multiply and no per-cell table index runs per seed.
 
-    U is kept only while it takes no more bytes than the int64 count
-    table it is gathered from (or than one ``_TABLE_BLOCK_ENTRIES`` block
-    of int64 when that is larger): when the ψ-domain bits a exceed b,
-    m = a and U's length 2^m outgrows T's 2^b columns.  Past that bound
+    U is kept only while it takes no more bytes than T would as int64 (or
+    than one ``_TABLE_BLOCK_ENTRIES`` block of int64 when that is larger):
+    when the ψ-domain bits a exceed b, m = a and U's length 2^m outgrows
+    T's 2^b columns.  Past that bound
     the kernel keeps T and the sequence ``top_b(g^j)`` alone, and a block's
     counts are T gathered at the windows of that sequence — still log
     order and no GF multiply, one table index per cell — so the sweep's
-    memory stays that of T plus one O(2^m) sequence.  ``count_rows``
-    over any partition of the positions concatenates to the same integers
-    as one full-range call, because no operation crosses seed rows — the
-    property the blocked enumeration of :meth:`SeedSweepWorkspace.val1`
-    relies on.
+    memory stays that of the tables (T and its levels, O(rows · 2^b))
+    plus one O(2^m) sequence.  ``count_rows`` over any partition of the
+    positions concatenates to the same integers as one full-range call,
+    because no operation crosses seed rows — the property the blocked
+    enumeration of :meth:`SeedSweepWorkspace.val1` relies on.
 
     ``count_width`` is the number of integer columns per seed row:
     the (unique) edge-column count for 2-bucket (r = 1) phases, or the
@@ -309,6 +323,7 @@ class SweepCountKernel:
                 self.bucket_columns.append((alive, col))
                 col += int(alive.sum())
             self.count_width = col
+        self._count_table()
 
     def _threshold_rows(self) -> tuple:
         """Per count column: its edge column (None for the identity) and
@@ -316,7 +331,8 @@ class SweepCountKernel:
         threshold (``columns[i][c]`` is entry i of column c's row)."""
         if self.bucket_columns is None:
             return None, [self.thr_u[:, 1], self.thr_v[:, 1]]
-        sources, parts = [], []
+        empty = np.empty(0, dtype=np.int64)
+        sources, parts = [empty], [(empty,) * 4]
         for w, block in enumerate(self.bucket_columns):
             if block is None:
                 continue
@@ -332,64 +348,75 @@ class SweepCountKernel:
             )
         return np.concatenate(sources), [np.concatenate(c) for c in zip(*parts)]
 
-    def _count_table(self) -> tuple:
-        """``(table, row_of_col, source)``: the int64 count table T over
-        (distinct threshold row, d ∈ [0, 2^b)), each count column's row in
-        it, and the column → edge column map (None for r = 1).
+    def _count_table(self) -> None:
+        """Fill the phase's count tables once, in :attr:`dtype`.
 
-        An interval row ``(lo_u, hi_u, lo_v, hi_v)`` counts by
-        inclusion–exclusion over the prefix rows (hi_u, hi_v), (lo_u, hi_v),
-        (hi_u, lo_v) and (lo_u, lo_v).  Adjacent buckets share bounds, so
-        the prefix rows are deduplicated once more and each distinct one is
-        filled once."""
+        Sets :attr:`levels`, every width of the doubling fill of each
+        distinct *prefix row* ``(t1, t2)``; :attr:`table`, the count table
+        T over (distinct threshold row, d ∈ [0, 2^b)); :attr:`row_of_col`,
+        each count column's row of T; :attr:`column_rows`, each count
+        column's rows of the levels; and each count column's log-order
+        offset ``log δ``.  For r = 1 a threshold row is a prefix
+        row, T is the top level and ``column_rows`` is ``row_of_col`` (one
+        row).  An interval row ``(lo_u, hi_u, lo_v, hi_v)`` counts by
+        inclusion–exclusion over its four prefix rows (hi_u, hi_v),
+        (lo_u, hi_v), (hi_u, lo_v) and (lo_u, lo_v), which ``column_rows``
+        lists in that order; adjacent buckets share bounds, so the prefix
+        rows are deduplicated once more and each distinct one is filled
+        once."""
         source, columns = self._threshold_rows()
-        index, row_of_col = _unique_rows(columns)
+        index, self.row_of_col = _unique_rows(columns)
+        self._start = self._log_delta if source is None else self._log_delta[source]
         keys = [col[index] for col in columns]
         if self.bucket_columns is None:
-            return self._fill(*keys), row_of_col, source
+            self.levels = self._fill(*keys)
+            self.table = self.levels[-1]
+            self.column_rows = self.row_of_col[None]
+            return
         lo_u, hi_u, lo_v, hi_v = keys
         t1 = np.concatenate([hi_u, lo_u, hi_u, lo_u])
         t2 = np.concatenate([hi_v, hi_v, lo_v, lo_v])
         prefix_index, prefix_of = _unique_rows([t1, t2])
-        prefix = self._fill(t1[prefix_index], t2[prefix_index])
-        both_hi, lo_hi, hi_lo, both_lo = prefix_of.reshape(4, -1)
-        table = prefix[both_hi]
-        table -= prefix[lo_hi]
-        table -= prefix[hi_lo]
-        table += prefix[both_lo]
-        return table, row_of_col, source
+        self.levels = self._fill(t1[prefix_index], t2[prefix_index])
+        corners = prefix_of.reshape(4, -1)
+        top = self.levels[-1]
+        # Unsigned sums wrap only on the way to a count in [0, 2^b], which
+        # the dtype holds: the result is exact.
+        self.table = top[corners[0]] - top[corners[1]]
+        self.table -= top[corners[2]]
+        self.table += top[corners[3]]
+        self.column_rows = corners[:, self.row_of_col]
 
-    def _fill(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        """:func:`count_xor_table` of the rows ``(t1[i], t2[i])``, in row
-        blocks of at most ``_TABLE_BLOCK_ENTRIES`` entries."""
-        table = np.empty((len(t1), 1 << self.b), dtype=np.int64)
-        step = max(1, _TABLE_BLOCK_ENTRIES >> self.b)
+    def _fill(self, t1: np.ndarray, t2: np.ndarray) -> list:
+        """Every level of :func:`count_xor_table` of the rows
+        ``(t1[i], t2[i])``, in :attr:`dtype`, filled in row blocks whose
+        levels hold at most ``_TABLE_BLOCK_ENTRIES`` entries."""
+        levels = [
+            np.empty((len(t1), 1 << width), dtype=self.dtype)
+            for width in range(self.b + 1)
+        ]
+        step = max(1, _TABLE_BLOCK_ENTRIES >> (self.b + 1))
         for lo in range(0, len(t1), step):
-            table[lo:lo + step] = count_xor_table(
-                t1[lo:lo + step], t2[lo:lo + step], self.b
-            )
-        return table
+            block = count_xor_table(t1[lo:lo + step], t2[lo:lo + step], self.b)
+            for level, part in zip(levels, block):
+                level[lo:lo + step] = part
+        return levels
 
-    def _build_windows(self, span: int) -> tuple:
-        """``(sequences, table, row, start)`` long enough for blocks of up
-        to ``span`` positions: the per-row sequences U (2-D), or the top-bit
-        sequence ``top_b(g^j)`` alone (1-D) when U would outgrow its bound;
-        the count table in :attr:`dtype`; and the row and the log-order
-        offset ``log δ`` of every count column."""
+    def _build_windows(self, span: int) -> np.ndarray:
+        """The sequences long enough for blocks of up to ``span``
+        positions: the per-row sequences U (2-D), or the top-bit sequence
+        ``top_b(g^j)`` alone (1-D) when U would outgrow its bound."""
         cycle = len(self.s1_order) - 1
         length = cycle + min(span, cycle) - 1
-        if self._windows is None or self._windows[0].shape[-1] < length:
-            table, row, source = self._count_table()
-            narrow = table.astype(self.dtype)
+        if self._windows is None or self._windows.shape[-1] < length:
             top = np.resize(self.s1_order[1:], length) >> (self.family.m - self.b)
             top = top.astype(np.min_scalar_type((1 << self.b) - 1))
-            start = self._log_delta if source is None else self._log_delta[source]
-            bound = max(table.nbytes, 8 * _TABLE_BLOCK_ENTRIES)
-            if len(narrow) * length * narrow.itemsize <= bound:
-                sequences = np.take(narrow, top, axis=1)
+            table = self.table
+            bound = 8 * max(table.size, _TABLE_BLOCK_ENTRIES)
+            if len(table) * length * table.itemsize <= bound:
+                self._windows = np.take(table, top, axis=1)
             else:
-                sequences = top
-            self._windows = (sequences, narrow, row, start)
+                self._windows = top
         return self._windows
 
     def count_rows(self, lo: int, hi: int) -> np.ndarray:
@@ -412,12 +439,13 @@ class SweepCountKernel:
             )
         if self.count_width == 0:
             return np.zeros((hi - lo, 0), dtype=self.dtype)
-        sequences, table, row, start = self._build_windows(hi - lo)
+        sequences = self._build_windows(hi - lo)
+        table, row = self.table, self.row_of_col
         first = max(lo, 1)  # the position of the block's first g^i
         windows = np.lib.stride_tricks.sliding_window_view(
             sequences, hi - first, axis=-1
         )
-        offset = (start + (first - 1)) % (len(self.s1_order) - 1)
+        offset = (self._start + (first - 1)) % (len(self.s1_order) - 1)
         if sequences.ndim == 2:
             block = windows[row, offset]
         else:
@@ -640,6 +668,8 @@ class SeedSweepWorkspace:
                     alive, start = block
                     col_of[w] = start + np.cumsum(alive) - 1
             item_col = col_of[weighting.item_w, edge_col]
+        #: The count column of each weighting item.
+        self.item_col = item_col
         inc_col = item_col[weighting.inc_item]
         inc_group = weighting.inc_group
         width = self.kernel.count_width
@@ -746,56 +776,63 @@ class SeedSweepWorkspace:
         return val1
 
 
-def _count_below_block(
-    d: np.ndarray, t1: np.ndarray, t2: np.ndarray, width: int
-) -> np.ndarray:
-    """``N(d, t1, t2)`` on a block of 2^width values, thresholds in
-    [0, 2^width]; the digit DP runs only where both thresholds fall
-    strictly inside.  Elsewhere N(d, 0, ·) = N(d, ·, 0) = 0 and
-    N(d, 2^width, t) = N(d, t, 2^width) = t (z ↦ z ⊕ d is a bijection)."""
-    full = 1 << width
-    out = np.where(t1 == full, t2, np.where(t2 == full, t1, 0))
-    inner = np.flatnonzero((t1 > 0) & (t1 < full) & (t2 > 0) & (t2 < full))
-    if len(inner):
-        out[inner] = count_xor_below(d[inner], t1[inner], t2[inner], width)
-    return out
-
-
 class _SigmaDescent:
     """Per-level exact counts of a fusion group's σ descent (see
-    :func:`exact_by_sigma_grouped`).  Holds the group's weighted items:
-    hash values under each member's own s1, thresholds and the phase's
-    :class:`_Weighting`, all O(edges · 2^r)."""
+    :func:`exact_by_sigma_grouped`), read from the phase's count tables.
+
+    Holds the group's weighted items — hash values under each member's own
+    s1, thresholds, and each item's rows of the sweep kernel's
+    :attr:`~SweepCountKernel.levels` (one row for r = 1, where the items
+    are the edges and their count column is the workspace's ``inverse``;
+    the four prefix rows of its count column for r > 1) — and the phase's
+    :class:`_Weighting`, all O(edges · 2^r).
+    """
 
     def __init__(
-        self, group: PhaseEstimator, s1_values: np.ndarray, weighting: _Weighting
+        self, group: PhaseEstimator, s1_values: np.ndarray, sweep: SeedSweepWorkspace
     ):
         eu, ev = group.edges_u, group.edges_v
         s1_node = np.repeat(s1_values, np.diff(group.node_offsets))
         g = group.family.field.mul_vec(s1_node, group.psi) >> (
             group.family.m - group.b
         )
-        thresholds = group.thresholds
+        weighting = sweep.weighting
         if group.num_buckets == 2:
             # The level counts are per edge, [n_both0 | n_both1]: the
             # weighting's bucket-major items.
             item_edge = np.arange(len(eu), dtype=np.int64)
-            self.bounds = (thresholds[eu, 1], thresholds[ev, 1])
+            self.bounds = (sweep.thr_u[:, 1], sweep.thr_v[:, 1])
+            columns = sweep.inverse
         else:
             # The level counts are per item.
             item_edge, item_w = weighting.item_edge, weighting.item_w
-            iu, iv = eu[item_edge], ev[item_edge]
             self.bounds = (
-                thresholds[iu, item_w],
-                thresholds[iu, item_w + 1],
-                thresholds[iv, item_w],
-                thresholds[iv, item_w + 1],
+                sweep.thr_u[item_edge, item_w],
+                sweep.thr_u[item_edge, item_w + 1],
+                sweep.thr_v[item_edge, item_w],
+                sweep.thr_v[item_edge, item_w + 1],
             )
+            columns = sweep.item_col
+        self.rows = sweep.kernel.column_rows[:, columns].ravel()
+        self.levels = sweep.kernel.levels
         self.item_est = group.edge_member[item_edge]
         self.g_u = g[eu[item_edge]]
         self.g_v = g[ev[item_edge]]
         self.d = self.g_u ^ self.g_v
         self.weighting = weighting
+
+    def _count_below(self, width, d, t1, t2) -> np.ndarray:
+        """``N(d, t1, t2)`` on a block of 2^width values, thresholds in
+        [0, 2^width], for the items' rows in order.  Where both thresholds
+        fall strictly inside the block they are the rows' thresholds mod
+        2^width, so the count is the row's level-``width`` entry at d.
+        Elsewhere N(d, 0, ·) = N(d, ·, 0) = 0 and N(d, 2^width, t) =
+        N(d, t, 2^width) = t (z ↦ z ⊕ d is a bijection)."""
+        full = 1 << width
+        out = np.where(t1 == full, t2, np.where(t2 == full, t1, 0))
+        inner = np.flatnonzero((t1 > 0) & (t1 < full) & (t2 > 0) & (t2 < full))
+        out[inner] = self.levels[width][self.rows[inner], d[inner]]
+        return out
 
     def block_sums(self, width: int, prefix: np.ndarray) -> np.ndarray:
         """Exact float64 sums ``S`` per group over the σ block of each
@@ -804,7 +841,7 @@ class _SigmaDescent:
         On that block y_x = g_x ⊕ σ sweeps one dyadic block of 2^width
         values from ``base_x`` while y_u and y_v differ by ``d`` in their
         low bits, so ``y_x < t`` becomes ``z < clip(t − base_x)`` for the
-        low-bit counter z of :func:`_count_below_block`.
+        low-bit counter z of :meth:`_count_below`.
         """
         full = 1 << width
         q = prefix[self.item_est]
@@ -815,25 +852,25 @@ class _SigmaDescent:
             t_u, t_v = self.bounds
             a_u = np.clip(t_u - base_u, 0, full)
             a_v = np.clip(t_v - base_v, 0, full)
-            n0 = _count_below_block(d, a_u, a_v, width)
+            n0 = self._count_below(width, d, a_u, a_v)
             counts = np.concatenate([n0, full - a_u - a_v + n0])
         else:
             lo_u, hi_u, lo_v, hi_v = (
                 np.clip(t - base, 0, full)
                 for t, base in zip(self.bounds, (base_u, base_u, base_v, base_v))
             )
-            n = _count_below_block(
+            n = self._count_below(
+                width,
                 np.tile(d, 4),
                 np.concatenate([hi_u, lo_u, hi_u, lo_u]),
                 np.concatenate([hi_v, hi_v, lo_v, lo_v]),
-                width,
             ).reshape(4, -1)
             counts = n[0] - n[1] - n[2] + n[3]
         return self.weighting.sums(counts)
 
 
 def exact_by_sigma_grouped(
-    group: PhaseEstimator, s1_values, weighting: _Weighting | None = None
+    group: PhaseEstimator, s1_values, sweep: SeedSweepWorkspace | None = None
 ) -> tuple:
     """Fix σ bit by bit for every member of a fusion group (Lemma 2.6).
 
@@ -842,25 +879,31 @@ def exact_by_sigma_grouped(
     block of 2^L values of σ with top bits ``(p << 1) | c``, L = b − i − 1,
     and its conditional expectation is the mean of Σ_e X_e over the block.
     XOR by ``g_x`` maps the block onto a dyadic block of y_x = g_x ⊕ σ, so
-    the number of block values putting both endpoints in bucket w is one
-    counting DP on width L with clipped thresholds
+    the number of block values putting both endpoints in bucket w is a
+    count on width L with thresholds clipped to the block
     (:meth:`_SigmaDescent.block_sums`; for r = 1 the bucket-1 count follows
-    by inclusion-exclusion).  Per level the c = 0 child's counts are summed
-    into exact ``S`` per (member, list size k); the c = 1 child is the
-    parent's ``S`` minus that, exactly; each child's value is
+    by inclusion-exclusion, for r > 1 each bucket's count is four prefix
+    counts).  When a clipped threshold is 0 or 2^L the count has a closed
+    form; otherwise both cut the block strictly inside, each is its
+    threshold mod 2^L, and the count is one gather from level L of the
+    sweep's count tables (:attr:`SweepCountKernel.levels`).  So the σ
+    descent counts nothing of its own, and at the root (L = b) it reads the
+    s1 sweep's own ``T[row, d]``.  Per level the c = 0 child's counts are
+    summed into exact ``S`` per (member, list size k); the c = 1 child is
+    the parent's ``S`` minus that, exactly; each child's value is
     ``(Σ_k S_k / k, k ascending) / 2^L`` (:meth:`_Weighting.values`, the
     formula of ``val1``); and ``v1 < v0`` picks bit 1, so an exact tie
     keeps the 0 branch.  Every level runs once over the whole group, and
     no array indexed by σ is built: memory is O(edges · 2^r) per level.
 
-    ``s1_values`` holds one s1 per member.  ``weighting`` is the phase's
-    (member, k) grouping, as the s1 sweep built it
-    (:attr:`SeedSweepWorkspace.weighting`); it is built from ``group``
-    when not given.  Returns the arrays ``(sigma,
-    traces, finals, roots)``, one row per member: the chosen σ, the chosen
-    child's value after each bit (the Eq. (7) trace, members × b), the
-    value of the single σ left (the exact potential at (s1, σ)), and the
-    value of the whole σ range — the same function of the same integers as
+    ``s1_values`` holds one s1 per member.  ``sweep`` is the phase's
+    :class:`SeedSweepWorkspace`, whose count tables, column map and
+    (member, k) grouping the descent reads; it is built from ``group``
+    when not given.  Returns the arrays ``(sigma, traces, finals,
+    roots)``, one row per member: the chosen σ, the chosen child's value
+    after each bit (the Eq. (7) trace, members × b), the value of the
+    single σ left (the exact potential at (s1, σ)), and the value of the
+    whole σ range — the same function of the same table counts as
     ``val1[s1]``, so the two agree bit for bit.  A member without edges
     gets σ = 0 and all-zero values.  Raises ``ValueError`` for an s1
     outside GF(2^m).
@@ -875,9 +918,10 @@ def exact_by_sigma_grouped(
     outside = (s1_values < 0) | (s1_values >= group.family.field.order)
     if outside.any():
         group.family.field._check(int(s1_values[outside][0]))
-    if weighting is None:
-        weighting = _Weighting(group)
-    descent = _SigmaDescent(group, s1_values, weighting)
+    if sweep is None:
+        sweep = SeedSweepWorkspace(group)
+    weighting = sweep.weighting
+    descent = _SigmaDescent(group, s1_values, sweep)
     prefix = np.zeros(group.num_members, dtype=np.int64)
     parent = descent.block_sums(b, prefix)
     root = weighting.values(parent[:, None], 1 << b)[:, 0]
@@ -909,10 +953,8 @@ def buckets_for_seed_grouped(
     g = group.family.field.mul_vec(s1_node, group.psi) >> (
         group.family.m - group.b
     )
-    y = g ^ sigma_node
-    # T[:, 2^r] = 2^b > y never counts, so buckets < num_buckets.
-    buckets = (group.thresholds[:, 1:] <= y[:, None]).sum(axis=1, dtype=np.int64)
-    if (group.counts[np.arange(len(y)), buckets] <= 0).any():
+    buckets = select_buckets(group.thresholds, g ^ sigma_node)
+    if (group.counts[np.arange(len(buckets)), buckets] <= 0).any():
         raise AssertionError(
             "selected an empty bucket: threshold construction is broken"
         )

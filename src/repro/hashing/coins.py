@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.pairwise import PairwiseFamily
-
-__all__ = ["bucket_thresholds", "select_buckets", "coin_thresholds", "CoinSampler"]
+__all__ = ["bucket_thresholds", "select_buckets", "coin_thresholds"]
 
 
 def bucket_thresholds(bucket_counts: np.ndarray, b: int) -> np.ndarray:
@@ -76,17 +74,12 @@ def select_buckets(thresholds: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     thresholds = np.asarray(thresholds, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    width = thresholds.shape[1]
     # Rowwise rank of y among the thresholds: bucket w has T[w] <= y <
     # T[w+1].  T[:, 0] = 0 always satisfies the inequality, so counting the
     # remaining columns gives the bucket index directly (broadcast, no
-    # per-node searchsorted loop).
-    buckets = (thresholds[:, 1:] <= y[:, None]).sum(axis=1, dtype=np.int64)
-    # Guard against landing exactly on an empty interval boundary: since
-    # intervals of empty buckets are empty, the selected bucket always has
-    # T[w] < T[w+1].  Clamp to the last bucket.
-    np.clip(buckets, 0, width - 2, out=buckets)
-    return buckets
+    # per-node searchsorted loop); T[:, W] = 2^b > y never counts, so the
+    # bucket is below W.
+    return (thresholds[:, 1:] <= y[:, None]).sum(axis=1, dtype=np.int64)
 
 
 def coin_thresholds(k1: np.ndarray, list_sizes: np.ndarray, b: int) -> np.ndarray:
@@ -103,34 +96,3 @@ def coin_thresholds(k1: np.ndarray, list_sizes: np.ndarray, b: int) -> np.ndarra
         raise ValueError("k1 must satisfy 0 <= k1 <= |L|")
     scale = np.int64(1) << b
     return -(-k1 * scale // sizes)
-
-
-class CoinSampler:
-    """Generates the per-node hash values ``y_v`` from a reduced seed.
-
-    Wraps a :class:`PairwiseFamily` over the input-coloring domain.  Used by
-    the randomized baselines and by the simulators; the derandomization
-    engine uses the family's batch interfaces directly.
-    """
-
-    def __init__(self, num_input_colors: int, b: int):
-        if num_input_colors < 2:
-            num_input_colors = 2
-        a = max(1, int(num_input_colors - 1).bit_length())
-        self.family = PairwiseFamily(a, b)
-        self.b = b
-
-    @property
-    def seed_bits(self) -> int:
-        return self.family.reduced_seed_bits
-
-    def hash_values(self, s1: int, sigma: int, psi: np.ndarray) -> np.ndarray:
-        """``y_v = top_b(s1 ⊙ ψ(v)) ⊕ σ`` for every node."""
-        g = self.family.g_values(s1, np.asarray(psi, dtype=np.int64))
-        return g ^ sigma
-
-    def random_seed(self, rng: np.random.Generator) -> tuple[int, int]:
-        """Uniform reduced seed (for the randomized baselines only)."""
-        s1 = int(rng.integers(0, self.family.field.order))
-        sigma = int(rng.integers(0, 1 << self.b))
-        return s1, sigma

@@ -24,7 +24,10 @@ no dedup and sums per (member, list size) by ``np.add.at``, member by
 member along the group's offsets; :func:`fix_bits_greedily_reference`
 fixes one row's bits in a Python loop; :func:`buckets_for_seed_reference`
 finds the group's buckets member by member and node by node;
-:func:`count_xor_below_scalar` is the counting DP on one cell;
+:func:`count_xor_below` is the O(b) digit DP on arrays of ``(d, t1, t2)``
+cells, which counted the σ descent's per-level cells before the descent
+read them from the sweep's count tables, and is the oracle for every
+level of those tables; :func:`count_xor_below_scalar` is it on one cell;
 :func:`count_xor_in_intervals` is the DP's interval count by
 inclusion-exclusion; :func:`count_table_reference` fills a count kernel's
 table with the digit DP, one pass per bit over every (row, d) cell, as the
@@ -39,7 +42,6 @@ import math
 
 import numpy as np
 
-from repro.core.counting import count_xor_below
 from repro.core.instances import BatchedListColoringInstance, ListColoringInstance
 from repro.core.list_coloring import solve_list_coloring_batch
 from repro.core.list_ops import prune_lists_against_colored
@@ -59,6 +61,7 @@ __all__ = [
     "carve_class_reference",
     "count_rows_reference",
     "count_table_reference",
+    "count_xor_below",
     "count_xor_below_scalar",
     "count_xor_in_intervals",
     "decompose_reference",
@@ -366,11 +369,11 @@ def count_rows_reference(kernel: SweepCountKernel, s1_values) -> np.ndarray:
     s1_values = np.asarray(s1_values, dtype=np.int64)
     if kernel.count_width == 0:
         return np.zeros((len(s1_values), 0), dtype=np.int64)
-    table, row_of_col, source = kernel._count_table()
+    source, _ = kernel._threshold_rows()
     d = kernel.family.g_values_many(s1_values, kernel.psi_diff)
     if source is not None:
         d = d[:, source]
-    return table[row_of_col, d]
+    return kernel.table[kernel.row_of_col, d].astype(np.int64)
 
 
 def expected_rows_reference(group, s1_values) -> np.ndarray:
@@ -472,6 +475,44 @@ def buckets_for_seed_reference(group, s1_values, sigma_values) -> np.ndarray:
             for u in range(hi - lo)
         ]
     return np.array(out, dtype=np.int64)
+
+
+def count_xor_below(
+    d: np.ndarray,
+    t1: np.ndarray,
+    t2: np.ndarray,
+    b: int,
+) -> np.ndarray:
+    """Vectorized ``N(d, t1, t2)`` for thresholds in ``[0, 2^b]``, by the
+    O(b) digit DP: the oracle for every level of
+    :func:`~repro.core.counting.count_xor_table`.
+
+    Decomposes ``{z < t1}`` into dyadic blocks: for every bit position i
+    where t1 has a 1, the block fixes z's bits above i to t1's, forces bit i
+    of z to 0 and leaves i low bits free.  Within a block, the high bits of
+    ``y = z ⊕ d`` are determined, so comparison against t2 either accepts the
+    whole block (2^i points), rejects it, or reduces to the low bits of t2
+    (where ``z_low ↦ z_low ⊕ d_low`` is a bijection).  Position ``i = b``
+    uniformly handles the inclusive threshold ``t1 = 2^b``.
+    """
+    d = np.asarray(d, dtype=np.int64)
+    t1 = np.asarray(t1, dtype=np.int64)
+    t2 = np.asarray(t2, dtype=np.int64)
+    d, t1, t2 = np.broadcast_arrays(d, t1, t2)
+    total = np.zeros(d.shape, dtype=np.int64)
+    for i in range(b, -1, -1):
+        bit_set = ((t1 >> i) & 1).astype(bool)
+        # Value of y's bits b..i inside this block, shifted down by i.
+        yy = (((t1 >> (i + 1)) ^ (d >> (i + 1))) << 1) | ((d >> i) & 1)
+        tt = t2 >> i
+        low_mask = (np.int64(1) << i) - 1
+        block = np.where(
+            yy < tt,
+            np.int64(1) << i,
+            np.where(yy == tt, t2 & low_mask, np.int64(0)),
+        )
+        total += np.where(bit_set, block, np.int64(0))
+    return total
 
 
 def count_xor_below_scalar(d: int, t1: int, t2: int, b: int) -> int:

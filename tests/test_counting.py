@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from reference import (
     count_table_reference,
+    count_xor_below,
     count_xor_below_scalar,
     count_xor_in_intervals,
 )
-from repro.core.counting import count_xor_below, count_xor_table
+from repro.core.counting import count_xor_table
 from repro.core.potential import SweepCountKernel
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -154,14 +155,46 @@ def threshold_rows(draw):
     return b, t1, t2
 
 
+def reduced_thresholds(t1, t2, b, width):
+    """The thresholds the doubling fill reduces rows ``(t1, t2)`` to at
+    ``width``: t1 mod 2^width (2^width when t1 = 2^b), and t2 mod 2^width
+    (2^width when that is 0 but t2 is not)."""
+    full = 1 << width
+    return (
+        np.where(t1 == 1 << b, full, t1 % full),
+        np.where(t2 == 0, 0, (t2 - 1) % full + 1),
+    )
+
+
 class TestCountXorTable:
-    """The top-bit doubling fill equals the digit DP on every cell."""
+    """The top-bit doubling fill equals the digit DP on every cell, at
+    every level it keeps."""
+
+    @given(threshold_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_every_level_matches_dp_at_reduced_thresholds(self, drawn):
+        b, t1, t2 = drawn
+        levels = count_xor_table(t1, t2, b)
+        assert len(levels) == b + 1
+        for width, level in enumerate(levels):
+            full = 1 << width
+            assert level.dtype == np.int64
+            assert level.shape == (len(t1), full)
+            assert np.array_equal(
+                level, dp_table(*reduced_thresholds(t1, t2, b, width), width)
+            )
+            # Rows whose thresholds both cut a block of 2^width strictly
+            # inside read them mod 2^width: the σ descent's lookup.
+            inside = (t1 % full > 0) & (t2 % full > 0)
+            assert np.array_equal(
+                level[inside], dp_table(t1[inside] % full, t2[inside] % full, width)
+            )
 
     @given(threshold_rows())
     @settings(max_examples=150, deadline=None)
     def test_matches_dp(self, drawn):
         b, t1, t2 = drawn
-        got = count_xor_table(t1, t2, b)
+        got = count_xor_table(t1, t2, b)[b]
         assert got.dtype == np.int64
         assert got.shape == (len(t1), 1 << b)
         assert np.array_equal(got, dp_table(t1, t2, b))
@@ -170,7 +203,7 @@ class TestCountXorTable:
     def test_every_pair_of_boundaries(self, b):
         values = boundary_thresholds(b)
         t1, t2 = (g.ravel() for g in np.meshgrid(values, values))
-        assert np.array_equal(count_xor_table(t1, t2, b), dp_table(t1, t2, b))
+        assert np.array_equal(count_xor_table(t1, t2, b)[b], dp_table(t1, t2, b))
 
     @pytest.mark.parametrize("b", range(5))
     def test_brute_force_every_cell(self, b):
@@ -184,11 +217,11 @@ class TestCountXorTable:
         inside = (z[None, None, :] < t1[:, None, None]) & (
             (z[None, None, :] ^ d[None, :, None]) < t2[:, None, None]
         )
-        assert np.array_equal(count_xor_table(t1, t2, b), inside.sum(axis=2))
+        assert np.array_equal(count_xor_table(t1, t2, b)[b], inside.sum(axis=2))
 
     def test_no_rows(self):
         empty = np.empty(0, dtype=np.int64)
-        assert count_xor_table(empty, empty, 5).shape == (0, 32)
+        assert count_xor_table(empty, empty, 5)[5].shape == (0, 32)
 
 
 class TestIntervalTable:
@@ -217,10 +250,18 @@ class TestIntervalTable:
 
     @staticmethod
     def assert_table_matches_dp(kernel):
-        table = kernel._count_table()[0]
-        assert table.dtype == np.int64
+        table = kernel.table
+        assert table.dtype == kernel.dtype
         assert np.array_equal(
             table.reshape(-1, 1 << kernel.b), count_table_reference(kernel)
+        )
+        # Each count column's four prefix rows of the top level give its
+        # row of the table by inclusion–exclusion.
+        top = kernel.levels[kernel.b].astype(np.int64)
+        corners = top[kernel.column_rows]
+        assert np.array_equal(
+            corners[0] - corners[1] - corners[2] + corners[3],
+            table[kernel.row_of_col],
         )
 
     def test_shared_bucket_bounds(self):

@@ -32,6 +32,7 @@ import repro.core.potential as potential
 from equivalence import assert_seed_choices_equal
 from reference import (
     count_rows_reference,
+    count_xor_below,
     count_xor_in_intervals,
     expected_rows_reference,
     fix_bits_greedily_reference,
@@ -40,7 +41,6 @@ from reference import (
     stack_group,
     unique_rows_reference,
 )
-from repro.core.counting import count_xor_below
 import repro.core.derandomize as derandomize
 from repro.core.derandomize import (
     SeedChoice,
@@ -143,8 +143,9 @@ def float_weight_reference(workspace, counts):
 def dp_count_reference(kernel, s1_values):
     """The per-cell counting DP the count table replaced.
 
-    Runs the digit DP of :mod:`repro.core.counting` on every (seed, count
-    column) cell: ``N(d, t_u, t_v)`` per edge column for 2-bucket phases,
+    Runs the digit DP (:func:`~reference.count_xor_below`) on every
+    (seed, count column) cell: ``N(d, t_u, t_v)`` per edge column for
+    2-bucket phases,
     and per bucket the interval count of the columns alive in it (the
     bucket's interval nonempty at both endpoints), laid out block by block
     in bucket order — an independent reference for
@@ -411,7 +412,7 @@ class TestCountTable:
             assert np.array_equal(
                 got, dp_count_reference(kernel, kernel.s1_order[lo:hi])
             )
-        sequences, table, _, _ = kernel._windows
+        sequences, table = kernel._windows, kernel.table
         rows = len(table)
         assert rows > 100 and sequences.ndim == 1
         assert sequences.nbytes <= 2 * (order + CHUNK)
@@ -498,10 +499,9 @@ class TestPackedUniqueRows:
         )
         assert kernel_fingerprint(workspace.kernel) == kernel_fingerprint(oracle)
         # The count table dedups threshold rows the same way.
-        _, rows, _ = workspace.kernel._count_table()
         _, columns = workspace.kernel._threshold_rows()
         _, _, row_of_col = unique_rows_reference(np.stack(columns, axis=1))
-        assert np.array_equal(rows, row_of_col)
+        assert np.array_equal(workspace.kernel.row_of_col, row_of_col)
 
     @given(int64_matrices())
     @settings(max_examples=200, deadline=None)
@@ -828,14 +828,14 @@ class TestLogOrderSweep:
         group = random_group(3, buckets=4, seed=23, a=12, b=3, edgeless=(1,))
         windowed = SeedSweepWorkspace(group)
         val1 = windowed.val1(CHUNK)
-        assert windowed.kernel._windows[0].ndim == 2
+        assert windowed.kernel._windows.ndim == 2
         want = expected_rows_reference(group, np.arange(1 << 12, dtype=np.int64))
         assert val1.tobytes() == want.tobytes()
         monkeypatch.setattr(potential, "_TABLE_BLOCK_ENTRIES", 1)
         gathered = SeedSweepWorkspace(group)
         for block in (1, 7, CHUNK):
             assert gathered.val1(block).tobytes() == val1.tobytes()
-        assert gathered.kernel._windows[0].ndim == 1
+        assert gathered.kernel._windows.ndim == 1
 
     def test_one_member_block_may_exceed_the_budget(self, monkeypatch):
         group = random_group(3, buckets=2, seed=22)
@@ -959,27 +959,41 @@ class TestSigmaDescent:
         assert traces.shape == (0, 5)
 
     def test_one_grouping_per_phase(self, monkeypatch):
-        """The σ descent sums through the s1 sweep's (member, list size)
-        grouping: a phase builds one, and it gives the same bytes as the
-        descent's own."""
-        built = []
-        weighting = potential._Weighting
+        """The σ descent reads the s1 sweep's workspace: a phase builds one
+        workspace, one (member, list size) grouping and one count-table
+        fill; the descent fills nothing of its own, and on the sweep's
+        workspace it gives the same bytes as on one it builds itself."""
+        groups = [
+            random_group(3, buckets=buckets, seed=16, edgeless=(1,))
+            for buckets in (2, 4)
+        ]
+        alone = [exact_by_sigma_grouped(group, [5, 0, 9]) for group in groups]
+        calls = {"workspace": 0, "weighting": 0, "fill": 0, "table": 0}
 
-        class Counting(weighting):
-            def __init__(self, group):
-                built.append(group)
-                super().__init__(group)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        group = random_group(3, buckets=4, seed=16, edgeless=(1,))
-        alone = exact_by_sigma_grouped(group, [5, 0, 9])
-        monkeypatch.setattr(potential, "_Weighting", Counting)
-        derandomize_phase_group(group)
-        assert built == [group]
-        shared = exact_by_sigma_grouped(
-            group, [5, 0, 9], SeedSweepWorkspace(group).weighting
-        )
-        for got, want in zip(shared, alone):
-            assert got.tobytes() == want.tobytes()
+            return wrapper
+
+        for owner, attr, name in (
+            (SeedSweepWorkspace, "__init__", "workspace"),
+            (potential._Weighting, "__init__", "weighting"),
+            (SweepCountKernel, "_count_table", "fill"),
+            (potential, "count_xor_table", "table"),
+        ):
+            monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+        for group, want_all in zip(groups, alone):
+            calls.update(dict.fromkeys(calls, 0))
+            derandomize_phase_group(group)
+            assert calls == {"workspace": 1, "weighting": 1, "fill": 1, "table": 1}
+            sweep = SeedSweepWorkspace(group)
+            calls.update(dict.fromkeys(calls, 0))
+            shared = exact_by_sigma_grouped(group, [5, 0, 9], sweep)
+            assert calls == dict.fromkeys(calls, 0)
+            for got, want in zip(shared, want_all):
+                assert got.tobytes() == want.tobytes()
 
     def test_strict_check_rejects_a_root_off_val1(self, monkeypatch):
         group = random_group(2, seed=15)
