@@ -13,6 +13,11 @@ step that expands every alive blue node.
 :func:`unique_rows_reference` is the row-wise ``np.unique(axis=0)`` that
 the seed-sweep workspace's packed lexicographic key replaces.
 
+:func:`linial_collisions_reference` is Linial's step as it was before the
+engine took each edge's collisions from the roots of its difference
+polynomial: every node's polynomial evaluated at all q points, and every
+(arc, point) pair compared.
+
 The Lemma 2.6 kernel has plain twins too, over a fusion group
 (:func:`stack_group` builds one from per-member tuples through the
 solver's union-array gather; :func:`group_members` cuts one back into
@@ -55,6 +60,7 @@ from repro.decomposition.network_decomposition import Cluster, NetworkDecomposit
 from repro.decomposition.rozhon_ghaffari import CarveResult
 from repro.engine.rounds import RoundLedger
 from repro.graphs.graph import Graph
+from repro.substrates.linial import _choose_field
 
 __all__ = [
     "buckets_for_seed_reference",
@@ -69,6 +75,7 @@ __all__ = [
     "fix_bits_greedily_reference",
     "group_members",
     "kernel_fingerprint",
+    "linial_collisions_reference",
     "solve_list_coloring_polylog_reference",
     "stack_group",
     "congestion_reference",
@@ -313,6 +320,46 @@ def unique_rows_reference(rows: np.ndarray) -> tuple:
         rows, axis=0, return_index=True, return_inverse=True
     )
     return uniq, index, inverse.reshape(-1)
+
+
+def linial_collisions_reference(
+    graph: Graph, colors: np.ndarray, num_colors: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(collision, new_colors)`` of one Linial step by evaluate-and-compare.
+
+    ``collision`` is the (n, q) matrix (node v collides at point a iff some
+    neighbor's polynomial agrees with p_v(a)); ``new_colors`` is each node's
+    first free point a paired with p_v(a).  Raises the engine's
+    ``AssertionError`` when some node has no free point.
+    """
+    colors = np.asarray(colors, dtype=np.int64)
+    q, t = _choose_field(num_colors, graph.max_degree)
+    digits = np.empty((graph.n, t + 1), dtype=np.int64)
+    rem = colors.copy()
+    for i in range(t + 1):
+        digits[:, i] = rem % q
+        rem //= q
+    points = np.arange(q, dtype=np.int64)
+    values = np.zeros((graph.n, q), dtype=np.int64)
+    for i in range(t, -1, -1):
+        values = (values * points[None, :] + digits[:, i][:, None]) % q
+    srcs = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+    nbrs = graph.adj_targets
+    counts = np.zeros(graph.n * q, dtype=np.int64)
+    chunk = max(1, (1 << 22) // q)
+    for start in range(0, len(srcs), chunk):
+        s = srcs[start:start + chunk]
+        agree_row, agree_col = np.nonzero(values[nbrs[start:start + chunk]] == values[s])
+        counts += np.bincount(s[agree_row] * q + agree_col, minlength=graph.n * q)
+    collision = counts.reshape(graph.n, q) > 0
+    has_free = ~collision.all(axis=1)
+    if not has_free.all():
+        v = int(np.argmin(has_free))
+        raise AssertionError(
+            f"Linial step found no free evaluation point at node {v}"
+        )
+    a = np.argmax(~collision, axis=1)
+    return collision, a * q + values[np.arange(graph.n), a]
 
 
 def stack_group(family, members) -> PhaseEstimator:
