@@ -4,16 +4,14 @@ Builds a heterogeneous multi-instance workload — random regular graphs of
 varying degree and size grouped into fusion runs, the batched class-solve
 shape of the decomposition engine — and solves it twice:
 
-* **serial** — one in-process ``solve_list_coloring_batch`` call (the
-  default :class:`SerialBackend` path);
-* **process** — the same call through a :class:`ProcessBackend`: the batch
-  is sharded along ``instance_offsets`` (fusion runs kept whole), shard
-  solves run on a worker pool, and the results are merged back.
+* **serial** — one in-process ``solve_list_coloring_batch`` call;
+* **process** — the same batch through ``ProcessBackend.solve_batch``: the
+  batch is sharded along ``instance_offsets`` (fusion runs kept whole),
+  shard solves run on a worker pool, and the results are merged back.
 
-Before timing, byte-identity is asserted at BOTH levels the golden suite
-pins: the full solve (colorings, round-ledger category totals and event
-streams, per-pass potential traces) and one Lemma 2.1 pass (candidates and
-per-phase SeedChoices, including Eq. (7) conditional traces).
+Before timing, byte-identity of the full solve is asserted at the level
+the golden suite pins: colorings, round-ledger category totals and event
+streams, per-pass potential traces.
 
 Exits non-zero if the process-backend speedup falls below
 ``--min-speedup`` (default 2×) with ``--workers`` workers (default 4).
@@ -23,7 +21,7 @@ has fewer cores than workers, where process parallelism cannot win.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel_backend.py \
-        [--n 448] [--workers 4] [--min-speedup 2]
+        [--n 256] [--workers 4] [--min-speedup 2]
 """
 
 from __future__ import annotations
@@ -33,14 +31,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from repro.core.instances import (
     BatchedListColoringInstance,
     make_delta_plus_one_instance,
 )
 from repro.core.list_coloring import solve_list_coloring_batch
-from repro.core.partial_coloring import partial_coloring_pass_batch
 from repro.graphs import generators
 from repro.parallel import ProcessBackend, plan_shards
 
@@ -50,7 +45,7 @@ from _perf_json import add_json_arg, write_perf_json  # noqa: E402
 # The canonical byte-identity comparators live next to the tests; the
 # benchmark must enforce exactly what the test suite enforces.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from equivalence import assert_batch_results_equal, assert_outcomes_equal  # noqa: E402
+from equivalence import assert_batch_results_equal  # noqa: E402
 
 
 def build_batch(n: int) -> BatchedListColoringInstance:
@@ -69,22 +64,6 @@ def build_batch(n: int) -> BatchedListColoringInstance:
             )
             instances.append(make_delta_plus_one_instance(graph))
     return BatchedListColoringInstance.from_instances(instances)
-
-
-def assert_pass_identical(batch, backend) -> None:
-    """One Lemma 2.1 pass: covers the artifacts the solve result drops —
-    per-phase SeedChoices and their Eq. (7) conditional traces."""
-    psis = np.concatenate(
-        [
-            np.arange(int(d), dtype=np.int64)
-            for d in np.diff(batch.instance_offsets)
-        ]
-    )
-    nums = [int(d) for d in np.diff(batch.instance_offsets)]
-    serial = partial_coloring_pass_batch(batch, psis, nums)
-    parallel = partial_coloring_pass_batch(batch, psis, nums, backend=backend)
-    for i, (seq, par) in enumerate(zip(serial, parallel)):
-        assert_outcomes_equal(seq, par, f"outcome[{i}]")
 
 
 def best_of(fn, repeats: int = 3) -> float:
@@ -113,15 +92,12 @@ def main() -> int:
 
     with ProcessBackend(workers=args.workers) as backend:
         serial = solve_list_coloring_batch(batch)
-        parallel = solve_list_coloring_batch(batch, backend=backend)
+        parallel = backend.solve_batch(batch)
         assert_batch_results_equal(serial, parallel)
-        assert_pass_identical(batch, backend)
-        print("byte-identical outputs (colors, ledgers, traces, SeedChoices)")
+        print("byte-identical outputs (colors, ledgers, traces)")
 
         t_serial = best_of(lambda: solve_list_coloring_batch(batch))
-        t_parallel = best_of(
-            lambda: solve_list_coloring_batch(batch, backend=backend)
-        )
+        t_parallel = best_of(lambda: backend.solve_batch(batch))
     speedup = t_serial / t_parallel
 
     print(f"serial backend:  {t_serial * 1000:8.1f} ms")

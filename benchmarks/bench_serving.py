@@ -11,10 +11,10 @@ the coalescer's fusion key) arriving concurrently, solved two ways:
   each wave into ONE fused batch (one 2^m sweep per phase per wave
   instead of per request).
 
-The service backend is pinned to ``workers=1`` — a single-shard inline
-dispatch that never creates a worker pool — so the measured speedup
-comes from sweep fusion alone, *not* from parallelism; the guard
-therefore never self-skips, on 1-core CI hosts included.
+The service runs on its default in-process backend, which never creates
+a worker pool, so the measured speedup comes from sweep fusion alone,
+*not* from parallelism; the guard therefore never self-skips, on 1-core
+CI hosts included.
 
 Both sides solve with the same ``--r-bits`` phase schedule (default
 r = 3): fixing more prefix bits per phase shifts solve time from per-bit
@@ -71,7 +71,8 @@ from equivalence import assert_coloring_results_equal, assert_outcomes_equal  # 
 
 def r_schedule(phase_index: int, bits_left: int) -> int:
     """Fix ``--r-bits`` prefix bits per phase (module-level so it would
-    also pickle to workers; the service's pinned backend stays inline)."""
+    also pickle to pool workers; the service's default backend stays
+    in-process)."""
     return min(r_schedule.bits, bits_left)
 
 
@@ -91,9 +92,8 @@ def build_instances(n: int, degree: int, graphs: int) -> list:
 
 
 def make_service(graphs: int) -> ColoringService:
-    """A fresh cold service pinned to the parallelism-free inline path."""
+    """A fresh cold service on the default in-process backend."""
     return ColoringService(
-        workers=1,
         max_batch_instances=graphs,
         max_delay_ms=50.0,
         r_schedule=r_schedule,
@@ -171,7 +171,7 @@ def main() -> int:
     print(
         f"workload: {args.rounds} waves x {args.graphs} graphs "
         f"(n={args.n} d={args.degree}, signature {signatures.pop()}), "
-        f"{requests} requests; service pinned to workers=1 "
+        f"{requests} requests; service in-process "
         "(no pool, wins are fusion only)"
     )
 

@@ -119,10 +119,10 @@ def service_demo(graph: Graph, spectrum: int, ticks: int = 5) -> None:
     direct = [solve_list_coloring_congest(inst) for inst in stream]
 
     async def drive():
-        # serial backend: this demo's instances are small, so the fused
-        # inline solve beats shipping shards to a pool.
+        # The default in-process backend: this demo's instances are small,
+        # so the fused inline solve beats shipping shards to a pool.
         async with ColoringService(
-            "serial", max_batch_instances=ticks, max_delay_ms=10.0
+            max_batch_instances=ticks, max_delay_ms=10.0
         ) as service:
             plans = []
             for _wave in range(2):

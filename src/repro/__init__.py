@@ -21,16 +21,17 @@ Solvers
     :func:`~repro.mpc.coloring.solve_list_coloring_mpc`
     (Theorems 1.4/1.5)
 Backends
-    :class:`~repro.parallel.backend.SerialBackend` (default) and
+    :class:`~repro.parallel.backend.SerialBackend` (in-process) and
     :class:`~repro.parallel.backend.ProcessBackend` (sharded worker pool,
-    byte-identical outputs), resolved by
-    :func:`~repro.parallel.backend.resolve_backend` and accepted by the
-    ``backend=`` parameter of the batched solvers and engines.
+    byte-identical outputs), each called through its own ``solve_batch``
+    / ``solve_batch_iter``; the solvers above take no backend.
 Serving
     :class:`~repro.serving.service.ColoringService` — async batch intake
     with a fusion-keyed request coalescer (group by ``(⌈log C⌉, Δ)``,
-    solve as one fused batch) and streaming per-shard resolution; every
-    response byte-identical to the standalone solver call.
+    solve as one fused batch) and streaming per-shard resolution over a
+    caller-passed backend (an in-process :class:`SerialBackend` by
+    default); every response byte-identical to the standalone solver
+    call.
 Validation
     :func:`~repro.core.validation.verify_proper_list_coloring`
 Graphs
@@ -59,7 +60,6 @@ from repro.parallel import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    resolve_backend,
 )
 from repro.serving import ColoringService
 
@@ -77,7 +77,6 @@ __all__ = [
     "ColoringResult",
     "make_delta_plus_one_instance",
     "make_random_lists_instance",
-    "resolve_backend",
     "solve_list_coloring_batch",
     "solve_list_coloring_congest",
     "verify_proper_coloring",

@@ -10,15 +10,7 @@ Commands
 record (solver, graph parameters, seed, round totals and per-category
 breakdown, and a sha256 of the coloring) so benchmark scripts can consume
 results without scraping tables.  ``--seed`` is threaded through graph
-generation and echoed in the JSON output.  ``--backend serial|process``
-(with ``--workers N``) selects the executor for the batched solver core —
-the process backend shards batches across a worker pool and produces
-byte-identical results, so the JSON records (including the coloring hash)
-do not depend on the backend.
-``--dispatch-retries N`` bounds the process backend's worker-crash
-recovery (retries on a rebuilt pool before the inline serial fallback);
-recovery recomputes deterministically, so the hash does not depend on
-whether workers died mid-run either.
+generation and echoed in the JSON output.
 
 Examples::
 
@@ -62,34 +54,17 @@ def _build_graph(family: str, n: int, degree: int, seed: int):
     raise SystemExit(f"unknown family {family!r}")
 
 
-def _make_backend(args):
-    """Resolve ``--backend``/``--workers`` into a shared backend (or None).
-
-    One backend instance per command invocation so the process pool is
-    reused across solvers in ``compare``; callers close it when done.
-    """
-    if getattr(args, "backend", "serial") == "serial":
-        return None
-    from repro.parallel.backend import resolve_backend
-
-    return resolve_backend(
-        args.backend,
-        workers=args.workers,
-        max_retries=getattr(args, "dispatch_retries", None),
-    )
-
-
-def _solve(instance, solver: str, backend=None):
+def _solve(instance, solver: str):
     if solver == "congest":
         from repro.core.list_coloring import solve_list_coloring_congest
 
-        return solve_list_coloring_congest(instance, backend=backend)
+        return solve_list_coloring_congest(instance)
     if solver == "polylog":
         from repro.decomposition.decomposed_coloring import (
             solve_list_coloring_polylog,
         )
 
-        return solve_list_coloring_polylog(instance, backend=backend)
+        return solve_list_coloring_polylog(instance)
     if solver == "clique":
         from repro.cliquemodel.coloring import solve_list_coloring_clique
 
@@ -97,9 +72,7 @@ def _solve(instance, solver: str, backend=None):
     if solver in ("mpc-linear", "mpc-sublinear"):
         from repro.mpc.coloring import solve_list_coloring_mpc
 
-        return solve_list_coloring_mpc(
-            instance, regime=solver.split("-", 1)[1], backend=backend
-        )
+        return solve_list_coloring_mpc(instance, regime=solver.split("-", 1)[1])
     raise SystemExit(f"unknown solver {solver!r}")
 
 
@@ -124,12 +97,7 @@ def _solver_record(args, graph, solver: str, result) -> dict:
 def cmd_color(args) -> int:
     graph = _build_graph(args.family, args.n, args.degree, args.seed)
     instance = make_delta_plus_one_instance(graph)
-    backend = _make_backend(args)
-    try:
-        result = _solve(instance, args.solver, backend)
-    finally:
-        if backend is not None:
-            backend.close()
+    result = _solve(instance, args.solver)
     verify_proper_list_coloring(instance, result.colors)
     if args.json:
         print(json.dumps(_solver_record(args, graph, args.solver, result)))
@@ -148,15 +116,10 @@ def cmd_compare(args) -> int:
     instance = make_delta_plus_one_instance(graph)
     solvers = ("congest", "polylog", "clique", "mpc-linear", "mpc-sublinear")
     records = []
-    backend = _make_backend(args)
-    try:
-        for solver in solvers:
-            result = _solve(instance, solver, backend)
-            verify_proper_list_coloring(instance, result.colors)
-            records.append(_solver_record(args, graph, solver, result))
-    finally:
-        if backend is not None:
-            backend.close()
+    for solver in solvers:
+        result = _solve(instance, solver)
+        verify_proper_list_coloring(instance, result.colors)
+        records.append(_solver_record(args, graph, solver, result))
     if args.json:
         print(json.dumps(records))
         return 0
@@ -197,29 +160,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=0)
         if name in ("color", "compare"):
             p.add_argument("--json", action="store_true")
-            p.add_argument(
-                "--backend",
-                choices=("serial", "process"),
-                default="serial",
-                help="executor for the batched solver core "
-                "(process = sharded worker pool; byte-identical outputs)",
-            )
-            p.add_argument(
-                "--workers",
-                type=int,
-                default=None,
-                help="process-backend pool size (default: cpu count)",
-            )
-            p.add_argument(
-                "--dispatch-retries",
-                type=int,
-                default=None,
-                help="worker-crash recovery budget of the process "
-                "backend: how many times a shard whose "
-                "worker died is retried on a rebuilt pool before the "
-                "coordinator recomputes it inline (results stay "
-                "byte-identical either way; default: 2)",
-            )
         if name == "color":
             p.add_argument("--solver", default="congest")
         p.set_defaults(fn=fn)

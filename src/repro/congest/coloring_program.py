@@ -67,13 +67,20 @@ def _poly_value(color: int, q: int, t: int, point: int) -> int:
 
 
 def _linial_new_color(my_color: int, neighbor_colors: list, q: int, t: int) -> int:
+    """One node's Linial step: ``a·q + value`` at the first point ``a``
+    where its polynomial differs from every neighbor's.
+
+    A neighbor of the node's own color collides at every point, so an
+    improper input raises ``AssertionError`` here just as it does in
+    :func:`~repro.substrates.linial.linial_step`.
+    """
     for a in range(q):
         mine = _poly_value(my_color, q, t, a)
-        if all(
-            _poly_value(c, q, t, a) != mine for c in neighbor_colors if c != my_color
-        ):
+        if all(_poly_value(c, q, t, a) != mine for c in neighbor_colors):
             return a * q + mine
-    raise AssertionError("Linial step found no free point (q <= Δ·t?)")
+    raise AssertionError(
+        f"Linial step found no free evaluation point for color {my_color}"
+    )
 
 
 class CongestColoringRun:

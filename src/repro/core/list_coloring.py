@@ -107,7 +107,6 @@ def solve_list_coloring_congest(
     comm_depth: int | None = None,
     input_coloring: np.ndarray | None = None,
     num_input_colors: int | None = None,
-    backend=None,
 ) -> ColoringResult:
     """Solve the (degree+1)-list-coloring instance (Theorem 1.1).
 
@@ -130,7 +129,6 @@ def solve_list_coloring_congest(
         nums_input_colors=(
             None if num_input_colors is None else [num_input_colors]
         ),
-        backend=backend,
     )
     return result.results[0]
 
@@ -144,7 +142,6 @@ def solve_list_coloring_batch(
     comm_depths=None,
     input_colorings=None,
     nums_input_colors=None,
-    backend=None,
 ) -> BatchColoringResult:
     """Solve every instance of ``batch`` through one Theorem 1.1 loop.
 
@@ -156,28 +153,10 @@ def solve_list_coloring_batch(
     that instance; the batching amortizes the per-phase seed enumerations
     across instances that share a seed space (see
     :func:`~repro.core.derandomize.derandomize_phase_group`).
-
-    ``backend`` selects the executor: ``None`` / ``"serial"`` runs
-    in-process (this function's body), ``"process"`` or a
-    :class:`~repro.parallel.backend.Backend` instance shards the batch
-    along ``instance_offsets`` and dispatches shard solves to a worker
-    pool — byte-identical outputs either way (see :mod:`repro.parallel`).
+    A :class:`~repro.parallel.backend.ProcessBackend` runs this same call
+    on contiguous shards of the batch, byte-identically (see
+    :mod:`repro.parallel`).
     """
-    if backend is not None:
-        from repro.parallel.backend import SerialBackend, backend_scope
-
-        with backend_scope(backend) as resolved:
-            if not isinstance(resolved, SerialBackend):
-                return resolved.solve_batch(
-                    batch,
-                    r_schedule=r_schedule,
-                    strict=strict,
-                    rng=rng,
-                    verify=verify,
-                    comm_depths=comm_depths,
-                    input_colorings=input_colorings,
-                    nums_input_colors=nums_input_colors,
-                )
     k = batch.num_instances
     if k == 0:
         return BatchColoringResult()

@@ -135,35 +135,14 @@ def partial_coloring_pass_batch(
     avoid_mis: bool = False,
     strict: bool = True,
     rng: np.random.Generator | None = None,
-    backend=None,
 ) -> list[PartialColoringOutcome]:
     """One Lemma 2.1 pass on every instance of ``batch`` at once.
 
     ``psis`` is the concatenated per-instance input colorings (union node
     indexed); ``nums_input_colors``, ``comm_depths`` and ``ledgers`` are
     per-instance.  Returns one outcome per instance, each identical to a
-    standalone :func:`partial_coloring_pass` on that instance.  ``backend``
-    selects the executor exactly as in
-    :func:`~repro.core.list_coloring.solve_list_coloring_batch`; with a
-    process backend the worker ledgers are replayed event-by-event into
-    the caller's ``ledgers``.
+    standalone :func:`partial_coloring_pass` on that instance.
     """
-    if backend is not None:
-        from repro.parallel.backend import SerialBackend, backend_scope
-
-        with backend_scope(backend) as resolved:
-            if not isinstance(resolved, SerialBackend):
-                return resolved.partial_pass_batch(
-                    batch,
-                    psis,
-                    nums_input_colors,
-                    comm_depths=comm_depths,
-                    ledgers=ledgers,
-                    r_schedule=r_schedule,
-                    avoid_mis=avoid_mis,
-                    strict=strict,
-                    rng=rng,
-                )
     k = batch.num_instances
     if k == 0:
         return []

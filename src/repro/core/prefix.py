@@ -61,11 +61,7 @@ __all__ = [
 
 
 def full_width_schedule(phase_index: int, bits_left: int) -> int:
-    """Fix the whole remaining candidate color in one phase (Lemma 4.2).
-
-    A module-level named schedule (rather than a lambda at the call site)
-    so it survives pickling into the process backend's workers.
-    """
+    """Fix the whole remaining candidate color in one phase (Lemma 4.2)."""
     return bits_left
 
 

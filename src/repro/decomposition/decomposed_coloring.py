@@ -92,34 +92,8 @@ def solve_list_coloring_polylog(
     strict: bool = True,
     verify: bool = True,
     decomposition: NetworkDecomposition | None = None,
-    backend=None,
 ) -> DecomposedColoringResult:
-    """Solve the instance in polylog(n) rounds (Corollary 1.2).
-
-    ``backend`` selects the executor for the per-class batched cluster
-    solves (``None``/``"serial"``/``"process"`` or a
-    :class:`~repro.parallel.backend.Backend`); one backend instance is
-    resolved up front so a process pool is reused across all color
-    classes, and a pool created here (name spec) is closed on return.
-    Outputs are byte-identical across backends.
-    """
-    if backend is None:
-        return _solve_polylog_resolved(instance, strict, verify, decomposition, None)
-    from repro.parallel.backend import backend_scope
-
-    with backend_scope(backend) as resolved:
-        return _solve_polylog_resolved(
-            instance, strict, verify, decomposition, resolved
-        )
-
-
-def _solve_polylog_resolved(
-    instance: ListColoringInstance,
-    strict: bool,
-    verify: bool,
-    decomposition: NetworkDecomposition | None,
-    backend,
-) -> DecomposedColoringResult:
+    """Solve the instance in polylog(n) rounds (Corollary 1.2)."""
     graph = instance.graph
     n = graph.n
     ledger = RoundLedger()
@@ -175,7 +149,6 @@ def _solve_polylog_resolved(
             strict=strict,
             verify=False,
             comm_depths=[max(1, cluster.radius) for cluster in clusters],
-            backend=backend,
         )
 
         colors[order] = batch_result.colors

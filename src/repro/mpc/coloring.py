@@ -174,35 +174,10 @@ def solve_list_coloring_mpc(
     alpha: float = 0.5,
     strict: bool = True,
     verify: bool = True,
-    backend=None,
 ) -> MPCColoringResult:
-    """Solve the instance in the MPC model (Theorem 1.4 or 1.5).
-
-    ``backend`` selects the executor for the residual Lemma 2.1 passes
-    (the batched-solver path every pass rides); resolved once so a process
-    pool is reused across passes, and a pool created here (name spec) is
-    closed on return.  Outputs are byte-identical across backends.
-    """
+    """Solve the instance in the MPC model (Theorem 1.4 or 1.5)."""
     if regime not in ("linear", "sublinear"):
         raise ValueError(f"regime must be 'linear' or 'sublinear', got {regime!r}")
-    if backend is None:
-        return _solve_mpc_resolved(instance, regime, alpha, strict, verify, None)
-    from repro.parallel.backend import backend_scope
-
-    with backend_scope(backend) as resolved:
-        return _solve_mpc_resolved(
-            instance, regime, alpha, strict, verify, resolved
-        )
-
-
-def _solve_mpc_resolved(
-    instance: ListColoringInstance,
-    regime: str,
-    alpha: float,
-    strict: bool,
-    verify: bool,
-    backend,
-) -> MPCColoringResult:
     graph = instance.graph
     n = graph.n
     ledger = RoundLedger()
@@ -252,8 +227,7 @@ def _solve_mpc_resolved(
 
         single_shot = regime == "sublinear" and delta < max(2, sqrt_s)
         if single_shot:
-            # Lemma 4.2: fix the whole candidate color in one phase (named
-            # module-level schedule — picklable into backend workers).
+            # Lemma 4.2: fix the whole candidate color in one phase.
             r_schedule = full_width_schedule
         else:
             r_schedule = None  # one bit per phase
@@ -311,7 +285,6 @@ def _solve_mpc_resolved(
             r_schedule=r_schedule,
             avoid_mis=True,
             strict=strict,
-            backend=backend,
         )[0]
         newly = np.flatnonzero(outcome.colors != -1)
         colors[original[newly]] = outcome.colors[newly]

@@ -4,16 +4,19 @@ The batch ``(values, offsets, instance_offsets)`` array program shards
 along its instance partition; :class:`ProcessBackend` dispatches shard
 solves to a worker pool and merges every artifact — colorings, seed
 choices, round ledgers, potential traces — back byte-identically to the
-serial path (:class:`SerialBackend`, the default).  Every dispatch appends
-one record to the backend's ``telemetry`` (shards, wall time, faults).
+serial path (:class:`SerialBackend`).  Every dispatch appends one record
+to the backend's ``telemetry`` (shards, wall time, faults).
+
+The solvers take no backend: a caller reaches the pool by building a
+:class:`ProcessBackend` and calling its ``solve_batch`` /
+``solve_batch_iter``, or by handing it to
+:class:`~repro.serving.service.ColoringService`.
 """
 
 from repro.parallel.backend import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    backend_scope,
-    resolve_backend,
 )
 from repro.parallel.sharding import (
     ShardPlan,
@@ -21,7 +24,6 @@ from repro.parallel.sharding import (
     instance_fusion_signature,
     merge_solve_results,
     plan_shards,
-    replay_ledger,
 )
 
 #: Name prefix of the shared-memory segments the removed seed axis
@@ -36,11 +38,8 @@ __all__ = [
     "SHM_PREFIX",
     "SerialBackend",
     "ShardPlan",
-    "backend_scope",
     "fusion_signatures",
     "instance_fusion_signature",
     "merge_solve_results",
     "plan_shards",
-    "replay_ledger",
-    "resolve_backend",
 ]

@@ -3,8 +3,8 @@
 A backend decides *where* the array program of
 :func:`~repro.core.list_coloring.solve_list_coloring_batch` runs:
 
-* :class:`SerialBackend` — in-process, the default; exactly the existing
-  single-call path.
+* :class:`SerialBackend` — in-process; exactly the engine's own call, and
+  what :class:`~repro.serving.service.ColoringService` uses by default.
 * :class:`ProcessBackend` — shards the batch along ``instance_offsets``
   (:func:`~repro.parallel.sharding.plan_shards`, fusion runs kept whole)
   and dispatches shard solves to a ``ProcessPoolExecutor``.  Because
@@ -14,9 +14,10 @@ A backend decides *where* the array program of
   contract the golden suite and ``benchmarks/bench_parallel_backend.py``
   pin.
 
-Both backends expose the same two operations — the full solve and the
-single Lemma 2.1 pass — which is all the decomposition and MPC engines
-need to route their class/residual batches through a pluggable executor.
+The one operation is the full solve, whole (:meth:`Backend.solve_batch`)
+or streamed by shard (:meth:`Backend.solve_batch_iter`).  No engine takes
+a backend: a caller that wants the pool builds a :class:`ProcessBackend`
+and calls it, or hands it to the service.
 
 Callables threaded through a :class:`ProcessBackend` (``r_schedule``) must
 be picklable, i.e. module-level functions, and randomized runs
@@ -31,21 +32,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
-
-from repro.parallel.sharding import (
-    merge_solve_results,
-    plan_shards,
-    replay_ledger,
-)
-from repro.parallel.worker import partial_pass_shard, run_shard, solve_shard
+from repro.parallel.sharding import merge_solve_results, plan_shards
+from repro.parallel.worker import run_shard, solve_shard
 
 __all__ = [
     "Backend",
     "ProcessBackend",
     "SerialBackend",
-    "backend_scope",
-    "resolve_backend",
 ]
 
 
@@ -53,12 +46,10 @@ class Backend:
     """Protocol for batched-solver executors.
 
     Subclasses implement :meth:`solve_batch` (the full Theorem 1.1 loop)
-    and :meth:`partial_pass_batch` (one Lemma 2.1 pass) with the exact
-    signatures of their serial counterparts — same defaults, same return
-    types, byte-identical outputs.
+    with the exact signature of
+    :func:`~repro.core.list_coloring.solve_list_coloring_batch` — same
+    defaults, same return type, byte-identical outputs.
     """
-
-    name = "abstract"
 
     def solve_batch(self, batch, **kwargs):
         raise NotImplementedError
@@ -81,9 +72,6 @@ class Backend:
         if batch.num_instances:
             yield (0, batch.num_instances, result)
 
-    def partial_pass_batch(self, batch, psis, nums_input_colors, **kwargs):
-        raise NotImplementedError
-
     def prewarm(self) -> None:
         """Eagerly build executor resources (no-op for in-process
         backends).  Long-lived consumers — the serving layer — call this
@@ -103,23 +91,10 @@ class Backend:
 class SerialBackend(Backend):
     """The in-process path: delegate straight to the batched engine."""
 
-    name = "serial"
-
     def solve_batch(self, batch, **kwargs):
         from repro.core.list_coloring import solve_list_coloring_batch
 
         return solve_list_coloring_batch(batch, **kwargs)
-
-    def partial_pass_batch(self, batch, psis, nums_input_colors, **kwargs):
-        from repro.core.partial_coloring import partial_coloring_pass_batch
-
-        return partial_coloring_pass_batch(
-            batch, psis, nums_input_colors, **kwargs
-        )
-
-
-def _slice(seq, lo: int, hi: int):
-    return None if seq is None else list(seq[lo:hi])
 
 
 #: Per-dispatch fault-telemetry counters (``record["faults"]``):
@@ -171,21 +146,19 @@ class ProcessBackend(Backend):
     Every dispatch plans contiguous shards on node-count weights; a
     single-shard plan runs inline (no slicing, no IPC), otherwise the
     shards run on the pool.  Each dispatch appends one telemetry record to
-    :attr:`telemetry` — ``op``, ``mode`` (always ``"instance"``),
+    :attr:`telemetry` — ``mode`` (always ``"instance"``),
     requested vs effective shards, wall seconds, a ``"faults"`` dict
     (crashes, retries, pool rebuilds, serial fallbacks; all zero on a
     healthy dispatch) — even when the dispatch raised or its stream was
     closed early.
 
     The pool is created lazily on first dispatch and reused across calls
-    (one backend can serve every color class of a decomposition, say);
-    :meth:`prewarm` builds it eagerly.  :meth:`close` — or use as a
+    (one backend serves every batch of a service, say); :meth:`prewarm`
+    builds it eagerly.  :meth:`close` — or use as a
     context manager — shuts it down *permanently*: dispatching or
     prewarming a closed backend raises :class:`RuntimeError` instead of
     silently resurrecting a pool the owner believed released.
     """
-
-    name = "process"
 
     def __init__(
         self,
@@ -265,8 +238,8 @@ class ProcessBackend(Backend):
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
-    def _pool_map_with_recovery(self, shard_fn, payloads, faults):
-        """Yield ``(index, shard_fn(payload))`` for every payload, in
+    def _pool_map_with_recovery(self, payloads, faults):
+        """Yield ``(index, solve_shard(payload))`` for every payload, in
         completion order, surviving worker death.
 
         All payloads are submitted to the pool (through
@@ -292,7 +265,7 @@ class ProcessBackend(Backend):
             try:
                 pool = self._pool()
                 for j in sorted(pending):
-                    futures[pool.submit(run_shard, (shard_fn, pending[j]))] = j
+                    futures[pool.submit(run_shard, pending[j])] = j
             except BrokenProcessPool:
                 # Pool already broken at submit time: whatever did not
                 # make it in is collected below, after the futures that
@@ -336,23 +309,14 @@ class ProcessBackend(Backend):
         # inline, in index order.
         faults["serial_fallbacks"] += len(pending)
         for j in sorted(pending):
-            yield j, shard_fn(pending[j])
+            yield j, solve_shard(pending[j])
 
-    def _check_dispatch(self, rng) -> None:
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        if rng is not None:
-            raise ValueError(
-                "the process backend requires derandomized solves "
-                "(rng draws are ordered across the whole batch)"
-            )
+    def _dispatch(self, batch, options: dict, per_instance: dict):
+        """Plan contiguous shards of ``batch`` and yield ``(lo, hi,
+        BatchColoringResult)`` per shard as it completes.
 
-    def _dispatch(self, op: str, batch, shard_fn, make_payload):
-        """The one shard-dispatch routine behind every operation.
-
-        Plans contiguous shards, builds one ``make_payload(shard, lo,
-        hi)`` per shard and yields ``(lo, hi, shard_fn(payload))`` per
-        shard as it completes.  A single-shard plan runs inline (no
+        Every shard solves with ``options`` and its own slice of each
+        ``per_instance`` sequence.  A single-shard plan runs inline (no
         slicing, no IPC); otherwise the shards run on the pool with crash
         recovery.  The telemetry record is appended in the ``finally``, so
         a dispatch that raised or whose stream was closed early is still
@@ -363,34 +327,40 @@ class ProcessBackend(Backend):
             min(self.max_shards, batch.num_instances),
             keep_fusion_runs=self.keep_fusion_runs,
         )
+
+        def payload(shard, lo, hi):
+            sliced = {
+                key: None if seq is None else list(seq[lo:hi])
+                for key, seq in per_instance.items()
+            }
+            return shard, {**options, **sliced}
+
         faults = _new_faults()
         start_time = time.perf_counter()
         try:
             if plan.effective_shards <= 1:
                 k = batch.num_instances
-                yield (0, k, shard_fn(make_payload(batch, 0, k)))
+                yield (0, k, solve_shard(payload(batch, 0, k)))
             else:
                 bounds = plan.bounds.tolist()
                 payloads = [
-                    make_payload(shard, lo, hi)
+                    payload(shard, lo, hi)
                     for shard, lo, hi in zip(
                         batch.shard(plan.bounds), bounds[:-1], bounds[1:]
                     )
                 ]
-                for j, output in self._pool_map_with_recovery(
-                    shard_fn, payloads, faults
-                ):
+                for j, output in self._pool_map_with_recovery(payloads, faults):
                     yield (bounds[j], bounds[j + 1], output)
         finally:
-            record = {
-                "op": op,
-                "mode": "instance",
-                "requested_shards": int(plan.requested_shards),
-                "effective_shards": int(plan.effective_shards),
-                "wall_seconds": time.perf_counter() - start_time,
-                "faults": faults,
-            }
-            self.telemetry.append(record)
+            self.telemetry.append(
+                {
+                    "mode": "instance",
+                    "requested_shards": int(plan.requested_shards),
+                    "effective_shards": int(plan.effective_shards),
+                    "wall_seconds": time.perf_counter() - start_time,
+                    "faults": faults,
+                }
+            )
 
     # ------------------------------------------------------------------
     def solve_batch(
@@ -449,130 +419,21 @@ class ProcessBackend(Backend):
         The telemetry ``wall_seconds`` of a streamed dispatch includes any
         time the consumer spends between chunks.
         """
-        self._check_dispatch(rng)
+        if self._closed:
+            raise RuntimeError("backend is closed")
+        if rng is not None:
+            raise ValueError(
+                "the process backend requires derandomized solves "
+                "(rng draws are ordered across the whole batch)"
+            )
         if batch.num_instances == 0:
             return iter(())
-
-        def make_payload(shard, lo, hi):
-            return (
-                shard,
-                dict(
-                    r_schedule=r_schedule,
-                    strict=strict,
-                    verify=verify,
-                    comm_depths=_slice(comm_depths, lo, hi),
-                    input_colorings=_slice(input_colorings, lo, hi),
-                    nums_input_colors=_slice(nums_input_colors, lo, hi),
-                ),
-            )
-
-        return self._dispatch("solve", batch, solve_shard, make_payload)
-
-    # ------------------------------------------------------------------
-    def partial_pass_batch(
-        self,
-        batch,
-        psis,
-        nums_input_colors,
-        comm_depths=None,
-        ledgers=None,
-        r_schedule=None,
-        avoid_mis: bool = False,
-        strict: bool = True,
-        rng=None,
-    ):
-        self._check_dispatch(rng)
-        if batch.num_instances == 0:
-            return []
-        psis = np.asarray(psis, dtype=np.int64)
-        offsets = batch.instance_offsets
-
-        def make_payload(shard, lo, hi):
-            return (
-                shard,
-                psis[int(offsets[lo]):int(offsets[hi])],
-                list(nums_input_colors[lo:hi]),
-                [
-                    ledgers is not None and ledgers[i] is not None
-                    for i in range(lo, hi)
-                ],
-                dict(
-                    comm_depths=_slice(comm_depths, lo, hi),
-                    r_schedule=r_schedule,
-                    avoid_mis=avoid_mis,
-                    strict=strict,
-                ),
-            )
-
-        # Shard order restores batch order; each shard's fresh ledgers are
-        # replayed event by event into the caller's, exactly the charges a
-        # serial pass would have made.
-        outcomes = []
-        for lo, _hi, (shard_outcomes, shard_ledgers) in sorted(
-            self._dispatch("partial_pass", batch, partial_pass_shard, make_payload),
-            key=lambda chunk: chunk[0],
-        ):
-            outcomes.extend(shard_outcomes)
-            for offset, shard_ledger in enumerate(shard_ledgers):
-                if shard_ledger is not None:
-                    replay_ledger(ledgers[lo + offset], shard_ledger)
-        return outcomes
-
-
-class _BackendScope:
-    """Resolve a backend spec; on exit, close the backend only if it was
-    constructed here (i.e. the spec was a name).  Caller-owned
-    :class:`Backend` instances pass through untouched, so a shared pool
-    survives across calls."""
-
-    def __init__(self, spec, workers: int | None = None):
-        self._spec = spec
-        self._workers = workers
-        self._backend: Backend | None = None
-
-    def __enter__(self) -> Backend:
-        self._backend = resolve_backend(self._spec, self._workers)
-        return self._backend
-
-    def __exit__(self, *exc) -> None:
-        if self._backend is not None and self._backend is not self._spec:
-            self._backend.close()
-
-
-def backend_scope(spec, workers: int | None = None) -> _BackendScope:
-    """Context manager around :func:`resolve_backend` that closes backends
-    it created (names → fresh pools) and leaves caller-owned instances
-    open.  The dispatch points use this so ``backend="process"`` cannot
-    leak worker pools to nondeterministic GC."""
-    return _BackendScope(spec, workers)
-
-
-def resolve_backend(
-    backend,
-    workers: int | None = None,
-    max_retries: int | None = None,
-) -> Backend:
-    """Coerce ``None`` / a name / a :class:`Backend` into a backend.
-
-    ``None`` and ``"serial"`` give the in-process default; ``"process"``
-    builds a :class:`ProcessBackend` (with ``workers`` / ``max_retries``
-    if given — ``max_retries`` is the worker-crash retry
-    budget before the inline serial fallback).  Backend instances pass
-    through untouched, so callers can share one pool.
-    """
-    if backend is None:
-        return SerialBackend()
-    if isinstance(backend, Backend):
-        return backend
-    if isinstance(backend, str):
-        if backend == "serial":
-            return SerialBackend()
-        if backend == "process":
-            kwargs = {}
-            if max_retries is not None:
-                kwargs["max_retries"] = max_retries
-            return ProcessBackend(workers=workers, **kwargs)
-        raise ValueError(
-            f"unknown backend {backend!r} (expected 'serial' or 'process')"
+        return self._dispatch(
+            batch,
+            dict(r_schedule=r_schedule, strict=strict, verify=verify),
+            dict(
+                comm_depths=comm_depths,
+                input_colorings=input_colorings,
+                nums_input_colors=nums_input_colors,
+            ),
         )
-    raise TypeError(f"backend must be None, a name, or a Backend, got {backend!r}")

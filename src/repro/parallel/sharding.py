@@ -36,7 +36,6 @@ __all__ = [
     "instance_fusion_signature",
     "merge_solve_results",
     "plan_shards",
-    "replay_ledger",
 ]
 
 
@@ -175,14 +174,3 @@ def merge_solve_results(shard_results) -> "BatchColoringResult":
     for shard_result in shard_results:
         merged.results.extend(shard_result.results)
     return merged
-
-
-def replay_ledger(target, source) -> None:
-    """Append every charge event of ``source`` onto ``target`` in order.
-
-    Worker processes charge fresh ledgers; replaying their event streams
-    into the caller's ledgers reproduces the exact per-event history (and
-    hence category totals) of a serial in-process pass.
-    """
-    for category, rounds in source.events:
-        target.charge(category, rounds)

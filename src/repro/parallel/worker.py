@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import os
 
-from repro.engine.rounds import RoundLedger
-
 __all__ = [
     "FAULT_ENV",
-    "partial_pass_shard",
     "run_shard",
     "solve_shard",
 ]
@@ -27,7 +24,7 @@ __all__ = [
 #: race die via ``os._exit(1)`` (an abrupt, SIGKILL-like death — no
 #: cleanup, no exception back to the pool); ``exit-always`` kills every
 #: worker call.  ``guard_pid`` names the coordinating process, which
-#: never injects (its inline serial fallbacks call the shard functions
+#: never injects (its inline serial fallbacks call :func:`solve_shard`
 #: directly and never reach the hook anyway).  Unset (the default) the
 #: hook is a single dict lookup per task.
 FAULT_ENV = "REPRO_FAULT_INJECT"
@@ -64,27 +61,8 @@ def solve_shard(payload):
     return solve_list_coloring_batch(shard, **kwargs)
 
 
-def partial_pass_shard(payload):
-    """One Lemma 2.1 pass on one shard, in this process.
-
-    ``ledger_mask[i]`` says whether the caller holds a ledger for shard
-    instance i; a fresh ledger is charged here and returned with the
-    outcomes so the backend can replay its events into the caller's
-    ledger.
-    """
-    shard, psis, nums_input_colors, ledger_mask, kwargs = payload
-    from repro.core.partial_coloring import partial_coloring_pass_batch
-
-    ledgers = [RoundLedger() if has else None for has in ledger_mask]
-    outcomes = partial_coloring_pass_batch(
-        shard, psis, nums_input_colors, ledgers=ledgers, **kwargs
-    )
-    return outcomes, ledgers
-
-
-def run_shard(task):
-    """Pool entry point: ``task`` is ``(shard_fn, payload)`` with
-    ``shard_fn`` one of :func:`solve_shard` / :func:`partial_pass_shard`."""
+def run_shard(payload):
+    """Pool entry point: the fault-injection hook, then
+    :func:`solve_shard`."""
     _maybe_inject_fault()
-    shard_fn, payload = task
-    return shard_fn(payload)
+    return solve_shard(payload)

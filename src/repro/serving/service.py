@@ -28,8 +28,10 @@ its unresolved members are re-solved one by one, and only a request whose
 own solve raises fails.
 
 The event loop only ever does bookkeeping: solves run in a single-slot
-``ThreadPoolExecutor`` (the backend's own process pool supplies real
-parallelism), so intake stays responsive while a batch is in flight.
+``ThreadPoolExecutor``, so intake stays responsive while a batch is in
+flight.  By default the batch solves in-process (:class:`SerialBackend`);
+a caller-passed :class:`~repro.parallel.backend.ProcessBackend` shards it
+across that backend's worker pool instead, with the same bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.instances import BatchedListColoringInstance
-from repro.parallel.backend import Backend, resolve_backend
+from repro.parallel.backend import Backend, SerialBackend
 from repro.parallel.sharding import instance_fusion_signature
 from repro.serving.coalescer import PendingRequest, RequestCoalescer
 
@@ -55,13 +57,10 @@ class ColoringService:
     Parameters
     ----------
     backend:
-        ``None`` (default) builds a :class:`ProcessBackend` with
-        ``workers``; a name (``"serial"`` / ``"process"``) resolves the
-        same way.  A :class:`Backend` *instance* is used as-is and stays
-        caller-owned (not closed by :meth:`close`).
-    workers:
-        Forwarded to the default backend construction (ignored for
-        caller-owned instances).
+        ``None`` (default) solves in-process on a :class:`SerialBackend`.
+        A :class:`Backend` instance is used as-is and stays caller-owned
+        (not closed by :meth:`close`); anything else raises
+        :class:`TypeError`.
     max_batch_instances, max_delay_ms:
         Coalescing knobs (see :class:`RequestCoalescer`): dispatch a
         group when it fills, or when its oldest request has waited
@@ -82,17 +81,17 @@ class ColoringService:
         self,
         backend=None,
         *,
-        workers: int | None = None,
         max_batch_instances: int = 8,
         max_delay_ms: float = 2.0,
         r_schedule=None,
         strict: bool = True,
         verify: bool = True,
     ):
-        self._owns_backend = not isinstance(backend, Backend)
-        self._backend = resolve_backend(
-            backend if backend is not None else "process", workers=workers
-        )
+        if backend is None:
+            backend = SerialBackend()
+        elif not isinstance(backend, Backend):
+            raise TypeError(f"backend must be None or a Backend, got {backend!r}")
+        self._backend = backend
         self._coalescer = RequestCoalescer(
             max_batch_instances=max_batch_instances, max_delay_ms=max_delay_ms
         )
@@ -152,17 +151,14 @@ class ColoringService:
         ``drain=True`` (default) dispatches every pending group and waits
         for all in-flight requests to resolve; ``drain=False`` cancels
         pending and queued requests (a group already solving on the
-        dispatch thread still resolves).  Either way the dispatch thread,
-        the flush timer and — when the service created it — the backend's
-        worker pool are released; nothing (threads, executors, shared
-        memory) leaks.
+        dispatch thread still resolves).  Either way the dispatch thread
+        and the flush timer are released; the backend is the caller's to
+        close.
         """
         if self._closed:
             return
         self._closed = True
         if self._loop is None:
-            if self._owns_backend:
-                self._backend.close()
             return
         if drain:
             for group in self._coalescer.flush_all():
@@ -185,8 +181,6 @@ class ColoringService:
         self._dispatch_queue.put_nowait(_SHUTDOWN)
         await self._worker_task
         self._executor.shutdown(wait=True)
-        if self._owns_backend:
-            self._backend.close()
 
     @staticmethod
     def _cancel_group(group) -> None:

@@ -15,10 +15,10 @@ Covered here, under fork AND spawn where the harness kills mid-dispatch:
   solve is streamed; and a pool broken *before* dispatch (the
   submit-time ``BrokenProcessPool`` path).
 * retries exhausted (``exit-always``) — the inline serial fallback
-  answers solves and partial passes, ``max_retries=0`` skips straight to
-  it, and the backend is healed for the next dispatch.
-* ``partial_pass_batch`` — outcome and replayed-ledger identity after
-  recovery, and one telemetry record even when a worker raises.
+  answers, ``max_retries=0`` skips straight to it, and the backend is
+  healed for the next dispatch.
+* a shard whose solve raises — the exception propagates unchanged, with
+  one telemetry record, on the pool and inline.
 * the serving path end-to-end — responses stay byte-identical to
   standalone solves and the crash shows up in ``batch_telemetry`` /
   ``stats()``.
@@ -41,15 +41,9 @@ import asyncio
 import multiprocessing as mp
 import os
 
-import numpy as np
 import pytest
 
-from equivalence import (
-    assert_batch_results_equal,
-    assert_coloring_results_equal,
-    assert_ledgers_equal,
-    assert_outcomes_equal,
-)
+from equivalence import assert_batch_results_equal, assert_coloring_results_equal
 from faults import (
     break_pool,
     inject_exit_always,
@@ -66,8 +60,6 @@ from repro.core.list_coloring import (
     solve_list_coloring_batch,
     solve_list_coloring_congest,
 )
-from repro.core.partial_coloring import partial_coloring_pass_batch
-from repro.engine.rounds import RoundLedger
 from repro.graphs import generators as gen
 from repro.parallel import ProcessBackend, SerialBackend
 from repro.parallel.backend import _FAULT_KEYS
@@ -127,7 +119,7 @@ class TestInstanceModeRecovery:
         serial = solve_list_coloring_batch(batch)
         with instance_backend(start_method) as backend:
             break_pool(backend)
-            recovered = solve_list_coloring_batch(batch, backend=backend)
+            recovered = backend.solve_batch(batch)
             assert_batch_results_equal(serial, recovered, "pre-broken pool")
             record = backend.telemetry[-1]
             assert record["mode"] == "instance"
@@ -137,7 +129,7 @@ class TestInstanceModeRecovery:
             assert faults["retries"] >= 1
             assert faults["serial_fallbacks"] == 0
             # Healed: the rebuilt pool serves the next dispatch cleanly.
-            again = solve_list_coloring_batch(batch, backend=backend)
+            again = backend.solve_batch(batch)
             assert_batch_results_equal(serial, again, "post-recovery dispatch")
             assert healthy(backend.telemetry[-1]["faults"])
         assert leaked_segments(before) == []
@@ -151,7 +143,7 @@ class TestInstanceModeRecovery:
         serial = solve_list_coloring_batch(batch)
         with inject_exit_once(tmp_path) as marker:
             with instance_backend(start_method) as backend:
-                recovered = solve_list_coloring_batch(batch, backend=backend)
+                recovered = backend.solve_batch(batch)
             assert os.path.exists(marker), "no worker took the injected fault"
         assert_batch_results_equal(serial, recovered, "mid-shard worker death")
         record = backend.telemetry[-1]
@@ -197,7 +189,7 @@ class TestSerialFallback:
         serial = solve_list_coloring_batch(batch)
         with inject_exit_always():
             with instance_backend(FAST_METHOD, max_retries=1) as backend:
-                recovered = solve_list_coloring_batch(batch, backend=backend)
+                recovered = backend.solve_batch(batch)
                 faults = backend.telemetry[-1]["faults"]
                 assert faults["crashes"] >= 1
                 assert faults["retries"] >= 1
@@ -212,9 +204,9 @@ class TestSerialFallback:
         serial = solve_list_coloring_batch(batch)
         with instance_backend(FAST_METHOD, max_retries=0) as backend:
             with inject_exit_always():
-                degraded = solve_list_coloring_batch(batch, backend=backend)
+                degraded = backend.solve_batch(batch)
             assert backend.telemetry[-1]["faults"]["serial_fallbacks"] >= 1
-            clean = solve_list_coloring_batch(batch, backend=backend)
+            clean = backend.solve_batch(batch)
             assert healthy(backend.telemetry[-1]["faults"])
         assert_batch_results_equal(serial, degraded, "degraded dispatch")
         assert_batch_results_equal(serial, clean, "post-fallback dispatch")
@@ -227,7 +219,7 @@ class TestSerialFallback:
         serial = solve_list_coloring_batch(batch)
         with instance_backend(FAST_METHOD, max_retries=0) as backend:
             with inject_exit_always():
-                recovered = solve_list_coloring_batch(batch, backend=backend)
+                recovered = backend.solve_batch(batch)
             record = backend.telemetry[-1]
         assert_batch_results_equal(serial, recovered, "zero-retry fallback")
         faults = record["faults"]
@@ -235,114 +227,24 @@ class TestSerialFallback:
         assert faults["pool_rebuilds"] == 1
         assert faults["serial_fallbacks"] == record["effective_shards"]
 
-    def test_partial_pass_falls_back_inline(self):
-        batch = instance_batch()
-        k = batch.num_instances
-        psis = np.concatenate(
-            [np.arange(inst.n, dtype=np.int64) for inst in batch.split()]
-        )
-        nums = [max(2, inst.n) for inst in batch.split()]
-        serial_ledgers = [RoundLedger() for _ in range(k)]
-        serial = partial_coloring_pass_batch(
-            batch, psis, nums, ledgers=serial_ledgers
-        )
-        recovered_ledgers = [RoundLedger() for _ in range(k)]
-        with inject_exit_always():
-            with instance_backend(FAST_METHOD, max_retries=1) as backend:
-                recovered = backend.partial_pass_batch(
-                    batch, psis, nums, ledgers=recovered_ledgers
-                )
-                faults = backend.telemetry[-1]["faults"]
-        assert faults["crashes"] >= 1
-        assert faults["serial_fallbacks"] >= 1
-        for i, (want, got) in enumerate(zip(serial, recovered)):
-            assert_outcomes_equal(want, got, f"outcome[{i}]")
-        for i, (want, got) in enumerate(zip(serial_ledgers, recovered_ledgers)):
-            assert_ledgers_equal(want, got, f"ledger[{i}]")
-
 
 # ----------------------------------------------------------------------
-# 3. Partial passes: outcomes and replayed ledgers after recovery.
+# 3. A raising shard: a bug, not a fault.
 # ----------------------------------------------------------------------
-class TestPartialPassRecovery:
-    @pytest.mark.parametrize("start_method", START_METHODS)
-    def test_partial_pass_identical_after_crash(self, start_method):
-        before = shm_segments()
-        batch = instance_batch()
-        k = batch.num_instances
-        psis = np.concatenate(
-            [np.arange(inst.n, dtype=np.int64) for inst in batch.split()]
-        )
-        nums = [max(2, inst.n) for inst in batch.split()]
-        serial_ledgers = [RoundLedger() for _ in range(k)]
-        serial = partial_coloring_pass_batch(
-            batch, psis, nums, ledgers=serial_ledgers
-        )
-        with instance_backend(start_method) as backend:
-            break_pool(backend)
-            recovered_ledgers = [RoundLedger() for _ in range(k)]
-            recovered = backend.partial_pass_batch(
-                batch, psis, nums, ledgers=recovered_ledgers
-            )
-            record = backend.telemetry[-1]
-            assert record["op"] == "partial_pass"
-            assert record["faults"]["crashes"] >= 1
-            assert record["faults"]["pool_rebuilds"] >= 1
-        for i, (want, got) in enumerate(zip(serial, recovered)):
-            assert_outcomes_equal(want, got, f"outcome[{i}]")
-        for i, (want, got) in enumerate(zip(serial_ledgers, recovered_ledgers)):
-            assert_ledgers_equal(want, got, f"ledger[{i}]")
-        assert leaked_segments(before) == []
-
-    @pytest.mark.parametrize("start_method", START_METHODS)
-    def test_partial_pass_worker_death_mid_shard(self, start_method, tmp_path):
-        before = shm_segments()
-        batch = instance_batch()
-        k = batch.num_instances
-        psis = np.concatenate(
-            [np.arange(inst.n, dtype=np.int64) for inst in batch.split()]
-        )
-        nums = [max(2, inst.n) for inst in batch.split()]
-        serial_ledgers = [RoundLedger() for _ in range(k)]
-        serial = partial_coloring_pass_batch(
-            batch, psis, nums, ledgers=serial_ledgers
-        )
-        recovered_ledgers = [RoundLedger() for _ in range(k)]
-        with inject_exit_once(tmp_path) as marker:
-            with instance_backend(start_method) as backend:
-                recovered = backend.partial_pass_batch(
-                    batch, psis, nums, ledgers=recovered_ledgers
-                )
-            assert os.path.exists(marker), "no worker took the injected fault"
-        (record,) = backend.telemetry
-        assert record["op"] == "partial_pass"
-        assert record["faults"]["crashes"] >= 1
-        for i, (want, got) in enumerate(zip(serial, recovered)):
-            assert_outcomes_equal(want, got, f"outcome[{i}]")
-        for i, (want, got) in enumerate(zip(serial_ledgers, recovered_ledgers)):
-            assert_ledgers_equal(want, got, f"ledger[{i}]")
-        assert leaked_segments(before) == []
-
+class TestRaisingSolve:
     @pytest.mark.parametrize(
         "make_batch", [instance_batch, homogeneous_batch], ids=["pool", "inline"]
     )
-    def test_raising_pass_still_records_telemetry(self, make_batch):
-        """A shard whose pass raises a Python exception is a bug, not a
+    def test_raising_solve_still_records_telemetry(self, make_batch):
+        """A shard whose solve raises a Python exception is a bug, not a
         fault: the exception propagates unchanged, and the dispatch still
         appends exactly one telemetry record (on the pool and inline)."""
         before = shm_segments()
         batch = make_batch()
-        psis = np.concatenate(
-            [np.arange(inst.n, dtype=np.int64) for inst in batch.split()]
-        )
-        nums = [max(2, inst.n) for inst in batch.split()]
         with instance_backend(FAST_METHOD) as backend:
             with pytest.raises(RuntimeError, match="schedule exploded"):
-                backend.partial_pass_batch(
-                    batch, psis, nums, r_schedule=raising_schedule
-                )
+                backend.solve_batch(batch, r_schedule=raising_schedule)
             (record,) = backend.telemetry
-            assert record["op"] == "partial_pass"
             assert healthy(record["faults"])
         assert leaked_segments(before) == []
 
@@ -399,8 +301,6 @@ class TestCloseSemantics:
             backend.solve_batch(batch)
         with pytest.raises(RuntimeError, match="closed"):
             backend.solve_batch_iter(batch)
-        with pytest.raises(RuntimeError, match="closed"):
-            backend.partial_pass_batch(batch, [], [2, 2])
         with pytest.raises(RuntimeError, match="closed"):
             backend.prewarm()
         assert backend._executor is None  # nothing resurrected

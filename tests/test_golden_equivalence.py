@@ -175,9 +175,9 @@ def _record_batched_congest(instances: dict, backend=None) -> dict:
     The per-instance records are shaped exactly like ``_record_congest``'s,
     so the batched path is pinned against the same ragged-implementation
     goldens as the sequential loop — the batched-vs-sequential equivalence
-    gate of the multi-instance refactor.  With ``backend`` the same call is
-    routed through an alternative executor (the sharded process backend),
-    which must reproduce the records byte-identically.
+    gate of the multi-instance refactor.  With ``backend`` the same batch
+    is solved by that executor's ``solve_batch`` instead (the sharded
+    process backend), which must reproduce the records byte-identically.
     """
     from repro.core.instances import BatchedListColoringInstance
     from repro.core.list_coloring import solve_list_coloring_batch
@@ -186,7 +186,8 @@ def _record_batched_congest(instances: dict, backend=None) -> dict:
     batch = BatchedListColoringInstance.from_instances(
         [instances[name] for name in names]
     )
-    result = solve_list_coloring_batch(batch, backend=backend)
+    solve = solve_list_coloring_batch if backend is None else backend.solve_batch
+    result = solve(batch)
     records = {}
     for name, res in zip(names, result.results):
         records[name] = {

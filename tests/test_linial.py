@@ -316,3 +316,27 @@ class TestMatchesCongestNodeProgram:
             for v in range(graph.n)
         ]
         assert new_colors.tolist() == expected
+
+    def test_node_program_rejects_a_neighbor_of_its_own_color(self):
+        # Equal colors collide at every point, so there is no free one.
+        with pytest.raises(AssertionError, match="no free evaluation point"):
+            _linial_new_color(5, [5, 7], 11, 1)
+
+    def test_improper_path_raises_in_both_layers(self):
+        # Path 0-1-2 colored 7, 5, 5: the engine rejects the coloring, and
+        # the node program rejects it at exactly the edge's two endpoints.
+        graph = gen.path_graph(3)
+        colors = np.array([7, 5, 5], dtype=np.int64)
+        k = 8
+        q, t = _choose_field(k, graph.max_degree)
+        with pytest.raises(AssertionError, match="at node 1"):
+            linial_step(graph, colors, k)
+        rejected = []
+        for v in range(graph.n):
+            try:
+                _linial_new_color(
+                    int(colors[v]), colors[graph.neighbors(v)].tolist(), q, t
+                )
+            except AssertionError:
+                rejected.append(v)
+        assert rejected == [1, 2]

@@ -3,7 +3,7 @@
 The contract under test: for ANY batch shape — randomized graph families,
 list lengths, color spaces, instance counts, including empty instances,
 single-shard plans and shards of size 1 — the process backend's merged
-output is *byte-identical* to the serial path: colorings, SeedChoices,
+``solve_batch`` output is *byte-identical* to the serial path: colorings,
 round ledgers (totals and event streams) and potential traces.  The
 randomized families are seeded (deterministic reruns); both the ``fork``
 and ``spawn`` start methods are exercised so the worker-side
@@ -22,12 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from equivalence import (
-    assert_arrays_equal,
-    assert_batch_results_equal,
-    assert_ledgers_equal,
-    assert_outcomes_equal,
-)
+from equivalence import assert_arrays_equal, assert_batch_results_equal
 from faults import leaked_segments, raising_schedule, shm_segments
 from repro.core.instances import (
     BatchedListColoringInstance,
@@ -37,18 +32,9 @@ from repro.core.instances import (
     make_random_lists_instance,
 )
 from repro.core.list_coloring import solve_list_coloring_batch
-from repro.core.partial_coloring import partial_coloring_pass_batch
-from repro.engine.rounds import RoundLedger
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
-from repro.parallel import (
-    ProcessBackend,
-    SerialBackend,
-    backend_scope,
-    fusion_signatures,
-    plan_shards,
-    resolve_backend,
-)
+from repro.parallel import ProcessBackend, fusion_signatures, plan_shards
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 START_METHODS = [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
@@ -253,7 +239,7 @@ class TestShardMerge:
             make_delta_plus_one_instance(gen.gnp_graph(12, 0.2, seed=7))
         ] * 2
         batch = BatchedListColoringInstance.from_instances(instances)
-        solve_list_coloring_batch(batch, backend=process_backend)
+        process_backend.solve_batch(batch)
         record = process_backend.telemetry[-1]
         assert record["effective_shards"] == 1
         assert record["requested_shards"] == min(WORKERS, batch.num_instances)
@@ -291,12 +277,12 @@ class TestSolveEquivalence:
         instances = random_batch(seed)
         batch = BatchedListColoringInstance.from_instances(instances)
         serial = solve_list_coloring_batch(batch)
-        parallel = solve_list_coloring_batch(batch, backend=process_backend)
+        parallel = process_backend.solve_batch(batch)
         assert_batch_results_equal(serial, parallel, f"batch(seed={seed})")
 
     def test_empty_batch(self, process_backend):
         batch = BatchedListColoringInstance.from_instances([])
-        result = solve_list_coloring_batch(batch, backend=process_backend)
+        result = process_backend.solve_batch(batch)
         assert result.results == []
 
     def test_single_instance_single_shard(self, process_backend):
@@ -304,7 +290,7 @@ class TestSolveEquivalence:
         instance = make_delta_plus_one_instance(gen.cycle_graph(11))
         batch = BatchedListColoringInstance.from_instances([instance])
         serial = solve_list_coloring_batch(batch)
-        parallel = solve_list_coloring_batch(batch, backend=process_backend)
+        parallel = process_backend.solve_batch(batch)
         assert_batch_results_equal(serial, parallel)
 
     def test_batch_with_empty_members(self, process_backend):
@@ -315,7 +301,7 @@ class TestSolveEquivalence:
             [empty, full, empty, star, empty]
         )
         serial = solve_list_coloring_batch(batch)
-        parallel = solve_list_coloring_batch(batch, backend=process_backend)
+        parallel = process_backend.solve_batch(batch)
         assert_batch_results_equal(serial, parallel)
 
     def test_size_one_shards_identical(self):
@@ -330,7 +316,7 @@ class TestSolveEquivalence:
             max_shards=batch.num_instances,
             keep_fusion_runs=False,
         ) as backend:
-            parallel = solve_list_coloring_batch(batch, backend=backend)
+            parallel = backend.solve_batch(batch)
         assert_batch_results_equal(serial, parallel)
 
     def test_kwargs_sliced_per_shard(self, process_backend):
@@ -347,7 +333,7 @@ class TestSolveEquivalence:
         )
         batch = BatchedListColoringInstance.from_instances(instances)
         serial = solve_list_coloring_batch(batch, **kwargs)
-        parallel = solve_list_coloring_batch(batch, backend=process_backend, **kwargs)
+        parallel = process_backend.solve_batch(batch, **kwargs)
         assert_batch_results_equal(serial, parallel)
 
     def test_rejects_rng(self, process_backend):
@@ -355,60 +341,7 @@ class TestSolveEquivalence:
             [make_delta_plus_one_instance(gen.cycle_graph(6))] * 2
         )
         with pytest.raises(ValueError, match="derandomized"):
-            solve_list_coloring_batch(
-                batch, rng=np.random.default_rng(0), backend=process_backend
-            )
-
-
-class TestPartialPassEquivalence:
-    """One Lemma 2.1 pass: outcomes carry the full PrefixResult, so this is
-    where SeedChoices (s1, sigma, conditional traces) are compared."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("avoid_mis", [False, True])
-    def test_pass_identical_with_seed_choices(self, seed, avoid_mis, process_backend):
-        instances = [inst for inst in random_batch(seed + 50) if inst.n > 0]
-        if not instances:
-            instances = [make_delta_plus_one_instance(gen.cycle_graph(8))]
-        psis = [np.arange(inst.n, dtype=np.int64) for inst in instances]
-        nums = [max(2, inst.n) for inst in instances]
-        batch = BatchedListColoringInstance.from_instances(instances)
-        # Mixed ledger ownership, some pre-charged: replay must append.
-        def ledger_set():
-            ledgers = []
-            for i in range(len(instances)):
-                if i % 3 == 2:
-                    ledgers.append(None)
-                else:
-                    ledger = RoundLedger()
-                    ledger.charge("pre", i + 1)
-                    ledgers.append(ledger)
-            return ledgers
-
-        led_serial, led_parallel = ledger_set(), ledger_set()
-        serial = partial_coloring_pass_batch(
-            batch, np.concatenate(psis), nums,
-            ledgers=led_serial, avoid_mis=avoid_mis,
-        )
-        parallel = partial_coloring_pass_batch(
-            batch, np.concatenate(psis), nums,
-            ledgers=led_parallel, avoid_mis=avoid_mis,
-            backend=process_backend,
-        )
-        for i, (s, p) in enumerate(zip(serial, parallel)):
-            assert_outcomes_equal(s, p, f"outcome[{i}]")
-        for i, (a, b) in enumerate(zip(led_serial, led_parallel)):
-            assert_ledgers_equal(a, b, f"ledger[{i}]")
-
-    def test_pass_rejects_rng(self, process_backend):
-        instances = [make_delta_plus_one_instance(gen.cycle_graph(6))] * 2
-        batch = BatchedListColoringInstance.from_instances(instances)
-        psis = np.concatenate([np.arange(6)] * 2)
-        with pytest.raises(ValueError, match="derandomized"):
-            partial_coloring_pass_batch(
-                batch, psis, [6, 6],
-                rng=np.random.default_rng(1), backend=process_backend,
-            )
+            process_backend.solve_batch(batch, rng=np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +375,7 @@ class TestShardedEquivalence:
         batch = distinct_batch()
         serial = solve_list_coloring_batch(batch)
         with shard_settings(process_backend, shards):
-            parallel = solve_list_coloring_batch(batch, backend=process_backend)
+            parallel = process_backend.solve_batch(batch)
         assert_batch_results_equal(serial, parallel, f"shards={shards}")
         record = process_backend.telemetry[-1]
         assert record["requested_shards"] == shards
@@ -460,7 +393,7 @@ class TestShardedEquivalence:
         shards = int(rng.integers(2, 9))
         keep_runs = bool(rng.integers(0, 2))
         with shard_settings(process_backend, shards, keep_runs):
-            parallel = solve_list_coloring_batch(batch, backend=process_backend)
+            parallel = process_backend.solve_batch(batch)
         assert_batch_results_equal(
             serial, parallel, f"seed={seed} shards={shards} keep={keep_runs}"
         )
@@ -470,33 +403,6 @@ class TestShardedEquivalence:
         assert process_backend.telemetry[-1]["effective_shards"] == (
             plan.effective_shards
         )
-
-    def test_partial_pass_size_one_shards_with_ledgers(self, process_backend):
-        batch = distinct_batch(5)
-        k = batch.num_instances
-        psis = np.concatenate(
-            [np.arange(inst.n, dtype=np.int64) for inst in batch.split()]
-        )
-        nums = [max(2, inst.n) for inst in batch.split()]
-        serial_ledgers = [RoundLedger() if i != 2 else None for i in range(k)]
-        serial = partial_coloring_pass_batch(
-            batch, psis, nums, ledgers=serial_ledgers
-        )
-        parallel_ledgers = [RoundLedger() if i != 2 else None for i in range(k)]
-        with shard_settings(process_backend, k):
-            parallel = process_backend.partial_pass_batch(
-                batch, psis, nums, ledgers=parallel_ledgers
-            )
-        record = process_backend.telemetry[-1]
-        assert record["op"] == "partial_pass"
-        assert record["effective_shards"] == k
-        for i, (s, p) in enumerate(zip(serial, parallel)):
-            assert_outcomes_equal(s, p, f"outcome[{i}]")
-        for i, (s, p) in enumerate(zip(serial_ledgers, parallel_ledgers)):
-            if s is None:
-                assert p is None
-            else:
-                assert_ledgers_equal(s, p, f"ledger[{i}]")
 
     def test_stream_chunks_follow_plan_bounds(self, process_backend):
         batch = distinct_batch()
@@ -520,7 +426,7 @@ class TestShmHygiene:
         with ProcessBackend(
             workers=WORKERS, start_method=start_method, keep_fusion_runs=False
         ) as backend:
-            parallel = solve_list_coloring_batch(batch, backend=backend)
+            parallel = backend.solve_batch(batch)
             assert backend.telemetry[-1]["effective_shards"] > 1
         assert_batch_results_equal(serial, parallel)
         assert leaked_segments(before) == []
@@ -533,37 +439,15 @@ class TestShmHygiene:
             workers=WORKERS, start_method=start_method, keep_fusion_runs=False
         ) as backend:
             with pytest.raises(RuntimeError, match="schedule exploded"):
-                solve_list_coloring_batch(
-                    batch, backend=backend, r_schedule=raising_schedule
-                )
-            (record,) = backend.telemetry
-            assert record["op"] == "solve"
+                backend.solve_batch(batch, r_schedule=raising_schedule)
+            assert len(backend.telemetry) == 1
         assert leaked_segments(before) == []
 
 
 # ----------------------------------------------------------------------
-# Backend resolution and plumbing.
+# Backend construction and plumbing.
 # ----------------------------------------------------------------------
 class TestResolution:
-    def test_resolve_names(self):
-        assert isinstance(resolve_backend(None), SerialBackend)
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-        backend = resolve_backend("process", workers=2)
-        assert isinstance(backend, ProcessBackend) and backend.workers == 2
-        backend.close()
-
-    def test_resolve_passthrough(self):
-        backend = SerialBackend()
-        assert resolve_backend(backend) is backend
-
-    def test_resolve_max_retries_knob(self):
-        backend = resolve_backend("process", workers=1, max_retries=5)
-        assert backend.max_retries == 5
-        backend.close()
-        default = resolve_backend("process", workers=1)
-        assert default.max_retries == 2  # constructor default untouched
-        default.close()
-
     def test_healthy_dispatch_records_zero_faults(self, process_backend):
         """Every dispatch record carries "faults"; without worker deaths
         the counters are all zero (the observability baseline the crash
@@ -571,7 +455,7 @@ class TestResolution:
         batch = BatchedListColoringInstance.from_instances(
             [random_instance(np.random.default_rng(5)) for _ in range(4)]
         )
-        solve_list_coloring_batch(batch, backend=process_backend)
+        process_backend.solve_batch(batch)
         record = process_backend.telemetry[-1]
         assert record["faults"] == {
             "crashes": 0,
@@ -579,20 +463,6 @@ class TestResolution:
             "pool_rebuilds": 0,
             "serial_fallbacks": 0,
         }
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu")
-        with pytest.raises(TypeError):
-            resolve_backend(42)
-
-    def test_serial_name_is_inline_path(self):
-        # backend="serial" must not detour through dispatch machinery.
-        instance = make_delta_plus_one_instance(gen.cycle_graph(8))
-        batch = BatchedListColoringInstance.from_instances([instance])
-        a = solve_list_coloring_batch(batch)
-        b = solve_list_coloring_batch(batch, backend="serial")
-        assert_batch_results_equal(a, b)
 
     def test_process_backend_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -604,48 +474,12 @@ class TestResolution:
         instances = [make_delta_plus_one_instance(gen.cycle_graph(8))] * 2
         batch = BatchedListColoringInstance.from_instances(instances)
         with ProcessBackend(workers=2, sweep_workers=0) as backend:
-            result = solve_list_coloring_batch(batch, backend=backend)
+            result = backend.solve_batch(batch)
             assert backend.telemetry[-1]["mode"] == "instance"
         assert_batch_results_equal(solve_list_coloring_batch(batch), result)
         for value in (1, 2, None):
             with pytest.raises(ValueError, match="seed axis was removed"):
                 ProcessBackend(workers=2, sweep_workers=value)
-
-    def test_backend_scope_closes_created_pools_only(self):
-        # A name spec creates the backend, so the scope must close it...
-        batch = BatchedListColoringInstance.from_instances(
-            [
-                make_delta_plus_one_instance(gen.cycle_graph(8)),
-                make_delta_plus_one_instance(gen.star_graph(5)),
-            ]
-        )
-        with backend_scope("process") as created:
-            created.max_shards = 2
-            created.keep_fusion_runs = False
-            solve_list_coloring_batch(batch, backend=created)
-            assert created._executor is not None
-        assert created._executor is None  # pool shut down on scope exit
-        # ... while a caller-owned instance survives the scope.
-        owned = ProcessBackend(workers=WORKERS, max_shards=2, keep_fusion_runs=False)
-        try:
-            with backend_scope(owned) as resolved:
-                assert resolved is owned
-                solve_list_coloring_batch(batch, backend=resolved)
-            assert owned._executor is not None
-        finally:
-            owned.close()
-
-    def test_name_spec_does_not_leak_pool(self):
-        # backend="process" at the dispatch point: the dispatcher creates
-        # AND closes the pool; the solve must still be byte-identical.
-        instances = [
-            make_delta_plus_one_instance(gen.cycle_graph(9)),
-            make_delta_plus_one_instance(gen.star_graph(6)),
-        ]
-        batch = BatchedListColoringInstance.from_instances(instances)
-        serial = solve_list_coloring_batch(batch)
-        named = solve_list_coloring_batch(batch, backend="process")
-        assert_batch_results_equal(serial, named)
 
     def test_store_pickle_round_trip(self):
         import pickle

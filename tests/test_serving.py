@@ -334,7 +334,7 @@ class TestServiceBehavior:
 
         async def drive():
             async with ColoringService(
-                "serial", max_batch_instances=100, max_delay_ms=5.0
+                max_batch_instances=100, max_delay_ms=5.0
             ) as service:
                 return await asyncio.wait_for(service.submit(instance), 30.0)
 
@@ -347,7 +347,7 @@ class TestServiceBehavior:
 
         async def drive():
             async with ColoringService(
-                "serial", max_batch_instances=2, max_delay_ms=3_600_000.0
+                max_batch_instances=2, max_delay_ms=3_600_000.0
             ) as service:
                 return await asyncio.wait_for(
                     asyncio.gather(*[service.submit(i) for i in instances]),
@@ -368,7 +368,7 @@ class TestServiceBehavior:
             degree_of[instance_fusion_signature(high)] = 6
         direct = [solve_list_coloring_congest(inst) for inst in instances]
         service = ColoringService(
-            "serial", max_batch_instances=3, max_delay_ms=5.0
+            max_batch_instances=3, max_delay_ms=5.0
         )
         served = submit_all(service, instances)
         for i, (expected, got) in enumerate(zip(direct, served)):
@@ -385,7 +385,7 @@ class TestServiceBehavior:
 
     def test_submit_after_close_raises(self):
         async def drive():
-            service = ColoringService("serial")
+            service = ColoringService()
             async with service:
                 pass
             with pytest.raises(RuntimeError, match="closed"):
@@ -400,7 +400,7 @@ class TestServiceBehavior:
 
         async def drive():
             service = ColoringService(
-                "serial", max_batch_instances=100, max_delay_ms=3_600_000.0
+                max_batch_instances=100, max_delay_ms=3_600_000.0
             ).start()
             future = asyncio.ensure_future(service.submit(instance))
             await asyncio.sleep(0.02)  # intake, but never full or due
@@ -413,7 +413,7 @@ class TestServiceBehavior:
     def test_close_cancel_drops_pending(self):
         async def drive():
             service = ColoringService(
-                "serial", max_batch_instances=100, max_delay_ms=3_600_000.0
+                max_batch_instances=100, max_delay_ms=3_600_000.0
             ).start()
             futures = [
                 asyncio.ensure_future(service.submit(regular_instance(s)))
@@ -426,23 +426,24 @@ class TestServiceBehavior:
 
         assert asyncio.run(drive()) == [True, True, True]
 
-    def test_owned_backend_closed_caller_backend_left_open(self):
+    def test_default_backend_serial_caller_backend_left_open(self):
         before = shm_segments()
-        # Caller-owned: the service must not shut the backend down.
-        backend = SerialBackend()
-        service = ColoringService(backend)
+        # Default: an in-process serial backend, never a pool.
+        service = ColoringService()
         submit_all(service, [regular_instance(0)])
-        assert service._backend is backend
-        # Owned (built from a name): its pool must be gone after close.
-        owned = ColoringService("process", workers=WORKERS)
-        submit_all(owned, [regular_instance(s) for s in range(2)])
-        assert owned._backend._executor is None
+        assert isinstance(service._backend, SerialBackend)
+        # Caller-owned: the service must not shut the backend down.
+        with ProcessBackend(workers=2, keep_fusion_runs=False) as backend:
+            service = ColoringService(backend, max_batch_instances=2)
+            submit_all(service, [regular_instance(s) for s in range(2)])
+            assert service._backend is backend
+            assert backend._executor is not None
         assert leaked_segments(before) == []
 
     def test_stats_and_latencies_after_close(self):
         instances = [regular_instance(s) for s in range(4)]
         service = ColoringService(
-            "serial", max_batch_instances=2, max_delay_ms=5.0
+            max_batch_instances=2, max_delay_ms=5.0
         )
         submit_all(service, instances)
         stats = service.stats()
@@ -511,7 +512,7 @@ class TestServiceBehavior:
 
         monkeypatch.setattr(list_coloring, "solve_list_coloring_batch", poisoned)
         service = ColoringService(
-            "serial", max_batch_instances=4, max_delay_ms=50.0
+            max_batch_instances=4, max_delay_ms=50.0
         )
         requests = healthy[:position] + [poison] + healthy[position:]
 
@@ -570,7 +571,7 @@ class TestServiceBehavior:
         direct = [solve_list_coloring_congest(inst) for inst in instances]
 
         def run_generation():
-            service = ColoringService(workers=1, max_batch_instances=2)
+            service = ColoringService(max_batch_instances=2)
             results = submit_all(service, instances)
             assert service.stats()["cache"] is None
             return results

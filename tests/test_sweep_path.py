@@ -20,6 +20,8 @@ Four layers:
 4. **Backends and entry points** — repeated process-backend solves
    (inline and sharded, fork and spawn) stay byte-identical to serial,
    and no solver, backend, service or CLI entry point takes a cache option.
+   The pool is reached only by calling a backend, directly or through the
+   service: no engine, pass or CLI command takes one.
 """
 
 from __future__ import annotations
@@ -38,20 +40,26 @@ import pytest
 
 import repro
 import repro.core.derandomize as derandomize
+import repro.parallel
 from repro.cli import main
 from repro.core.derandomize import derandomize_phase_group
 from repro.core.instances import (
     BatchedListColoringInstance,
     make_delta_plus_one_instance,
 )
-from repro.core.list_coloring import solve_list_coloring_batch
+from repro.core.list_coloring import (
+    solve_list_coloring_batch,
+    solve_list_coloring_congest,
+)
 from repro.core.partial_coloring import partial_coloring_pass_batch
 from repro.core.potential import SeedSweepWorkspace, SweepCountKernel
 from repro.core.prefix import extend_prefixes_batch
 from repro.core.sweep_cache import SweepResultCache
+from repro.decomposition.decomposed_coloring import solve_list_coloring_polylog
 from repro.graphs import generators as gen
 from repro.hashing.pairwise import PairwiseFamily
-from repro.parallel import ProcessBackend, resolve_backend
+from repro.mpc.coloring import solve_list_coloring_mpc
+from repro.parallel import Backend, ProcessBackend, SerialBackend
 from repro.serving import ColoringService
 
 from equivalence import assert_batch_results_equal, assert_seed_choices_equal
@@ -254,7 +262,7 @@ class TestRepeatedBackendSolves:
             workers=WORKERS, start_method=start_method
         ) as backend:
             for _ in range(2):
-                result = solve_list_coloring_batch(batch, backend=backend)
+                result = backend.solve_batch(batch)
                 assert_batch_results_equal(serial, result)
         assert isinstance(backend.telemetry, list)
         assert len(backend.telemetry) == 2
@@ -273,7 +281,7 @@ class TestRepeatedBackendSolves:
             keep_fusion_runs=False,
         ) as backend:
             for _ in range(2):
-                result = solve_list_coloring_batch(batch, backend=backend)
+                result = backend.solve_batch(batch)
                 assert_batch_results_equal(serial, result)
         assert all("cache" not in record for record in backend.telemetry)
         assert not leaked_segments(before)
@@ -287,7 +295,6 @@ class TestNoCacheOptions:
             extend_prefixes_batch,
             partial_coloring_pass_batch,
             ProcessBackend,
-            resolve_backend,
         ],
         ids=lambda entry: entry.__name__,
     )
@@ -308,5 +315,78 @@ class TestNoCacheOptions:
         with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
             main([command, "--help"])
         assert exit_.value.code == 0
-        assert "--backend" in out.getvalue() or command == "decompose"
+        assert "--family" in out.getvalue()
         assert "cache" not in out.getvalue().lower()
+
+
+class TestNoPoolRoutes:
+    """The process pool is reached only by calling a backend, directly or
+    through the service: no engine, Lemma 2.1 pass, resolver or CLI flag
+    leads to it."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            solve_list_coloring_congest,
+            solve_list_coloring_batch,
+            partial_coloring_pass_batch,
+            solve_list_coloring_polylog,
+            solve_list_coloring_mpc,
+        ],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_engine_takes_no_backend(self, entry):
+        assert "backend" not in inspect.signature(entry).parameters
+
+    @pytest.mark.parametrize("cls", [Backend, SerialBackend, ProcessBackend])
+    def test_backend_has_no_partial_pass(self, cls):
+        assert not hasattr(cls, "partial_pass_batch")
+
+    def test_service_takes_a_backend_instance_only(self):
+        assert "workers" not in inspect.signature(ColoringService).parameters
+        assert isinstance(ColoringService()._backend, SerialBackend)
+        for spec in ("serial", "process"):
+            with pytest.raises(TypeError):
+                ColoringService(spec)
+
+    @pytest.mark.parametrize("module", [repro, repro.parallel], ids=lambda m: m.__name__)
+    def test_no_resolver_exports(self, module):
+        assert {"resolve_backend", "backend_scope"} & set(module.__all__) == set()
+
+    def test_no_src_name_for_a_removed_route(self):
+        removed = {
+            "partial_pass_batch",
+            "partial_pass_shard",
+            "replay_ledger",
+            "backend_scope",
+            "resolve_backend",
+        }
+        found = []
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                name = getattr(node, "name", None) or getattr(node, "id", None)
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                if name in removed:
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+        assert found == []
+
+    @pytest.mark.parametrize("command", ["color", "compare"])
+    def test_cli_offers_no_pool_flag(self, command):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main([command, "--help"])
+        for flag in ("--backend", "--workers", "--dispatch-retries"):
+            assert flag not in out.getvalue()
+
+    def test_dispatch_record_keys(self):
+        with ProcessBackend(workers=1) as backend:
+            backend.solve_batch(homogeneous_batch(copies=2, n=12))
+        assert set(backend.telemetry[-1]) == {
+            "mode",
+            "requested_shards",
+            "effective_shards",
+            "wall_seconds",
+            "faults",
+        }
