@@ -98,6 +98,16 @@ class TestCLI:
             ["color", "--family", "regular", "--n", "15", "--degree", "3"]
         ) == 0
 
+    @pytest.mark.parametrize("command", ["color", "compare"])
+    def test_json_output_reproducible(self, capsys, command):
+        # Every solver is deterministic: a rerun prints the same record.
+        args = [command, "--family", "regular", "--n", "16", "--degree", "3",
+                "--json"]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+
     def test_sweep_workers_flag_removed(self):
         with pytest.raises(SystemExit):
             main(["color", "--sweep-workers", "2"])

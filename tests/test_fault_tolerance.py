@@ -17,6 +17,8 @@ Covered here, under fork AND spawn where the harness kills mid-dispatch:
 * retries exhausted (``exit-always``) — the inline serial fallback
   answers, ``max_retries=0`` skips straight to it, and the backend is
   healed for the next dispatch.
+* per-instance keyword arguments — a retried or inline-recomputed shard
+  gets its own slice of them again.
 * a shard whose solve raises — the exception propagates unchanged, with
   one telemetry record, on the pool and inline.
 * the serving path end-to-end — responses stay byte-identical to
@@ -41,6 +43,7 @@ import asyncio
 import multiprocessing as mp
 import os
 
+import numpy as np
 import pytest
 
 from equivalence import assert_batch_results_equal, assert_coloring_results_equal
@@ -226,6 +229,51 @@ class TestSerialFallback:
         assert faults["retries"] == 0
         assert faults["pool_rebuilds"] == 1
         assert faults["serial_fallbacks"] == record["effective_shards"]
+
+
+class TestSlicedKwargsRecovery:
+    """Per-instance keyword arguments are sliced per shard; a retried or
+    inline-recomputed shard must get its own slice again, not the whole
+    list or a neighbour's."""
+
+    @staticmethod
+    def kwargs_for(batch: BatchedListColoringInstance) -> dict:
+        instances = batch.split()
+        return dict(
+            comm_depths=[2 + i for i in range(len(instances))],
+            input_colorings=[
+                np.arange(inst.n, dtype=np.int64)[::-1].copy()
+                for inst in instances
+            ],
+            nums_input_colors=[inst.n for inst in instances],
+        )
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_sliced_kwargs_identical_after_crash(self, start_method, tmp_path):
+        before = shm_segments()
+        batch = instance_batch()
+        kwargs = self.kwargs_for(batch)
+        serial = solve_list_coloring_batch(batch, **kwargs)
+        with inject_exit_once(tmp_path) as marker:
+            with instance_backend(start_method) as backend:
+                recovered = backend.solve_batch(batch, **kwargs)
+            assert os.path.exists(marker), "no worker took the injected fault"
+        assert_batch_results_equal(serial, recovered, "kwargs after crash")
+        faults = backend.telemetry[-1]["faults"]
+        assert faults["crashes"] >= 1
+        assert faults["retries"] >= 1
+        assert leaked_segments(before) == []
+
+    def test_sliced_kwargs_fall_back_inline(self):
+        batch = instance_batch()
+        kwargs = self.kwargs_for(batch)
+        serial = solve_list_coloring_batch(batch, **kwargs)
+        with inject_exit_always():
+            with instance_backend(FAST_METHOD, max_retries=0) as backend:
+                recovered = backend.solve_batch(batch, **kwargs)
+                record = backend.telemetry[-1]
+        assert_batch_results_equal(serial, recovered, "kwargs inline fallback")
+        assert record["faults"]["serial_fallbacks"] == record["effective_shards"]
 
 
 # ----------------------------------------------------------------------

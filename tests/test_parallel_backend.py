@@ -22,7 +22,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from equivalence import assert_arrays_equal, assert_batch_results_equal
+from equivalence import (
+    assert_arrays_equal,
+    assert_batch_results_equal,
+    assert_ledgers_equal,
+    assert_outcomes_equal,
+)
 from faults import leaked_segments, raising_schedule, shm_segments
 from repro.core.instances import (
     BatchedListColoringInstance,
@@ -32,6 +37,8 @@ from repro.core.instances import (
     make_random_lists_instance,
 )
 from repro.core.list_coloring import solve_list_coloring_batch
+from repro.core.partial_coloring import partial_coloring_pass_batch
+from repro.engine.rounds import RoundLedger
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.parallel import ProcessBackend, fusion_signatures, plan_shards
@@ -414,6 +421,76 @@ class TestShardedEquivalence:
         assert spans == list(zip(bounds[:-1], bounds[1:]))
 
 
+class TestShardIndependence:
+    """What the pool's merge rests on, checked in-process: one Lemma 2.1
+    pass over each shard of a plan equals the whole batch's pass on that
+    shard's instances.  Outcomes carry the full PrefixResult, so this is
+    where SeedChoices (s1, sigma, conditional traces) are compared, and
+    the per-instance ledgers (some absent, some pre-charged) must be
+    appended to identically."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("avoid_mis", [False, True])
+    def test_pass_on_shards_matches_whole_batch(self, seed, avoid_mis):
+        rng = np.random.default_rng(seed + 50)
+        instances = random_batch(seed + 50) or [
+            make_delta_plus_one_instance(gen.cycle_graph(8))
+        ]
+        batch = BatchedListColoringInstance.from_instances(instances)
+        k = batch.num_instances
+        psis = [np.arange(inst.n, dtype=np.int64) for inst in instances]
+        nums = [max(2, inst.n) for inst in instances]
+
+        def ledger_set():
+            ledgers = []
+            for i in range(k):
+                if i % 3 == 2:
+                    ledgers.append(None)
+                else:
+                    ledger = RoundLedger()
+                    ledger.charge("pre", i + 1)
+                    ledgers.append(ledger)
+            return ledgers
+
+        whole_ledgers, shard_ledgers = ledger_set(), ledger_set()
+        whole = partial_coloring_pass_batch(
+            batch, np.concatenate(psis), nums,
+            ledgers=whole_ledgers, avoid_mis=avoid_mis,
+        )
+        shards = int(rng.integers(2, 6))
+        bounds = plan_shards(batch, shards, keep_fusion_runs=False).bounds
+        sharded = []
+        for (lo, hi), part in zip(zip(bounds[:-1], bounds[1:]), batch.shard(bounds)):
+            sharded.extend(
+                partial_coloring_pass_batch(
+                    part,
+                    np.concatenate([np.empty(0, dtype=np.int64)] + psis[lo:hi]),
+                    nums[lo:hi],
+                    ledgers=shard_ledgers[lo:hi],
+                    avoid_mis=avoid_mis,
+                )
+            )
+        assert len(sharded) == k
+        for i, (w, s) in enumerate(zip(whole, sharded)):
+            assert_outcomes_equal(w, s, f"outcome[{i}]")
+        for i, (w, s) in enumerate(zip(whole_ledgers, shard_ledgers)):
+            assert_ledgers_equal(w, s, f"ledger[{i}]")
+
+    def test_unsharded_pass_seed_choices_are_recorded(self):
+        # The comparison above is only as strong as what an outcome
+        # carries: a pass over an instance with edges records the seed
+        # its phases fixed.
+        (outcome,) = partial_coloring_pass_batch(
+            BatchedListColoringInstance.from_instances(
+                [make_delta_plus_one_instance(gen.cycle_graph(12))]
+            ),
+            np.arange(12, dtype=np.int64),
+            [12],
+        )
+        assert any(phase.seed is not None for phase in outcome.prefix.phases)
+        assert outcome.colored_count >= 12 / 8
+
+
 class TestShmHygiene:
     """No shared-memory segment or pool semaphore outlives a closed
     backend, whether its dispatches completed or raised."""
@@ -463,6 +540,12 @@ class TestResolution:
             "pool_rebuilds": 0,
             "serial_fallbacks": 0,
         }
+
+    def test_max_retries_knob(self):
+        with ProcessBackend(workers=1, max_retries=5) as backend:
+            assert backend.max_retries == 5
+        with ProcessBackend(workers=1) as default:
+            assert default.max_retries == 2
 
     def test_process_backend_invalid_workers(self):
         with pytest.raises(ValueError):

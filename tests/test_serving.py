@@ -287,6 +287,23 @@ class TestServiceEquivalence:
             assert_coloring_results_equal(expected, got, f"request[{i}]")
         assert leaked_segments(before) == []
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_service_matches_pool_service(self, process_backend, seed):
+        """The in-process default and a caller-passed pool answer the same
+        traffic with the same bytes: the pool only changes speed."""
+        instances = random_batch(seed + 10) or [regular_instance(seed)]
+        default = submit_all(
+            ColoringService(max_batch_instances=3, max_delay_ms=2.0), instances
+        )
+        pooled = submit_all(
+            ColoringService(
+                process_backend, max_batch_instances=3, max_delay_ms=2.0
+            ),
+            instances,
+        )
+        for i, (a, b) in enumerate(zip(default, pooled)):
+            assert_coloring_results_equal(a, b, f"request[{i}]")
+
     def test_repeat_traffic_stays_identical(self, process_backend):
         before = shm_segments()
         instances = [regular_instance(s) for s in range(3)]
