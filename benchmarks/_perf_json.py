@@ -17,7 +17,9 @@ trend line.  Format (documented in ROADMAP.md):
     Measured ratio and the guard threshold.
 ``guard``
     ``"ok"`` (threshold met), ``"skip"`` (host cannot run the guard,
-    e.g. too few cores — identity checks still enforced), ``"fail"``.
+    e.g. too few cores — identity checks still enforced), ``"fail"``;
+    ``None`` (with ``speedup`` / ``min_speedup``) when the benchmark
+    records timings without guarding them.
 ``skip_reason``
     Present exactly when ``guard`` is ``"skip"``: the human-readable
     reason the guard could not run (e.g. ``"cpu_count 1 < 4 workers"``),
@@ -31,8 +33,9 @@ trend line.  Format (documented in ROADMAP.md):
     — without this field a 1-core host's record looked like nothing was
     verified at all.
 ``host``
-    ``cpu_count`` / ``python`` / ``platform`` — the context needed to
-    compare records across machines honestly.
+    ``cpu_count`` / ``python`` / ``platform`` / ``numpy`` — the context
+    needed to compare records across machines honestly (numpy's version
+    decides, for one, whether ``np.unique`` hashes or sorts).
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ import json
 import os
 import platform
 import sys
+
+import numpy as np
 
 __all__ = ["add_json_arg", "default_json_path", "write_perf_json"]
 
@@ -91,6 +96,7 @@ def write_perf_json(
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "platform": sys.platform,
+            "numpy": np.__version__,
         },
     }
     if skip_reason is not None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.graphs.sorting import unique
 
 __all__ = [
     "BatchedListColoringInstance",
@@ -73,8 +74,8 @@ class ColorListStore:
         """Build a store from ragged per-node lists (sort + dedup, batched).
 
         Accepts any iterable of per-node sequences.  Sorting and dedup run
-        as one vectorized pass over the concatenated values (encoded-key
-        ``np.unique``), not per node.
+        as one vectorized pass over the concatenated values (one sort-based
+        ``unique`` of encoded keys), not per node.
         """
         if isinstance(lists, ColorListStore):
             if n is not None and n != lists.n:
@@ -94,10 +95,10 @@ class ColorListStore:
         vmax = int(flat.max(initial=0))
         vmin = int(flat.min(initial=0))
         if vmin >= 0 and (vmax + 1) * n < np.iinfo(np.int64).max:
-            # Encode (node, value) as one scalar: one np.unique sorts every
+            # Encode (node, value) as one scalar: one unique sorts every
             # segment and dedups within it simultaneously.
             base = np.int64(vmax + 1)
-            keys = np.unique(node_ids * base + flat)
+            keys = unique(node_ids * base + flat)
             values = keys % base
             owners = keys // base
         else:  # negative values are rejected later; keep them to report

@@ -70,11 +70,11 @@ doubling (O(2^b) per row).  Both dedups pack each row
 into one int64 lexicographic rank (:func:`_unique_rows`): every
 non-constant key column, most significant first, becomes one mixed-radix
 digit (its value minus the column minimum, or its dense rank when its
-span exceeds the row count), and one 1-D ``np.unique`` of the ranks gives
-the distinct rows.  Ranks compare exactly as the rows compare
-lexicographically, so the unique columns come out in the order of a
-row-wise ``np.unique`` (``axis=0``), and the column layout and every value
-are those of that order.
+span exceeds the row count), and one 1-D sort-based
+:func:`~repro.graphs.sorting.unique` of the ranks gives the distinct rows.
+Ranks compare exactly as the rows compare lexicographically, so the unique
+columns come out in the order of a row-wise ``np.unique`` (``axis=0``), and
+the column layout and every value are those of that order.
 
 **Discrete-log order.**  GF(2^m)^* is cyclic: with s1 = g^i,
 s1 ⊙ δ = g^(i + log δ), so multiplying by s1 is a shift of the exponent.
@@ -96,6 +96,7 @@ import math
 import numpy as np
 
 from repro.core.counting import count_xor_table
+from repro.graphs.sorting import unique
 from repro.hashing.coins import bucket_thresholds, select_buckets
 from repro.hashing.pairwise import PairwiseFamily
 
@@ -139,7 +140,7 @@ def potential_sums(
     has = degrees > 0
     span = int(sizes.max(initial=0)) + 1
     key = np.asarray(node_instance, dtype=np.int64)[has] * span + sizes[has]
-    keys, inverse = np.unique(key, return_inverse=True)
+    keys, inverse = unique(key, return_inverse=True)
     # Float sums of integers are exact while every partial sum stays below
     # 2^53, which a sum of degrees does.
     d_sums = np.bincount(inverse, weights=degrees[has], minlength=len(keys))
@@ -194,8 +195,9 @@ def _unique_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     shifted to start at 0, so comparing ranks compares rows
     lexicographically, exactly as a row-wise ``np.unique`` orders them.
     Constant columns are skipped (they order nothing).  A column whose
-    span exceeds the row count is first replaced by its dense 1-D
-    ``np.unique`` rank, and the running rank is densified the same way
+    span exceeds the row count is first replaced by its dense rank (the
+    inverse of a 1-D :func:`~repro.graphs.sorting.unique`), and the
+    running rank is densified the same way
     before a multiply that could reach 2^62; both maps are monotone, so
     the order is kept, and the rank never overflows.
     """
@@ -211,17 +213,17 @@ def _unique_rows(columns) -> tuple[np.ndarray, np.ndarray]:
         if span == 1:
             continue
         if span > n:
-            _, digit = np.unique(col, return_inverse=True)
+            _, digit = unique(col, return_inverse=True)
             span = int(digit.max()) + 1
         else:
             digit = col - lo
         if bound * span >= 1 << 62:
-            _, rank = np.unique(rank, return_inverse=True)
+            _, rank = unique(rank, return_inverse=True)
             bound = int(rank.max()) + 1
         rank *= span
         rank += digit
         bound *= span
-    _, index, inverse = np.unique(rank, return_index=True, return_inverse=True)
+    _, index, inverse = unique(rank, return_index=True, return_inverse=True)
     return index, inverse
 
 
@@ -575,7 +577,8 @@ class SeedSweepWorkspace:
       1 + 2·(2^r + 1) columns are packed, most significant first, into one
       int64 mixed-radix rank per edge (:func:`_unique_rows`; for r = 1 the
       constant threshold columns 0 and 2^b drop out), and one 1-D
-      ``np.unique`` of the ranks yields the unique columns and ``inverse``.
+      :func:`~repro.graphs.sorting.unique` of the ranks yields the unique
+      columns and ``inverse``.
       A rank compares as its row compares lexicographically, so the
       unique columns are in a row-wise ``np.unique``'s order: sorted by
       ψ-difference, then by the thresholds of u, then by those of v;
@@ -688,7 +691,7 @@ class SeedSweepWorkspace:
                 cols, local, group_ids = None, inc_col, inc_group
             else:
                 mine = (inc_group >= g0) & (inc_group < g1)
-                cols, local = np.unique(inc_col[mine], return_inverse=True)
+                cols, local = unique(inc_col[mine], return_inverse=True)
                 group_ids = inc_group[mine] - g0
             num_cols = width if cols is None else len(cols)
             matrix = np.bincount(
@@ -704,7 +707,7 @@ class SeedSweepWorkspace:
         num_members = self.group.num_members
         width = max(1, self.kernel.count_width)
         member = weighting.group_member[inc_group]
-        pairs = np.unique(member * width + inc_col)
+        pairs = unique(member * width + inc_col)
         cols = np.zeros(num_members + 1, dtype=np.int64)
         np.cumsum(np.bincount(pairs // width, minlength=num_members), out=cols[1:])
         groups = weighting.group_offsets

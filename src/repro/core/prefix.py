@@ -49,6 +49,7 @@ from repro.core.potential import (
     buckets_for_seed_grouped,
     potential_sums,
 )
+from repro.graphs.sorting import unique
 from repro.hashing.pairwise import PairwiseFamily
 
 __all__ = [
@@ -364,7 +365,7 @@ def extend_prefixes_batch(
         # arrays, their 2^m seed enumerations run as one, and each member
         # fixes its own seed bits.  The key packs (m, b, r), each < 2^16.
         seed_space = ((m << 32) | (b << 16) | r)[fused]
-        for key in np.unique(seed_space).tolist():
+        for key in unique(seed_space).tolist():
             mj, bj, rj = key >> 32, (key >> 16) & 0xFFFF, key & 0xFFFF
             members = live[fused[seed_space == key]]
             selected = np.zeros(k, dtype=bool)

@@ -42,9 +42,13 @@ from repro.core.instances import BatchedListColoringInstance, ListColoringInstan
 from repro.core.list_coloring import solve_list_coloring_batch
 from repro.core.list_ops import prune_lists_against_colored
 from repro.core.validation import verify_proper_list_coloring
-from repro.decomposition.network_decomposition import NetworkDecomposition
+from repro.decomposition.network_decomposition import (
+    NetworkDecomposition,
+    _check_key_bound,
+)
 from repro.decomposition.rozhon_ghaffari import decompose
 from repro.engine.rounds import RoundLedger
+from repro.graphs.sorting import unique
 
 __all__ = ["DecomposedColoringResult", "solve_list_coloring_polylog"]
 
@@ -73,17 +77,17 @@ class DecomposedColoringResult:
 def _class_congestion(clusters) -> int:
     """κ of one color class: max number of cluster trees sharing an edge.
 
-    One encoded-key ``np.unique`` over the concatenated tree edges replaces
-    the per-edge Python dict loop.
+    One sort-based ``unique`` of encoded ``lo·base + hi`` keys over the
+    concatenated tree edge arrays counts every edge's trees.
     """
-    flat = [edge for c in clusters for edge in c.tree_edges]
-    if not flat:
+    edges = np.concatenate([c.tree_edge_array() for c in clusters])
+    if not len(edges):
         return 1
-    edges = np.asarray(flat, dtype=np.int64)
     lo = edges.min(axis=1)
     hi = edges.max(axis=1)
-    base = np.int64(int(hi.max()) + 1)
-    _, counts = np.unique(lo * base + hi, return_counts=True)
+    base = int(hi.max()) + 1
+    _check_key_bound(base * base, "tree edge")
+    _, counts = unique(lo * base + hi, return_counts=True)
     return int(counts.max())
 
 
@@ -134,9 +138,10 @@ def solve_list_coloring_polylog(
         offsets = np.zeros(len(clusters) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         # Members ascend within each cluster, as a per-cluster induced
-        # subgraph numbers them.
-        owner = np.repeat(np.arange(len(clusters)), sizes)
-        order = class_nodes[np.lexsort((class_nodes, owner))]
+        # subgraph numbers them: one sort of cluster·n + node keys.
+        _check_key_bound(len(clusters) * n, "cluster·node")
+        owner = np.repeat(np.arange(len(clusters), dtype=np.int64), sizes)
+        order = np.sort(owner * n + class_nodes) % n
         class_graph, _ = graph.induced_subgraph(order, keep_order=True)
         class_batch = BatchedListColoringInstance(
             class_graph,

@@ -19,6 +19,10 @@ keys with membership through ``np.searchsorted``, and the trees'
 connectivity is one multi-source BFS over their disjoint union.  The weak
 diameter (ii) is measured on the same union by a double sweep: two
 multi-source BFS passes, exact for trees.
+
+Orders and dedups go through one ``np.sort`` (or the sort-based
+:func:`~repro.graphs.sorting.unique`) of a packed int64 key, never a
+lexsort or a stable sort; :func:`_check_key_bound` guards each packing.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.graphs.sorting import unique
 
 __all__ = ["Cluster", "NetworkDecomposition"]
 
@@ -40,6 +45,12 @@ def _in_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[pos] == keys
 
 
+def _check_key_bound(bound: int, what: str) -> None:
+    """Raise unless keys packed below ``bound`` fit int64."""
+    if bound > 1 << 63:
+        raise OverflowError(f"{what} keys reach {bound}, beyond int64")
+
+
 @dataclass
 class Cluster:
     """One cluster: member nodes, a Steiner tree in G, and a color."""
@@ -47,22 +58,20 @@ class Cluster:
     nodes: np.ndarray  #: sorted member ids
     color: int
     center: int
-    tree_edges: list  #: list of (u, v) edges of G forming the tree
+    #: The tree's edges of G as a ``(t, 2)`` int64 array; a decomposition
+    #: built here holds them as sorted ``(lo, hi)`` rows.
+    tree_edges: np.ndarray
     radius: int = 0  #: carving radius (tree depth bound)
 
     def tree_edge_array(self) -> np.ndarray:
-        """Tree edges as an ``(t, 2)`` int64 array."""
-        if not self.tree_edges:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(self.tree_edges, dtype=np.int64)
+        """Tree edges as a ``(t, 2)`` int64 array (a list of pairs is
+        converted)."""
+        return np.asarray(self.tree_edges, dtype=np.int64).reshape(-1, 2)
 
     def tree_node_array(self) -> np.ndarray:
         """Sorted unique ids of the tree's nodes (center included)."""
         arr = self.tree_edge_array().ravel()
-        return np.unique(np.concatenate([arr, [np.int64(self.center)]]))
-
-    def tree_nodes(self) -> set:
-        return set(self.tree_node_array().tolist())
+        return unique(np.append(arr, np.int64(self.center)))
 
 
 @dataclass
@@ -87,12 +96,12 @@ class NetworkDecomposition:
 
     def _stacked_tree_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Every tree edge as ``(t, 2)`` plus the index of its cluster."""
-        flat = [edge for c in self.clusters for edge in c.tree_edges]
-        if not flat:
+        if not self.clusters:
             return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-        counts = [len(c.tree_edges) for c in self.clusters]
+        trees = [c.tree_edge_array() for c in self.clusters]
+        counts = [len(tree) for tree in trees]
         owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        return np.asarray(flat, dtype=np.int64).reshape(-1, 2), owner
+        return np.concatenate(trees), owner
 
     def cluster_of(self) -> np.ndarray:
         """Node -> cluster index; every node must be covered exactly once."""
@@ -122,11 +131,12 @@ class NetworkDecomposition:
         centers = np.fromiter(
             (c.center for c in self.clusters), dtype=np.int64, count=k
         )
+        _check_key_bound(k * n, "cluster·node")
         center_keys = np.arange(k, dtype=np.int64) * n + centers
         edges, edge_owner = self._stacked_tree_edges()
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys = np.unique(
+        keys = unique(
             np.concatenate(
                 [edge_owner * n + lo, edge_owner * n + hi, center_keys]
             )
@@ -137,15 +147,15 @@ class NetworkDecomposition:
     def _forest(self, keys, edge_owner, lo, hi) -> tuple[Graph, np.ndarray]:
         """The disjoint union of the trees as one graph over ``keys``, and
         the cluster of each of its distinct edges."""
-        n = self.graph.n
+        n = max(self.graph.n, 1)
+        size = len(keys)
+        _check_key_bound(size * size, "forest edge")
         u = np.searchsorted(keys, edge_owner * n + lo)
         v = np.searchsorted(keys, edge_owner * n + hi)
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        distinct = np.ones(len(u), dtype=bool)
-        distinct[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        forest = Graph.from_arrays(len(keys), u[distinct], v[distinct])
-        return forest, edge_owner[order][distinct]
+        pairs = unique(u * size + v)
+        u = pairs // size
+        forest = Graph.from_arrays(size, u, pairs - u * size)
+        return forest, keys[u] // n
 
     def weak_diameter(self) -> int:
         """Max tree diameter β over all clusters (property ii, measured).
@@ -161,13 +171,16 @@ class NetworkDecomposition:
         keys, roots, _, edge_owner, lo, hi = self._tree_union()
         forest, _ = self._forest(keys, edge_owner, lo, hi)
         depth = forest.bfs_levels(roots)
-        # Keys are sorted by cluster, so in (cluster, depth descending)
-        # order each tree's run starts at its farthest node.
-        tree = keys // max(self.graph.n, 1)
-        order = np.lexsort((-depth, tree))
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = tree[order][1:] != tree[order][:-1]
-        return int(forest.bfs_levels(order[first]).max(initial=0))
+        # Keys are sorted by cluster and each cluster holds its center's
+        # key, so every tree is one run; its first node of greatest depth
+        # starts the second sweep.
+        n = max(self.graph.n, 1)
+        clusters = np.arange(len(self.clusters), dtype=np.int64)
+        tree = keys // n
+        deepest = np.maximum.reduceat(depth, np.searchsorted(tree, clusters))
+        far = np.flatnonzero(depth == deepest[tree])
+        first = far[np.searchsorted(tree[far], clusters)]
+        return int(forest.bfs_levels(first).max(initial=0))
 
     def congestion(self) -> int:
         """Max number of same-color trees sharing one edge (property iv)."""
@@ -179,12 +192,12 @@ class NetworkDecomposition:
             dtype=np.int64,
             count=len(self.clusters),
         )[edge_owner]
-        pair = edges.min(axis=1) * self.graph.n + edges.max(axis=1)
-        order = np.lexsort((pair, colors))
-        pair, colors = pair[order], colors[order]
-        start = np.ones(len(order), dtype=bool)
-        start[1:] = (pair[1:] != pair[:-1]) | (colors[1:] != colors[:-1])
-        return int(np.diff(np.append(np.flatnonzero(start), len(order))).max())
+        colors -= colors.min()
+        n = self.graph.n
+        _check_key_bound((int(colors.max()) + 1) * n * n, "color·edge")
+        pair = edges.min(axis=1) * n + edges.max(axis=1)
+        _, counts = unique(colors * (n * n) + pair, return_counts=True)
+        return int(counts.max())
 
     # ------------------------------------------------------------------
     def validate(self, max_diameter: int | None = None) -> None:

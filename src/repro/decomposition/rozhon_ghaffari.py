@@ -35,7 +35,8 @@ count proposers; we charge ``2·radius + 4`` per step.
 
 Each cluster's Steiner tree is the union of its members' shortest paths to
 the center in G; :func:`steiner_trees` builds the trees of every cluster of
-a carving in one frontier BFS.
+a carving in one frontier BFS, as ``(t, 2)`` int64 slices of one sorted
+edge array.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ import numpy as np
 from repro.decomposition.network_decomposition import (
     Cluster,
     NetworkDecomposition,
+    _check_key_bound,
     _in_sorted,
 )
 from repro.engine.rounds import RoundLedger
 from repro.graphs.graph import Graph
+from repro.graphs.sorting import unique
 
 __all__ = ["carve_class", "decompose", "steiner_trees", "CarveResult"]
 
@@ -83,6 +86,7 @@ def carve_class(
     arrays indexed by label.
     """
     n = graph.n
+    _check_key_bound(n * n, "target·proposer")
     alive = np.asarray(alive, dtype=bool).copy()
     n_alive = int(alive.sum())
     if label_bits is None:
@@ -154,10 +158,11 @@ def carve_class(
             # members within a step and each target appears once, so all
             # thresholds can be evaluated against the step-start counts —
             # equivalent to processing targets sequentially in sorted order.
-            tgt = best[proposers]
-            order = np.argsort(tgt, kind="stable")
-            p_sorted = proposers[order]
-            t_sorted = tgt[order]
+            # Proposers ascend, so sorting the distinct keys
+            # target·n + proposer keeps them ascending within a target.
+            packed = np.sort(best[proposers] * n + proposers)
+            t_sorted = packed // n
+            p_sorted = packed - t_sorted * n
             starts = np.flatnonzero(np.diff(t_sorted, prepend=-1))
             uniq_t = t_sorted[starts]
             grp_counts = np.diff(starts, append=len(t_sorted))
@@ -216,8 +221,9 @@ def steiner_trees(
     Cluster ``c`` has center ``centers[c]`` and the sorted members
     ``nodes[offsets[c]:offsets[c + 1]]``.  Its tree is the union of the
     member→center paths of the BFS tree of G rooted at the center, as a
-    sorted list of ``(lo, hi)`` edges — exactly what
-    ``Graph.bfs_tree(center, targets=members)`` plus a parent walk gives.
+    ``(t, 2)`` int64 array of ``(lo, hi)`` edges in ascending order —
+    exactly what ``Graph.bfs_tree(center, targets=members)`` plus a parent
+    walk gives.  The arrays are consecutive slices of one edge array.
 
     Every cluster's BFS runs in the same frontier loop, keyed by
     ``cluster·n + node`` (sorted key arrays, never a dense clusters × n
@@ -234,15 +240,15 @@ def steiner_trees(
     centers = np.asarray(centers, dtype=np.int64)
     nodes = np.asarray(nodes, dtype=np.int64)
     k = len(centers)
+    _check_key_bound(k * n, "cluster·node")
     sizes = np.diff(offsets)
     owner = np.repeat(np.arange(k, dtype=np.int64), sizes)
     member_keys = np.sort(owner * n + nodes)
     center_keys = np.arange(k, dtype=np.int64) * n + centers
     remaining = sizes - _in_sorted(center_keys, member_keys)
-    trees: list = [[] for _ in range(k)]
     active = np.flatnonzero(remaining > 0)
     if not active.size:
-        return trees
+        return [np.empty((0, 2), dtype=np.int64) for _ in range(k)]
 
     # BFS over (cluster, node) keys; each level keeps its sorted keys and
     # the parent node of each key (a center is its own parent).
@@ -257,7 +263,7 @@ def steiner_trees(
             break
         srcs, nbrs = graph.gather_neighbors(front_v)
         owners = np.repeat(front_c, graph.degrees[front_v])
-        found, first = np.unique(owners * n + nbrs, return_index=True)
+        found, first = unique(owners * n + nbrs, return_index=True)
         unseen = ~(_in_sorted(found, level_keys[-1]) | _in_sorted(found, prev_keys))
         found, first = found[unseen], first[unseen]
         if not found.size:
@@ -292,18 +298,23 @@ def steiner_trees(
         on_tree[cur] = True
         step = cluster[cur] * n + parents[cur]
         step = step[~_in_sorted(step, center_keys)]
-        cur = np.unique(np.searchsorted(keys, step))
+        cur = unique(np.searchsorted(keys, step))
         cur = cur[~on_tree[cur]]
-    cluster, parent = cluster[on_tree], parents[on_tree]
-    child = keys[on_tree] - cluster * n
-    lo, hi = np.minimum(child, parent), np.maximum(child, parent)
-    order = np.lexsort((hi, lo, cluster))
-    lo, hi = lo[order].tolist(), hi[order].tolist()
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(cluster, minlength=k))))
-    for c in np.flatnonzero(np.diff(bounds)).tolist():
-        a, b = int(bounds[c]), int(bounds[c + 1])
-        trees[c] = list(zip(lo[a:b], hi[a:b]))
-    return trees
+
+    # Each tree edge joins the keys of its child and its parent, both in
+    # ``keys``.  Keys sort by (cluster, node), so the edges sort by
+    # (cluster, lo, hi) as the pairs of their endpoints' key positions do.
+    size = len(keys)
+    _check_key_bound(size * size, "tree edge")
+    child = np.flatnonzero(on_tree)
+    parent = np.searchsorted(keys, cluster[child] * n + parents[child])
+    pos = np.sort(np.minimum(child, parent) * size + np.maximum(child, parent))
+    lo_key = keys[pos // size]
+    hi_key = keys[pos % size]
+    base = lo_key // n * n
+    edges = np.stack([lo_key - base, hi_key - base], axis=1)
+    bounds = np.searchsorted(base, np.arange(k + 1, dtype=np.int64) * n)
+    return [edges[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def decompose(
@@ -351,10 +362,12 @@ def _members_from_centers(center: np.ndarray) -> tuple:
     ``centers`` ascend; cluster i's members are the ascending
     ``members[offsets[i]:offsets[i + 1]]``.
     """
+    n = len(center)
+    _check_key_bound(n * n, "center·node")
     nodes = np.flatnonzero(center >= 0)
-    labels = center[nodes]
-    order = np.argsort(labels, kind="stable")  # members stay ascending
-    nodes_s, labels_s = nodes[order], labels[order]
+    packed = np.sort(center[nodes] * n + nodes)  # members stay ascending
+    labels_s = packed // n
+    nodes_s = packed - labels_s * n
     new = np.ones(len(labels_s), dtype=bool)
     new[1:] = labels_s[1:] != labels_s[:-1]
     starts = np.flatnonzero(new)

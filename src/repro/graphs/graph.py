@@ -22,6 +22,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.graphs.sorting import unique
+
 __all__ = ["Graph"]
 
 #: Largest n for which a node pair can be encoded as one int64 (n² < 2⁶³).
@@ -72,12 +74,12 @@ class Graph:
                 raise ValueError(f"edge ({bu}, {bv}) out of range for n={n}")
             # Canonical orientation, then lexicographic sort + dedup.  For
             # graphs whose pair keys fit int64 the (lo, hi) pairs are
-            # encoded as lo·n + hi scalars so one np.unique does both the
-            # sort and the dedup (much faster than np.lexsort).
+            # encoded as lo·n + hi scalars so one sort-based unique does both
+            # the sort and the dedup (much faster than np.lexsort).
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
             if n <= _ENCODE_LIMIT:
-                keys = np.unique(lo * n + hi)
+                keys = unique(lo * n + hi)
                 self.edges_u = keys // n
                 self.edges_v = keys % n
             else:  # pragma: no cover - unreachable at simulable scales
@@ -225,7 +227,7 @@ class Graph:
         frontier = np.asarray(sources, dtype=np.int64).ravel()
         if frontier.size:
             # First-occurrence dedup that preserves the given order.
-            _, first = np.unique(frontier, return_index=True)
+            _, first = unique(frontier, return_index=True)
             frontier = frontier[np.sort(first)]
             dist[frontier] = 0
             if is_target is not None:
@@ -239,7 +241,7 @@ class Graph:
             nbrs, srcs = nbrs[unseen], srcs[unseen]
             if nbrs.size == 0:
                 break
-            _, first = np.unique(nbrs, return_index=True)
+            _, first = unique(nbrs, return_index=True)
             order = np.sort(first)
             frontier = nbrs[order]
             level += 1
@@ -348,7 +350,7 @@ class Graph:
             return sub, original
         if not isinstance(nodes, np.ndarray):
             nodes = np.array(sorted(int(x) for x in nodes), dtype=np.int64)
-        original = np.unique(nodes.astype(np.int64, copy=False).ravel())
+        original = unique(nodes.astype(np.int64, copy=False).ravel())
         keep = np.zeros(self.n, dtype=bool)
         keep[original] = True
         mask = keep[self.edges_u] & keep[self.edges_v]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.graphs.sorting import unique
 
 __all__ = [
     "degeneracy",
@@ -66,7 +67,7 @@ def average_degree(graph: Graph) -> float:
 
 
 def degree_histogram(graph: Graph) -> dict:
-    values, counts = np.unique(graph.degrees, return_counts=True)
+    values, counts = unique(graph.degrees, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.graphs.sorting import unique
 from repro.substrates.linial import linial_coloring
 
 __all__ = [
@@ -44,7 +45,7 @@ def mis_by_color_classes(graph: Graph, colors: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError("MIS by color classes requires a proper coloring")
     in_mis = np.zeros(graph.n, dtype=bool)
     blocked = np.zeros(graph.n, dtype=bool)
-    classes = np.unique(colors)
+    classes = unique(colors)
     for c in classes:
         # The coloring is proper, so one class is an independent set: every
         # unblocked member joins at once and the neighborhoods are blocked
@@ -107,5 +108,5 @@ def mis_by_blocks(
     members, _classes = mis_by_color_classes(graph, reduced)
     block = np.repeat(np.arange(k, dtype=np.int64), np.diff(offsets))
     width = int(reduced.max(initial=0)) + 1
-    keys = np.unique(block * width + reduced)
+    keys = unique(block * width + reduced)
     return members, iterations + np.bincount(keys // width, minlength=k)
