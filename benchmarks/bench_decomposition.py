@@ -36,7 +36,6 @@ import time
 import numpy as np
 
 from repro.decomposition import rozhon_ghaffari
-from repro.decomposition.decomposed_coloring import _class_congestion
 from repro.decomposition.rozhon_ghaffari import decompose
 from repro.engine.rounds import RoundLedger
 from repro.graphs.generators import grid_graph
@@ -115,11 +114,8 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
-def decompose_and_kappa(graph: Graph) -> list:
-    by_color: dict = {}
-    for cluster in decompose(graph).clusters:
-        by_color.setdefault(cluster.color, []).append(cluster)
-    return [_class_congestion(by_color[color]) for color in sorted(by_color)]
+def decompose_and_kappa(graph: Graph) -> dict:
+    return decompose(graph).congestion_by_color()
 
 
 def main() -> int:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.instances import ListColoringInstance
+from repro.core.instances import ListColoringInstance, make_delta_plus_one_instance
+from repro.core.list_ops import greedy_extend
 from repro.graphs.graph import Graph
 
 __all__ = ["greedy_list_coloring", "greedy_delta_plus_one"]
@@ -22,32 +23,15 @@ def greedy_list_coloring(
     """Color nodes in ``order`` (default: by id), each taking the first
     free color of its list.  Always succeeds because |L(v)| ≥ deg(v)+1.
     """
-    graph = instance.graph
-    colors = np.full(graph.n, -1, dtype=np.int64)
+    colors = np.full(instance.n, -1, dtype=np.int64)
     if order is None:
-        order = np.arange(graph.n)
-    for v in order:
-        v = int(v)
-        taken = {int(colors[u]) for u in graph.neighbors(v) if colors[u] != -1}
-        for c in instance.lists[v]:
-            if int(c) not in taken:
-                colors[v] = int(c)
-                break
-        else:  # unreachable for valid instances
-            raise AssertionError(f"greedy found no free color for node {v}")
+        order = np.arange(instance.n)
+    greedy_extend(instance.graph, instance.lists, colors, order)
     return colors
 
 
 def greedy_delta_plus_one(graph: Graph, order: np.ndarray | None = None) -> np.ndarray:
-    """Greedy (Δ+1)-coloring with the smallest-free-color rule."""
-    colors = np.full(graph.n, -1, dtype=np.int64)
-    if order is None:
-        order = np.arange(graph.n)
-    for v in order:
-        v = int(v)
-        taken = {int(colors[u]) for u in graph.neighbors(v) if colors[u] != -1}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return colors
+    """Greedy (Δ+1)-coloring with the smallest-free-color rule: the list
+    greedy on Observation 4.1's lists {0, …, deg(v)}, which always hold
+    the smallest color no neighbor has."""
+    return greedy_list_coloring(make_delta_plus_one_instance(graph), order)

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.cliquemodel.model import CliqueSpec, lenzen_routing_rounds
 from repro.core.instances import ListColoringInstance
-from repro.core.list_ops import prune_lists_after_coloring
+from repro.core.list_ops import greedy_extend, prune_lists_after_coloring
 from repro.core.partial_coloring import partial_coloring_pass
 from repro.core.validation import verify_proper_list_coloring
 from repro.engine.rounds import RoundLedger
@@ -111,7 +111,8 @@ def solve_list_coloring_clique(
                 ledger.charge(
                     "endgame_routing", lenzen_routing_rounds(spec, send, receive)
                 )
-                _greedy_finish(graph, lists, colors, active)
+                # The leader's local solve: greedy on the residual graph.
+                greedy_extend(graph, lists, colors, active)
                 result.endgame_nodes = len(active)
                 ledger.charge("endgame_broadcast", 1)
                 break
@@ -166,15 +167,3 @@ def solve_list_coloring_clique(
     if verify:
         verify_proper_list_coloring(instance, colors)
     return result
-
-
-def _greedy_finish(graph, lists, colors, active) -> None:
-    """The leader's local solve: greedy list coloring of the residual graph."""
-    for v in sorted(int(x) for x in active):
-        taken = {int(colors[u]) for u in graph.neighbors(v) if colors[u] != -1}
-        for c in lists[v]:
-            if int(c) not in taken:
-                colors[v] = int(c)
-                break
-        else:  # impossible: |L(v)| ≥ deg(v)+1
-            raise AssertionError(f"greedy endgame found no free color at {v}")

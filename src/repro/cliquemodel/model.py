@@ -33,11 +33,6 @@ class CliqueSpec:
     def word_bits(self) -> int:
         return max(1, math.ceil(math.log2(max(2, self.n))))
 
-    @property
-    def words_per_node_per_round(self) -> int:
-        """A node exchanges one word with each other node per round."""
-        return max(1, self.n - 1)
-
 
 def lenzen_routing_rounds(
     spec: CliqueSpec, send_counts, receive_counts

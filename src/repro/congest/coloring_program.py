@@ -32,26 +32,9 @@ from repro.core.instances import ListColoringInstance, ceil_log2
 from repro.core.potential import accuracy_bits
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
-from repro.substrates.linial import _choose_field  # deterministic schedule
+from repro.substrates.linial import linial_schedule
 
 __all__ = ["congest_coloring_program", "CongestColoringRun"]
-
-
-def _linial_schedule(num_colors: int, max_degree: int) -> list:
-    """The deterministic (q, t, K) sequence of Linial steps.
-
-    Every node can compute it locally from (K, Δ), so no coordination is
-    needed to agree on the number of reduction rounds.
-    """
-    schedule = []
-    k = num_colors
-    while True:
-        q, t = _choose_field(k, max_degree)
-        if t == 0 or q * q >= k:
-            break
-        schedule.append((q, t, k))
-        k = q * q
-    return schedule
 
 
 def _poly_value(color: int, q: int, t: int, point: int) -> int:
@@ -153,13 +136,10 @@ def congest_coloring_program(run: CongestColoringRun, root: int, tree: dict):
         pass_index = 0
         # The MIS-stage Linial schedule depends only on (K, Δ ≤ 3): every
         # node derives it locally, once, and reuses it in every pass.
-        mis_schedule = _linial_schedule(run.num_input_colors, 3)
+        mis_schedule = linial_schedule(run.num_input_colors, 3)
         mis_classes = (
             mis_schedule[-1][0] ** 2 if mis_schedule else run.num_input_colors
         )
-
-        def agg_pair(x, y):
-            return (x[0] + y[0], x[1] + y[1], max(x[2], y[2]))
 
         while True:
             # ---- pass control: count uncolored, residual max degree ----

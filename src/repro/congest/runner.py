@@ -24,13 +24,13 @@ import numpy as np
 from repro.congest.coloring_program import (
     CongestColoringRun,
     _linial_new_color,
-    _linial_schedule,
     congest_coloring_program,
 )
 from repro.congest.programs import GeneratorProgram, MessageBuffer, bfs_program, exchange
 from repro.congest.simulator import SyncSimulator
 from repro.core.instances import ListColoringInstance
 from repro.graphs.graph import Graph
+from repro.substrates.linial import linial_schedule
 
 __all__ = ["run_congest_coloring", "CongestRunStats", "simulate_bfs_tree"]
 
@@ -85,7 +85,7 @@ def run_congest_coloring(
     tree, bfs_rounds = simulate_bfs_tree(graph, 0, bandwidth_factor)
 
     # Linial stage: ids -> K = O(Δ²) colors.
-    schedule = _linial_schedule(max(2, graph.n), max(1, graph.max_degree))
+    schedule = linial_schedule(max(2, graph.n), max(1, graph.max_degree))
     programs = [
         GeneratorProgram(_linial_program_factory(schedule, v))
         for v in range(graph.n)

@@ -246,6 +246,37 @@ class ColorListStore:
             )
 
 
+def _validate_lists(
+    graph: Graph, lists: ColorListStore, color_space: int | np.ndarray
+) -> None:
+    """Raise ``ValueError`` unless ``lists`` holds one list per node of
+    ``graph``, each of size ≥ deg + 1 with its colors in ``[0, space)``;
+    ``color_space`` is one space for every node or an array of per-node
+    spaces."""
+    if lists.n != graph.n:
+        raise ValueError(f"expected {graph.n} color lists, got {lists.n}")
+    if graph.n == 0:
+        return
+    sizes = lists.sizes
+    short = sizes < graph.degrees + 1
+    if short.any():
+        v = int(np.argmax(short))
+        raise ValueError(
+            f"node {v}: list size {int(sizes[v])} < deg+1 = {graph.degree(v) + 1}"
+        )
+    # Segments are sorted, so first/last entries bound each whole list;
+    # sizes ≥ 1 here, so offsets index real segment ends.
+    lo = lists.values[lists.offsets[:-1]]
+    hi = lists.values[lists.offsets[1:] - 1]
+    space = np.broadcast_to(color_space, sizes.shape)
+    bad = (lo < 0) | (hi >= space)
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise ValueError(
+            f"node {v}: colors outside the color space [{int(space[v])}]"
+        )
+
+
 @dataclass
 class ListColoringInstance:
     """A (degree+1)-list-coloring instance.
@@ -280,33 +311,9 @@ class ListColoringInstance:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise ``ValueError`` unless the instance is well-formed."""
-        g = self.graph
-        if self.lists.n != g.n:
-            raise ValueError(
-                f"expected {g.n} color lists, got {self.lists.n}"
-            )
         if self.color_space < 1:
             raise ValueError(f"color space must be >= 1, got {self.color_space}")
-        if g.n == 0:
-            return
-        sizes = self.lists.sizes
-        short = sizes < g.degrees + 1
-        if short.any():
-            v = int(np.argmax(short))
-            raise ValueError(
-                f"node {v}: list size {int(sizes[v])} < deg+1 = {g.degree(v) + 1}"
-            )
-        # Segments are sorted, so first/last entries bound each whole list;
-        # sizes ≥ 1 here, so offsets index real segment ends.
-        values, offsets = self.lists.values, self.lists.offsets
-        lo = values[offsets[:-1]]
-        hi = values[offsets[1:] - 1]
-        bad = (lo < 0) | (hi >= self.color_space)
-        if bad.any():
-            v = int(np.argmax(bad))
-            raise ValueError(
-                f"node {v}: colors outside the color space [{self.color_space}]"
-            )
+        _validate_lists(self.graph, self.lists, self.color_space)
 
     # ------------------------------------------------------------------
     @property
@@ -623,10 +630,6 @@ class BatchedListColoringInstance:
                 f"expected {self.num_instances} color spaces, "
                 f"got {len(self.color_spaces)}"
             )
-        if self.lists.n != self.graph.n:
-            raise ValueError(
-                f"expected {self.graph.n} color lists, got {self.lists.n}"
-            )
         if (self.color_spaces < 1).any():
             raise ValueError("every color space must be >= 1")
         if self.graph.m:
@@ -641,30 +644,10 @@ class BatchedListColoringInstance:
                     f"edge ({int(self.graph.edges_u[e])}, "
                     f"{int(self.graph.edges_v[e])}) crosses instance blocks"
                 )
-        if self.graph.n == 0:
-            return
         self.lists.validate_segments_sorted()
-        sizes = self.lists.sizes
-        short = sizes < self.graph.degrees + 1
-        if short.any():
-            v = int(np.argmax(short))
-            raise ValueError(
-                f"node {v}: list size {int(sizes[v])} < deg+1 = "
-                f"{self.graph.degree(v) + 1}"
-            )
-        # Segment bounds against the owning instance's color space.
-        nonempty = sizes > 0
-        if nonempty.any():
-            values, offsets = self.lists.values, self.lists.offsets
-            lo = values[offsets[:-1][nonempty]]
-            hi = values[offsets[1:][nonempty] - 1]
-            space = self.color_spaces[self.node_instance_ids()[nonempty]]
-            bad = (lo < 0) | (hi >= space)
-            if bad.any():
-                v = int(np.flatnonzero(nonempty)[np.argmax(bad)])
-                raise ValueError(
-                    f"node {v}: colors outside the instance color space"
-                )
+        _validate_lists(
+            self.graph, self.lists, self.color_spaces[self.node_instance_ids()]
+        )
 
 
 def make_delta_plus_one_instance(graph: Graph) -> ListColoringInstance:

@@ -12,6 +12,10 @@ on :meth:`Graph.gather_neighbors` and the CSR
 The (node, color) deletion pairs are gathered with one neighborhood
 expansion and applied with one encoded-key ``searchsorted`` over the flat
 store (:meth:`ColorListStore.delete_pairs`) — no per-node Python loops.
+
+:func:`greedy_extend` is the one sequential piece: the first-free-color
+greedy that the baseline runs on a whole instance and the clique and MPC
+endgames run on their residual nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,11 @@ import numpy as np
 from repro.core.instances import ColorListStore
 from repro.graphs.graph import Graph
 
-__all__ = ["prune_lists_after_coloring", "prune_lists_against_colored"]
+__all__ = [
+    "greedy_extend",
+    "prune_lists_after_coloring",
+    "prune_lists_against_colored",
+]
 
 
 def prune_lists_after_coloring(
@@ -54,3 +62,23 @@ def prune_lists_against_colored(
     srcs, nbrs = graph.gather_neighbors(nodes)
     colored = colors[nbrs] != -1
     lists.delete_pairs(srcs[colored], colors[nbrs][colored])
+
+
+def greedy_extend(
+    graph: Graph, lists: ColorListStore, colors: np.ndarray, order: np.ndarray
+) -> None:
+    """Color the nodes of ``order`` one after another (in place), each
+    taking the first color of its list that no colored neighbor holds.
+
+    Never fails while |L(v)| ≥ deg(v) + 1; a node with no free color
+    raises ``AssertionError``.
+    """
+    for v in np.asarray(order, dtype=np.int64).tolist():
+        nbr_colors = colors[graph.neighbors(v)]
+        taken = set(nbr_colors[nbr_colors != -1].tolist())
+        for c in lists[v].tolist():
+            if c not in taken:
+                colors[v] = c
+                break
+        else:
+            raise AssertionError(f"greedy found no free color for node {v}")

@@ -128,10 +128,10 @@ def potential_sums(
     """Σ_u deg(u)/|L(u)| per instance, in one pass over every node.
 
     ``node_instance[u]`` is the instance of node u.  Per instance the sum is
-    formed as ``Σ_k D_k / k`` with k ascending, where ``D_k`` is the exact
-    integer sum of conflict degrees over its nodes with list size k: the
-    formula (and term order) of :meth:`_Weighting.values` at block size 1,
-    so it equals the σ descent's final value bit for bit.
+    ``Σ_k D_k / k`` with k ascending, where ``D_k`` is the exact integer sum
+    of conflict degrees over its nodes with list size k, formed by the same
+    :class:`_AscendingKSum` as :meth:`_Weighting.values`: it equals the σ
+    descent's final value bit for bit.
     """
     sizes = np.asarray(list_sizes, dtype=np.int64)
     if (sizes <= 0).any():
@@ -144,15 +144,39 @@ def potential_sums(
     # Float sums of integers are exact while every partial sum stays below
     # 2^53, which a sum of degrees does.
     d_sums = np.bincount(inverse, weights=degrees[has], minlength=len(keys))
-    inst = keys // span
-    # Slot p of instance i holds its term of the p-th smallest k.
-    slot = np.arange(len(keys)) - np.searchsorted(inst, inst)
-    terms = np.zeros((num_instances, int(slot.max(initial=0)) + 1))
-    terms[inst, slot] = d_sums / (keys % span)
-    total = terms[:, 0].copy()
-    for p in range(1, terms.shape[1]):
-        total += terms[:, p]
-    return total
+    return _AscendingKSum(keys, span, num_instances)(d_sums[:, None])[:, 0]
+
+
+class _AscendingKSum:
+    """``Σ_k S_k / k`` per owner, k ascending, over (owner, k) terms.
+
+    ``keys`` are the terms' ``owner · span + k``, ascending, so each
+    owner's terms are one run in ascending k.  Slot p of an owner holds
+    its p-th smallest k, and a missing slot reads an exact 0.0; the sum
+    adds slot after slot, so its term order is fixed by the keys alone and
+    equal exact ``S`` give equal sums, bit for bit.
+    """
+
+    def __init__(self, keys: np.ndarray, span: int, num_owners: int):
+        self.owner = keys // span
+        self.k = (keys % span).astype(np.float64)
+        slot = np.arange(len(keys)) - np.searchsorted(self.owner, self.owner)
+        self.slots = np.full(
+            (num_owners, int(slot.max(initial=0)) + 1), len(keys), dtype=np.int64
+        )
+        self.slots[self.owner, slot] = np.arange(len(keys))
+
+    def __call__(self, sums: np.ndarray) -> np.ndarray:
+        """(owners × rows) ``Σ_k S_k / k`` of the (terms × rows) exact
+        sums ``S``."""
+        # One float per (term, row): S / k, plus a zero row for the padding
+        # slots.
+        quotients = np.zeros((len(self.k) + 1, sums.shape[1]), dtype=np.float64)
+        np.divide(sums, self.k[:, None], out=quotients[:-1])
+        total = quotients[self.slots[:, 0]]
+        for p in range(1, self.slots.shape[1]):
+            total += quotients[self.slots[:, p]]
+        return total
 
 
 def accuracy_bits(
@@ -504,8 +528,9 @@ class _Weighting:
         groups = np.flatnonzero(present)
         self.inc_group = (np.cumsum(present) - 1)[key]
         num_groups = len(groups)
-        self.group_member = groups // span
-        self.group_k = (groups % span).astype(np.float64)
+        self.ascending_k = _AscendingKSum(groups, span, group.num_members)
+        self.group_member = self.ascending_k.owner
+        self.group_k = self.ascending_k.k
         self.group_offsets = np.searchsorted(
             self.group_member, np.arange(group.num_members + 1)
         )
@@ -518,15 +543,6 @@ class _Weighting:
                 f"seed-sweep sums may reach {self.sum_bound} >= 2^53: "
                 "the integer weighting would not be exact"
             )
-        # Sequential ascending-k summation order: slot p of member j
-        # holds its p-th smallest k; missing slots point at a zero row.
-        slot = np.arange(num_groups) - self.group_offsets[self.group_member]
-        self.slots = np.full(
-            (group.num_members, int(slot.max(initial=0)) + 1),
-            num_groups,
-            dtype=np.int64,
-        )
-        self.slots[self.group_member, slot] = np.arange(num_groups)
 
     def sums(self, item_counts: np.ndarray) -> np.ndarray:
         """float64 ``S`` per group of one row of nonnegative item counts,
@@ -540,14 +556,7 @@ class _Weighting:
     def values(self, sums: np.ndarray, scale: int) -> np.ndarray:
         """(members × rows) ``(Σ_k S_k / k, k ascending) / scale`` of the
         (groups × rows) exact sums ``S``."""
-        num_groups = len(self.group_k)
-        # One float per (group, row): S / k, plus a zero row that the
-        # padding slots of members with fewer distinct k point at.
-        quotients = np.zeros((num_groups + 1, sums.shape[1]), dtype=np.float64)
-        np.divide(sums, self.group_k[:, None], out=quotients[:num_groups])
-        total = quotients[self.slots[:, 0]]
-        for p in range(1, self.slots.shape[1]):
-            total += quotients[self.slots[:, p]]
+        total = self.ascending_k(sums)
         total /= float(scale)
         return total
 

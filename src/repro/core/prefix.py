@@ -331,10 +331,7 @@ def extend_prefixes_batch(
         # to their own width below.  (A schedule mixing very different r
         # values in one batch would over-allocate here — all shipped
         # schedules use a uniform r per phase.)
-        width_max = 1 << int(r.max())
-        counts = np.bincount(
-            node_ids * width_max + flat_buckets, minlength=n_total * width_max
-        ).reshape(n_total, width_max)
+        counts = _bucket_counts(node_ids, flat_buckets, n_total, int(r.max()))
 
         # A live instance without alive edges has Φ ≡ 0: its derandomized
         # seed is (0, 0) in closed form and y = 0 picks every node's lowest

@@ -48,7 +48,6 @@ from repro.decomposition.network_decomposition import (
 )
 from repro.decomposition.rozhon_ghaffari import decompose
 from repro.engine.rounds import RoundLedger
-from repro.graphs.sorting import unique
 
 __all__ = ["DecomposedColoringResult", "solve_list_coloring_polylog"]
 
@@ -72,23 +71,6 @@ class DecomposedColoringResult:
     @property
     def num_colors_used_by_decomposition(self) -> int:
         return self.decomposition.num_colors
-
-
-def _class_congestion(clusters) -> int:
-    """κ of one color class: max number of cluster trees sharing an edge.
-
-    One sort-based ``unique`` of encoded ``lo·base + hi`` keys over the
-    concatenated tree edge arrays counts every edge's trees.
-    """
-    edges = np.concatenate([c.tree_edge_array() for c in clusters])
-    if not len(edges):
-        return 1
-    lo = edges.min(axis=1)
-    hi = edges.max(axis=1)
-    base = int(hi.max()) + 1
-    _check_key_bound(base * base, "tree edge")
-    _, counts = unique(lo * base + hi, return_counts=True)
-    return int(counts.max())
 
 
 def solve_list_coloring_polylog(
@@ -115,9 +97,10 @@ def solve_list_coloring_polylog(
     for cluster in decomposition.clusters:
         by_color.setdefault(cluster.color, []).append(cluster)
 
+    kappas = decomposition.congestion_by_color()
     for color in sorted(by_color):
         clusters = by_color[color]
-        kappa = _class_congestion(clusters)
+        kappa = max(1, kappas[color])
 
         # Prune every cluster's lists against already-colored G-neighbors.
         # Same-class clusters are pairwise non-adjacent (Definition 3.1

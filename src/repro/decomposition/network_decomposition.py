@@ -12,8 +12,9 @@ clusters, each with an associated Steiner tree in G and a color in
 The :meth:`NetworkDecomposition.validate` method machine-checks
 properties (i) and (iii), the bound (ii) on request, and that the clusters
 partition V and every tree is a tree of G; every decomposition produced in
-this library passes through it; :meth:`NetworkDecomposition.congestion`
-measures (iv).  The checks are one pass over all clusters at once:
+this library passes through it;
+:meth:`NetworkDecomposition.congestion_by_color` measures (iv) per color
+class.  The checks are one pass over all clusters at once:
 members, tree nodes and tree edges are stacked as ``cluster·n + node``
 keys with membership through ``np.searchsorted``, and the trees'
 connectivity is one multi-source BFS over their disjoint union.  The weak
@@ -182,22 +183,36 @@ class NetworkDecomposition:
         first = far[np.searchsorted(tree[far], clusters)]
         return int(forest.bfs_levels(first).max(initial=0))
 
-    def congestion(self) -> int:
-        """Max number of same-color trees sharing one edge (property iv)."""
-        edges, edge_owner = self._stacked_tree_edges()
-        if not len(edges):
-            return 0
+    def congestion_by_color(self) -> dict[int, int]:
+        """κ of each color class: the max number of its cluster trees
+        sharing one edge, 0 for a class with no tree edge.
+
+        One sort-based ``unique`` of packed (color, edge) keys counts the
+        trees on every edge of every class.
+        """
         colors = np.fromiter(
             (c.color for c in self.clusters),
             dtype=np.int64,
             count=len(self.clusters),
-        )[edge_owner]
-        colors -= colors.min()
-        n = self.graph.n
-        _check_key_bound((int(colors.max()) + 1) * n * n, "color·edge")
-        pair = edges.min(axis=1) * n + edges.max(axis=1)
-        _, counts = unique(colors * (n * n) + pair, return_counts=True)
-        return int(counts.max())
+        )
+        if not len(colors):
+            return {}
+        low = int(colors.min())
+        kappa = np.zeros(int(colors.max()) - low + 1, dtype=np.int64)
+        edges, edge_owner = self._stacked_tree_edges()
+        if len(edges):
+            n = self.graph.n
+            _check_key_bound(len(kappa) * n * n, "color·edge")
+            pair = edges.min(axis=1) * n + edges.max(axis=1)
+            keys, counts = unique(
+                (colors[edge_owner] - low) * (n * n) + pair, return_counts=True
+            )
+            np.maximum.at(kappa, keys // (n * n), counts)
+        return {c: int(kappa[c - low]) for c in sorted(set(colors.tolist()))}
+
+    def congestion(self) -> int:
+        """Max number of same-color trees sharing one edge (property iv)."""
+        return max(self.congestion_by_color().values(), default=0)
 
     # ------------------------------------------------------------------
     def validate(self, max_diameter: int | None = None) -> None:

@@ -44,6 +44,7 @@ from repro.core.instances import (
     ColorListStore,
     ListColoringInstance,
 )
+from repro.core.list_ops import greedy_extend
 from repro.core.partial_coloring import partial_coloring_pass_batch
 from repro.core.prefix import full_width_schedule
 from repro.core.validation import verify_proper_list_coloring
@@ -472,12 +473,4 @@ def _mpc_endgame(
     engine.exchange(lambda src, store: [(0, r) for r in store])
     ledger.charge("endgame", 2)
 
-    for v in np.sort(active).tolist():
-        nbr_colors = colors[graph.neighbors(v)]
-        taken = set(nbr_colors[nbr_colors != -1].tolist())
-        for c in lists[v].tolist():
-            if c not in taken:
-                colors[v] = c
-                break
-        else:
-            raise AssertionError(f"endgame found no free color for node {v}")
+    greedy_extend(graph, lists, colors, active)

@@ -40,7 +40,13 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 
-__all__ = ["linial_step", "linial_coloring", "LinialResult", "next_prime"]
+__all__ = [
+    "linial_step",
+    "linial_schedule",
+    "linial_coloring",
+    "LinialResult",
+    "next_prime",
+]
 
 
 def _is_prime(x: int) -> bool:
@@ -226,10 +232,28 @@ class LinialResult:
     iterations: int  #: communication rounds consumed (one per step)
 
 
+def linial_schedule(num_colors: int, max_degree: int) -> list:
+    """The deterministic ``(q, t, K)`` sequence of Linial steps from K colors.
+
+    A step maps [K] to [q²] with ``(q, t) = _choose_field(K, Δ)``; the
+    schedule stops once t = 0 or q² ≥ K, where the next step would not
+    shrink K.  Every node can compute it locally from (K, Δ), so no
+    coordination is needed to agree on the number of reduction rounds.
+    """
+    schedule = []
+    k = num_colors
+    while True:
+        q, t = _choose_field(k, max_degree)
+        if t == 0 or q * q >= k:
+            return schedule
+        schedule.append((q, t, k))
+        k = q * q
+
+
 def linial_coloring(
     graph: Graph, initial_colors: np.ndarray | None = None, num_colors: int | None = None
 ) -> LinialResult:
-    """Iterate :func:`linial_step` until no further progress: K -> O(Δ²).
+    """Run the steps of :func:`linial_schedule`: K -> O(Δ²).
 
     With no ``initial_colors``, node ids are used (the paper's identifier
     coloring, K = n).  The iteration count is O(log* K).
@@ -241,17 +265,7 @@ def linial_coloring(
         colors = np.asarray(initial_colors, dtype=np.int64)
         if num_colors is None:
             num_colors = int(colors.max(initial=0)) + 1
-    iterations = 0
-    while True:
-        # The step maps [K] -> [q²]; once q² stops shrinking K the next
-        # step would be the identity, so the fixpoint is known from the
-        # (cached) field choice alone — no wasted final step.
-        q, t = _choose_field(num_colors, graph.max_degree)
-        if t == 0 or q * q >= num_colors:
-            break
-        new_colors, new_k = linial_step(graph, colors, num_colors)
-        if new_k >= num_colors:
-            break
-        colors, num_colors = new_colors, new_k
-        iterations += 1
-    return LinialResult(colors=colors, num_colors=num_colors, iterations=iterations)
+    schedule = linial_schedule(num_colors, graph.max_degree)
+    for _q, _t, k in schedule:
+        colors, num_colors = linial_step(graph, colors, k)
+    return LinialResult(colors=colors, num_colors=num_colors, iterations=len(schedule))

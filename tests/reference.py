@@ -54,7 +54,6 @@ from repro.core.potential import PhaseEstimator, SweepCountKernel, _unique_rows
 from repro.decomposition.decomposed_coloring import (
     ClassStats,
     DecomposedColoringResult,
-    _class_congestion,
 )
 from repro.decomposition.network_decomposition import Cluster, NetworkDecomposition
 from repro.decomposition.rozhon_ghaffari import CarveResult
@@ -78,6 +77,7 @@ __all__ = [
     "linial_collisions_reference",
     "solve_list_coloring_polylog_reference",
     "stack_group",
+    "congestion_by_color_reference",
     "congestion_reference",
     "steiner_tree",
     "unique_rows_reference",
@@ -297,20 +297,25 @@ def weak_diameter_reference(decomposition: NetworkDecomposition) -> int:
     return best
 
 
-def congestion_reference(decomposition: NetworkDecomposition) -> int:
-    """Max number of same-color trees sharing one edge, by a row-wise
-    unique over (lo, hi, color) rows."""
+def congestion_by_color_reference(decomposition: NetworkDecomposition) -> dict:
+    """κ per color class, by a row-wise unique over (color, lo, hi) rows;
+    0 for a class with no tree edge."""
+    kappa = {cluster.color: 0 for cluster in decomposition.clusters}
     rows = []
     for cluster in decomposition.clusters:
         edges = cluster.tree_edge_array()
-        if not len(edges):
-            continue
         color = np.full(len(edges), cluster.color, dtype=np.int64)
-        rows.append(np.stack([edges.min(axis=1), edges.max(axis=1), color], axis=1))
-    if not rows:
-        return 0
-    _, counts = np.unique(np.concatenate(rows), axis=0, return_counts=True)
-    return int(counts.max())
+        rows.append(np.stack([color, edges.min(axis=1), edges.max(axis=1)], axis=1))
+    if rows:
+        uniq, counts = np.unique(np.concatenate(rows), axis=0, return_counts=True)
+        for color, count in zip(uniq[:, 0].tolist(), counts.tolist()):
+            kappa[color] = max(kappa[color], count)
+    return dict(sorted(kappa.items()))
+
+
+def congestion_reference(decomposition: NetworkDecomposition) -> int:
+    """Max number of same-color trees sharing one edge."""
+    return max(congestion_by_color_reference(decomposition).values(), default=0)
 
 
 def unique_rows_reference(rows: np.ndarray) -> tuple:
@@ -634,9 +639,10 @@ def solve_list_coloring_polylog_reference(
     by_color: dict = {}
     for cluster in decomposition.clusters:
         by_color.setdefault(cluster.color, []).append(cluster)
+    kappas = congestion_by_color_reference(decomposition)
     for color in sorted(by_color):
         clusters = by_color[color]
-        kappa = _class_congestion(clusters)
+        kappa = max(1, kappas[color])
         class_nodes = np.concatenate([c.nodes for c in clusters])
         prune_lists_against_colored(graph, lists, colors, class_nodes)
         sub_instances = []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from equivalence import assert_ledgers_equal
 from reference import (
     carve_class_reference,
+    congestion_by_color_reference,
     congestion_reference,
     decompose_reference,
     solve_list_coloring_polylog_reference,
@@ -167,8 +168,8 @@ class TestDecompose:
 
 
 class TestTreeMeasures:
-    """The double-sweep weak diameter and the one-sort congestion equal the
-    per-cluster references."""
+    """The double-sweep weak diameter and the one-sort congestion, whole and
+    per color class, equal the per-cluster references."""
 
     @staticmethod
     def assert_matches_reference(decomposition):
@@ -176,6 +177,9 @@ class TestTreeMeasures:
             decomposition
         )
         assert decomposition.congestion() == congestion_reference(decomposition)
+        assert decomposition.congestion_by_color() == (
+            congestion_by_color_reference(decomposition)
+        )
 
     @given(graphs(), st.integers(min_value=0, max_value=2**32 - 1))
     @SETTINGS
@@ -193,6 +197,21 @@ class TestTreeMeasures:
         self.assert_matches_reference(
             NetworkDecomposition(graph=graph, clusters=clusters, num_colors=3)
         )
+
+    @given(graphs(), st.integers(min_value=0, max_value=2**32 - 1))
+    @SETTINGS
+    def test_class_without_tree_edges(self, graph, seed):
+        """A decomposition's classes plus one class of single-node
+        clusters, which has no tree edge: its κ is 0."""
+        decomposition = decompose(graph)
+        color = decomposition.num_colors + 1
+        nodes = np.random.default_rng(seed).permutation(graph.n)[:3]
+        decomposition.clusters += [
+            Cluster(np.array([v]), color, int(v), np.empty((0, 2), dtype=np.int64))
+            for v in nodes.tolist()
+        ]
+        self.assert_matches_reference(decomposition)
+        assert decomposition.congestion_by_color()[color] == 0
 
     @given(graphs())
     @SETTINGS
@@ -220,6 +239,7 @@ class TestTreeMeasures:
         decomposition = NetworkDecomposition(graph=Graph(0, []))
         assert decomposition.weak_diameter() == 0
         assert decomposition.congestion() == 0
+        assert decomposition.congestion_by_color() == {}
 
 
 class TestSteinerTrees:

@@ -10,12 +10,12 @@ mathematics.
 import numpy as np
 import pytest
 
-from repro.congest.coloring_program import _linial_schedule, _node_seed_values
+from repro.congest.coloring_program import _node_seed_values
 from repro.core.potential import PhaseEstimator, buckets_for_seed_grouped
 from repro.graphs import generators as gen
 from repro.hashing.coins import bucket_thresholds
 from repro.hashing.pairwise import PairwiseFamily
-from repro.substrates.linial import linial_coloring
+from repro.substrates.linial import linial_coloring, linial_schedule
 from test_seed_sweep_compression import sigma_sweep_reference
 
 
@@ -67,7 +67,7 @@ class TestNodeValuesMatchEstimator:
 class TestLinialScheduleMatchesEngine:
     @pytest.mark.parametrize("n,delta", [(64, 3), (256, 4), (1000, 8)])
     def test_schedule_reaches_engine_fixpoint(self, n, delta):
-        schedule = _linial_schedule(n, delta)
+        schedule = linial_schedule(n, delta)
         k = n
         for q, t, k_before in schedule:
             assert k_before == k

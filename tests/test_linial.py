@@ -6,7 +6,9 @@ pinned to the evaluate-and-compare oracle ``linial_collisions_reference``
 and to the CONGEST node program's per-node scan.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,12 @@ from repro.substrates.linial import (
     _collisions,
     _digits,
     linial_coloring,
+    linial_schedule,
     linial_step,
     next_prime,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def log_star(x: float) -> int:
@@ -102,6 +107,31 @@ class TestLinialColoring:
         graph = Graph(5, [])
         result = linial_coloring(graph)
         verify_proper_coloring(graph, result.colors)
+
+    @pytest.mark.parametrize("n,degree", [(2, 1), (64, 3), (300, 4), (1000, 12)])
+    def test_runs_the_schedule(self, n, degree):
+        graph = gen.random_regular_graph(n, degree, seed=n)
+        schedule = linial_schedule(n, degree)
+        result = linial_coloring(graph)
+        assert result.iterations == len(schedule)
+        assert result.num_colors == (schedule[-1][0] ** 2 if schedule else n)
+
+
+class TestOneSchedule:
+    """Linial's (q, t) rule lives in ``substrates/linial.py`` only: every
+    other module takes its steps from :func:`linial_schedule`."""
+
+    def test_no_choose_field_call_outside_linial(self):
+        found = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path == SRC / "substrates" / "linial.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                    "_choose_field"
+                ):
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert found == []
 
 
 def step_collisions(graph, colors, num_colors):
