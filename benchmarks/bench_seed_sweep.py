@@ -19,9 +19,10 @@ one complete ``derandomize_phase_group`` twice:
 
 Both paths count in exact integers and form the same exact integer sums
 per member and list size (which do not depend on column
-deduplication), so the val1 matrices and every :class:`SeedChoice` (seed
-bits, conditional traces, final potentials) are asserted
-**bit-identical** before timing.
+deduplication), so the val1 matrices and the phase's
+:class:`~repro.core.derandomize.SeedColumns` (seeds, conditional traces,
+initial and final potentials) are asserted **bit-identical** before
+timing.
 Exits non-zero if the sweep speedup falls below ``--min-speedup``
 (default 5×), so CI catches regressions that reintroduce per-edge work
 into the derandomization hot path.
@@ -295,14 +296,17 @@ def best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def assert_choices_identical(optimized: list, reference: list) -> None:
-    for new, ref in zip(optimized, reference):
-        assert (new.s1, new.sigma) == (ref.s1, ref.sigma), "seed choices diverged"
-        assert new.conditional_trace == ref.conditional_trace, (
-            "conditional-expectation traces diverged"
-        )
-        assert new.initial_expectation == ref.initial_expectation
-        assert new.final_value == ref.final_value
+def assert_choices_identical(optimized, reference) -> None:
+    """Two groups' :class:`SeedColumns`, column by column, bit for bit."""
+    assert np.array_equal(optimized.s1, reference.s1) and np.array_equal(
+        optimized.sigma, reference.sigma
+    ), "seed choices diverged"
+    assert optimized.trace.shape == reference.trace.shape
+    assert optimized.trace.tobytes() == reference.trace.tobytes(), (
+        "conditional-expectation traces diverged"
+    )
+    assert optimized.initial.tobytes() == reference.initial.tobytes()
+    assert optimized.final.tobytes() == reference.final.tobytes()
 
 
 def main() -> int:
@@ -330,7 +334,7 @@ def main() -> int:
     field.use_tables = True
     assert np.array_equal(val1_new, val1_ref), "val1 sweep diverged"
     assert_choices_identical(choices_new, choices_ref)
-    s1s = np.array([choice.s1 for choice in choices_new], dtype=np.int64)
+    s1s = choices_new.s1
     assert_descent_matches_oracle(group, s1s)
     assert_workspace_matches_reference(group)
     interval_group = build_group(

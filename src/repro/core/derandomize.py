@@ -21,15 +21,22 @@ sweep's doubling fill kept.  Both choices are exact — no sampling, no
 approximation beyond the coin rounding that Lemma 2.3 already accounts
 for.
 
+A fusion group's outcome is columns, one row per member
+(:class:`SeedColumns`: s1, σ, initial and final expectation, the Eq. (7)
+trace matrix); :mod:`repro.core.prefix` keeps them as per-phase columns
+over its live instances and builds one :class:`SeedChoice` per instance
+and phase only when it assembles its results.
+
 In the CONGEST model each bit costs one aggregation + one broadcast over a
 BFS tree (O(D) rounds); in the CONGESTED CLIQUE / MPC models whole λ-bit
 *segments* are fixed in O(1) rounds (Theorems 1.3–1.5).  Both cost models
-consume the same :class:`SeedChoice`; only the round accounting differs.
+read the same per-phase records; only the round accounting differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +44,7 @@ from repro.core.potential import SeedSweepWorkspace, exact_by_sigma_grouped
 
 __all__ = [
     "SeedChoice",
+    "SeedColumns",
     "fix_bits_greedily_many",
     "derandomize_phase_group",
 ]
@@ -67,17 +75,31 @@ class SeedChoice:
         return self.s1_bits + self.sigma_bits
 
 
-def fix_bits_greedily_many(rows: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
+class SeedColumns(NamedTuple):
+    """Lemma 2.6 outcome of one fusion group, one row per member.
+
+    The columns of a :class:`SeedChoice`; the bit widths are the group's
+    (m, b), so the trace has m + b columns.
+    """
+
+    s1: np.ndarray  #: int64
+    sigma: np.ndarray  #: int64
+    initial: np.ndarray  #: float64, E[ΣΦ] before any seed bit is fixed
+    final: np.ndarray  #: float64, ΣΦ at the chosen seed
+    trace: np.ndarray  #: float64 (members × (m + b)), the Eq. (7) trace
+
+
+def fix_bits_greedily_many(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fix the bits of an index into each row by greedy block means.
 
     ``rows[j, i]`` is row j's conditional expectation given the seed equals
     i exactly; the row length must be a power of two.  Per row, each bit
     keeps the half of the surviving block with the smaller mean (an exact
-    tie keeps 0).  Returns the chosen indices and, per row, the trace of
-    conditional expectations after each bit (the mean over the surviving
-    block), which is non-increasing by the law of total expectation.  One
-    prefix-sum matrix and one vectorized comparison per bit serve all
-    rows.
+    tie keeps 0).  Returns the chosen indices and the (rows × bits) float64
+    trace matrix: row j's conditional expectation after each bit (the mean
+    over the surviving block), non-increasing by the law of total
+    expectation.  One prefix-sum matrix and one vectorized comparison per
+    bit serve all rows.
     """
     rows = np.asarray(rows, dtype=np.float64)
     num, size = rows.shape
@@ -89,25 +111,19 @@ def fix_bits_greedily_many(rows: np.ndarray) -> tuple[np.ndarray, list[list[floa
 
     rng = np.arange(num)
     lo = np.zeros(num, dtype=np.int64)
-    # Collect each bit's chosen means as one column; a single tolist() at
-    # the end replaces the former per-row Python append loop per bit.
-    columns: list[np.ndarray] = []
-    while size > 1:
+    traces = np.empty((num, size.bit_length() - 1), dtype=np.float64)
+    for column in traces.T:
         half = size // 2
         mean0 = (prefix[rng, lo + half] - prefix[rng, lo]) / half
         mean1 = (prefix[rng, lo + size] - prefix[rng, lo + half]) / half
         take1 = mean1 < mean0
         lo = np.where(take1, lo + half, lo)
-        columns.append(np.where(take1, mean1, mean0))
+        column[:] = np.where(take1, mean1, mean0)
         size = half
-    if columns:
-        traces = np.stack(columns, axis=1).tolist()
-    else:
-        traces = [[] for _ in range(num)]
     return lo, traces
 
 
-def derandomize_phase_group(group, strict: bool = True) -> list:
+def derandomize_phase_group(group, strict: bool = True) -> SeedColumns:
     """Choose a good seed for one phase of a fusion group (Lemma 2.6).
 
     ``group`` is a :class:`~repro.core.potential.PhaseEstimator`: its
@@ -125,17 +141,15 @@ def derandomize_phase_group(group, strict: bool = True) -> list:
     of the ``val1`` matrix.  Each member then fixes its own seed bits
     independently (greedy block means over its own conditional
     expectations, then one σ descent batched over the group on the
-    sweep's workspace: its count tables and its grouping), so the
-    returned :class:`SeedChoice` per member is identical to a group of
-    one.  When ``strict``, internal consistency (the descent's value over
-    the whole σ range equals ``val1`` at the chosen s1 exactly — the same
-    table counts contracted two ways, by the sweep's matrix product and by
-    the descent's ``np.bincount``; Eq. (7) monotonicity; final ≤ initial
-    expectation) is asserted over the whole group at once, and a failure
-    names the first offending member.
+    sweep's workspace: its count tables and its grouping), so each
+    member's row of the returned :class:`SeedColumns` is identical to a
+    group of one.  When ``strict``, internal consistency (the descent's
+    value over the whole σ range equals ``val1`` at the chosen s1 exactly —
+    the same table counts contracted two ways, by the sweep's matrix
+    product and by the descent's ``np.bincount``; Eq. (7) monotonicity;
+    final ≤ initial expectation) is asserted over the whole group at once,
+    and a failure names the first offending member.
     """
-    m = group.family.m
-
     sweep = SeedSweepWorkspace(group)
     val1 = sweep.val1(CHUNK_SIZE)
 
@@ -145,6 +159,7 @@ def derandomize_phase_group(group, strict: bool = True) -> list:
     s1s, traces1 = fix_bits_greedily_many(val1)
     sigmas, traces2, finals, roots = exact_by_sigma_grouped(group, s1s, sweep)
     initials = val1.mean(axis=1)
+    trace = np.hstack([traces1, traces2])
 
     if strict:
         picked = val1[np.arange(len(s1s)), s1s]
@@ -157,13 +172,7 @@ def derandomize_phase_group(group, strict: bool = True) -> list:
             )
         # Eq. (7): each conditional expectation, starting from the initial
         # one, is at most its predecessor (up to float noise).
-        stacked = np.hstack(
-            [
-                initials[:, None],
-                np.array(traces1, dtype=np.float64).reshape(len(s1s), m),
-                traces2,
-            ]
-        )
+        stacked = np.hstack([initials[:, None], trace])
         previous = stacked[:, :-1]
         rises = stacked[:, 1:] > previous + 1e-9 * np.maximum(1.0, np.abs(previous))
         bad = np.flatnonzero(rises.any(axis=1))
@@ -180,22 +189,4 @@ def derandomize_phase_group(group, strict: bool = True) -> list:
                 f"final potential exceeds its expectation (member {int(bad[0])})"
             )
 
-    return [
-        SeedChoice(
-            s1=s1,
-            sigma=sigma,
-            s1_bits=m,
-            sigma_bits=group.b,
-            initial_expectation=initial,
-            final_value=final,
-            conditional_trace=trace1 + trace2,
-        )
-        for s1, sigma, initial, final, trace1, trace2 in zip(
-            s1s.tolist(),
-            sigmas.tolist(),
-            initials.tolist(),
-            finals.tolist(),
-            traces1,
-            traces2.tolist(),
-        )
-    ]
+    return SeedColumns(s1s, sigmas, initials, finals, trace)

@@ -331,20 +331,6 @@ class ListColoringInstance:
     def copy_lists(self) -> ColorListStore:
         return self.lists.copy()
 
-    def restrict(self, nodes) -> tuple["ListColoringInstance", np.ndarray]:
-        """Induced sub-instance on ``nodes`` (lists are CSR-sliced).
-
-        Note: the caller is responsible for having already pruned lists so
-        the (degree+1) condition holds on the subgraph — which it always
-        does when restricting to uncolored nodes, since dropping a neighbor
-        can only help.
-        """
-        sub, original = self.graph.induced_subgraph(nodes)
-        return (
-            ListColoringInstance(sub, self.color_space, self.lists.subset(original)),
-            original,
-        )
-
 
 def _concatenate_blocks(graphs, stores):
     """Union graph + flat store from per-block ``(graph, store)`` pairs.

@@ -26,9 +26,15 @@ agrees share one 2^m seed enumeration
 one :class:`~repro.core.potential.PhaseEstimator`, gathered straight from
 the union arrays by masks over the node and edge instance ids, and its
 chosen buckets come back as one flat array written to the group's nodes
-in one assignment.  A live instance without alive edges has Φ ≡ 0 and
-takes its seed in closed form.  Each per-instance outcome is numerically
-identical to a standalone :func:`extend_prefixes` call.
+in one assignment.  A phase's Lemma 2.6 outcome is columns over its live
+instances (s1, σ, initial and final expectation, Eq. (7) trace): each
+group's :class:`~repro.core.derandomize.SeedColumns` are written to their
+rows, and a live instance without alive edges (Φ ≡ 0) builds no
+estimator and keeps the zero row, which is what Lemma 2.6 gives it.  The
+budget and realized-potential checks are array comparisons over those
+columns, and the :class:`PhaseRecord` / :class:`SeedChoice` objects are
+built once, when the results are assembled.  Each per-instance outcome is
+numerically identical to a standalone :func:`extend_prefixes` call.
 """
 
 from __future__ import annotations
@@ -109,8 +115,9 @@ def _bucket_counts(
     ).reshape(n, width)
 
 
-def _phase_budget(phi_prev: float, num_edges: int, b: int, r: int) -> float:
-    """Rigorous upper bound on the expected potential increase of a phase.
+def _phase_budget(phi_prev, num_edges, b, r):
+    """Rigorous upper bound on the expected potential increase of a phase,
+    elementwise over arrays of instances.
 
     From the Lemma 2.3 calculation generalized to 2^r buckets with interval
     rounding error ε = 2^-b per threshold (see DESIGN.md §2.3), summing the
@@ -118,8 +125,8 @@ def _phase_budget(phi_prev: float, num_edges: int, b: int, r: int) -> float:
 
         E[ΣΦ] - ΣΦ_prev ≤ ε·2^r·ΣΦ_prev + 2ε·|E| + 2ε²·2^r·|E| .
     """
-    eps = 2.0 ** (-b)
-    width = float(1 << r)
+    eps = 2.0 ** -b
+    width = 2.0 ** r
     return eps * width * phi_prev + 2.0 * eps * num_edges * (1.0 + eps * width)
 
 
@@ -170,25 +177,6 @@ def extend_prefixes(
         rng=rng,
         accuracy_override=accuracy_override,
     )[0]
-
-
-def _edgeless_choice(m: int, b: int) -> SeedChoice:
-    """The Lemma 2.6 choice of a phase with no alive edge, in closed form.
-
-    Φ ≡ 0 on every seed, so every conditional expectation is 0.0 and
-    Eq. (7) keeps bit 0 at every step (an exact tie keeps 0): exactly what
-    :func:`~repro.core.derandomize.derandomize_phase_group` returns for an
-    edgeless estimator.
-    """
-    return SeedChoice(
-        s1=0,
-        sigma=0,
-        s1_bits=m,
-        sigma_bits=b,
-        initial_expectation=0.0,
-        final_value=0.0,
-        conditional_trace=[0.0] * (m + b),
-    )
 
 
 def extend_prefixes_batch(
@@ -269,10 +257,11 @@ def extend_prefixes_batch(
                 f"initial potential {phi[i]} is not < n = {int(sizes_n[i])} "
                 f"(instance {i})"
             )
-    phi = phi.tolist()
-    traces: list[list] = [[value] for value in phi]
-    records: list[list] = [[] for _ in range(k)]
-    seed_bits_total = np.zeros(k, dtype=np.int64)
+    # One row per live instance and phase, phases in order:
+    # (instance, r, b, m, s1, σ, initial, final, ΣΦ after, alive edges).
+    log: list[tuple] = []
+    trace_rows: list[list] = []  # the rows' Eq. (7) traces, zero-padded
+    initial_phi = phi.tolist()
     bits_left = total_bits.copy()
     phase_index = np.zeros(k, dtype=np.int64)
 
@@ -333,28 +322,25 @@ def extend_prefixes_batch(
         # schedules use a uniform r per phase.)
         counts = _bucket_counts(node_ids, flat_buckets, n_total, int(r.max()))
 
+        # The phase's Lemma 2.6 outcome is columns over the live instances.
         # A live instance without alive edges has Φ ≡ 0: its derandomized
-        # seed is (0, 0) in closed form and y = 0 picks every node's lowest
-        # nonempty bucket, so it builds no estimator.  Random seeds are
-        # drawn for every live instance, in instance order.
+        # row is the zero default (seed (0, 0), expectations 0.0, an
+        # all-zero trace) and y = 0 picks every node's lowest nonempty
+        # bucket, so it builds no estimator.  Random seeds are drawn for
+        # every live instance, in instance order, and have no expectations.
         buckets_node = np.argmax(counts > 0, axis=1)
-        choices: dict[int, SeedChoice | None] = {}
-        seeds = np.zeros((k, 2), dtype=np.int64)  # (s1, σ) per instance
-        live_list, r_list, b_list, m_list = (
-            live.tolist(), r.tolist(), b.tolist(), m.tolist()
-        )
+        s1 = np.zeros(len(live), dtype=np.int64)
+        sigma = np.zeros(len(live), dtype=np.int64)
+        initial = np.full(len(live), 0.0 if rng is None else np.nan)
+        final = initial.copy()
+        trace = np.zeros((len(live), int((m + b).max())))
         if rng is None:
             fused = np.flatnonzero(edges_before > 0)
-            for j in np.flatnonzero(edges_before == 0).tolist():
-                choices[live_list[j]] = _edgeless_choice(m_list[j], b_list[j])
         else:
             fused = np.arange(len(live))
-            for i, mj, bj in zip(live_list, m_list, b_list):
-                seeds[i] = (
-                    int(rng.integers(0, 1 << mj)),
-                    int(rng.integers(0, 1 << bj)),
-                )
-                choices[i] = None
+            for j, (mj, bj) in enumerate(zip(m.tolist(), b.tolist())):
+                s1[j] = rng.integers(0, 1 << mj)
+                sigma[j] = rng.integers(0, 1 << bj)
 
         # Instances sharing the seed space (m, b, 2^r) — GF(2^m), the coin
         # accuracy and the bucket count — are fused whatever their ψ-domain
@@ -364,9 +350,9 @@ def extend_prefixes_batch(
         seed_space = ((m << 32) | (b << 16) | r)[fused]
         for key in unique(seed_space).tolist():
             mj, bj, rj = key >> 32, (key >> 16) & 0xFFFF, key & 0xFFFF
-            members = live[fused[seed_space == key]]
+            rows = fused[seed_space == key]
             selected = np.zeros(k, dtype=bool)
-            selected[members] = True
+            selected[live[rows]] = True
             group = PhaseEstimator.build_group(
                 PairwiseFamily(mj, bj),
                 selected,
@@ -378,11 +364,14 @@ def extend_prefixes_batch(
                 edges_v,
             )
             if rng is None:
-                group_choices = derandomize_phase_group(group, strict=strict)
-                choices.update(zip(members.tolist(), group_choices))
-                seeds[members] = [(c.s1, c.sigma) for c in group_choices]
+                chosen = derandomize_phase_group(group, strict=strict)
+                s1[rows] = chosen.s1
+                sigma[rows] = chosen.sigma
+                initial[rows] = chosen.initial
+                final[rows] = chosen.final
+                trace[rows, :mj + bj] = chosen.trace
             buckets_node[selected[node_inst]] = buckets_for_seed_grouped(
-                group, *seeds[members].T
+                group, s1[rows], sigma[rows]
             )
 
         # Shrink candidate lists to the chosen bucket: one boolean mask on
@@ -412,55 +401,33 @@ def extend_prefixes_batch(
         edges_after = np.diff(bounds)[live]
 
         deg = conflict_degrees()
-        new_phis = potential_sums(deg, sizes, node_inst, k).tolist()
-        for i, rj, bj, mj, before, after, index in zip(
-            live_list,
-            r_list,
-            b_list,
-            m_list,
-            edges_before.tolist(),
-            edges_after.tolist(),
-            phase_index[live].tolist(),
-        ):
-            new_phi = new_phis[i]
-            choice = choices[i]
-            if strict and choice is not None:
-                # The budget is Lemma 2.6's for the default accuracy only.
-                if accuracy_override is None:
-                    budget = _phase_budget(phi[i], before, bj, rj)
-                    tolerance = 1e-6 * max(1.0, phi[i])
-                    if choice.initial_expectation > phi[i] + budget + tolerance:
-                        raise AssertionError(
-                            f"phase {index}: E[Φ] = "
-                            f"{choice.initial_expectation} exceeds "
-                            f"Φ_prev + budget = {phi[i]} + {budget}"
-                        )
-                # Both are Σ_k D_k / k, k ascending, over the same exact
-                # integers, so they agree bit for bit.
-                if choice.final_value != new_phi:
+        phi_before = phi[live]
+        phi[live] = potential_sums(deg, sizes, node_inst, k)[live]
+        if strict and rng is None:
+            # The budget is Lemma 2.6's for the default accuracy only.
+            if accuracy_override is None:
+                budget = _phase_budget(phi_before, edges_before, b, r)
+                tolerance = 1e-6 * np.maximum(1.0, phi_before)
+                over = np.flatnonzero(initial > phi_before + budget + tolerance)
+                if len(over):
+                    j = int(over[0])
                     raise AssertionError(
-                        f"phase {index}: estimator value "
-                        f"{choice.final_value} does not match realized "
-                        f"potential {new_phi}"
+                        f"instance {int(live[j])}, phase "
+                        f"{int(phase_index[live[j]])}: E[Φ] = {initial[j]} "
+                        f"exceeds Φ_prev + budget = {phi_before[j]} + {budget[j]}"
                     )
-
-            records[i].append(
-                PhaseRecord(
-                    r=rj,
-                    b=bj,
-                    seed_bits=mj + bj,
-                    initial_expectation=(
-                        choice.initial_expectation if choice else float("nan")
-                    ),
-                    final_value=choice.final_value if choice else float("nan"),
-                    potential_after=new_phi,
-                    alive_edges=after,
-                    seed=choice,
+            # Both are Σ_k D_k / k, k ascending, over the same exact
+            # integers, so they agree bit for bit.
+            off = np.flatnonzero(final != phi[live])
+            if len(off):
+                j = int(off[0])
+                raise AssertionError(
+                    f"instance {int(live[j])}, phase "
+                    f"{int(phase_index[live[j]])}: estimator value {final[j]} "
+                    f"does not match realized potential {phi[live[j]]}"
                 )
-            )
-            traces[i].append(new_phi)
-            phi[i] = new_phi
-        seed_bits_total[live] += m + b
+        log.append((live, r, b, m, s1, sigma, initial, final, phi[live], edges_after))
+        trace_rows.extend(trace.tolist())
         bits_left[live] -= r
         phase_index[live] += 1
 
@@ -470,13 +437,45 @@ def extend_prefixes_batch(
             raise AssertionError("a candidate list has size != 1 after all phases")
         if rng is None and accuracy_override is None:
             bound = np.where(strengthens > 1, sizes_n, 2 * sizes_n)
-            over = np.flatnonzero(np.array(phi) > bound + 1e-6)
+            over = np.flatnonzero(phi > bound + 1e-6)
             if len(over):
                 i = int(over[0])
                 raise AssertionError(
                     f"final potential {phi[i]} exceeds the Lemma 2.1 bound "
                     f"{int(bound[i])} (instance {i})"
                 )
+
+    # The per-phase records are built here, once, from the phase rows.
+    potential_traces = [[value] for value in initial_phi]
+    records: list[list] = [[] for _ in range(k)]
+    columns = (np.concatenate(column).tolist() for column in zip(*log))
+    for i, r, b, m, s1, sigma, initial, final, after, alive, trace in zip(
+        *columns, trace_rows
+    ):
+        seed = None
+        if rng is None:
+            seed = SeedChoice(
+                s1=s1,
+                sigma=sigma,
+                s1_bits=m,
+                sigma_bits=b,
+                initial_expectation=initial,
+                final_value=final,
+                conditional_trace=trace[:m + b],
+            )
+        records[i].append(
+            PhaseRecord(
+                r=r,
+                b=b,
+                seed_bits=m + b,
+                initial_expectation=initial,
+                final_value=final,
+                potential_after=after,
+                alive_edges=alive,
+                seed=seed,
+            )
+        )
+        potential_traces[i].append(after)
 
     results = []
     for i in range(k):
@@ -491,9 +490,9 @@ def extend_prefixes_batch(
                 conflict_degrees=deg[slices[i]].copy(),
                 conflict_edges_u=edges_u[lo:hi] - offs[i],
                 conflict_edges_v=edges_v[lo:hi] - offs[i],
-                potential_trace=traces[i],
+                potential_trace=potential_traces[i],
                 phases=records[i],
-                total_seed_bits=int(seed_bits_total[i]),
+                total_seed_bits=sum(rec.seed_bits for rec in records[i]),
             )
         )
     return results

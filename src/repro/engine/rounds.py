@@ -39,11 +39,6 @@ class RoundLedger:
     def total(self) -> int:
         return sum(self.categories.values())
 
-    def merge(self, other: "RoundLedger", prefix: str = "") -> None:
-        """Fold another ledger into this one, optionally prefixing categories."""
-        for category, rounds in other.categories.items():
-            self.charge(prefix + category, rounds)
-
     def breakdown(self) -> dict[str, int]:
         """Copy of the per-category round totals."""
         return dict(self.categories)

@@ -4,7 +4,8 @@ The repo's load-bearing contract is that every execution strategy —
 sequential, batched, shared-seed fused, sharded multiprocess — and the
 plain reference paths of :mod:`reference` produce *byte-identical*
 observable outputs: colorings, :class:`~repro.core.derandomize.SeedChoice`
-tuples, round ledgers (category totals AND the per-event charge stream)
+tuples and the :class:`~repro.core.derandomize.SeedColumns` they are built
+from, round ledgers (category totals AND the per-event charge stream)
 and potential traces.
 These helpers compare those artifacts exactly (floats are ``==``, never
 approx) and fail with a path into the structure plus the first diverging
@@ -24,7 +25,9 @@ __all__ = [
     "assert_outcomes_equal",
     "assert_prefix_results_equal",
     "assert_seed_choices_equal",
+    "assert_seed_columns_equal",
     "assert_traces_equal",
+    "member_columns",
 ]
 
 
@@ -107,6 +110,23 @@ def assert_seed_choices_equal(a, b, path: str = "seed") -> None:
     assert_traces_equal(
         a.conditional_trace, b.conditional_trace, f"{path}.conditional_trace"
     )
+
+
+def assert_seed_columns_equal(a, b, path: str = "seed") -> None:
+    """Full :class:`SeedColumns` identity: every column's dtype, shape and
+    bytes."""
+    for name, x, y in zip(a._fields, a, b):
+        if x.dtype != y.dtype:
+            _fail(f"{path}.{name}", f"dtype {x.dtype} != {y.dtype}")
+        assert_arrays_equal(x, y, f"{path}.{name}")
+        if x.tobytes() != y.tobytes():
+            _fail(f"{path}.{name}", "bytes differ")
+
+
+def member_columns(columns, j: int):
+    """Member ``j``'s row of a group's :class:`SeedColumns`, as the columns
+    of a group of one."""
+    return type(columns)(*(column[j:j + 1] for column in columns))
 
 
 def assert_prefix_results_equal(a, b, path: str = "prefix") -> None:

@@ -16,7 +16,8 @@ from equivalence import (
     assert_coloring_results_equal,
     assert_outcomes_equal,
     assert_prefix_results_equal,
-    assert_seed_choices_equal,
+    assert_seed_columns_equal,
+    member_columns,
 )
 from repro.core.derandomize import derandomize_phase_group
 from repro.core.instances import (
@@ -232,10 +233,12 @@ class TestGroupedDerandomization:
             members.append((np.arange(n, dtype=np.int64) + seed, counts, eu, ev))
         family = PairwiseFamily(4, 5)
         grouped = derandomize_phase_group(stack_group(family, members))
-        assert len(grouped) == len(members)
-        for i, (member, fused) in enumerate(zip(members, grouped)):
-            alone = derandomize_phase_group(PhaseEstimator(family, *member))[0]
-            assert_seed_choices_equal(alone, fused, f"seed[{i}]")
+        assert len(grouped.s1) == len(members)
+        for i, member in enumerate(members):
+            alone = derandomize_phase_group(PhaseEstimator(family, *member))
+            assert_seed_columns_equal(
+                alone, member_columns(grouped, i), f"seed[{i}]"
+            )
 
     def test_one_derandomization_per_seed_space_and_phase(self, monkeypatch):
         """Instances whose ψ-domain bits a differ but whose m = max(a, b)

@@ -178,9 +178,6 @@ class TestInstanceIntegration:
         instance = make_delta_plus_one_instance(Graph(1, []))
         assert instance.lists.n == 1
         assert list(instance.lists[0]) == [0]
-        sub, original = instance.restrict([0])
-        assert list(sub.lists[0]) == [0]
-        np.testing.assert_array_equal(original, [0])
 
     def test_size_one_lists(self):
         g = Graph(3, [])  # no edges: deg+1 = 1 per node

@@ -60,13 +60,6 @@ class TestInstances:
         with pytest.raises(ValueError):
             make_random_lists_instance(g, 4, np.random.default_rng(0))
 
-    def test_restrict(self):
-        g = gen.cycle_graph(6)
-        inst = make_delta_plus_one_instance(g)
-        sub, original = inst.restrict([0, 1, 2])
-        assert sub.n == 3
-        np.testing.assert_array_equal(original, [0, 1, 2])
-
     def test_color_bits(self):
         g = gen.path_graph(2)
         assert ListColoringInstance(g, 2, [[0, 1], [0, 1]]).color_bits == 1
@@ -107,11 +100,3 @@ class TestRoundLedger:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             RoundLedger().charge("x", -1)
-
-    def test_merge_with_prefix(self):
-        a = RoundLedger()
-        a.charge("x", 2)
-        b = RoundLedger()
-        b.charge("y", 3)
-        a.merge(b, prefix="sub:")
-        assert a.breakdown() == {"x": 2, "sub:y": 3}

@@ -8,7 +8,7 @@ enumeration of the randomized process of Algorithm 1.
 import numpy as np
 import pytest
 
-from equivalence import assert_seed_choices_equal
+from equivalence import assert_seed_columns_equal, member_columns
 from repro.core.derandomize import CHUNK_SIZE, derandomize_phase_group
 from repro.core.potential import (
     PhaseEstimator,
@@ -131,8 +131,9 @@ class TestEstimatorExactness:
             alone = exact_by_sigma_grouped(est, [picks[j]])
             for got, want in zip(descents, alone):
                 assert np.asarray(got[j]).tobytes() == np.asarray(want[0]).tobytes()
-            assert_seed_choices_equal(
-                derandomize_phase_group(est)[0], choices[j], f"seed[{j}]"
+            assert_seed_columns_equal(
+                derandomize_phase_group(est), member_columns(choices, j),
+                f"seed[{j}]",
             )
 
     def test_grouped_expectation_handles_edgeless_members(self):
@@ -254,8 +255,9 @@ class TestBuildGroup:
         sigmas = rng.integers(0, group.scale, size=len(members))
         buckets_of = buckets_for_seed_grouped(group, s1s, sigmas)
         for j, est in enumerate(alone):
-            assert_seed_choices_equal(
-                derandomize_phase_group(est)[0], choices[j], f"seed[{j}]"
+            assert_seed_columns_equal(
+                derandomize_phase_group(est), member_columns(choices, j),
+                f"seed[{j}]",
             )
             lo, hi = group.node_offsets[j:j + 2]
             assert np.array_equal(

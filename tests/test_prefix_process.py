@@ -1,12 +1,14 @@
 """The prefix-extension process (Algorithm 1 / Lemmas 2.1–2.3 invariants)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import repro.core.prefix as prefix
-from repro.core.instances import ListColoringInstance, make_delta_plus_one_instance
+from repro.core.instances import (
+    BatchedListColoringInstance,
+    ListColoringInstance,
+    make_delta_plus_one_instance,
+)
 from repro.core.prefix import extend_prefixes
 from repro.graphs import generators as gen
 
@@ -46,14 +48,9 @@ class TestDerandomizedExtension:
         is a broken estimator."""
         derandomize = prefix.derandomize_phase_group
 
-        def nudged(estimators, strict=True):
-            choices = derandomize(estimators, strict=strict)
-            return [
-                dataclasses.replace(
-                    choice, final_value=float(np.nextafter(choice.final_value, np.inf))
-                )
-                for choice in choices
-            ]
+        def nudged(group, strict=True):
+            chosen = derandomize(group, strict=strict)
+            return chosen._replace(final=np.nextafter(chosen.final, np.inf))
 
         monkeypatch.setattr(prefix, "derandomize_phase_group", nudged)
         graph = gen.random_regular_graph(16, 3, 4)
@@ -68,19 +65,91 @@ class TestDerandomizedExtension:
         derandomize = prefix.derandomize_phase_group
 
         def nudged(group, strict=True):
-            choices = derandomize(group, strict=strict)
-            return [
-                dataclasses.replace(
-                    choice, final_value=float(np.nextafter(choice.final_value, np.inf))
-                )
-                for choice in choices
-            ]
+            chosen = derandomize(group, strict=strict)
+            return chosen._replace(final=np.nextafter(chosen.final, np.inf))
 
         graph = gen.random_regular_graph(16, 3, 4)
         run_on(graph, accuracy_override=2)
         monkeypatch.setattr(prefix, "derandomize_phase_group", nudged)
         with pytest.raises(AssertionError, match="realized potential"):
             run_on(graph, accuracy_override=2)
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [("final", "estimator value .* does not match realized potential"),
+         ("initial", "E\\[Φ\\] = .* exceeds Φ_prev \\+ budget")],
+        ids=["final-one-ulp", "budget"],
+    )
+    def test_strict_checks_name_the_one_perturbed_instance(
+        self, monkeypatch, column, message
+    ):
+        """Perturbing only instance 2 at phase 1 fails that phase's array
+        check there: its final value one ulp off the realized potential,
+        or its initial expectation past the Lemma 2.6 budget.  Instance 0
+        is one node and finishes after phase 0, so at phase 1 instance 2
+        is live row 1 and the one group's member 1: the message must name
+        the instance, not the row."""
+        graph = gen.random_regular_graph(16, 3, 4)
+        instance = make_delta_plus_one_instance(graph)
+        single = make_delta_plus_one_instance(gen.path_graph(1))
+        batch = BatchedListColoringInstance.from_instances([single, instance, instance])
+        psis = np.concatenate([[0], np.tile(np.arange(graph.n, dtype=np.int64), 2)])
+        nums = [1, graph.n, graph.n]
+        derandomize = prefix.derandomize_phase_group
+        calls = []
+
+        def perturbed(group, strict=True):
+            chosen = derandomize(group, strict=strict)
+            calls.append(group.num_members)
+            if len(calls) == 2:
+                values = getattr(chosen, column).copy()
+                if column == "final":
+                    values[-1] = np.nextafter(values[-1], np.inf)
+                else:
+                    values[-1] += graph.n
+                chosen = chosen._replace(**{column: values})
+            return chosen
+
+        def run(**kwargs):
+            calls.clear()
+            return prefix.extend_prefixes_batch(batch, psis, nums, **kwargs)
+
+        clean = run()
+        assert len(clean[0].phases) == 1 and len(clean[2].phases) >= 2
+        assert clean[2].phases[0].alive_edges
+        monkeypatch.setattr(prefix, "derandomize_phase_group", perturbed)
+        with pytest.raises(AssertionError, match=f"^instance 2, phase 1: {message}"):
+            run()
+        assert calls[:2] == [2, 2]
+        run(strict=False)
+        if column == "initial":
+            # The budget is Lemma 2.6's for the default accuracy only.
+            run(accuracy_override=int(clean[2].phases[0].b))
+
+    def test_records_are_built_from_the_columns(self):
+        """Every phase record and its seed are plain Python scalars, one
+        record per phase, with the seed's widths summing to the record's."""
+        graph = gen.random_regular_graph(16, 3, 4)
+        for kwargs in ({}, {"r_schedule": lambda p, left: 2}):
+            _instance, result = run_on(graph, **kwargs)
+            assert result.total_seed_bits == sum(
+                rec.seed_bits for rec in result.phases
+            )
+            assert result.potential_trace[1:] == [
+                rec.potential_after for rec in result.phases
+            ]
+            for rec in result.phases:
+                seed = rec.seed
+                assert all(type(x) is int for x in (rec.r, rec.b, rec.seed_bits,
+                                                    rec.alive_edges, seed.s1,
+                                                    seed.sigma))
+                assert all(type(x) is float for x in (
+                    rec.initial_expectation, rec.final_value,
+                    rec.potential_after, *seed.conditional_trace))
+                assert seed.seed_bits == rec.seed_bits == len(seed.conditional_trace)
+                assert (seed.s1_bits, seed.sigma_bits) == (rec.seed_bits - rec.b, rec.b)
+                assert rec.initial_expectation == seed.initial_expectation
+                assert rec.final_value == seed.final_value == rec.potential_after
 
     def test_conflict_degree_consistency(self):
         graph = gen.random_regular_graph(16, 3, 4)
@@ -135,6 +204,27 @@ class TestDerandomizedExtension:
 
 
 class TestRandomizedExtension:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_random_phases_have_no_seed_and_nan_expectations(self, r):
+        """A random seed is drawn, not derandomized: every record's seed is
+        None and its expectations are NaN, never the edgeless 0.0."""
+        graphs = [gen.random_regular_graph(16, 3, 9), gen.path_graph(1)]
+        instances = [make_delta_plus_one_instance(g) for g in graphs]
+        batch = BatchedListColoringInstance.from_instances(instances)
+        psis = np.concatenate([np.arange(g.n, dtype=np.int64) for g in graphs])
+        results = prefix.extend_prefixes_batch(
+            batch, psis, [g.n for g in graphs],
+            r_schedule=lambda p, left: r, rng=np.random.default_rng(0),
+        )
+        for result in results:
+            assert result.phases
+            for rec in result.phases:
+                assert rec.seed is None
+                assert np.isnan(rec.initial_expectation)
+                assert np.isnan(rec.final_value)
+                assert type(rec.potential_after) is float
+
+
     def test_randomized_mode_runs_and_respects_lists(self):
         graph = gen.random_regular_graph(16, 3, 9)
         instance = make_delta_plus_one_instance(graph)

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import repro.core.potential as potential
 
-from equivalence import assert_seed_choices_equal
+from equivalence import assert_seed_columns_equal
 from reference import (
     count_rows_reference,
     count_xor_below,
@@ -43,7 +43,7 @@ from reference import (
 )
 import repro.core.derandomize as derandomize
 from repro.core.derandomize import (
-    SeedChoice,
+    SeedColumns,
     derandomize_phase_group,
     fix_bits_greedily_many,
 )
@@ -261,28 +261,25 @@ def sigma_descent_reference(est, s1):
     return lo, trace, sums_value(ks, sums[lo], 1), root
 
 
-def derandomize_phase_reference(group) -> list:
-    """One :class:`SeedChoice` per member from the oracles alone: s1 by the
-    per-row greedy over the per-edge sweep, σ by the greedy over the σ
-    oracle's per-σ integer sums."""
+def derandomize_phase_reference(group) -> SeedColumns:
+    """The group's :class:`SeedColumns` from the oracles alone, one member
+    at a time: s1 by the per-row greedy over the per-edge sweep, σ by the
+    greedy over the σ oracle's per-σ integer sums."""
     m = group.family.m
     val1 = expected_rows_reference(group, np.arange(1 << m, dtype=np.int64))
-    choices = []
+    rows = []
     for est, row in zip(group_members(group), val1):
         s1, trace1 = fix_bits_greedily_reference(row)
         sigma, trace2, final, _root = sigma_descent_reference(est, s1)
-        choices.append(
-            SeedChoice(
-                s1=s1,
-                sigma=sigma,
-                s1_bits=m,
-                sigma_bits=est.b,
-                initial_expectation=float(row.mean()),
-                final_value=final,
-                conditional_trace=trace1 + trace2,
-            )
-        )
-    return choices
+        rows.append((s1, sigma, row.mean(), final, trace1 + trace2))
+    s1s, sigmas, initials, finals, traces = zip(*rows)
+    return SeedColumns(
+        np.array(s1s, dtype=np.int64),
+        np.array(sigmas, dtype=np.int64),
+        np.array(initials, dtype=np.float64),
+        np.array(finals, dtype=np.float64),
+        np.array(traces, dtype=np.float64).reshape(len(rows), m + group.b),
+    )
 
 
 #: A fixed 4-bucket kernel, the fingerprint of its inputs and its
@@ -818,8 +815,7 @@ class TestLogOrderSweep:
         assert spans[0][0] == 0 and spans[-1][1] == offsets[-1]
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert split.val1(CHUNK).tobytes() == val1.tobytes()
-        for i, (got, want) in enumerate(zip(derandomize_phase_group(group), choices)):
-            assert_seed_choices_equal(got, want, f"seed[{i}]")
+        assert_seed_columns_equal(derandomize_phase_group(group), choices)
 
     def test_table_gather_path_keeps_val1_bytes(self, monkeypatch):
         """Past the window bound (forced here by a tiny block budget, with
@@ -1041,10 +1037,9 @@ class TestDerandomizeEquivalence:
         group = random_group(3, buckets=buckets, seed=7, edgeless=(1,))
         compressed = derandomize_phase_group(group)
         reference = derandomize_phase_reference(group)
-        assert len(compressed) == len(reference) == group.num_members
-        for i, (got, want) in enumerate(zip(compressed, reference)):
-            assert_seed_choices_equal(got, want, f"seed[{i}]")
-            assert all(type(t) is float for t in got.conditional_trace)
+        assert len(compressed.s1) == len(reference.s1) == group.num_members
+        assert compressed.trace.shape == (group.num_members, group.family.m + group.b)
+        assert_seed_columns_equal(compressed, reference)
 
     def test_tables_off_reference_identical(self):
         # Peasant GF multiplies + the per-edge sweep and per-row greedy.
@@ -1056,18 +1051,16 @@ class TestDerandomizeEquivalence:
             reference = derandomize_phase_reference(group)
         finally:
             field.use_tables = True
-        for i, (got, want) in enumerate(zip(compressed, reference)):
-            assert_seed_choices_equal(got, want, f"seed[{i}]")
+        assert_seed_columns_equal(compressed, reference)
 
 
 class TestTraceVectorization:
-    def test_traces_are_python_floats(self):
+    def test_traces_are_one_float_matrix(self):
         rng = np.random.default_rng(9)
         lo, traces = fix_bits_greedily_many(rng.random((4, 16)))
-        assert len(traces) == 4
-        for trace in traces:
-            assert len(trace) == 4
-            assert all(type(t) is float for t in trace)
+        assert traces.shape == (4, 4)
+        assert traces.dtype == np.float64
+        assert lo.dtype == np.int64
 
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(10)
@@ -1076,9 +1069,9 @@ class TestTraceVectorization:
         for j in range(6):
             idx, trace = fix_bits_greedily_reference(rows[j])
             assert idx == int(lo[j])
-            assert trace == traces[j]
+            assert trace == traces[j].tolist()
 
     def test_single_entry_rows_have_empty_traces(self):
         lo, traces = fix_bits_greedily_many(np.array([[2.0], [1.0]]))
         assert list(lo) == [0, 0]
-        assert traces == [[], []]
+        assert traces.shape == (2, 0)

@@ -62,7 +62,7 @@ from repro.mpc.coloring import solve_list_coloring_mpc
 from repro.parallel import Backend, ProcessBackend, SerialBackend
 from repro.serving import ColoringService
 
-from equivalence import assert_batch_results_equal, assert_seed_choices_equal
+from equivalence import assert_batch_results_equal, assert_seed_columns_equal
 from faults import leaked_segments, shm_segments
 from reference import kernel_fingerprint
 from test_seed_sweep_compression import random_group
@@ -80,9 +80,8 @@ def make_sweep(seed: int = 0, buckets: int = 2, n: int = 30):
 
 
 def assert_choices_equal(reference, actual, label: str) -> None:
-    assert len(reference) == len(actual)
-    for i, (ref, got) in enumerate(zip(reference, actual)):
-        assert_seed_choices_equal(ref, got, f"{label}[{i}]")
+    assert len(reference.s1) == len(actual.s1)
+    assert_seed_columns_equal(reference, actual, label)
 
 
 # ----------------------------------------------------------------------
